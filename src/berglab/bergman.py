@@ -16,8 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .domains import DiagonalDomain, ExhaustionSequence, MomentDomain
 from .errors import (
@@ -42,6 +41,9 @@ from .ideals import (
 from .indices import degree, indices_up_to
 from .jets import Functional, Jet, pair
 from .linalg import hermitian_gram, null_space, rref, solve, solve_least_squares
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _is_exact_jet(f) -> bool:
@@ -77,6 +79,8 @@ def riesz_representative(domain, xi: Functional) -> Jet:
                 raise SupportBoundError(
                     f"functional support {alpha} beyond moment degree bound"
                 )
+        import numpy as np
+
         vec = np.array(
             [as_complex(c) for c in xi.vector(domain.indices)], dtype=complex
         )
@@ -110,6 +114,8 @@ def kernel_at_origin(domain, xi: Functional):
     if xi.is_zero():
         raise ZeroFunctionalError("kernel of the zero functional")
     if isinstance(domain, MomentDomain):
+        import numpy as np
+
         vec = np.array(
             [as_complex(c) for c in xi.vector(domain.indices)], dtype=complex
         )
@@ -179,6 +185,8 @@ class TriangularBasis:
 def triangular_basis(domain, degree_bound: int) -> TriangularBasis:
     """Orthonormalize monomials in the graded order so that each basis
     element's first nonvanishing Taylor coefficient sits at its own index."""
+    import numpy as np
+
     if isinstance(domain, MomentDomain):
         if degree_bound > domain.degree_bound:
             raise ValueError("degree bound exceeds the moment data")
@@ -383,6 +391,8 @@ def _particular_solution(cons, rhs, nunknowns, tol):
 
 
 def _minimal_l2_moment(domain: MomentDomain, F: Jet, J: JetIdeal) -> ProjectionResult:
+    import numpy as np
+
     idx = domain.indices
     m = len(idx)
     k = J.level
@@ -443,7 +453,6 @@ class KernelRatioResult:
 
     value: object
     maximizer: Functional = None
-    eigen_estimate: float = None
     diagnostics: dict = field(default_factory=dict)
 
     def value_float(self) -> float:
@@ -453,14 +462,13 @@ class KernelRatioResult:
 def b_circle(domain, F: Jet, J: JetIdeal) -> KernelRatioResult:
     """Supremum of |(xi.F)(o)|^2 / K_xi over finitely supported xi
     annihilating the ideal, computed as a closed-form quadratic maximum
-    over the annihilator basis and cross-checked by a dense generalized
-    eigenvalue solve in float arithmetic."""
+    over the annihilator basis."""
     if F.n != J.n:
         raise DimensionMismatchError("jet and ideal dimensions differ")
     _check_level(domain, J)
     if contains(J, F):
         zero = PiValue(Fraction(0), domain.pi_power) if getattr(domain, "exact", False) else 0.0
-        return KernelRatioResult(zero, None, 0.0, {"contained": True})
+        return KernelRatioResult(zero, None, {"contained": True})
     basis = annihilator(J)
     if isinstance(domain, MomentDomain):
         return _b_circle_moment(domain, F, J, basis)
@@ -528,11 +536,12 @@ def _b_circle_diagonal(domain, F, J, basis: FunctionalBasis) -> KernelRatioResul
             for i in range(len(idx))
         },
     )
-    eig = _eigen_check(A, v_rhs)
-    return KernelRatioResult(value, maximizer, eig, {"exact": exact, "basis_dim": len(vecs)})
+    return KernelRatioResult(value, maximizer, {"exact": exact, "basis_dim": len(vecs)})
 
 
 def _b_circle_moment(domain: MomentDomain, F, J, basis: FunctionalBasis) -> KernelRatioResult:
+    import numpy as np
+
     idx_full = domain.indices
     m = len(idx_full)
     fvec = np.zeros(m, dtype=complex)
@@ -556,9 +565,8 @@ def _b_circle_moment(domain: MomentDomain, F, J, basis: FunctionalBasis) -> Kern
         domain.n,
         {a: c for a, c in zip(idx_full, maximizer_vec) if abs(c) > 1e-14},
     )
-    eig = _eigen_check([[complex(a) for a in row] for row in A], list(v_rhs))
     return KernelRatioResult(
-        value, maximizer, eig, {"exact": False, "basis_dim": V.shape[1]}
+        value, maximizer, {"exact": False, "basis_dim": V.shape[1]}
     )
 
 
@@ -583,22 +591,6 @@ def _independent_rows(rows, ncols, tol):
         pivots.append(pivot)
         keep.append(i)
     return keep
-
-
-def _eigen_check(A, v):
-    """Largest generalized eigenvalue of the rank-one numerator form against
-    the kernel Gram form; the independent float verification of the
-    closed-form maximum."""
-    from scipy.linalg import eigh
-
-    Af = np.array([[as_complex(x) for x in row] for row in A], dtype=complex)
-    vf = np.array([as_complex(x) for x in v], dtype=complex)
-    num = np.outer(vf, vf.conj())
-    try:
-        w = eigh(num, Af, eigvals_only=True)
-        return float(w[-1])
-    except np.linalg.LinAlgError:
-        return None
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +661,7 @@ def _inner_float(domain: DiagonalDomain, f: Jet, g: Jet) -> complex:
             nrm = domain.norm_float(a)
             if nrm == math.inf:
                 continue
-            total += as_complex(cf) * np.conj(as_complex(cg)) * nrm
+            total += as_complex(cf) * as_complex(cg).conjugate() * nrm
     return total
 
 
@@ -720,9 +712,12 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
         )
         norm_g = _norm_float(domain, g)
         ip = _inner_float(domain, F, g)
-        # <F, G_k> = e^{-i theta} (||F||/||g||) <F, g>; theta kills the phase
-        dist2 = 2 * normF**2 - 2 * (normF / norm_g) * abs(ip)
-        out.append((k, math.sqrt(max(dist2, 0.0))))
+        # <F, G_k> = e^{-i theta} (||F||/||g||) <F, g>; theta kills the phase.
+        # The distance is taken from the coefficients of F - G_k: expanding
+        # the square cancels to ~1e-8 when G_k = F.
+        phase = ip / abs(ip) if ip else 1
+        G = g.scale(phase * normF / norm_g)
+        out.append((k, _norm_float(domain, F.to_float().add(G.scale(-1)))))
     return out
 
 

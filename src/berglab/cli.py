@@ -14,7 +14,6 @@ from fractions import Fraction
 from pathlib import Path
 
 import click
-import jsonschema
 
 from .bergman import (
     b_circle,
@@ -32,7 +31,13 @@ from .domains import (
     domain_from_json,
     moment_matrix,
 )
-from .errors import BerglabError, QuadratureError, SingularMatrixError
+from .errors import (
+    BerglabError,
+    DimensionMismatchError,
+    ImproperIdealError,
+    QuadratureError,
+    SingularMatrixError,
+)
 from .exactnum import PiValue, value_float
 from .ideals import IdealPresentation, jet_ideal
 from .jets import Functional, Jet
@@ -145,6 +150,8 @@ _MOMENT_KINDS = {"offcenter_disc", "two_point_disc", "radial"}
 
 
 def _load_spec(path, command):
+    import jsonschema
+
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
@@ -208,15 +215,40 @@ def _parse_tgrid(text):
     return out
 
 
-def _run(fn):
+# what the library raises for input the maths rejects: while a spec is turned
+# into objects, these are spec errors
+_SPEC_ERRORS = (ValueError, KeyError, DimensionMismatchError, ImproperIdealError)
+
+
+def _run(fn, spec_errors=()):
+    """Call ``fn``, turning library errors into exit codes: ``spec_errors``
+    exit 2, numerical and other berglab errors exit 3."""
     try:
         return fn()
+    except spec_errors as exc:
+        click.echo(f"spec error: {exc}", err=True)
+        sys.exit(EXIT_SCHEMA)
     except (QuadratureError, SingularMatrixError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
     except BerglabError as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
+
+
+def _build(fn):
+    """Turn spec data into objects: exit 2 on a spec error, 3 on a numerical
+    failure (moment quadrature)."""
+    return _run(fn, _SPEC_ERRORS)
+
+
+def _jet_and_gens(f_json, gens_json):
+    F = Jet.from_json(f_json)
+    return F, IdealPresentation(F.n, [Jet.from_json(g) for g in gens_json])
+
+
+def _weight(w_json):
+    return ToricWeight(tuple(Fraction(x) for x in w_json["a"]))
 
 
 spec_opt = click.option("--spec", "spec_path", required=True, type=click.Path())
@@ -238,9 +270,8 @@ def main():
 def equiv(spec_path, out_dir, mode, tol):
     """Compare the projection and kernel-ratio values on one instance."""
     data = _load_spec(spec_path, "equiv")
-    domain = _run(lambda: _load_domain(data["domain"], mode=mode, tol=tol))
-    F = Jet.from_json(data["F"])
-    gens = IdealPresentation(F.n, [Jet.from_json(g) for g in data["ideal"]["generators"]])
+    domain = _build(lambda: _load_domain(data["domain"], mode=mode, tol=tol))
+    F, gens = _build(lambda: _jet_and_gens(data["F"], data["ideal"]["generators"]))
     level = data["ideal"]["level"]
     F = Jet(F.n, max(F.degree_bound, level - 1), F.coeffs)
 
@@ -282,12 +313,9 @@ def equiv(spec_path, out_dir, mode, tol):
 def ladder(spec_path, out_dir, mode, k_range):
     """Minimal L2 integrals along I + m^k for a range of k."""
     data = _load_spec(spec_path, "ladder")
-    domain = _run(lambda: _load_domain(data["domain"], mode=mode))
-    gens = IdealPresentation(
-        data["F"]["n"], [Jet.from_json(g) for g in data["generators"]]
-    )
-    ks = _parse_krange(data.get("k_range", k_range))
-    F = Jet.from_json(data["F"])
+    domain = _build(lambda: _load_domain(data["domain"], mode=mode))
+    F, gens = _build(lambda: _jet_and_gens(data["F"], data["generators"]))
+    ks = _build(lambda: _parse_krange(data.get("k_range", k_range)))
     F = Jet(F.n, max(F.degree_bound, max(ks) - 1), F.coeffs)
     result = _run(lambda: krull_ladder(domain, F, gens, ks))
     lines = ["k,C_k,B_k,gap"]
@@ -322,9 +350,8 @@ def ladder(spec_path, out_dir, mode, k_range):
 def exhaust(spec_path, out_dir):
     """Minimal L2 integrals along a nested family of domains."""
     data = _load_spec(spec_path, "exhaust")
-    domains = [_run(lambda d=d: _load_domain(d)) for d in data["domains"]]
-    F = Jet.from_json(data["F"])
-    gens = IdealPresentation(F.n, [Jet.from_json(g) for g in data["ideal"]["generators"]])
+    domains = [_build(lambda d=d: _load_domain(d)) for d in data["domains"]]
+    F, gens = _build(lambda: _jet_and_gens(data["F"], data["ideal"]["generators"]))
     level = data["ideal"]["level"]
     F = Jet(F.n, max(F.degree_bound, level - 1), F.coeffs)
 
@@ -356,8 +383,8 @@ def exhaust(spec_path, out_dir):
 def kernel(spec_path, out_dir, mode):
     """Kernel value at the origin for a coefficient functional."""
     data = _load_spec(spec_path, "kernel")
-    domain = _run(lambda: _load_domain(data["domain"], mode=mode))
-    xi = Functional.from_json(data["xi"])
+    domain = _build(lambda: _load_domain(data["domain"], mode=mode))
+    xi = _build(lambda: Functional.from_json(data["xi"]))
     value = _run(lambda: kernel_at_origin(domain, xi))
     click.echo(f"K = {_fmt(value)}")
     _write_outputs(out_dir, "kernel", {"K": _encode(value)}, f"K\n{_fmt(value)}\n")
@@ -370,7 +397,7 @@ def basis(spec_path, out_dir):
     """Triangular orthonormal basis up to a degree bound."""
     data = _load_spec(spec_path, "basis")
     d = data["degree"]
-    domain = _run(lambda: _load_domain(data["domain"], degree=d))
+    domain = _build(lambda: _load_domain(data["domain"], degree=d))
     tb = _run(lambda: triangular_basis(domain, d))
     lines = ["alpha,coefficients"]
     for j, alpha in enumerate(tb.included):
@@ -393,9 +420,9 @@ def basis(spec_path, out_dir):
 def sop_cmd(spec_path, out_dir):
     """Effectiveness report for (domain, F, weight)."""
     data = _load_spec(spec_path, "sop")
-    domain = _run(lambda: _load_domain(data["domain"]))
-    F = Jet.from_json(data["F"])
-    phi = ToricWeight(tuple(Fraction(x) for x in data["weight"]["a"]))
+    domain = _build(lambda: _load_domain(data["domain"]))
+    F = _build(lambda: Jet.from_json(data["F"]))
+    phi = _build(lambda: _weight(data["weight"]))
     rep = _run(lambda: effectiveness_report(domain, F, phi))
     click.echo(rep.text_table())
     csv_lines = ["quantity,value"]
@@ -416,10 +443,10 @@ def sop_cmd(spec_path, out_dir):
 def cse(spec_path, out_dir, t_grid):
     """Sublevel-kernel growth rate of a functional against a toric weight."""
     data = _load_spec(spec_path, "cse")
-    domain = _run(lambda: _load_domain(data["domain"]))
-    xi = Functional.from_json(data["xi"])
-    phi = ToricWeight(tuple(Fraction(x) for x in data["weight"]["a"]))
-    grid = _parse_tgrid(data.get("t_grid", t_grid))
+    domain = _build(lambda: _load_domain(data["domain"]))
+    xi = _build(lambda: Functional.from_json(data["xi"]))
+    phi = _build(lambda: _weight(data["weight"]))
+    grid = _build(lambda: _parse_tgrid(data.get("t_grid", t_grid)))
 
     def compute():
         res = xi_cse_limit(xi, phi, domain, grid)
@@ -445,10 +472,9 @@ def cse(spec_path, out_dir, t_grid):
 def density(spec_path, out_dir, k_range):
     """Distances from F to the rescaled kernel representatives."""
     data = _load_spec(spec_path, "density")
-    domain = _run(lambda: _load_domain(data["domain"]))
-    F = Jet.from_json(data["F"])
-    gens = IdealPresentation(F.n, [Jet.from_json(g) for g in data["generators"]])
-    ks = _parse_krange(data.get("k_range", k_range))
+    domain = _build(lambda: _load_domain(data["domain"]))
+    F, gens = _build(lambda: _jet_and_gens(data["F"], data["generators"]))
+    ks = _build(lambda: _parse_krange(data.get("k_range", k_range)))
     F = Jet(F.n, max(F.degree_bound, max(ks) - 1), F.coeffs)
     rows = _run(lambda: density_sequence(domain, F, gens, ks))
     lines = ["k,distance"] + [f"{k},{dist:.17g}" for k, dist in rows]

@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import (
     BerglabError,
     DimensionMismatchError,
@@ -563,6 +561,8 @@ class MomentDomain:
     """
 
     def __init__(self, n, degree_bound, matrix, descriptor=None, quad_error=0.0):
+        import numpy as np
+
         self.n = int(n)
         self.degree_bound = int(degree_bound)
         self.indices = indices_up_to(self.n, self.degree_bound)
@@ -587,9 +587,13 @@ class MomentDomain:
 
     def inner(self, fvec, gvec):
         """<f, g> for dense coefficient vectors along ``indices``."""
+        import numpy as np
+
         return np.asarray(fvec) @ self.matrix @ np.conj(np.asarray(gvec))
 
     def condition_number(self) -> float:
+        import numpy as np
+
         return float(np.linalg.cond(self.matrix))
 
     def to_csv(self) -> str:
@@ -653,6 +657,8 @@ def _ball_entry(radius, alpha, tol):
 def _offcenter_disc_entry(center: complex, radius: float, a: int, b: int):
     """<z^a, z^b> over a disc centered at ``center``: binomial expansion,
     angular integrals kill all mixed powers."""
+    import numpy as np
+
     total = 0j
     for j in range(min(a, b) + 1):
         total += (
@@ -691,6 +697,8 @@ def moment_matrix(descriptor, degree_bound, tol=1e-10) -> MomentDomain:
     the off-center disc uses a closed form; ``radial`` descriptors integrate
     a boundary radius function r(theta) = base + sum harmonics.
     """
+    import numpy as np
+
     kind = descriptor.get("kind")
     if kind == "polydisc":
         radii = descriptor["radii"]

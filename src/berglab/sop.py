@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
 from .bergman import b_circle, extremal_functional, minimal_l2
 from .domains import DiagonalDomain, ToricWeight, sublevel_domain, weighted_integral
 from .errors import BerglabError, UnboundedFunctionalError, ZeroFunctionalError
@@ -32,6 +30,13 @@ from .jets import Functional, Jet, pair
 
 def _monomial_gamma(beta, phi: ToricWeight) -> Fraction:
     return min(Fraction(beta[j] + 1) / phi.a[j] for j in phi.active())
+
+
+def _plus_jet_ideal(iplus: MonomialIdeal, F: Jet):
+    """Jet ideal of the just-beyond multiplier ideal at a level above every
+    degree of F, so that truncating F to the jet space keeps all of it."""
+    level = max(degree(g) for g in iplus.generators) + 1
+    return monomial_jet_ideal(iplus, max(level, F.degree_bound + 1))
 
 
 def jumping_number(F: Jet, phi: ToricWeight) -> Fraction:
@@ -83,6 +88,8 @@ def xi_cse_limit(xi: Functional, phi: ToricWeight, D: DiagonalDomain, t_grid) ->
     grid) together with a discrete convexity certificate: consecutive
     divided-difference slopes must be nondecreasing.
     """
+    import numpy as np
+
     from .bergman import kernel_at_origin
 
     t_grid = [float(t) for t in t_grid]
@@ -152,9 +159,9 @@ def verify_corollary_min(F: Jet, phi: ToricWeight, degree_bound: int) -> Minimiz
             continue
         candidates.append((f"delta_{beta}", Functional.delta(F.n, beta)))
     iplus = multiplier_ideal_plus(phi, c0)
-    J = monomial_jet_ideal(iplus)
+    J = _plus_jet_ideal(iplus, F)
     domain = DiagonalDomain.polydisc([1] * F.n)
-    Fw = Jet(F.n, max(F.degree_bound, J.level - 1), F.coeffs)
+    Fw = Jet(F.n, J.level - 1, F.coeffs)
     eta = extremal_functional(domain, Fw, J)
     if not eta.is_zero():
         candidates.append(("extremal_eta", eta))
@@ -251,8 +258,8 @@ def effectiveness_report(D: DiagonalDomain, F: Jet, phi: ToricWeight) -> Effecti
         )
     c0 = jumping_number(F, phi)
     iplus = multiplier_ideal_plus(phi, c0)
-    J = monomial_jet_ideal(iplus)
-    Fw = Jet(F.n, max(F.degree_bound, J.level - 1), F.coeffs)
+    J = _plus_jet_ideal(iplus, F)
+    Fw = Jet(F.n, J.level - 1, F.coeffs)
     proj = minimal_l2(D, Fw, J)
     bc = b_circle(D, Fw, J)
     cv, bv = proj.value, bc.value

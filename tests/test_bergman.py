@@ -361,7 +361,6 @@ class TestBCircle:
         c = minimal_l2(dom, F, J).value
         res = b_circle(dom, F, J)
         assert res.value == pytest.approx(c, rel=1e-10)
-        assert res.eigen_estimate == pytest.approx(c, rel=1e-8)
 
     def test_sandwich_property(self):
         # every individual annihilator direction gives a ratio <= C
@@ -470,6 +469,24 @@ class TestDensity:
         rows = density_sequence(disc, Jet(1, 3, {(1,): 1}), gens, range(2, 5))
         for _, d in rows:
             assert d <= 1e-12
+
+    def test_no_cancellation_floor(self):
+        # G_k = F exactly; expanding ||F - G_k||^2 used to leave ~2e-8
+        disc = DiagonalDomain.disc(1)
+        gens = IdealPresentation(1, [Jet.monomial(1, (3,))])
+        rows = density_sequence(disc, Jet(1, 4, {(2,): 1}), gens, range(3, 6))
+        for _, d in rows:
+            assert d <= 1e-10
+
+    def test_distance_closed_form(self):
+        # at k = 2 the maximizer is delta_1, so G_2 = sqrt(7/6) z against
+        # F = z + z^2/2, and ||F - G_2||^2 = (1 - sqrt(7/6))^2 pi/2 + pi/12
+        disc = DiagonalDomain.disc(1)
+        gens = IdealPresentation(1, [Jet.monomial(1, (4,))])
+        F = Jet(1, 3, {(1,): 1, (2,): Fraction(1, 2)})
+        (_, d), = density_sequence(disc, F, gens, [2])
+        want = math.sqrt((1 - math.sqrt(7 / 6)) ** 2 * math.pi / 2 + math.pi / 12)
+        assert d == pytest.approx(want, rel=1e-12)
 
     def test_bidisc_convergence(self):
         bidisc = DiagonalDomain.polydisc([1, 1])

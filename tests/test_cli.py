@@ -66,6 +66,28 @@ class TestEquiv:
         assert result.exit_code == 2
         assert "F" in result.output
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("ideal", "generators", 0), {"n": 2, "terms": [{"alpha": [2, 0]}]}),
+            (("F", "terms", 0, "alpha"), [1, 0]),
+            (("domain",), {"kind": "hexagon"}),
+            (("ideal", "generators", 0, "terms", 0, "alpha"), [0]),
+            (("domain",), {"kind": "polydisc"}),
+        ],
+        ids=["generator-n", "alpha-length", "unknown-kind", "unit-generator", "no-radii"],
+    )
+    def test_rejected_spec_exit_2(self, runner, tmp_path, path, value):
+        bad = json.loads(json.dumps(DISC_Z_SQUARED))
+        node = bad
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        spec = write_spec(tmp_path, bad)
+        result = runner.invoke(main, ["equiv", "--spec", spec])
+        assert result.exit_code == 2, result.output
+        assert "spec error" in result.output
+
     def test_malformed_json_exit_2(self, runner, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")

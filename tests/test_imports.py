@@ -1,0 +1,71 @@
+"""Import hygiene: numpy and scipy load only for commands that use them.
+
+Each check runs in a fresh interpreter, because this test process has long
+since imported both.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+README_DISC = {
+    "domain": {"kind": "polydisc", "radii": [1]},
+    "F": {"n": 1, "terms": [{"alpha": [1], "re": "1", "im": "0"}]},
+    "ideal": {
+        "generators": [{"n": 1, "terms": [{"alpha": [2], "re": "1", "im": "0"}]}],
+        "level": 2,
+    },
+}
+
+# run the CLI in-process, then report which heavy modules it loaded
+RUN_CLI = """
+import json, sys
+from berglab.cli import main
+main(sys.argv[1:], standalone_mode=False)
+print(json.dumps(sorted(m for m in ("numpy", "scipy") if m in sys.modules)))
+"""
+
+
+def _python(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_cli_import_loads_neither_numpy_nor_scipy():
+    proc = _python(
+        "-c",
+        "import sys, berglab.cli; "
+        "print([m for m in ('numpy', 'scipy') if m in sys.modules])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_exact_equiv_runs_without_numpy_or_scipy(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(README_DISC))
+    proc = _python("-c", RUN_CLI, "equiv", "--spec", str(spec))
+    assert proc.returncode == 0, proc.stderr
+    assert "B' = " in proc.stdout
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
+def test_basis_on_radial_domain_still_runs(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            {"domain": {"kind": "radial", "base": 1.0, "harmonics": [[2, 0.1, 0.0]]}, "degree": 3}
+        )
+    )
+    proc = _python("-m", "berglab.cli", "basis", "--spec", str(spec), "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    rows = (tmp_path / "basis.csv").read_text().strip().splitlines()
+    assert rows[0] == "alpha,coefficients"
+    assert len(rows) == 1 + 4

@@ -137,6 +137,11 @@ class TestCorollaryMin:
         assert rep.attained == Fraction(3, 2)
         assert rep.consistent
 
+    def test_f_above_default_jet_level(self):
+        rep = verify_corollary_min(Jet(2, 5, {(2, 3): 1}), ToricWeight((2, 1)), 6)
+        assert ("extremal_eta", Fraction(3, 2), True) in rep.family
+        assert rep.consistent
+
     def test_constant(self):
         rep = verify_corollary_min(
             Jet(2, 0, {(0, 0): 1}), ToricWeight((1, 2)), 2
@@ -205,6 +210,17 @@ class TestEffectivenessReport:
                 assert multiplier_ideal(ToricWeight((1,)), p).contains_jet(
                     Jet(1, 1, {(1,): 1})
                 )
+
+    @pytest.mark.parametrize("beta, a", [((2, 3), (2, 1)), ((3, 2), (1, 2))])
+    def test_f_above_default_jet_level(self, beta, a):
+        # deg F = 5 reaches the default level of the just-beyond ideal
+        # (z1^3 z2 or z1 z2^3, level 5); F must not be truncated to 0
+        bidisc = DiagonalDomain.polydisc([1, 1])
+        rep = effectiveness_report(bidisc, Jet(2, 5, {beta: 1}), ToricWeight(a))
+        assert rep.c_value == PiValue(Fraction(1, 12), 2)
+        assert rep.b_value == rep.c_value
+        assert rep.ratio == 4
+        assert rep.diagnostics["jet_level"] == 6
 
     def test_p_max_never_exceeds_p_star(self):
         for beta, a in [((1,), (1,)), ((2,), (1,)), ((1, 1), (1, 1))]:

@@ -33,8 +33,10 @@ from .domains import (
 from .errors import (
     BerglabError,
     DimensionMismatchError,
+    DivergentIntegralError,
     ImproperIdealError,
     InfeasibleError,
+    NotNestedError,
     QuadratureError,
     SingularMatrixError,
     SupportBoundError,

@@ -9,6 +9,12 @@ The two central computations deliberately take different routes:
 
 That the two values agree is the equivalence theorem this package is built
 to exercise; it is asserted by the test suites, never assumed by the code.
+
+Each route has two backends.  Exact diagonal problems (exact domain, jet
+and ideal) run over Fraction / QQi through :mod:`berglab.linalg`.  Every
+other problem (moment domains, float diagonal domains, float or complex
+data) runs through numpy: one assembler, :func:`_float_problem`, builds the
+inputs both routes read, and each route then does its own solve.
 """
 
 from __future__ import annotations
@@ -22,7 +28,6 @@ from .domains import DiagonalDomain, ExhaustionSequence, MomentDomain
 from .errors import (
     BerglabError,
     DimensionMismatchError,
-    InfeasibleError,
     SingularMatrixError,
     SupportBoundError,
     UnboundedFunctionalError,
@@ -39,24 +44,22 @@ from .ideals import (
     jet_ideal,
 )
 from .indices import degree, indices_up_to
-from .jets import Functional, Jet, pair
-from .linalg import hermitian_gram, null_space, rref, solve, solve_least_squares
+from .jets import Functional, Jet
+from .linalg import hermitian_gram, null_space, rref, rref_null_space, solve
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def _is_exact_jet(f) -> bool:
-    return not any(isinstance(c, (complex, float)) for c in f.coeffs.values())
 
 
 def _exact_path(domain, *jets_and_ideals) -> bool:
     if not getattr(domain, "exact", False):
         return False
     for obj in jets_and_ideals:
-        if isinstance(obj, Jet) and not _is_exact_jet(obj):
+        if isinstance(obj, Jet) and any(
+            isinstance(c, (complex, float)) for c in obj.coeffs.values()
+        ):
             return False
-        if isinstance(obj, JetIdeal) and obj.tol != 0:
+        if isinstance(obj, JetIdeal) and not obj.exact:
             return False
     return True
 
@@ -139,15 +142,6 @@ def kernel_at_origin(domain, xi: Functional):
         total = total + abs2_s(c if exact else as_complex(c)) / nrm
     if exact:
         return PiValue(total, -domain.n)
-    return total
-
-
-def _kernel_sum_lenient(domain, entries_vec, index_list, weights):
-    """Kernel quadratic form treating infinite-norm slots as contributing 0."""
-    total = 0
-    for x, w in zip(entries_vec, weights):
-        if w is not None and bool(x):
-            total = total + abs2_s(x) * w
     return total
 
 
@@ -288,152 +282,150 @@ def minimal_l2(domain, F: Jet, J: JetIdeal) -> ProjectionResult:
             domain.pi_power if getattr(domain, "exact", False) else 0,
             {"contained": True},
         )
-    if isinstance(domain, MomentDomain):
-        return _minimal_l2_moment(domain, F, J)
-    return _minimal_l2_diagonal(domain, F, J)
+    if _exact_path(domain, F, J):
+        return _minimal_l2_exact(domain, F, J)
+    return _minimal_l2_float(domain, F, J)
 
 
-def _minimal_l2_diagonal(domain: DiagonalDomain, F: Jet, J: JetIdeal) -> ProjectionResult:
-    exact = _exact_path(domain, F, J)
+def _combine(coeffs, rows, slots, start=None):
+    """start + sum_r coeffs[r] * rows[r], read at ``slots`` (zero terms skipped)."""
+    out = list(start) if start is not None else [0] * len(slots)
+    for c, row in zip(coeffs, rows):
+        if bool(c):
+            for k, i in enumerate(slots):
+                out[k] = out[k] + c * row[i]
+    return out
+
+
+def _minimal_l2_exact(domain: DiagonalDomain, F: Jet, J: JetIdeal) -> ProjectionResult:
     idx = J.indices
-    tol = 0.0 if exact else max(J.tol, FLOAT_RANK_TOL)
-    if exact:
-        norms = [domain.norm(a) for a in idx]
-        f = F.truncate(J.level - 1).vector(idx)
-    else:
-        norms = [domain.norm_float(a) for a in idx]
-        f = [as_complex(c) for c in F.truncate(J.level - 1).vector(idx)]
+    norms = [domain.norm(a) for a in idx]
     finite = [i for i, c in enumerate(norms) if c != math.inf]
     infinite = [i for i, c in enumerate(norms) if c == math.inf]
-    B = J.basis if exact else [[as_complex(x) for x in row] for row in J.basis]
-    nrows = len(B)
+    f = F.truncate(J.level - 1).vector(idx)
+    B = J.basis
 
-    # equality constraints: the competitor must vanish on non-integrable slots
-    if infinite and nrows:
-        cons = [[B[r][i] for r in range(nrows)] for i in infinite]
-        rhs = [-f[i] for i in infinite]
-        u0 = _particular_solution(cons, rhs, nrows, tol)
-        if u0 is None:
+    # the competitor f + sum_r u_r B_r must vanish on the non-integrable
+    # slots: u = u0 + (null space of those constraints)
+    if infinite:
+        cons = [[row[i] for row in B] for i in infinite]
+        try:
+            u0 = solve(cons, [-f[i] for i in infinite])
+        except SingularMatrixError:
             return ProjectionResult(
-                PiValue(math.inf, domain.pi_power) if exact else math.inf,
-                diagnostics={"feasible": False},
+                PiValue(math.inf, domain.pi_power), diagnostics={"feasible": False}
             )
-        Z = null_space(cons, nrows, tol)
-    elif infinite:
-        if any(bool(f[i]) if tol == 0 else abs(f[i]) > tol for i in infinite):
-            return ProjectionResult(
-                PiValue(math.inf, domain.pi_power) if exact else math.inf,
-                diagnostics={"feasible": False},
-            )
-        u0, Z = [], []
+        base = _combine(u0, B, finite, [f[i] for i in finite])
+        cols = [_combine(z, B, finite) for z in null_space(cons, len(B))]
     else:
-        u0 = [0] * nrows
-        Z = [[1 if i == j else 0 for j in range(nrows)] for i in range(nrows)]
+        base = f
+        cols = B
 
-    def apply_span(u):
-        out = list(f)
-        for r, ur in enumerate(u):
-            if bool(ur):
-                for i in finite:
-                    out[i] = out[i] + ur * B[r][i]
-        return out
-
-    base = apply_span(u0)
-    cols = []
-    for z in Z:
-        col = [0] * len(idx)
-        for r, zr in enumerate(z):
-            if bool(zr):
-                for i in finite:
-                    col[i] = col[i] + zr * B[r][i]
-        cols.append(col)
-
+    # weighted least squares on the integrable slots: the normal equations
+    # G w = -C^H W base, G = C^H W C
+    wts = [norms[i] for i in finite]
+    x = base
     if cols:
-        weights = [norms[i] if i in set(finite) else 0 for i in range(len(idx))]
-        Cvecs = [[col[i] for i in finite] for col in cols]
-        bvec = [base[i] for i in finite]
-        wts = [norms[i] for i in finite]
-        G = hermitian_gram(Cvecs, wts)
-        rhs2 = [
-            -sum((conj_s(cv) * bv * w for cv, bv, w in zip(Cv, bvec, wts)), start=0)
-            for Cv in Cvecs
+        G = hermitian_gram(cols, wts)
+        rhs = [
+            -sum((conj_s(c) * b * w for c, b, w in zip(col, base, wts)), start=0)
+            for col in cols
         ]
-        w_sol = solve_least_squares(G, rhs2, tol if tol else 0.0)
-        x = list(base)
-        for wj, col in zip(w_sol, cols):
-            if bool(wj):
-                for i in finite:
-                    x[i] = x[i] + wj * col[i]
-    else:
-        x = base
+        x = _combine(solve(G, rhs), cols, range(len(finite)), base)
 
-    cval = sum((abs2_s(x[i]) * norms[i] for i in finite), start=Fraction(0) if exact else 0.0)
-    minimizer = Jet(J.n, J.level - 1, {idx[i]: x[i] for i in finite if bool(x[i])})
+    cval = sum((abs2_s(v) * w for v, w in zip(x, wts)), start=Fraction(0))
+    minimizer = Jet(J.n, J.level - 1, {idx[i]: v for i, v in zip(finite, x) if bool(v)})
     eta = Functional(
-        J.n, {idx[i]: conj_s(x[i]) * norms[i] for i in finite if bool(x[i])}
+        J.n, {idx[i]: conj_s(v) * w for i, v, w in zip(finite, x, wts) if bool(v)}
     )
-    value = PiValue(cval, domain.pi_power) if exact else float(cval)
-    diag = {"feasible": True, "exact": exact, "span_dim": nrows}
-    return ProjectionResult(value, minimizer, eta, domain.pi_power, diag)
+    diag = {"feasible": True, "exact": True, "span_dim": len(B)}
+    return ProjectionResult(PiValue(cval, domain.pi_power), minimizer, eta, domain.pi_power, diag)
 
 
-def _particular_solution(cons, rhs, nunknowns, tol):
-    """A particular solution of a (possibly non-square) linear system, or
-    None when inconsistent."""
-    aug = [list(row) + [b] for row, b in zip(cons, rhs)]
-    red, pivots = rref(aug, nunknowns + 1, tol)
-    if nunknowns in pivots:
-        return None
-    x = [0] * nunknowns
-    for row, c in zip(red, pivots):
-        x[c] = row[nunknowns]
-    return x
-
-
-def _minimal_l2_moment(domain: MomentDomain, F: Jet, J: JetIdeal) -> ProjectionResult:
+def _columns(vectors, m):
+    """Complex matrix whose columns are ``vectors``, zero-padded to length m."""
     import numpy as np
 
-    idx = domain.indices
-    m = len(idx)
-    k = J.level
-    f = np.zeros(m, dtype=complex)
-    for a, c in F.truncate(k - 1).coeffs.items():
-        f[idx.index(a)] = as_complex(c)
-    # columns: the ideal span below degree k, plus every monomial of degree
-    # >= k up to the working bound (those sit inside A^2(D, I))
-    cols = []
-    for row in J.basis:
-        col = np.zeros(m, dtype=complex)
-        for i, x in enumerate(row):
-            col[i] = as_complex(x)
-        cols.append(col)
-    for i, a in enumerate(idx):
-        if degree(a) >= k:
-            e = np.zeros(m, dtype=complex)
-            e[i] = 1
-            cols.append(e)
-    B = np.array(cols).T if cols else np.zeros((m, 0), dtype=complex)
-    M = domain.matrix
-    Mt = np.conj(M)
-    if B.shape[1]:
-        gram = B.conj().T @ Mt @ B
-        rhs = B.conj().T @ Mt @ f
-        beta = np.linalg.solve(gram, rhs)
-        x = f - B @ beta
-        cond = float(np.linalg.cond(gram))
+    out = np.zeros((m, len(vectors)), dtype=complex)
+    for j, v in enumerate(vectors):
+        out[: len(v), j] = np.array(v, dtype=complex)
+    return out
+
+
+def _float_problem(domain, F: Jet, J: JetIdeal):
+    """The inputs both float routes read: (indices, gram, f, span).
+
+    * ``indices``: the working monomials.  On a moment domain these are all
+      indices up to its degree bound, on a diagonal domain the jet indices
+      of degree < level.
+    * ``gram``: on a moment domain the full moment matrix M; on a diagonal
+      domain the vector of monomial norms, ``inf`` where the monomial is not
+      square-integrable.
+    * ``f``: F's coefficients below the level.
+    * ``span``: columns spanning the ideal's part of the working space, the
+      jet ideal's basis plus every monomial of degree >= level.
+    """
+    import numpy as np
+
+    if isinstance(domain, MomentDomain):
+        idx, gram = domain.indices, domain.matrix
     else:
-        x = f
-        cond = 1.0
-    cval = float((x @ M @ np.conj(x)).real)
-    minimizer = Jet(
-        domain.n, domain.degree_bound, {a: v for a, v in zip(idx, x) if abs(v) > 1e-14}
-    )
-    eta_vec = M @ np.conj(x)
-    eta = Functional(
-        domain.n, {a: v for a, v in zip(idx, eta_vec) if abs(v) > 1e-14}
-    )
-    diag = {"feasible": True, "exact": False, "gram_condition": cond}
-    return ProjectionResult(cval, minimizer, eta, 0, diag)
+        idx = J.indices
+        gram = np.array([float(domain.norm_float(a)) for a in idx])
+    m = len(idx)
+    f = np.array(F.truncate(J.level - 1).vector(idx), dtype=complex)
+    high = [i for i, a in enumerate(idx) if degree(a) >= J.level]
+    span = np.hstack([_columns(J.basis, m), np.eye(m, dtype=complex)[:, high]])
+    return idx, gram, f, span
+
+
+def _rank_split(A):
+    """Orthonormal column bases (range, null) splitting the domain of A, the
+    rank decided against its largest singular value."""
+    import numpy as np
+
+    _, s, vh = np.linalg.svd(A)
+    rank = int(np.sum(s > FLOAT_RANK_TOL * s[0])) if s.size else 0
+    return vh[:rank].conj().T, vh[rank:].conj().T
+
+
+def _minimal_l2_float(domain, F: Jet, J: JetIdeal) -> ProjectionResult:
+    import numpy as np
+
+    idx, gram, f, span = _float_problem(domain, F, J)
+    if gram.ndim == 1:
+        finite = np.isfinite(gram)
+        gram = np.diag(np.where(finite, gram, 0.0))
+        root = np.sqrt(gram)
+    else:
+        finite = np.ones(len(idx), dtype=bool)
+        # x^T M conj(x) = ||L^T x||^2 for the Cholesky factor M = L L^H
+        root = np.linalg.cholesky(gram).T
+
+    if not finite.all():
+        # the competitor f + span u must vanish on the non-integrable slots
+        rows, fi = span[~finite], f[~finite]
+        u0 = np.linalg.lstsq(rows, -fi, rcond=None)[0]
+        if np.linalg.norm(fi + rows @ u0) > FLOAT_RANK_TOL * np.linalg.norm(f):
+            return ProjectionResult(math.inf, diagnostics={"feasible": False, "exact": False})
+        f = f + span @ u0
+        f[~finite] = 0
+        span = span @ _rank_split(rows)[1]
+
+    # weighted least squares: min over w of ||root (f + span w)||
+    x, cond = f, 1.0
+    if span.shape[1]:
+        w, _, _, sv = np.linalg.lstsq(root @ span, -(root @ f), rcond=None)
+        x = f + span @ w
+        cond = float((sv[0] / sv[-1]) ** 2)
+    r = root @ x
+    value = float(np.vdot(r, r).real)
+    eta_vec = gram @ np.conj(x)
+    bound = degree(idx[-1])
+    minimizer = Jet(J.n, bound, {a: v for a, v, ok in zip(idx, x.tolist(), finite) if ok and v})
+    eta = Functional(J.n, {a: v for a, v in zip(idx, eta_vec.tolist()) if v})
+    diag = {"feasible": True, "exact": False, "span_dim": J.span_dim, "gram_condition": cond}
+    return ProjectionResult(value, minimizer, eta, 0, diag)
 
 
 def extremal_functional(domain, F: Jet, J: JetIdeal) -> Functional:
@@ -470,127 +462,79 @@ def b_circle(domain, F: Jet, J: JetIdeal) -> KernelRatioResult:
         zero = PiValue(Fraction(0), domain.pi_power) if getattr(domain, "exact", False) else 0.0
         return KernelRatioResult(zero, None, {"contained": True})
     basis = annihilator(J)
-    if isinstance(domain, MomentDomain):
-        return _b_circle_moment(domain, F, J, basis)
-    return _b_circle_diagonal(domain, F, J, basis)
+    if not len(basis):
+        raise BerglabError("annihilator is empty; the ideal span fills the jet space")
+    if _exact_path(domain, F, J):
+        return _b_circle_exact(domain, F, J, basis)
+    return _b_circle_float(domain, F, J, basis)
 
 
-def _b_circle_diagonal(domain, F, J, basis: FunctionalBasis) -> KernelRatioResult:
-    exact = _exact_path(domain, F, J)
+def _b_circle_exact(domain, F, J, basis: FunctionalBasis) -> KernelRatioResult:
     idx = J.indices
-    tol = 0.0 if exact else max(J.tol, FLOAT_RANK_TOL)
-    if exact:
-        norms = [domain.norm(a) for a in idx]
-        fvec = F.truncate(J.level - 1).vector(idx)
-        vecs = [nu.vector(idx) for nu in basis]
-    else:
-        norms = [domain.norm_float(a) for a in idx]
-        fvec = [as_complex(c) for c in F.truncate(J.level - 1).vector(idx)]
-        vecs = [[as_complex(x) for x in nu.vector(idx)] for nu in basis]
+    norms = [domain.norm(a) for a in idx]
     finite = [i for i, c in enumerate(norms) if c != math.inf]
+    fvec = F.truncate(J.level - 1).vector(idx)
+    support = [i for i, c in enumerate(fvec) if bool(c)]
+    vecs = [nu.vector(idx) for nu in basis]
+    pvals = [sum((v[i] * fvec[i] for i in support), start=0) for v in vecs]
 
-    pvals = [sum((v[i] * fvec[i] for i in range(len(idx)) if bool(fvec[i])), start=0) for v in vecs]
-
-    # directions supported entirely on non-integrable slots have kernel 0;
-    # if one of them pairs nontrivially with F the supremum is infinite
     if len(finite) < len(idx):
-        Emat = [[v[i] for i in finite] for v in vecs]
-        if finite:
-            kernel_dirs = null_space(
-                [list(col) for col in zip(*Emat)], len(vecs), tol
-            )
-        else:
-            kernel_dirs = [
-                [1 if i == j else 0 for j in range(len(vecs))]
-                for i in range(len(vecs))
-            ]
-        for y in kernel_dirs:
-            num = sum((yi * p for yi, p in zip(y, pvals)), start=0)
-            if bool(num) if tol == 0 else abs(num) > tol * max(1.0, max(map(abs, pvals), default=0.0)):
+        # directions supported on non-integrable slots have kernel 0; if one
+        # of them pairs nontrivially with F the supremum is infinite
+        red, keep = rref([[v[i] for v in vecs] for i in finite], len(vecs))
+        for y in rref_null_space(red, keep, len(vecs)):
+            if bool(sum((yi * p for yi, p in zip(y, pvals)), start=0)):
                 return KernelRatioResult(
-                    PiValue(math.inf, domain.pi_power) if exact else math.inf,
+                    PiValue(math.inf, domain.pi_power),
                     diagnostics={"unbounded_direction": True},
                 )
-        keep = _independent_rows(Emat, len(finite), tol)
+        # the pivot directions are independent on the integrable slots; the
+        # others add only zero-kernel directions, which pair trivially
         vecs = [vecs[i] for i in keep]
         pvals = [pvals[i] for i in keep]
 
-    if not vecs:
-        raise BerglabError("annihilator is empty; the ideal span fills the jet space")
-
+    # maximize |p^T y|^2 / y^H A y: A x = conj(p), the value p^T x
     wts = [1 / norms[i] for i in finite]
-    Evecs = [[v[i] for i in finite] for v in vecs]
-    A = hermitian_gram(Evecs, wts)
-    v_rhs = [conj_s(p) for p in pvals]
-    x = solve(A, v_rhs, tol)
+    A = hermitian_gram([[v[i] for i in finite] for v in vecs], wts)
+    x = solve(A, [conj_s(p) for p in pvals])
     val = sum((p * xi for p, xi in zip(pvals, x)), start=0)
-    if exact:
-        val = val.re if isinstance(val, QQi) else val
-        value = PiValue(Fraction(val), domain.pi_power)
-    else:
-        value = float(as_complex(val).real)
-    maximizer = Functional(
-        J.n,
-        {
-            idx[i]: sum((x[r] * vecs[r][i] for r in range(len(vecs))), start=0)
-            for i in range(len(idx))
-        },
+    val = val.re if isinstance(val, QQi) else val
+    maximizer = Functional(J.n, dict(zip(idx, _combine(x, vecs, range(len(idx))))))
+    return KernelRatioResult(
+        PiValue(Fraction(val), domain.pi_power),
+        maximizer,
+        {"exact": True, "basis_dim": len(vecs)},
     )
-    return KernelRatioResult(value, maximizer, {"exact": exact, "basis_dim": len(vecs)})
 
 
-def _b_circle_moment(domain: MomentDomain, F, J, basis: FunctionalBasis) -> KernelRatioResult:
+def _b_circle_float(domain, F, J, basis: FunctionalBasis) -> KernelRatioResult:
     import numpy as np
 
-    idx_full = domain.indices
-    m = len(idx_full)
-    fvec = np.zeros(m, dtype=complex)
-    for a, c in F.truncate(J.level - 1).coeffs.items():
-        fvec[idx_full.index(a)] = as_complex(c)
-    vecs = []
-    for nu in basis:
-        v = np.zeros(m, dtype=complex)
-        for a, c in nu.entries.items():
-            v[idx_full.index(a)] = as_complex(c)
-        vecs.append(v)
-    V = np.array(vecs).T  # columns are annihilator directions
-    Minv_V = np.linalg.solve(domain.matrix, V)
-    A = V.conj().T @ Minv_V
-    p = V.T @ fvec
-    v_rhs = np.conj(p)
-    x = np.linalg.solve(A, v_rhs)
+    idx, gram, f, _ = _float_problem(domain, F, J)
+    V = _columns([nu.vector(J.indices) for nu in basis], len(idx))
+    p = V.T @ f  # the pairings (xi . F)(o), bilinear
+
+    if gram.ndim == 1:
+        finite = np.isfinite(gram)
+        if not finite.all():
+            # directions supported on non-integrable slots have kernel 0; if
+            # one of them pairs nontrivially with F the supremum is infinite
+            keep, zero = _rank_split(V[finite])
+            if np.any(np.abs(p @ zero) > FLOAT_RANK_TOL * np.linalg.norm(p)):
+                return KernelRatioResult(
+                    math.inf, diagnostics={"unbounded_direction": True, "exact": False}
+                )
+            V, p = V @ keep, keep.T @ p
+        KV = V / gram[:, None]  # 1/inf = 0: non-integrable slots add no kernel
+    else:
+        KV = np.linalg.solve(gram, V)  # the kernel form is M^{-1}
+
+    # maximize |p^T y|^2 / y^H A y: A x = conj(p), the value p^T x
+    A = V.conj().T @ KV
+    x = np.linalg.solve(A, np.conj(p))
     value = float((p @ x).real)
-    maximizer_vec = V @ x
-    maximizer = Functional(
-        domain.n,
-        {a: c for a, c in zip(idx_full, maximizer_vec) if abs(c) > 1e-14},
-    )
-    return KernelRatioResult(
-        value, maximizer, {"exact": False, "basis_dim": V.shape[1]}
-    )
-
-
-def _independent_rows(rows, ncols, tol):
-    """Indices of a maximal independent subset of rows, greedily in order."""
-    acc, pivots, keep = [], [], []
-    from .linalg import reduce_vector
-
-    for i, row in enumerate(rows):
-        res = reduce_vector(acc, pivots, row, tol)
-        pivot = None
-        for c in range(ncols):
-            nz = bool(res[c]) if tol == 0 else abs(res[c]) > tol
-            if nz:
-                pivot = c
-                break
-        if pivot is None:
-            continue
-        piv = Fraction(res[pivot]) if tol == 0 and isinstance(res[pivot], int) else res[pivot]
-        inv = 1 / piv
-        acc.append([inv * x for x in res])
-        pivots.append(pivot)
-        keep.append(i)
-    return keep
+    maximizer = Functional(J.n, {a: c for a, c in zip(idx, (V @ x).tolist()) if c})
+    return KernelRatioResult(value, maximizer, {"exact": False, "basis_dim": V.shape[1]})
 
 
 # ---------------------------------------------------------------------------
@@ -706,10 +650,8 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
                 "above ord(F)"
             )
         bc = b_circle(domain, Fk, J)
-        xi = bc.maximizer.to_float()
-        g = riesz_representative(
-            domain if not domain.exact else _float_clone(domain), xi
-        )
+        # float entries: the representative is taken with float norms
+        g = riesz_representative(domain, bc.maximizer.to_float())
         norm_g = _norm_float(domain, g)
         ip = _inner_float(domain, F, g)
         # <F, G_k> = e^{-i theta} (||F||/||g||) <F, g>; theta kills the phase.
@@ -719,17 +661,3 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
         G = g.scale(phase * normF / norm_g)
         out.append((k, _norm_float(domain, F.to_float().add(G.scale(-1)))))
     return out
-
-
-def _float_clone(domain: DiagonalDomain) -> DiagonalDomain:
-    return DiagonalDomain(
-        domain.n,
-        domain.kind,
-        radii=[float(r) for r in domain.radii] if domain.radii else None,
-        radius=float(domain.radius) if domain.radius is not None else None,
-        weight_exponents=tuple(float(e) for e in domain.weight_exponents),
-        truncated=domain.truncated,
-        trunc_scale=domain.trunc_scale,
-        exact=False,
-        descriptor=domain.descriptor,
-    )

@@ -26,7 +26,6 @@ from .bergman import (
 )
 from .domains import (
     ExhaustionSequence,
-    MomentDomain,
     ToricWeight,
     domain_from_json,
     moment_matrix,
@@ -350,13 +349,12 @@ def ladder(spec_path, out_dir, mode, k_range):
 def exhaust(spec_path, out_dir):
     """Minimal L2 integrals along a nested family of domains."""
     data = _load_spec(spec_path, "exhaust")
-    domains = [_build(lambda d=d: _load_domain(d)) for d in data["domains"]]
+    seq = _build(lambda: ExhaustionSequence([_load_domain(d) for d in data["domains"]]))
     F, gens = _build(lambda: _jet_and_gens(data["F"], data["ideal"]["generators"]))
     level = data["ideal"]["level"]
     F = Jet(F.n, max(F.degree_bound, level - 1), F.coeffs)
 
     def compute():
-        seq = ExhaustionSequence(domains)
         J = jet_ideal(gens, level)
         return exhaustion_limit(seq, F, J)
 

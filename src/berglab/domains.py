@@ -23,6 +23,7 @@ from fractions import Fraction
 from .errors import (
     BerglabError,
     DimensionMismatchError,
+    NotNestedError,
     QuadratureError,
     SingularMatrixError,
 )
@@ -539,8 +540,9 @@ class ExhaustionSequence:
 
     def __post_init__(self):
         for prev, nxt in zip(self.domains, self.domains[1:]):
-            if not prev.is_subset_of(nxt):
-                raise BerglabError("exhaustion sequence is not nested")
+            diagonal = isinstance(prev, DiagonalDomain) and isinstance(nxt, DiagonalDomain)
+            if not (diagonal and prev.is_subset_of(nxt)):
+                raise NotNestedError("exhaustion sequence is not nested")
 
     def __iter__(self):
         return iter(self.domains)
@@ -750,6 +752,10 @@ def moment_matrix(descriptor, degree_bound, tol=1e-10) -> MomentDomain:
             for k, ak, bk in harmonics:
                 r += ak * math.cos(k * th) + bk * math.sin(k * th)
             return r
+
+        # r must stay positive: checked on a fine theta grid
+        if min(rfunc(2 * math.pi * j / 4096) for j in range(4096)) <= 0:
+            raise ValueError("radial descriptor has r(theta) <= 0 somewhere")
 
         for i in range(m):
             for j in range(i, m):

@@ -37,5 +37,13 @@ class QuadratureError(BerglabError):
         self.achieved = achieved
 
 
+class DivergentIntegralError(BerglabError):
+    """A weighted integral that a bound needs is infinite."""
+
+
+class NotNestedError(BerglabError, ValueError):
+    """An exhaustion sequence whose domains are not nested (a spec error)."""
+
+
 class InfeasibleError(BerglabError):
     """A constrained minimization has an empty feasible set."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-__all__ = ["QQi", "PiValue", "conj_s", "abs2_s", "as_complex", "is_zero_s", "value_float"]
+__all__ = ["QQi", "PiValue", "conj_s", "abs2_s", "as_complex", "value_float"]
 
 
 class QQi:
@@ -105,6 +105,8 @@ class QQi:
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
+    __complex__ = to_complex
+
     def __repr__(self):
         return f"QQi({self.re}, {self.im})"
 
@@ -126,15 +128,7 @@ def abs2_s(x):
 
 
 def as_complex(x) -> complex:
-    if isinstance(x, QQi):
-        return x.to_complex()
     return complex(x)
-
-
-def is_zero_s(x, tol=0.0) -> bool:
-    if tol == 0:
-        return not bool(x)
-    return abs(x) <= tol
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,13 @@ An ideal I of germs at the origin is handled through its Krull ladder
 I + m^k: once the maximal-ideal power m^k is adjoined, membership is a
 finite linear-algebra question in the jet space of degrees < k.  Toric
 multiplier ideals are handled combinatorially as monomial ideals.
+
+Generators with exact coefficients give an exact jet ideal, eliminated over
+Fraction / QQi by :mod:`berglab.linalg`.  Any other generators give a float
+jet ideal, eliminated with numpy: each product row is normalised to unit
+size first, so rank and membership decisions compare against
+``FLOAT_RANK_TOL`` on that scale and do not change when a generator or F is
+rescaled.
 """
 
 from __future__ import annotations
@@ -12,11 +19,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import ImproperIdealError, ZeroFunctionalError
+from .errors import ImproperIdealError
 from .exactnum import QQi
 from .indices import degree, indices_up_to, order_key, validate_index
-from .jets import Functional, Jet, jet_multiply, pair
-from .linalg import in_span, null_space, reduce_vector, rref
+from .jets import Functional, Jet, jet_multiply
+from .linalg import in_span, rref, rref_null_space
 
 FLOAT_RANK_TOL = 1e-10
 
@@ -66,7 +73,8 @@ class JetIdeal:
 
     ``basis`` holds the reduced row echelon basis of the span, as dense
     vectors over ``indices`` (all multi-indices of degree < k in the graded
-    order).
+    order).  ``exact`` tells whether its entries are exact scalars or
+    Python complexes.
     """
 
     n: int
@@ -74,7 +82,7 @@ class JetIdeal:
     indices: list
     basis: list
     pivots: list
-    tol: float = 0.0
+    exact: bool = True
 
     @property
     def span_dim(self) -> int:
@@ -101,7 +109,7 @@ def _csv_scalar(x):
     return str(x)
 
 
-def jet_ideal(gens: IdealPresentation, k: int, tol=None) -> JetIdeal:
+def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
     """Span of {truncate(g * z^beta) : |beta| < k} in reduced echelon form.
 
     Raises ImproperIdealError when the span fills the whole jet space
@@ -109,8 +117,7 @@ def jet_ideal(gens: IdealPresentation, k: int, tol=None) -> JetIdeal:
     """
     if k < 1:
         raise ValueError("ladder level k must be >= 1")
-    if tol is None:
-        tol = 0.0 if _jets_are_exact(gens.generators) else FLOAT_RANK_TOL
+    exact = _jets_are_exact(gens.generators)
     idx = indices_up_to(gens.n, k - 1)
     rows = []
     for g in gens.generators:
@@ -118,16 +125,64 @@ def jet_ideal(gens: IdealPresentation, k: int, tol=None) -> JetIdeal:
             prod = jet_multiply(g, Jet.monomial(gens.n, beta), k - 1)
             if not prod.is_zero():
                 rows.append(prod.vector(idx))
-    basis, pivots = rref(rows, len(idx), tol)
+    if exact:
+        basis, pivots = rref(rows, len(idx))
+    else:
+        basis, pivots = _float_rref(rows, len(idx))
     if len(basis) == len(idx) or (pivots and pivots[0] == 0):
         raise ImproperIdealError(f"ideal is not proper at level {k}")
-    return JetIdeal(gens.n, k, idx, basis, pivots, tol)
+    return JetIdeal(gens.n, k, idx, basis, pivots, exact)
+
+
+def _float_rref(rows, ncols):
+    """Reduced row echelon form of complex rows, by numpy elimination with
+    partial pivoting.  Each row is scaled to unit max-norm first, and a
+    column gets no pivot when every remaining entry is at most
+    ``FLOAT_RANK_TOL`` on that scale."""
+    import numpy as np
+
+    A = np.array(rows, dtype=complex).reshape(-1, ncols)
+    if A.size:
+        A /= np.abs(A).max(axis=1, keepdims=True)
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        if r == A.shape[0]:
+            break
+        p = r + int(np.argmax(np.abs(A[r:, c])))
+        if abs(A[p, c]) <= FLOAT_RANK_TOL:
+            continue
+        A[[r, p]] = A[[p, r]]
+        A[r] /= A[r, c]
+        rest = np.flatnonzero(A[:, c])
+        rest = rest[rest != r]
+        A[rest, c:] -= np.outer(A[rest, c], A[r, c:])
+        pivots.append(c)
+        r += 1
+    basis = A[:r]
+    # echelon structure exactly: zeros left of each pivot, the identity on
+    # the pivot columns (null spaces are read off it)
+    basis[np.arange(ncols) < np.array(pivots)[:, None]] = 0
+    basis[:, pivots] = np.eye(r)
+    return basis.tolist(), pivots
 
 
 def contains(J: JetIdeal, f: Jet) -> bool:
-    """Membership of f in I + m^k, decided on the degree < k jet."""
+    """Membership of f in I + m^k, decided on the degree < k jet.
+
+    Exact ideals and exact jets are decided exactly.  Otherwise f is a
+    member when its float remainder is at most ``FLOAT_RANK_TOL`` times its
+    largest coefficient.
+    """
     vec = f.truncate(J.level - 1).vector(J.indices)
-    return in_span(J.basis, J.pivots, vec, J.tol)
+    if J.exact and _jets_are_exact([f]):
+        return in_span(J.basis, J.pivots, vec)
+    import numpy as np
+
+    v = np.array(vec, dtype=complex)
+    # the pivot block of an RREF is the identity: one step reduces v
+    rest = v - v[J.pivots] @ np.array(J.basis, dtype=complex).reshape(-1, len(vec))
+    return bool(abs(rest).max() <= FLOAT_RANK_TOL * abs(v).max())
 
 
 @dataclass
@@ -148,13 +203,10 @@ def annihilator(J: JetIdeal) -> FunctionalBasis:
     """Basis of {xi : ord(xi) < k, xi annihilates the span}.
 
     The pairing is bilinear, so this is the plain (unconjugated) null space
-    of the span matrix.
+    of the span matrix, read off its RREF.
     """
-    vectors = null_space(J.basis, len(J.indices), J.tol)
-    fns = [
-        Functional(J.n, dict(zip(J.indices, v)))
-        for v in vectors
-    ]
+    vectors = rref_null_space(J.basis, J.pivots, len(J.indices))
+    fns = [Functional(J.n, dict(zip(J.indices, v))) for v in vectors]
     return FunctionalBasis(J.level, fns)
 
 

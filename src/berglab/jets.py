@@ -14,7 +14,7 @@ from .errors import (
     SupportBoundError,
     ZeroFunctionalError,
 )
-from .exactnum import QQi, as_complex, is_zero_s
+from .exactnum import QQi, as_complex
 from .indices import degree, order_key, validate_index
 
 

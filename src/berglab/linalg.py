@@ -1,10 +1,9 @@
-"""Small dense linear algebra over exact or floating scalars.
+"""Small dense exact linear algebra over Fraction / QQi scalars.
 
-Matrices are lists of row lists.  With ``tol == 0`` every scalar decision
-is exact (Fraction / QQi arithmetic); with a positive tolerance the same
-code runs on floats or complexes with partial pivoting and rank cutoffs.
-Sizes here are tiny (jet spaces up to ~100 dims), so clarity wins over
-vectorization.
+Matrices are lists of row lists.  Every scalar decision is an exact zero
+test; floating-point problems run through numpy in :mod:`berglab.bergman`
+and :mod:`berglab.ideals` instead.  Sizes here are tiny (jet spaces up to a
+few hundred dims), so clarity wins over vectorization.
 """
 
 from __future__ import annotations
@@ -15,35 +14,28 @@ from .errors import SingularMatrixError
 from .exactnum import conj_s
 
 
-def _pivot_row(rows, col, start, tol):
-    if tol == 0:
-        # exact mode: first nonzero entry (exact zero test, no magnitudes)
-        for i in range(start, len(rows)):
-            if bool(rows[i][col]):
-                return i
-        return None
-    best, best_mag = None, tol
+def _exact(row):
+    # ints and floats must become Fractions: int/int is a float in Python
+    return [Fraction(x) if isinstance(x, (int, float)) else x for x in row]
+
+
+def _pivot_row(rows, col, start):
     for i in range(start, len(rows)):
-        mag = abs(rows[i][col])
-        if mag > best_mag:
-            best, best_mag = i, mag
-    return best
+        if bool(rows[i][col]):
+            return i
+    return None
 
 
-def rref(rows, ncols, tol=0.0):
+def rref(rows, ncols):
     """Reduced row echelon form.  Returns (rows, pivot_columns).
 
     Zero rows are dropped; pivots are scaled to 1.
     """
-    if tol == 0:
-        # ints must become Fractions up front: int/int is a float in Python
-        rows = [[Fraction(x) if isinstance(x, int) else x for x in r] for r in rows]
-    else:
-        rows = [list(r) for r in rows]
+    rows = [_exact(r) for r in rows]
     pivots = []
     r = 0
     for c in range(ncols):
-        p = _pivot_row(rows, c, r, tol)
+        p = _pivot_row(rows, c, r)
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
@@ -53,7 +45,7 @@ def rref(rows, ncols, tol=0.0):
             if i == r:
                 continue
             factor = rows[i][c]
-            if bool(factor) if tol == 0 else abs(factor) > tol:
+            if bool(factor):
                 rows[i] = [a - factor * b for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
@@ -62,58 +54,53 @@ def rref(rows, ncols, tol=0.0):
     return rows[:r], pivots
 
 
-def reduce_vector(rref_rows, pivots, vec, tol=0.0):
+def reduce_vector(rref_rows, pivots, vec):
     """Remainder of ``vec`` after elimination against an RREF basis."""
-    v = list(vec)
+    v = _exact(vec)
     for row, c in zip(rref_rows, pivots):
         factor = v[c]
-        if bool(factor) if tol == 0 else abs(factor) > tol:
+        if bool(factor):
             v = [a - factor * b for a, b in zip(v, row)]
     return v
 
 
-def in_span(rref_rows, pivots, vec, tol=0.0):
-    res = reduce_vector(rref_rows, pivots, vec, tol)
-    return all(abs(x) <= tol for x in res) if tol > 0 else not any(bool(x) for x in res)
+def in_span(rref_rows, pivots, vec):
+    return not any(bool(x) for x in reduce_vector(rref_rows, pivots, vec))
 
 
-def null_space(rows, ncols, tol=0.0):
-    """Basis of {x : A x = 0} for A given by ``rows`` (no conjugation)."""
-    red, pivots = rref(rows, ncols, tol)
-    free = [c for c in range(ncols) if c not in pivots]
+def rref_null_space(rref_rows, pivots, ncols):
+    """Basis of the null space read off an RREF: one vector per free column.
+
+    Makes no scalar decision, so it serves float RREFs as well.
+    """
+    pivot_set = set(pivots)
     basis = []
-    for f in free:
+    for f in range(ncols):
+        if f in pivot_set:
+            continue
         v = [0] * ncols
         v[f] = 1
-        for row, c in zip(red, pivots):
+        for row, c in zip(rref_rows, pivots):
             v[c] = -row[f]
         basis.append(v)
     return basis
 
 
-def solve(matrix, rhs, tol=0.0):
-    """Solve a square system by Gaussian elimination."""
-    n = len(matrix)
+def null_space(rows, ncols):
+    """Basis of {x : A x = 0} for A given by ``rows`` (no conjugation)."""
+    return rref_null_space(*rref(rows, ncols), ncols)
+
+
+def solve(matrix, rhs):
+    """A solution of the consistent linear system ``matrix x = rhs``.
+
+    The system may be non-square or rank-deficient; free variables are set
+    to zero.  Raises SingularMatrixError when the system is inconsistent.
+    """
+    n = len(matrix[0]) if matrix else 0
     aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
     # eliminate over n+1 columns: a pivot in the RHS column flags inconsistency
-    red, pivots = rref(aug, n + 1, tol)
-    if n in pivots or len(pivots) < n:
-        raise SingularMatrixError("matrix is singular (rank deficiency in solve)")
-    x = [0] * n
-    for row, c in zip(red, pivots):
-        x[c] = row[n]
-    return x
-
-
-def solve_least_squares(matrix, rhs, tol=0.0):
-    """Any solution of a consistent (possibly rank-deficient) square system.
-
-    Used for normal equations, which are consistent by construction.
-    Free variables are set to zero.
-    """
-    n = len(matrix)
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    red, pivots = rref(aug, n + 1, tol)
+    red, pivots = rref(aug, n + 1)
     if n in pivots:
         raise SingularMatrixError("inconsistent linear system")
     x = [0] * n
@@ -122,19 +109,22 @@ def solve_least_squares(matrix, rhs, tol=0.0):
     return x
 
 
-def matvec(rows, x):
-    return [sum((a * b for a, b in zip(row, x)), start=0) for row in rows]
-
-
 def hermitian_gram(vectors, weights):
-    """Gram matrix G[i][j] = sum_k v_i[k] * conj(v_j[k]) * w_k."""
+    """Gram matrix G[i][j] = sum_k conj(v_i[k]) * v_j[k] * w_k.
+
+    The first slot is conjugated, so G is the matrix of the weighted form
+    sum_k w_k |sum_j x_j v_j[k]|^2.  Weights are real, so G is Hermitian and
+    only its upper triangle is summed.
+    """
     m = len(vectors)
     out = [[0] * m for _ in range(m)]
     for i in range(m):
-        for j in range(m):
+        conj_i = [conj_s(a) for a in vectors[i]]
+        for j in range(i, m):
             s = 0
-            for a, b, w in zip(vectors[i], vectors[j], weights):
+            for a, b, w in zip(conj_i, vectors[j], weights):
                 if bool(a) and bool(b) and bool(w):
-                    s = s + a * conj_s(b) * w
+                    s = s + a * b * w
             out[i][j] = s
+            out[j][i] = conj_s(s)
     return out

@@ -15,7 +15,12 @@ from fractions import Fraction
 
 from .bergman import b_circle, extremal_functional, minimal_l2
 from .domains import DiagonalDomain, ToricWeight, sublevel_domain, weighted_integral
-from .errors import BerglabError, UnboundedFunctionalError, ZeroFunctionalError
+from .errors import (
+    BerglabError,
+    DivergentIntegralError,
+    UnboundedFunctionalError,
+    ZeroFunctionalError,
+)
 from .exactnum import PiValue, value_float
 from .ideals import (
     MonomialIdeal,
@@ -253,7 +258,7 @@ def effectiveness_report(D: DiagonalDomain, F: Jet, phi: ToricWeight) -> Effecti
     threshold p* from an exact membership sweep."""
     A = weighted_integral(D, F, phi, 1)
     if value_float(A) == math.inf:
-        raise BerglabError(
+        raise DivergentIntegralError(
             "the weighted integral of F diverges; no effectiveness bound applies"
         )
     c0 = jumping_number(F, phi)

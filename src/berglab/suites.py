@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 import random
+import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -22,12 +23,12 @@ from .domains import (
     ToricWeight,
     moment_matrix,
 )
-from .errors import BerglabError, ImproperIdealError
+from .errors import BerglabError, DivergentIntegralError, ImproperIdealError
 from .exactnum import PiValue, value_float
 from .ideals import IdealPresentation, jet_ideal
 from .indices import indices_up_to
 from .jets import Functional, Jet
-from .sop import effectiveness_report, xi_cse_combinatorial, xi_cse_limit
+from .sop import effectiveness_report, jumping_number, xi_cse_combinatorial, xi_cse_limit
 
 
 def worker_count() -> int:
@@ -66,16 +67,21 @@ class SuiteResult:
 
 
 def _run_pool(instances, runner):
-    results = [None] * len(instances)
+    def guarded(inst):
+        try:
+            return runner(inst)
+        except Exception as exc:  # a fault in one instance is its own failure
+            where = traceback.extract_tb(exc.__traceback__)[-1]
+            return False, math.inf, (
+                f"error: {type(exc).__name__}: {exc} "
+                f"[{os.path.basename(where.filename)}:{where.lineno} in {where.name}]"
+            )
+
     workers = worker_count()
     if workers == 1:
-        for i, inst in enumerate(instances):
-            results[i] = runner(inst)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, res in enumerate(pool.map(runner, instances)):
-                results[i] = res
-    return results
+        return [guarded(inst) for inst in instances]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(guarded, instances))
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +166,8 @@ def _random_moment_domain(rng, degree_bound):
 
 
 def _equivalence_instance(args):
-    i, kind, payload = args
+    _, _, (domain, F, J) = args
     try:
-        if kind == "diagonal":
-            domain, F, J = payload
-        else:
-            domain, F, J = payload
         c = minimal_l2(domain, F, J)
         b = b_circle(domain, F, J)
         cv, bv = c.value, b.value
@@ -251,6 +253,10 @@ def suite_sop(seed=0, count=10) -> SuiteResult:
         label, dom, F, phi, golden = inst
         try:
             rep = effectiveness_report(dom, F, phi)
+        except DivergentIntegralError as exc:
+            # no bound applies; right exactly when F's jumping number is <= 1
+            ok = golden is None and jumping_number(F, phi) <= 1
+            return ok, 0.0 if ok else math.inf, f"{label}: {exc}"
         except BerglabError as exc:
             return False, math.inf, f"{label}: {exc}"
         ok = value_float(rep.ratio) >= 1 - 1e-12
@@ -260,14 +266,10 @@ def suite_sop(seed=0, count=10) -> SuiteResult:
             ok = ok and rep.p_max <= float(rep.p_star) + 1e-9
         gap = abs(value_float(rep.c_value) - value_float(rep.b_value))
         if golden:
-            for key, want in golden.items():
-                got = getattr(rep, {"A": "integral"}.get(key, key))
-                if key in ("A",):
-                    ok = ok and got == want
-                elif key == "sharp":
-                    ok = ok and got == want
-                else:
-                    ok = ok and got == want
+            ok = ok and all(
+                getattr(rep, {"A": "integral"}.get(key, key)) == want
+                for key, want in golden.items()
+            )
         return ok, gap, label
     results = _run_pool(instances, run)
     return _assemble("sop", results)

@@ -30,7 +30,7 @@ from berglab.domains import (
     truncate_weight,
 )
 from berglab.errors import BerglabError, UnboundedFunctionalError, ZeroFunctionalError
-from berglab.exactnum import PiValue, value_float
+from berglab.exactnum import PiValue, QQi, value_float
 from berglab.ideals import IdealPresentation, annihilator, jet_ideal
 from berglab.indices import degree, indices_up_to, order_key
 from berglab.jets import Functional, Jet, pair
@@ -383,6 +383,51 @@ class TestBCircle:
         # F touches the constant, whose annihilator direction has kernel 0
         res = b_circle(wdisc, Jet(1, 1, {(0,): 1, (1,): 1}), J)
         assert value_float(res.value) == math.inf
+
+
+class TestComplexCoefficients:
+    """Gaussian and complex data, where the normal equations of both routes
+    need the conjugate-transposed Gram matrix."""
+
+    def test_gaussian_bidisc_both_routes(self):
+        g = Jet(2, 2, {(2, 0): QQi(-3, 2), (1, 1): QQi(-1, 3), (0, 2): QQi(-1, 1)})
+        J = jet_ideal(IdealPresentation(2, [g]), 3)
+        F = Jet(
+            2,
+            2,
+            {(0, 0): QQi(-3, -1), (1, 0): QQi(1, 3), (2, 0): QQi(-3, 3), (1, 1): QQi(-1, 2)},
+        )
+        bidisc = DiagonalDomain.polydisc([1, 1])
+        want = PiValue(Fraction(161, 10), 2)
+        assert minimal_l2(bidisc, F, J).value == want
+        assert b_circle(bidisc, F, J).value == want
+
+    def test_float_complex_ladder_matches_oracle(self):
+        gens = IdealPresentation(
+            2,
+            [
+                Jet(2, 2, {(2, 0): 0.3 - 0.8j, (1, 1): -0.5 + 0.2j, (0, 2): 0.9 + 0.4j}),
+                Jet(2, 3, {(3, 0): 0.1 + 0.7j, (1, 2): -0.6 - 0.3j, (0, 3): 0.4 - 0.9j}),
+            ],
+        )
+        J = jet_ideal(gens, 4)
+        assert J.span_dim >= 2
+        F = Jet(2, 3, {(0, 0): 0.2 + 0.5j, (1, 0): -0.7 + 0.1j, (1, 1): 0.6 - 0.4j,
+                       (0, 3): -0.3 + 0.8j})
+        dom = DiagonalDomain.polydisc([0.7, 1.3], exact=False)
+        want = oracle_minimal_l2_diagonal(dom, F, J)
+        assert minimal_l2(dom, F, J).value == pytest.approx(want, rel=1e-9)
+        assert b_circle(dom, F, J).value == pytest.approx(want, rel=1e-9)
+
+    def test_rank_decision_is_scale_free(self):
+        # a generator of size 1e-11 spans the same jet ideal as z^2
+        disc = DiagonalDomain.disc(1, exact=False)
+        F = Jet(1, 2, {(1,): 1.0, (2,): 1.0})
+        for scale in (1e-11, 1.0):
+            J = jet_ideal(IdealPresentation(1, [Jet(1, 2, {(2,): scale})]), 3)
+            assert J.span_dim == 1
+            assert minimal_l2(disc, F, J).value == pytest.approx(math.pi / 2, rel=1e-12)
+            assert b_circle(disc, F, J).value == pytest.approx(math.pi / 2, rel=1e-12)
 
 
 class TestLadder:

@@ -67,24 +67,46 @@ class TestEquiv:
         assert "F" in result.output
 
     @pytest.mark.parametrize(
-        "path, value",
+        "command, path, value",
         [
-            (("ideal", "generators", 0), {"n": 2, "terms": [{"alpha": [2, 0]}]}),
-            (("F", "terms", 0, "alpha"), [1, 0]),
-            (("domain",), {"kind": "hexagon"}),
-            (("ideal", "generators", 0, "terms", 0, "alpha"), [0]),
-            (("domain",), {"kind": "polydisc"}),
+            ("equiv", ("ideal", "generators", 0), {"n": 2, "terms": [{"alpha": [2, 0]}]}),
+            ("equiv", ("F", "terms", 0, "alpha"), [1, 0]),
+            ("equiv", ("domain",), {"kind": "hexagon"}),
+            ("equiv", ("ideal", "generators", 0, "terms", 0, "alpha"), [0]),
+            ("equiv", ("domain",), {"kind": "polydisc"}),
+            (
+                "exhaust",
+                ("domains",),
+                [{"kind": "polydisc", "radii": [1]}, {"kind": "polydisc", "radii": ["1/2"]}],
+            ),
+            (
+                "basis",
+                ("domain",),
+                {"kind": "radial", "base": 1.0, "harmonics": [[1, 1.5, 0]]},
+            ),
         ],
-        ids=["generator-n", "alpha-length", "unknown-kind", "unit-generator", "no-radii"],
+        ids=[
+            "generator-n",
+            "alpha-length",
+            "unknown-kind",
+            "unit-generator",
+            "no-radii",
+            "exhaust-not-nested",
+            "radial-nonpositive",
+        ],
     )
-    def test_rejected_spec_exit_2(self, runner, tmp_path, path, value):
+    def test_rejected_spec_exit_2(self, runner, tmp_path, command, path, value):
         bad = json.loads(json.dumps(DISC_Z_SQUARED))
+        if command == "exhaust":
+            bad["domains"] = [bad.pop("domain")]
+        elif command == "basis":
+            bad = {"domain": bad["domain"], "degree": 3}
         node = bad
         for key in path[:-1]:
             node = node[key]
         node[path[-1]] = value
         spec = write_spec(tmp_path, bad)
-        result = runner.invoke(main, ["equiv", "--spec", spec])
+        result = runner.invoke(main, [command, "--spec", spec])
         assert result.exit_code == 2, result.output
         assert "spec error" in result.output
 

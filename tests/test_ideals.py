@@ -64,7 +64,7 @@ class TestJetIdeal:
     def test_float_generators_get_tolerance(self):
         g = Jet(1, 2, {(1,): 0.5 + 0.5j, (2,): 1.0})
         J = jet_ideal(IdealPresentation(1, [g]), 3)
-        assert J.tol > 0
+        assert not J.exact
         assert contains(J, g)
 
 

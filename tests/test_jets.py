@@ -23,7 +23,7 @@ from berglab.indices import (
     sort_indices,
 )
 from berglab.jets import Functional, Jet, jet_multiply, pair
-from berglab.linalg import null_space, rref, solve, solve_least_squares
+from berglab.linalg import null_space, rref, solve
 
 multi_index = st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple)
 
@@ -172,12 +172,12 @@ class TestLinalg:
             solve([[1, 1], [2, 2]], [1, 1])
 
     def test_least_squares_rank_deficient_consistent(self):
-        x = solve_least_squares([[1, 1], [2, 2]], [3, 6])
+        x = solve([[1, 1], [2, 2]], [3, 6])
         assert x[0] + x[1] == 3
 
     def test_least_squares_inconsistent(self):
         with pytest.raises(SingularMatrixError):
-            solve_least_squares([[1, 1], [2, 2]], [3, 7])
+            solve([[1, 1], [2, 2]], [3, 7])
 
     @settings(max_examples=30)
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=3))

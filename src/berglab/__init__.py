@@ -15,6 +15,7 @@ from .bergman import (
     krull_ladder,
     minimal_l2,
     riesz_representative,
+    routes_agree,
     triangular_basis,
 )
 from .domains import (

@@ -33,7 +33,7 @@ from .errors import (
     UnboundedFunctionalError,
     ZeroFunctionalError,
 )
-from .exactnum import PiValue, QQi, abs2_s, as_complex, conj_s, value_float
+from .exactnum import PiValue, QQi, abs2_s, conj_s, value_float
 from .ideals import (
     FLOAT_RANK_TOL,
     FunctionalBasis,
@@ -84,9 +84,7 @@ def riesz_representative(domain, xi: Functional) -> Jet:
                 )
         import numpy as np
 
-        vec = np.array(
-            [as_complex(c) for c in xi.vector(domain.indices)], dtype=complex
-        )
+        vec = np.array([complex(c) for c in xi.vector(domain.indices)], dtype=complex)
         t = np.conj(np.linalg.solve(domain.matrix, vec))
         return Jet(
             domain.n,
@@ -103,7 +101,7 @@ def riesz_representative(domain, xi: Functional) -> Jet:
             raise UnboundedFunctionalError(
                 f"functional touches {alpha}, whose weighted norm is infinite"
             )
-        coeffs[alpha] = conj_s(c if exact else as_complex(c)) / nrm
+        coeffs[alpha] = conj_s(c if exact else complex(c)) / nrm
     d = xi.order()
     return Jet(domain.n, d, coeffs)
 
@@ -119,9 +117,7 @@ def kernel_at_origin(domain, xi: Functional):
     if isinstance(domain, MomentDomain):
         import numpy as np
 
-        vec = np.array(
-            [as_complex(c) for c in xi.vector(domain.indices)], dtype=complex
-        )
+        vec = np.array([complex(c) for c in xi.vector(domain.indices)], dtype=complex)
         for alpha in xi.entries:
             if degree(alpha) > domain.degree_bound:
                 raise SupportBoundError(
@@ -139,7 +135,7 @@ def kernel_at_origin(domain, xi: Functional):
             raise UnboundedFunctionalError(
                 f"functional touches {alpha}, whose weighted norm is infinite"
             )
-        total = total + abs2_s(c if exact else as_complex(c)) / nrm
+        total = total + abs2_s(c if exact else complex(c)) / nrm
     if exact:
         return PiValue(total, -domain.n)
     return total
@@ -537,6 +533,29 @@ def _b_circle_float(domain, F, J, basis: FunctionalBasis) -> KernelRatioResult:
     return KernelRatioResult(value, maximizer, {"exact": False, "basis_dim": V.shape[1]})
 
 
+ROUTES_RTOL = 1e-9
+
+
+def routes_agree(c, b):
+    """Whether the projection value C and the kernel-ratio value B agree,
+    with the gap between them: the one place that judges C against B.
+
+    Exact PiValues agree only when equal (the gap is then the float
+    difference); an infinite value agrees only with another infinite value;
+    otherwise the gap is relative to max(1, |C|) and must be at most
+    :data:`ROUTES_RTOL`.
+    """
+    if isinstance(c, PiValue) and isinstance(b, PiValue):
+        ok = c == b
+        return ok, 0.0 if ok else abs(value_float(c) - value_float(b))
+    cf, bf = value_float(c), value_float(b)
+    if math.isinf(cf) or math.isinf(bf):
+        ok = cf == bf
+        return ok, 0.0 if ok else math.inf
+    gap = abs(cf - bf) / max(1.0, abs(cf))
+    return gap <= ROUTES_RTOL, gap
+
+
 # ---------------------------------------------------------------------------
 # ladders, exhaustion, density
 
@@ -605,7 +624,7 @@ def _inner_float(domain: DiagonalDomain, f: Jet, g: Jet) -> complex:
             nrm = domain.norm_float(a)
             if nrm == math.inf:
                 continue
-            total += as_complex(cf) * as_complex(cg).conjugate() * nrm
+            total += complex(cf) * complex(cg).conjugate() * nrm
     return total
 
 
@@ -614,10 +633,10 @@ def _norm_float(domain: DiagonalDomain, f: Jet) -> float:
     for a, cf in f.coeffs.items():
         nrm = domain.norm_float(a)
         if nrm == math.inf:
-            if abs(as_complex(cf)) > 0:
+            if abs(complex(cf)) > 0:
                 return math.inf
             continue
-        total += abs2_s(as_complex(cf)) * nrm
+        total += abs2_s(complex(cf)) * nrm
     return math.sqrt(total)
 
 

@@ -296,8 +296,7 @@ class DiagonalDomain:
         )
 
     def _truncated_norm(self, alpha):
-        tw, c = self.truncated, float(self.trunc_scale)
-        active = tw.psi.active()
+        active = self.truncated.psi.active()
         if len(active) == 1:
             return self._truncated_norm_1var(alpha, active[0])
         if self.n == 2 and len(active) == 2:
@@ -444,18 +443,25 @@ class _SublevelDomain2D(DiagonalDomain):
         if p + 1 <= 0 or q + 1 <= 0:
             return math.inf
 
-        def x1_bound(x2):
-            return min(r1, math.exp((-t / 2 - a2 * math.log(x2)) / a1))
+        # log of the kink x2* where the inner bound switches from r1 to the
+        # sublevel curve
+        u_star = min(math.log(r2), (-t / 2 - a1 * math.log(r1)) / a2)
+        # below the kink the inner bound is r1: a product of two powers
+        val = r1 ** (p + 1) / (p + 1) * math.exp((q + 1) * u_star) / (q + 1)
+        if u_star < math.log(r2):
+            # above it the integrand is a steep power of x2 whose values can
+            # be far below any absolute tolerance: integrate in u = log x2
+            # to relative accuracy only
+            def integrand(u):
+                x1 = math.exp((-t / 2 - a2 * u) / a1)
+                return math.exp((q + 1) * u) * x1 ** (p + 1) / (p + 1)
 
-        def integrand(x2):
-            return x2**q * x1_bound(x2) ** (p + 1) / (p + 1)
-
-        # kink where the inner bound switches from the sublevel curve to r1
-        x2_star = math.exp((-t / 2 - a1 * math.log(r1)) / a2)
-        points = [x2_star] if 0 < x2_star < r2 else None
-        val, err = quad(integrand, 0, r2, points=points, epsabs=1e-13, epsrel=1e-12, limit=200)
-        if not math.isfinite(val):
-            raise QuadratureError("sublevel norm quadrature diverged", achieved=err)
+            upper, err = quad(
+                integrand, u_star, math.log(r2), epsabs=0, epsrel=1e-12, limit=200
+            )
+            if not math.isfinite(upper):
+                raise QuadratureError("sublevel norm quadrature diverged", achieved=err)
+            val += upper
         return 4 * math.pi**2 * val
 
 

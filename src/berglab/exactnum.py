@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-__all__ = ["QQi", "PiValue", "conj_s", "abs2_s", "as_complex", "value_float"]
+__all__ = ["QQi", "PiValue", "conj_s", "abs2_s", "value_float"]
 
 
 class QQi:
@@ -125,10 +125,6 @@ def abs2_s(x):
     if isinstance(x, complex):
         return x.real * x.real + x.imag * x.imag
     return x * x
-
-
-def as_complex(x) -> complex:
-    return complex(x)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from .errors import (
     SupportBoundError,
     ZeroFunctionalError,
 )
-from .exactnum import QQi, as_complex
+from .exactnum import QQi
 from .indices import degree, order_key, validate_index
 
 
@@ -90,9 +90,7 @@ class Jet:
         return Jet(self.n, max(self.degree_bound, other.degree_bound), terms)
 
     def to_float(self) -> "Jet":
-        return Jet(
-            self.n, self.degree_bound, {a: as_complex(c) for a, c in self.coeffs.items()}
-        )
+        return Jet(self.n, self.degree_bound, {a: complex(c) for a, c in self.coeffs.items()})
 
     def __eq__(self, other):
         return (
@@ -162,7 +160,7 @@ class Functional:
         return Functional(self.n, entries)
 
     def to_float(self) -> "Functional":
-        return Functional(self.n, {a: as_complex(c) for a, c in self.entries.items()})
+        return Functional(self.n, {a: complex(c) for a, c in self.entries.items()})
 
     def __eq__(self, other):
         return (

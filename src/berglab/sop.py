@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bergman import b_circle, extremal_functional, minimal_l2
+from .bergman import b_circle, extremal_functional, minimal_l2, routes_agree
 from .domains import DiagonalDomain, ToricWeight, sublevel_domain, weighted_integral
 from .errors import (
     BerglabError,
@@ -268,15 +268,8 @@ def effectiveness_report(D: DiagonalDomain, F: Jet, phi: ToricWeight) -> Effecti
     proj = minimal_l2(D, Fw, J)
     bc = b_circle(D, Fw, J)
     cv, bv = proj.value, bc.value
-    if isinstance(cv, PiValue) and isinstance(bv, PiValue):
-        if cv != bv:
-            raise BerglabError(f"kernel-ratio route disagrees exactly: {cv} vs {bv}")
-    else:
-        cf, bf = value_float(cv), value_float(bv)
-        if abs(cf - bf) > 1e-9 * max(1.0, abs(cf)):
-            raise BerglabError(
-                f"kernel-ratio route disagrees: {cf} vs {bf}"
-            )
+    if not routes_agree(cv, bv)[0]:
+        raise BerglabError(f"kernel-ratio route disagrees: {cv} vs {bv}")
     exact = isinstance(A, PiValue) and isinstance(cv, PiValue)
     if exact and A.pi_power == cv.pi_power:
         R = Fraction(A.coeff) / Fraction(cv.coeff)

@@ -20,6 +20,7 @@ from berglab.bergman import (
     krull_ladder,
     minimal_l2,
     riesz_representative,
+    routes_agree,
     triangular_basis,
 )
 from berglab.domains import (
@@ -383,6 +384,36 @@ class TestBCircle:
         # F touches the constant, whose annihilator direction has kernel 0
         res = b_circle(wdisc, Jet(1, 1, {(0,): 1, (1,): 1}), J)
         assert value_float(res.value) == math.inf
+
+
+class TestRoutesAgree:
+    """The one rule that judges the projection value C against B."""
+
+    def test_exact_equal(self):
+        v = PiValue(Fraction(1, 2), 1)
+        assert routes_agree(v, PiValue(Fraction(1, 2), 1)) == (True, 0.0)
+
+    def test_exact_unequal_however_close(self):
+        c = PiValue(Fraction(1, 2), 1)
+        b = PiValue(Fraction(1, 2) + Fraction(1, 10**12), 1)
+        ok, gap = routes_agree(c, b)
+        assert not ok
+        assert gap == pytest.approx(math.pi * 1e-12, rel=1e-3, abs=0)
+
+    def test_infinite_agrees_only_with_infinite(self):
+        inf = PiValue(math.inf, 1)
+        assert routes_agree(inf, PiValue(math.inf, 1)) == (True, 0.0)
+        assert routes_agree(math.inf, math.inf) == (True, 0.0)
+        assert routes_agree(math.inf, 2.0) == (False, math.inf)
+        assert routes_agree(2.0, math.inf) == (False, math.inf)
+        assert routes_agree(inf, PiValue(Fraction(2), 1)) == (False, math.inf)
+
+    def test_float_relative_tolerance(self):
+        assert routes_agree(10.0, 10.0 * (1 + 0.9e-9))[0]
+        assert not routes_agree(10.0, 10.0 * (1 + 1.1e-9))[0]
+        # below 1 the gap is absolute
+        assert routes_agree(0.5, 0.5 + 0.9e-9)[0]
+        assert not routes_agree(0.5, 0.5 + 1.1e-9)[0]
 
 
 class TestComplexCoefficients:

@@ -2,11 +2,15 @@
 
 import json
 import math
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
 
+from berglab import bergman, cli
 from berglab.cli import main
+from berglab.errors import BerglabError
+from berglab.exactnum import PiValue
 
 DISC_Z_SQUARED = {
     "domain": {"kind": "polydisc", "radii": [1]},
@@ -115,6 +119,36 @@ class TestEquiv:
         p.write_text("{not json")
         result = runner.invoke(main, ["equiv", "--spec", str(p)])
         assert result.exit_code == 2
+
+
+def off_by_pi_e12(real_b_circle):
+    """A b_circle whose exact value is off by pi^n * 1e-12: far inside any
+    float tolerance, yet unequal."""
+
+    def b_circle(domain, F, J):
+        res = real_b_circle(domain, F, J)
+        res.value = res.value + PiValue(Fraction(1, 10**12), res.value.pi_power)
+        return res
+
+    return b_circle
+
+
+class TestCrossCheck:
+    """An exact C != B is a cross-check failure, however small the gap."""
+
+    def test_equiv_exact_mismatch_exit_1(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "b_circle", off_by_pi_e12(cli.b_circle))
+        spec = write_spec(tmp_path, DISC_Z_SQUARED)
+        result = runner.invoke(main, ["equiv", "--spec", spec])
+        assert result.exit_code == 1, result.output
+        assert "cross-check failed" in result.output
+
+    def test_ladder_exact_mismatch_exit_1(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setattr(bergman, "b_circle", off_by_pi_e12(bergman.b_circle))
+        spec = write_spec(tmp_path, TWISTED_CUSP)
+        result = runner.invoke(main, ["ladder", "--spec", spec, "--k", "2..5"])
+        assert result.exit_code == 1, result.output
+        assert "cross-check failed" in result.output
 
 
 class TestLadder:
@@ -262,6 +296,15 @@ class TestSuite:
     def test_unknown_suite_exit_2(self, runner):
         result = runner.invoke(main, ["suite", "nope"])
         assert result.exit_code == 2
+
+    def test_library_error_exit_3(self, runner, monkeypatch):
+        def failing(name, seed=0, count=None):
+            raise BerglabError("injected")
+
+        monkeypatch.setattr(cli, "run_suite", failing)
+        result = runner.invoke(main, ["suite", "equivalence"])
+        assert result.exit_code == 3
+        assert "error: injected" in result.output
 
     def test_suite_deterministic(self, runner, tmp_path):
         outs = []

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
 
+from berglab.bergman import kernel_at_origin
 from berglab.domains import (
     DiagonalDomain,
     ExhaustionSequence,
@@ -25,7 +26,7 @@ from berglab.domains import (
 )
 from berglab.errors import BerglabError, SingularMatrixError
 from berglab.exactnum import PiValue, value_float
-from berglab.jets import Jet
+from berglab.jets import Functional, Jet
 
 
 def polar_norm_1d(k, r, weight_exp=0.0):
@@ -151,6 +152,21 @@ class TestSublevel:
             sublevel_domain(dom, phi, t).norm_float((1, 1)) for t in (0.5, 1.0, 2.0)
         ]
         assert vals[0] > vals[1] > vals[2]
+
+    @pytest.mark.parametrize("t", [2.0, 22.0, 30.0])
+    def test_two_variable_closed_form_deep(self, t):
+        # {|z1 z2| < e^(-t/2)} in the unit bidisc: ||z1 z2||^2 in closed form;
+        # at large t the values sit far below any absolute quadrature tolerance
+        sub = sublevel_domain(DiagonalDomain.polydisc([1, 1]), ToricWeight((1, 1)), t)
+        want = 4 * math.pi**2 * math.exp(-2 * t) * (1 / 16 + t / 8)
+        assert sub.norm_float((1, 1)) == pytest.approx(want, rel=1e-10, abs=0)
+
+    @pytest.mark.parametrize("t", [2.0, 22.0, 30.0])
+    def test_two_variable_symmetric_weight_symmetric_kernel(self, t):
+        sub = sublevel_domain(DiagonalDomain.polydisc([1, 1]), ToricWeight((1, 1)), t)
+        k10 = kernel_at_origin(sub, Functional.delta(2, (1, 0)))
+        k01 = kernel_at_origin(sub, Functional.delta(2, (0, 1)))
+        assert k10 == pytest.approx(k01, rel=1e-10)
 
 
 class TestTruncatedWeight:

@@ -36,7 +36,6 @@ from .errors import (
     DimensionMismatchError,
     DivergentIntegralError,
     ImproperIdealError,
-    InfeasibleError,
     NotNestedError,
     QuadratureError,
     SingularMatrixError,
@@ -46,7 +45,6 @@ from .errors import (
 )
 from .exactnum import PiValue, QQi, value_float
 from .ideals import (
-    FunctionalBasis,
     IdealPresentation,
     JetIdeal,
     MonomialIdeal,

@@ -34,17 +34,9 @@ from .errors import (
     ZeroFunctionalError,
 )
 from .exactnum import PiValue, QQi, abs2_s, conj_s, value_float
-from .ideals import (
-    FLOAT_RANK_TOL,
-    FunctionalBasis,
-    IdealPresentation,
-    JetIdeal,
-    annihilator,
-    contains,
-    jet_ideal,
-)
+from .ideals import FLOAT_RANK_TOL, IdealPresentation, JetIdeal, contains, jet_ideal
 from .indices import degree, indices_up_to
-from .jets import Functional, Jet
+from .jets import Functional, Jet, pair
 from .linalg import hermitian_gram, null_space, rref, rref_null_space, solve
 
 if TYPE_CHECKING:
@@ -107,38 +99,14 @@ def riesz_representative(domain, xi: Functional) -> Jet:
 
 
 def kernel_at_origin(domain, xi: Functional):
-    """The squared norm of the Riesz representative of xi.
-
-    Diagonal domains: sum |xi_alpha|^2 / c_alpha (a PiValue with pi power
-    -n in exact mode).  Moment domains: the Hermitian form of M^{-1}.
-    """
-    if xi.is_zero():
-        raise ZeroFunctionalError("kernel of the zero functional")
-    if isinstance(domain, MomentDomain):
-        import numpy as np
-
-        vec = np.array([complex(c) for c in xi.vector(domain.indices)], dtype=complex)
-        for alpha in xi.entries:
-            if degree(alpha) > domain.degree_bound:
-                raise SupportBoundError(
-                    f"functional support {alpha} beyond moment degree bound"
-                )
-        val = np.vdot(vec, np.linalg.solve(domain.matrix, vec))
-        return float(val.real)
-    exact = _exact_path(domain) and all(
-        not isinstance(c, (complex, float)) for c in xi.entries.values()
-    )
-    total = Fraction(0) if exact else 0.0
-    for alpha, c in xi.entries.items():
-        nrm = domain.norm(alpha) if exact else domain.norm_float(alpha)
-        if nrm == math.inf:
-            raise UnboundedFunctionalError(
-                f"functional touches {alpha}, whose weighted norm is infinite"
-            )
-        total = total + abs2_s(c if exact else complex(c)) / nrm
-    if exact:
-        return PiValue(total, -domain.n)
-    return total
+    """K_xi = (xi . T)(o), T the Riesz representative of xi: the squared norm
+    of T.  A PiValue with pi power -n in exact mode, a float otherwise."""
+    T = riesz_representative(domain, xi)
+    if _exact_path(domain, T):
+        k = pair(xi, T)
+        return PiValue(Fraction(k.re if isinstance(k, QQi) else k), -domain.n)
+    # float path: the representative was built from complex(xi)
+    return float(pair(xi.to_float(), T).real)
 
 
 # ---------------------------------------------------------------------------
@@ -457,21 +425,21 @@ def b_circle(domain, F: Jet, J: JetIdeal) -> KernelRatioResult:
     if contains(J, F):
         zero = PiValue(Fraction(0), domain.pi_power) if getattr(domain, "exact", False) else 0.0
         return KernelRatioResult(zero, None, {"contained": True})
-    basis = annihilator(J)
-    if not len(basis):
+    # the annihilator: the null space of the span, read off its RREF
+    vecs = rref_null_space(J.basis, J.pivots, len(J.indices))
+    if not vecs:
         raise BerglabError("annihilator is empty; the ideal span fills the jet space")
     if _exact_path(domain, F, J):
-        return _b_circle_exact(domain, F, J, basis)
-    return _b_circle_float(domain, F, J, basis)
+        return _b_circle_exact(domain, F, J, vecs)
+    return _b_circle_float(domain, F, J, vecs)
 
 
-def _b_circle_exact(domain, F, J, basis: FunctionalBasis) -> KernelRatioResult:
+def _b_circle_exact(domain, F, J, vecs) -> KernelRatioResult:
     idx = J.indices
     norms = [domain.norm(a) for a in idx]
     finite = [i for i, c in enumerate(norms) if c != math.inf]
     fvec = F.truncate(J.level - 1).vector(idx)
     support = [i for i, c in enumerate(fvec) if bool(c)]
-    vecs = [nu.vector(idx) for nu in basis]
     pvals = [sum((v[i] * fvec[i] for i in support), start=0) for v in vecs]
 
     if len(finite) < len(idx):
@@ -503,11 +471,11 @@ def _b_circle_exact(domain, F, J, basis: FunctionalBasis) -> KernelRatioResult:
     )
 
 
-def _b_circle_float(domain, F, J, basis: FunctionalBasis) -> KernelRatioResult:
+def _b_circle_float(domain, F, J, vecs) -> KernelRatioResult:
     import numpy as np
 
     idx, gram, f, _ = _float_problem(domain, F, J)
-    V = _columns([nu.vector(J.indices) for nu in basis], len(idx))
+    V = _columns(vecs, len(idx))
     p = V.T @ f  # the pairings (xi . F)(o), bilinear
 
     if gram.ndim == 1:
@@ -570,7 +538,7 @@ class LadderRow:
     b_value: object
 
     def gap(self) -> float:
-        return abs(value_float(self.c_value) - value_float(self.b_value))
+        return routes_agree(self.c_value, self.b_value)[1]
 
 
 @dataclass

@@ -6,7 +6,7 @@ Two families are supported:
   diagonal toric weights, sublevel sets, truncated weights).  Monomials are
   orthogonal, so the domain is fully described by its monomial norms.  In
   exact mode the norms are rational multiples of pi**n and the pi power is
-  factored out (see :meth:`DiagonalDomain.reduced_norm`).
+  factored out.
 * :class:`MomentDomain` -- a finite Hermitian positive-definite moment
   matrix of monomial inner products for general bounded domains, assembled
   from closed forms or quadrature.
@@ -28,6 +28,10 @@ from .errors import (
     SingularMatrixError,
 )
 from .indices import degree, indices_up_to, validate_index
+
+# bound on a moment matrix's quadrature error estimate, relative to
+# max(1, its largest entry)
+QUAD_TOL = 1e-10
 
 
 def _as_fraction(x):
@@ -234,18 +238,16 @@ class DiagonalDomain:
     def norm(self, alpha):
         """Squared monomial norm: reduced Fraction in exact mode (carrying an
         implicit pi**n), plain float otherwise; math.inf when the monomial is
-        not square-integrable against the weight."""
+        not square-integrable against the weight.  A monomial's norm is
+        positive, so a float norm of 0.0 is an underflow: QuadratureError."""
         alpha = validate_index(alpha, self.n)
         cached = self._norm_cache.get(alpha)
         if cached is None:
             cached = self._compute_norm(alpha)
+            if cached == 0:
+                raise QuadratureError(f"the norm of z^{alpha} underflows to 0")
             self._norm_cache[alpha] = cached
         return cached
-
-    def reduced_norm(self, alpha):
-        if not self.exact:
-            raise BerglabError("reduced norms exist only in exact mode")
-        return self.norm(alpha)
 
     def norm_float(self, alpha):
         v = self.norm(alpha)
@@ -590,76 +592,14 @@ class MomentDomain:
         self.exact = False
         self.pi_power = 0
 
-    def index_of(self, alpha):
-        return self.indices.index(tuple(alpha))
-
     def inner(self, fvec, gvec):
         """<f, g> for dense coefficient vectors along ``indices``."""
         import numpy as np
 
         return np.asarray(fvec) @ self.matrix @ np.conj(np.asarray(gvec))
 
-    def condition_number(self) -> float:
-        import numpy as np
-
-        return float(np.linalg.cond(self.matrix))
-
-    def to_csv(self) -> str:
-        lines = []
-        for row in self.matrix:
-            lines.append(",".join(f"{v.real:.17g}{v.imag:+.17g}j" for v in row))
-        return "\n".join(lines) + "\n"
-
     def __repr__(self):
         return f"MomentDomain(n={self.n}, d={self.degree_bound}, {self.descriptor})"
-
-
-def _quad_1d(f, a, b, tol):
-    from scipy.integrate import quad
-
-    val, err = quad(f, a, b, epsabs=tol / 10, epsrel=1e-12, limit=200)
-    return val, err
-
-
-def _polydisc_entry(radii, alpha, tol):
-    total, err_total = 1.0, 0.0
-    for k, r in zip(alpha, radii):
-        val, err = _quad_1d(lambda s, k=k: s ** (2 * k + 1), 0, float(r), tol)
-        total *= 2 * math.pi * val
-        err_total += err
-    return total, err_total
-
-
-def _ball_entry(radius, alpha, tol):
-    R = float(radius)
-    n = len(alpha)
-    if n == 1:
-        val, err = _quad_1d(lambda s: s ** (2 * alpha[0] + 1), 0, R, tol)
-        return 2 * math.pi * val, err
-    if n == 2:
-        p = 2 * alpha[0] + 2
-
-        def f2(x2):
-            return x2 ** (2 * alpha[1] + 1) * (R * R - x2 * x2) ** (p / 2) / p
-
-        val, err = _quad_1d(f2, 0, R, tol)
-        return (2 * math.pi) ** 2 * val, err
-    if n == 3:
-        from scipy.integrate import quad
-
-        p = 2 * alpha[0] + 2
-
-        def f2(x2, rr):
-            return x2 ** (2 * alpha[1] + 1) * (rr - x2 * x2) ** (p / 2) / p
-
-        def f3(x3):
-            rr = R * R - x3 * x3
-            v, _ = quad(f2, 0, math.sqrt(rr), args=(rr,), epsabs=tol / 10, epsrel=1e-12)
-            return x3 ** (2 * alpha[2] + 1) * v
-
-        val, err = _quad_1d(f3, 0, R, tol)
-        return (2 * math.pi) ** 3 * val, err
-    raise BerglabError("ball moment matrices support n <= 3")
 
 
 def _offcenter_disc_entry(center: complex, radius: float, a: int, b: int):
@@ -681,7 +621,7 @@ def _offcenter_disc_entry(center: complex, radius: float, a: int, b: int):
     return total
 
 
-def _radial_entry(rfunc, a, b, tol):
+def _radial_entry(rfunc, a, b):
     """<z^a, z^b> over the star-shaped domain {|z| < r(theta)}."""
     from scipy.integrate import quad
 
@@ -693,17 +633,18 @@ def _radial_entry(rfunc, a, b, tol):
     def im_part(th):
         return math.sin((a - b) * th) * rfunc(th) ** m / m
 
-    vr, er = quad(re_part, 0, 2 * math.pi, epsabs=tol / 10, epsrel=1e-12, limit=200)
-    vi, ei = quad(im_part, 0, 2 * math.pi, epsabs=tol / 10, epsrel=1e-12, limit=200)
+    vr, er = quad(re_part, 0, 2 * math.pi, epsabs=QUAD_TOL / 10, epsrel=1e-12, limit=200)
+    vi, ei = quad(im_part, 0, 2 * math.pi, epsabs=QUAD_TOL / 10, epsrel=1e-12, limit=200)
     return complex(vr, vi), er + ei
 
 
-def moment_matrix(descriptor, degree_bound, tol=1e-10) -> MomentDomain:
+def moment_matrix(descriptor, degree_bound) -> MomentDomain:
     """Assemble the Hermitian moment matrix of a bounded domain descriptor.
 
-    Diagonal descriptors (polydisc, ball) produce exactly diagonal matrices;
-    the off-center disc uses a closed form; ``radial`` descriptors integrate
-    a boundary radius function r(theta) = base + sum harmonics.
+    Diagonal descriptors (polydisc, ball) give diagonal matrices of the
+    closed-form monomial norms; the off-center disc uses a closed form;
+    ``radial`` descriptors integrate a boundary radius function
+    r(theta) = base + sum harmonics to :data:`QUAD_TOL`.
     """
     import numpy as np
 
@@ -726,13 +667,12 @@ def moment_matrix(descriptor, degree_bound, tol=1e-10) -> MomentDomain:
     err_total = 0.0
 
     if kind in ("polydisc", "ball"):
+        if kind == "polydisc":
+            dom = DiagonalDomain.polydisc(descriptor["radii"], exact=False)
+        else:
+            dom = DiagonalDomain.ball(n, descriptor["radius"], exact=False)
         for i, alpha in enumerate(idx):
-            if kind == "polydisc":
-                val, err = _polydisc_entry(descriptor["radii"], alpha, tol)
-            else:
-                val, err = _ball_entry(descriptor["radius"], alpha, tol)
-            M[i, i] = val
-            err_total += err
+            M[i, i] = dom.norm_float(alpha)
     elif kind in ("offcenter_disc", "two_point_disc"):
         if kind == "two_point_disc":
             # {|z|^2 + |z-c|^2 < r}  ==  disc of center c/2, squared radius
@@ -765,14 +705,14 @@ def moment_matrix(descriptor, degree_bound, tol=1e-10) -> MomentDomain:
 
         for i in range(m):
             for j in range(i, m):
-                val, err = _radial_entry(rfunc, i, j, tol)
+                val, err = _radial_entry(rfunc, i, j)
                 M[i, j] = val
                 M[j, i] = np.conj(val)
                 err_total += err
 
-    if err_total > tol * max(1.0, float(np.max(np.abs(M)))):
+    if err_total > QUAD_TOL * max(1.0, float(np.max(np.abs(M)))):
         raise QuadratureError(
-            f"quadrature error estimate {err_total:.2e} exceeds tolerance {tol:.2e}",
+            f"quadrature error estimate {err_total:.2e} exceeds tolerance {QUAD_TOL:.2e}",
             achieved=err_total,
         )
     return MomentDomain(n, degree_bound, M, descriptor=descriptor, quad_error=err_total)

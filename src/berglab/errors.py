@@ -43,7 +43,3 @@ class DivergentIntegralError(BerglabError):
 
 class NotNestedError(BerglabError, ValueError):
     """An exhaustion sequence whose domains are not nested (a spec error)."""
-
-
-class InfeasibleError(BerglabError):
-    """A constrained minimization has an empty feasible set."""

@@ -16,11 +16,10 @@ rescaled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ImproperIdealError
-from .exactnum import QQi
 from .indices import degree, indices_up_to, order_key, validate_index
 from .jets import Functional, Jet, jet_multiply
 from .linalg import in_span, rref, rref_null_space
@@ -93,20 +92,6 @@ class JetIdeal:
             Jet(self.n, self.level - 1, dict(zip(self.indices, row)))
             for row in self.basis
         ]
-
-    def to_csv(self) -> str:
-        lines = [",".join("".join(map(str, a)) for a in self.indices)]
-        for row in self.basis:
-            lines.append(",".join(_csv_scalar(x) for x in row))
-        return "\n".join(lines) + "\n"
-
-
-def _csv_scalar(x):
-    if isinstance(x, QQi):
-        return f"{x.re}{'+' if x.im >= 0 else ''}{x.im}i" if x.im else str(x.re)
-    if isinstance(x, complex):
-        return f"{x.real:.17g}{x.imag:+.17g}i" if x.imag else f"{x.real:.17g}"
-    return str(x)
 
 
 def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
@@ -185,29 +170,14 @@ def contains(J: JetIdeal, f: Jet) -> bool:
     return bool(abs(rest).max() <= FLOAT_RANK_TOL * abs(v).max())
 
 
-@dataclass
-class FunctionalBasis:
-    """A basis of the annihilator of a jet ideal, all orders < level."""
-
-    level: int
-    functionals: list = field(default_factory=list)
-
-    def __iter__(self):
-        return iter(self.functionals)
-
-    def __len__(self):
-        return len(self.functionals)
-
-
-def annihilator(J: JetIdeal) -> FunctionalBasis:
-    """Basis of {xi : ord(xi) < k, xi annihilates the span}.
+def annihilator(J: JetIdeal) -> list:
+    """Basis of {xi : ord(xi) < k, xi annihilates the span}, as Functionals.
 
     The pairing is bilinear, so this is the plain (unconjugated) null space
     of the span matrix, read off its RREF.
     """
     vectors = rref_null_space(J.basis, J.pivots, len(J.indices))
-    fns = [Functional(J.n, dict(zip(J.indices, v))) for v in vectors]
-    return FunctionalBasis(J.level, fns)
+    return [Functional(J.n, dict(zip(J.indices, v))) for v in vectors]
 
 
 # ---------------------------------------------------------------------------

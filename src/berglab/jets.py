@@ -75,9 +75,6 @@ class Jet:
         """Dense coefficient list along an index enumeration."""
         return [self.coeffs.get(a, 0) for a in index_list]
 
-    def support(self):
-        return sorted(self.coeffs, key=order_key)
-
     def scale(self, s) -> "Jet":
         return Jet(self.n, self.degree_bound, {a: s * c for a, c in self.coeffs.items()})
 
@@ -141,9 +138,6 @@ class Functional:
         if not self.entries:
             raise ZeroFunctionalError("the zero functional has no order")
         return max(degree(a) for a in self.entries)
-
-    def support(self):
-        return sorted(self.entries, key=order_key)
 
     def vector(self, index_list):
         return [self.entries.get(a, 0) for a in index_list]

@@ -28,9 +28,15 @@ from berglab.domains import (
     ExhaustionSequence,
     ToricWeight,
     moment_matrix,
+    sublevel_domain,
     truncate_weight,
 )
-from berglab.errors import BerglabError, UnboundedFunctionalError, ZeroFunctionalError
+from berglab.errors import (
+    BerglabError,
+    QuadratureError,
+    UnboundedFunctionalError,
+    ZeroFunctionalError,
+)
 from berglab.exactnum import PiValue, QQi, value_float
 from berglab.ideals import IdealPresentation, annihilator, jet_ideal
 from berglab.indices import degree, indices_up_to, order_key
@@ -152,6 +158,57 @@ class TestKernel:
             abs(pair(xi, tb.sigma(j))) ** 2 for j in range(len(tb.included))
         )
         assert K == pytest.approx(acc, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            DiagonalDomain.polydisc([1, 2]),
+            DiagonalDomain.ball(2, Fraction(3, 2)),
+            DiagonalDomain.disc(1).with_weight(ToricWeight((1,)), Fraction(1, 2)),
+            DiagonalDomain.polydisc([0.7, 1.3], exact=False),
+        ],
+        ids=["exact-bidisc", "exact-ball", "weighted-disc", "float-polydisc"],
+    )
+    @pytest.mark.parametrize("kind", ["int", "fraction", "qqi", "complex"])
+    def test_matches_norm_sum(self, domain, kind):
+        """K_xi against sum |c_alpha|^2 / ||z^alpha||^2, the norms read from
+        ``domain.norm`` (exact values carry an implicit pi**n)."""
+        rng = random.Random(f"{domain!r}{kind}")
+        draw = {
+            "int": lambda: rng.choice([-3, -2, -1, 1, 2, 4]),
+            "fraction": lambda: Fraction(rng.randint(1, 9), rng.randint(2, 7)),
+            "qqi": lambda: QQi(Fraction(rng.randint(-5, 5), 3), Fraction(rng.randint(1, 5), 2)),
+            "complex": lambda: complex(rng.uniform(-2, 2), rng.uniform(-2, 2)),
+        }[kind]
+        idx = rng.sample(indices_up_to(domain.n, 3), 3)
+        xi = Functional(domain.n, {a: draw() for a in idx})
+
+        def abs2(c):
+            if isinstance(c, QQi):
+                return c.re**2 + c.im**2
+            if isinstance(c, complex):
+                return c.real**2 + c.imag**2
+            return c * c
+
+        K = kernel_at_origin(domain, xi)
+        if domain.exact and kind != "complex":
+            want = sum(
+                (Fraction(abs2(c)) / domain.norm(a) for a, c in xi.entries.items()),
+                Fraction(0),
+            )
+            assert K == PiValue(want, -domain.n)
+        else:
+            want = sum(
+                float(abs2(c)) / (float(domain.norm(a)) * math.pi**domain.pi_power)
+                for a, c in xi.entries.items()
+            )
+            assert K == pytest.approx(want, rel=1e-15)
+
+    def test_underflowing_norm_raises(self):
+        # {log|z|^2 < -800}: a disc of radius e^-400, ||1||^2 = pi e^-800 = 0.0
+        sub = sublevel_domain(DiagonalDomain.disc(1, exact=False), ToricWeight((1,)), 800)
+        with pytest.raises(QuadratureError):
+            kernel_at_origin(sub, Functional.delta(1, (0,)))
 
 
 class TestTriangularBasis:

@@ -36,6 +36,30 @@ TWISTED_CUSP = {
 }
 
 
+# both routes are infinite: F = 1 + z on the disc with weight |z|^-2, whose
+# constant has infinite norm, modulo <z^2>
+WEIGHTED_DISC_INFINITE = {
+    "domain": {
+        "kind": "toric_weight",
+        "a": ["1"],
+        "c": "1",
+        "base": {"kind": "polydisc", "radii": [1]},
+    },
+    "F": {
+        "n": 1,
+        "terms": [{"alpha": [0], "re": "1", "im": "0"}, {"alpha": [1], "re": "1", "im": "0"}],
+    },
+    "ideal": {
+        "generators": [{"n": 1, "terms": [{"alpha": [2], "re": "1", "im": "0"}]}],
+        "level": 2,
+    },
+}
+
+
+def reject_constant(token):
+    raise ValueError(f"invalid JSON constant {token}")
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -120,6 +144,22 @@ class TestEquiv:
         result = runner.invoke(main, ["equiv", "--spec", str(p)])
         assert result.exit_code == 2
 
+    def test_no_tolerance_option(self, runner, tmp_path):
+        spec = write_spec(tmp_path, DISC_Z_SQUARED)
+        result = runner.invoke(main, ["equiv", "--spec", spec, "--tol", "1e-8"])
+        assert result.exit_code == 2
+
+    def test_both_routes_infinite_gap_0(self, runner, tmp_path):
+        spec = write_spec(tmp_path, WEIGHTED_DISC_INFINITE)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["equiv", "--spec", spec, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "gap = 0.000e+00" in result.output
+        assert "gap,0\n" in (out / "equiv.csv").read_text()
+        data = json.loads((out / "equiv.json").read_text(), parse_constant=reject_constant)
+        assert data["gap"] == 0
+        assert data["C"] == data["B_circle"] == {"pi_power": 1, "rational": "inf"}
+
 
 def off_by_pi_e12(real_b_circle):
     """A b_circle whose exact value is off by pi^n * 1e-12: far inside any
@@ -167,6 +207,18 @@ class TestLadder:
         data = json.loads((out / "ladder.json").read_text())
         assert data["stabilized"] is True
         assert data["limit"] == {"pi_power": 2, "rational": "1/5"}
+
+    def test_both_routes_infinite_gap_0(self, runner, tmp_path):
+        data = dict(WEIGHTED_DISC_INFINITE)
+        data["generators"] = data.pop("ideal")["generators"]
+        spec = write_spec(tmp_path, data)
+        result = runner.invoke(main, ["ladder", "--spec", spec, "--k", "2..3"])
+        assert result.exit_code == 0, result.output
+        rows = result.output.strip().splitlines()[1:3]
+        assert [row.split(",") for row in rows] == [
+            ["2", "inf", "inf", "0"],
+            ["3", "inf", "inf", "0"],
+        ]
 
     def test_deterministic_csv_bytes(self, runner, tmp_path):
         spec = write_spec(tmp_path, TWISTED_CUSP)
@@ -240,6 +292,21 @@ class TestSopCse:
         result = runner.invoke(main, ["cse", "--spec", spec, "--t", "1:8:1"])
         assert result.exit_code == 0, result.output
         assert "slope = 2" in result.output
+
+    def test_cse_underflow_exit_3(self, runner, tmp_path):
+        # ||z1 z2||^2 on {log|z1|^2 + log|z2|^2 < -t} is about e^-2t: 0.0 at t = 400
+        spec = write_spec(
+            tmp_path,
+            {
+                "domain": {"kind": "polydisc", "radii": [1, 1]},
+                "xi": {"n": 2, "terms": [{"alpha": [1, 1], "re": "1", "im": "0"}]},
+                "weight": {"a": ["1", "1"]},
+            },
+        )
+        result = runner.invoke(main, ["cse", "--spec", spec, "--t", "100:400:100"])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "numerical failure" in result.output
 
 
 class TestExhaustDensity:

@@ -286,16 +286,14 @@ def _minimal_l2_exact(domain: DiagonalDomain, F: Jet, J: JetIdeal) -> Projection
         cols = B
 
     # weighted least squares on the integrable slots: the normal equations
-    # G w = -C^H W base, G = C^H W C
+    # G w = -C^H W base, G = C^H W C; C^H W base is the last column of the
+    # Gram matrix of [C, base]
     wts = [norms[i] for i in finite]
     x = base
     if cols:
-        G = hermitian_gram(cols, wts)
-        rhs = [
-            -sum((conj_s(c) * b * w for c, b, w in zip(col, base, wts)), start=0)
-            for col in cols
-        ]
-        x = _combine(solve(G, rhs), cols, range(len(finite)), base)
+        G = hermitian_gram(cols + [base], wts)
+        rhs = [-row.pop() for row in G[:-1]]
+        x = _combine(solve(G[:-1], rhs), cols, range(len(finite)), base)
 
     cval = sum((abs2_s(v) * w for v, w in zip(x, wts)), start=Fraction(0))
     minimizer = Jet(J.n, J.level - 1, {idx[i]: v for i, v in zip(finite, x) if bool(v)})

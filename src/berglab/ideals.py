@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .errors import ImproperIdealError
 from .indices import degree, indices_up_to, order_key, validate_index
-from .jets import Functional, Jet, jet_multiply
+from .jets import Functional, Jet
 from .linalg import in_span, rref, rref_null_space
 
 FLOAT_RANK_TOL = 1e-10
@@ -104,12 +105,7 @@ def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
         raise ValueError("ladder level k must be >= 1")
     exact = _jets_are_exact(gens.generators)
     idx = indices_up_to(gens.n, k - 1)
-    rows = []
-    for g in gens.generators:
-        for beta in idx:
-            prod = jet_multiply(g, Jet.monomial(gens.n, beta), k - 1)
-            if not prod.is_zero():
-                rows.append(prod.vector(idx))
+    rows = _product_rows(gens.generators, idx)
     if exact:
         basis, pivots = rref(rows, len(idx))
     else:
@@ -117,6 +113,28 @@ def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
     if len(basis) == len(idx) or (pivots and pivots[0] == 0):
         raise ImproperIdealError(f"ideal is not proper at level {k}")
     return JetIdeal(gens.n, k, idx, basis, pivots, exact)
+
+
+def _product_rows(generators, idx):
+    """The nonzero rows g * z^beta, truncated to ``idx``, for every generator
+    g and every beta in ``idx``: each exponent of g shifted by beta and
+    placed by its position in ``idx`` (exponents past the last degree of
+    ``idx`` are cut off)."""
+    position = {a: i for i, a in enumerate(idx)}
+    rows = []
+    for g in generators:
+        terms = list(g.coeffs.items())
+        for beta in idx:
+            row = None
+            for a, c in terms:
+                i = position.get(tuple(map(add, a, beta)))
+                if i is not None:
+                    if row is None:
+                        row = [0] * len(idx)
+                    row[i] = c
+            if row is not None:
+                rows.append(row)
+    return rows
 
 
 def _float_rref(rows, ncols):

@@ -75,6 +75,23 @@ class TestBallNorms:
             want = (2 * math.pi) ** 2 * v
             assert ball.norm_float((a, b)) == pytest.approx(want, rel=1e-9)
 
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_ball_3d_oracle(self, r):
+        ball = DiagonalDomain.ball(3, r)
+        # oracle: |z1^a z2^b z3^c|^2 over the ball of radius r by nested polar
+        # quadrature; the innermost integral of x1^(2a+1) up to
+        # sqrt(r^2 - x2^2 - x3^2) by its antiderivative
+        for a, b, c in [(0, 0, 0), (1, 0, 0), (0, 0, 1), (1, 1, 0), (2, 1, 1), (0, 3, 1), (4, 0, 0)]:
+            def middle(x3):
+                def inner(x2):
+                    rest = r * r - x2 * x2 - x3 * x3
+                    return x2 ** (2 * b + 1) * rest ** (a + 1) / (2 * a + 2)
+                v, _ = quad(inner, 0, math.sqrt(r * r - x3 * x3))
+                return x3 ** (2 * c + 1) * v
+            v, _ = quad(middle, 0, r)
+            want = (2 * math.pi) ** 3 * v
+            assert ball.norm_float((a, b, c)) == pytest.approx(want, rel=1e-9)
+
     def test_closed_form(self):
         ball = DiagonalDomain.ball(2, 1)
         # alpha! / (|alpha|+n)! with pi^n

@@ -13,7 +13,10 @@ from berglab.errors import (
     SupportBoundError,
     ZeroFunctionalError,
 )
-from berglab.exactnum import PiValue, QQi
+from berglab.bergman import b_circle, minimal_l2
+from berglab.domains import DiagonalDomain
+from berglab.exactnum import PiValue, QQi, conj_s
+from berglab.ideals import IdealPresentation, jet_ideal
 from berglab.indices import (
     compare,
     degree,
@@ -23,9 +26,50 @@ from berglab.indices import (
     sort_indices,
 )
 from berglab.jets import Functional, Jet, jet_multiply, pair
-from berglab.linalg import null_space, rref, solve
+from berglab.linalg import hermitian_gram, in_span, null_space, rref, solve
 
 multi_index = st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple)
+
+fractions_ = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+)
+gaussians = st.builds(QQi, fractions_, fractions_)
+
+
+@st.composite
+def matrices(draw, scalars):
+    """(rows, ncols): random rows plus zero rows, duplicate rows and linear
+    combinations of rows (rank deficiency), any shape from empty to wide or
+    tall."""
+    ncols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(scalars, min_size=ncols, max_size=ncols), max_size=6))
+    for kind in draw(st.lists(st.sampled_from(["zero", "dup", "comb"]), max_size=3)):
+        if kind == "zero":
+            rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+        elif rows:
+            a, b = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+            c = draw(scalars) if kind == "comb" else 0
+            rows.append([x + c * y for x, y in zip(a, b)])
+    return rows, ncols
+
+
+def gauss_jordan(rows, ncols):
+    """Reference RREF: plain Gauss-Jordan over Fraction / QQi scalars."""
+    rows = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[: len(pivots)], pivots
 
 
 class TestOrder:
@@ -178,6 +222,88 @@ class TestLinalg:
     def test_least_squares_inconsistent(self):
         with pytest.raises(SingularMatrixError):
             solve([[1, 1], [2, 2]], [3, 7])
+
+    @settings(max_examples=150)
+    @given(st.one_of(matrices(fractions_), matrices(gaussians)))
+    def test_rref_properties(self, matrix):
+        rows, ncols = matrix
+        red, pivots = rref(rows, ncols)
+        # echelon form with the identity on the pivot columns
+        assert pivots == sorted(set(pivots)) and len(red) == len(pivots)
+        for k, (row, c) in enumerate(zip(red, pivots)):
+            assert len(row) == ncols
+            assert not any(row[:c])
+            assert [row[p] for p in pivots] == [int(i == k) for i in range(len(pivots))]
+        # every input row reduces to zero against the result
+        for row in rows:
+            assert in_span(red, pivots, row)
+        # rank and rows equal plain Gauss-Jordan elimination's
+        ref_rows, ref_pivots = gauss_jordan(rows, ncols)
+        assert pivots == ref_pivots
+        assert red == ref_rows
+
+    @settings(max_examples=150)
+    @given(st.one_of(matrices(fractions_), matrices(gaussians)), st.data())
+    def test_solve_properties(self, matrix, data):
+        rows, n = matrix
+        scalars = gaussians if any(isinstance(x, QQi) for r in rows for x in r) else fractions_
+        if data.draw(st.booleans()):
+            # consistent by construction
+            x0 = data.draw(st.lists(scalars, min_size=n, max_size=n))
+            rhs = [sum((a * b for a, b in zip(row, x0)), start=0) for row in rows]
+        else:
+            rhs = data.draw(st.lists(scalars, min_size=len(rows), max_size=len(rows)))
+        consistent = len(gauss_jordan(rows, n)[1]) == len(
+            gauss_jordan([r + [b] for r, b in zip(rows, rhs)], n + 1)[1]
+        )
+        try:
+            x = solve(rows, rhs)
+        except SingularMatrixError:
+            assert not consistent
+            return
+        # with no rows, solve cannot see the number of unknowns
+        assert consistent and len(x) == (n if rows else 0)
+        for row, b in zip(rows, rhs):
+            assert sum((a * xi for a, xi in zip(row, x)), start=0) == b
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(0, 5).flatmap(
+            lambda size: st.tuples(
+                st.lists(
+                    st.lists(st.one_of(fractions_, gaussians), min_size=size, max_size=size),
+                    max_size=4,
+                ),
+                st.lists(fractions_.map(abs), min_size=size, max_size=size),
+            )
+        )
+    )
+    def test_hermitian_gram_direct_sum(self, data):
+        vectors, weights = data
+        G = hermitian_gram(vectors, weights)
+        for i, u in enumerate(vectors):
+            for j, v in enumerate(vectors):
+                want = sum(
+                    (conj_s(a) * b * w for a, b, w in zip(u, v, weights)), start=Fraction(0)
+                )
+                assert G[i][j] == want
+
+    def test_pinned_ball_3d_level_8(self):
+        # 120 indices, span 81; the value was computed by Fraction Gauss-Jordan
+        gens = IdealPresentation(3, [
+            Jet(3, 2, {(2, 0, 0): 1, (0, 1, 1): -2, (0, 0, 2): Fraction(3, 2)}),
+            Jet(3, 3, {(1, 1, 1): 2, (0, 3, 0): -1, (2, 0, 1): 1}),
+        ])
+        F = Jet(3, 7, {(0, 0, 0): 1, (1, 1, 0): Fraction(-1, 3), (0, 0, 4): -3, (3, 3, 1): 2})
+        J = jet_ideal(gens, 8)
+        assert (len(J.indices), J.span_dim) == (120, 81)
+        ball = DiagonalDomain.ball(3, 2)
+        want = PiValue(Fraction(
+            628251632154277484032115389405676384990944,
+            4112774223813837634540664709447987385425,
+        ), 3)
+        assert minimal_l2(ball, F, J).value == want
+        assert b_circle(ball, F, J).value == want
 
     @settings(max_examples=30)
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=3))

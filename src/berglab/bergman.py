@@ -10,11 +10,14 @@ The two central computations deliberately take different routes:
 That the two values agree is the equivalence theorem this package is built
 to exercise; it is asserted by the test suites, never assumed by the code.
 
-Each route has two backends.  Exact diagonal problems (exact domain, jet
-and ideal) run over Fraction / QQi through :mod:`berglab.linalg`.  Every
-other problem (moment domains, float diagonal domains, float or complex
-data) runs through numpy: one assembler, :func:`_float_problem`, builds the
-inputs both routes read, and each route then does its own solve.
+Both routes start from one problem record, built by :func:`_problem`: it
+checks (domain, F, J), decides containment and exact vs float once, and
+assembles the inputs both routes read (the working indices, the weights,
+the finite slots and F's vector).  Each route then does its own solve on
+its own system: exact diagonal problems over Fraction / QQi through
+:mod:`berglab.linalg`, every other problem (moment domains, float diagonal
+domains, float or complex data) through numpy.  Every result carries the
+record's diagnostics dict, with one key set for every backend and outcome.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from .errors import (
     UnboundedFunctionalError,
     ZeroFunctionalError,
 )
-from .exactnum import PiValue, QQi, abs2_s, conj_s, value_float
+from .exactnum import PiValue, QQi, abs2_s, conj_s, is_exact, value_float
 from .ideals import FLOAT_RANK_TOL, IdealPresentation, JetIdeal, contains, jet_ideal
 from .indices import degree, indices_up_to
 from .jets import Functional, Jet, pair
@@ -41,19 +44,6 @@ from .linalg import hermitian_gram, null_space, rref, rref_null_space, solve
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def _exact_path(domain, *jets_and_ideals) -> bool:
-    if not getattr(domain, "exact", False):
-        return False
-    for obj in jets_and_ideals:
-        if isinstance(obj, Jet) and any(
-            isinstance(c, (complex, float)) for c in obj.coeffs.values()
-        ):
-            return False
-        if isinstance(obj, JetIdeal) and not obj.exact:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -69,23 +59,16 @@ def riesz_representative(domain, xi: Functional) -> Jet:
     if xi.is_zero():
         raise ZeroFunctionalError("the zero functional has the zero representative")
     if isinstance(domain, MomentDomain):
-        for alpha in xi.entries:
-            if degree(alpha) > domain.degree_bound:
-                raise SupportBoundError(
-                    f"functional support {alpha} beyond moment degree bound"
-                )
+        beyond = [a for a in xi.entries if degree(a) > domain.degree_bound]
+        if beyond:
+            raise SupportBoundError(f"functional support {beyond[0]} beyond moment degree bound")
         import numpy as np
 
         vec = np.array([complex(c) for c in xi.vector(domain.indices)], dtype=complex)
         t = np.conj(np.linalg.solve(domain.matrix, vec))
-        return Jet(
-            domain.n,
-            domain.degree_bound,
-            {a: v for a, v in zip(domain.indices, t) if abs(v) > 0},
-        )
-    exact = _exact_path(domain) and all(
-        not isinstance(c, (complex, float)) for c in xi.entries.values()
-    )
+        terms = {a: v for a, v in zip(domain.indices, t) if abs(v) > 0}
+        return Jet(domain.n, domain.degree_bound, terms)
+    exact = domain.exact and is_exact(xi.entries.values())
     coeffs = {}
     for alpha, c in xi.entries.items():
         nrm = domain.norm(alpha) if exact else domain.norm_float(alpha)
@@ -102,7 +85,7 @@ def kernel_at_origin(domain, xi: Functional):
     """K_xi = (xi . T)(o), T the Riesz representative of xi: the squared norm
     of T.  A PiValue with pi power -n in exact mode, a float otherwise."""
     T = riesz_representative(domain, xi)
-    if _exact_path(domain, T):
+    if is_exact(T.coeffs.values()):
         k = pair(xi, T)
         return PiValue(Fraction(k.re if isinstance(k, QQi) else k), -domain.n)
     # float path: the representative was built from complex(xi)
@@ -133,11 +116,8 @@ class TriangularBasis:
 
     def sigma(self, j) -> Jet:
         col = self.coeff_matrix[:, j]
-        return Jet(
-            self.domain.n,
-            self.degree_bound,
-            {a: v for a, v in zip(self.indices, col) if abs(v) > 0},
-        )
+        terms = {a: v for a, v in zip(self.indices, col) if abs(v) > 0}
+        return Jet(self.domain.n, self.degree_bound, terms)
 
 
 def triangular_basis(domain, degree_bound: int) -> TriangularBasis:
@@ -169,13 +149,8 @@ def triangular_basis(domain, degree_bound: int) -> TriangularBasis:
         S = solve_triangular(np.conj(L), np.eye(m), lower=True)
         fns = []
         for j in range(m):
-            xi_vec = np.conj(L[j, :])
-            fns.append(
-                Functional(
-                    domain.n,
-                    {a: v for a, v in zip(idx, xi_vec) if abs(v) > 1e-14 * abs(L[j, j])},
-                )
-            )
+            xi = {a: v for a, v in zip(idx, np.conj(L[j, :])) if abs(v) > 1e-14 * abs(L[j, j])}
+            fns.append(Functional(domain.n, xi))
         return TriangularBasis(domain, degree_bound, idx, list(idx), S, fns)
 
     # diagonal case: monomials are already orthogonal
@@ -189,6 +164,89 @@ def triangular_basis(domain, degree_bound: int) -> TriangularBasis:
         S[idx.index(alpha), j] = 1 / math.sqrt(c)
         fns.append(Functional.delta(domain.n, alpha, math.sqrt(c)))
     return TriangularBasis(domain, degree_bound, idx, included, S, fns)
+
+
+# ---------------------------------------------------------------------------
+# the problem record
+
+
+@dataclass
+class _Problem:
+    """One checked (domain, F, J) and the inputs both routes read.
+
+    ``backend`` is "exact" (Fraction / QQi lists), "float" (numpy, diagonal
+    domain) or "moment" (numpy).  ``indices`` are the working monomials and
+    ``weights`` their squared norms (inf where not square-integrable), or on
+    a moment domain the moment matrix, with ``chol`` its Cholesky factor.
+    ``finite``/``infinite`` split the slots by weight; ``f`` is F's vector.
+    """
+
+    backend: str
+    J: JetIdeal
+    contained: bool
+    pi_power: int
+    indices: list
+    weights: object
+    finite: list
+    infinite: list
+    f: object
+    chol: object
+    quad_error: object
+
+    def value(self, v):
+        """``v`` as a result value: a PiValue in exact mode, a float otherwise."""
+        return PiValue(v, self.pi_power) if self.backend == "exact" else float(v)
+
+    def diagnostics(self, outcome, system_dim, condition) -> dict:
+        """How a result was obtained, under one key set for every result: the
+        route gives its outcome (solved, contained, infeasible or unbounded),
+        its own system's size and its condition estimate, or None."""
+        return {
+            "backend": self.backend,
+            "outcome": outcome,
+            "indices": len(self.indices),
+            "span_dim": self.J.span_dim,
+            "annihilator_dim": len(self.J.indices) - self.J.span_dim,
+            "finite_slots": len(self.finite),
+            "infinite_slots": len(self.infinite),
+            "system_dim": system_dim,
+            "condition": condition,
+            "quad_error": self.quad_error,
+        }
+
+
+def _problem(domain, F: Jet, J: JetIdeal) -> _Problem:
+    """Check (domain, F, J), decide containment and exact vs float, and
+    assemble the inputs both routes read."""
+    if not (domain.n == F.n == J.n):
+        raise DimensionMismatchError("domain, jet and ideal dimensions differ")
+    if F.degree_bound < J.level - 1:
+        raise ValueError(
+            "F must be given at least to degree level-1 (higher terms are "
+            "absorbed by the maximal-ideal power)"
+        )
+    moment = isinstance(domain, MomentDomain)
+    if moment and J.level > domain.degree_bound + 1:
+        raise ValueError("jet-ideal level exceeds the moment degree bound + 1")
+    idx = domain.indices if moment else J.indices
+    f = F.truncate(J.level - 1).vector(idx)
+    if moment:
+        backend, weights, finite, infinite = "moment", domain.matrix, list(range(len(idx))), []
+        chol, quad_error = domain._chol, domain.quad_error
+    else:
+        backend = "exact" if domain.exact and J.exact and is_exact(f) else "float"
+        weights = [domain.norm(a) if backend == "exact" else domain.norm_float(a) for a in idx]
+        finite = [i for i, w in enumerate(weights) if w != math.inf]
+        infinite = [i for i, w in enumerate(weights) if w == math.inf]
+        chol = quad_error = None
+    pi_power = domain.pi_power if backend == "exact" else 0
+    if backend != "exact":
+        import numpy as np
+
+        f, weights = np.array(f, dtype=complex), np.asarray(weights)
+    return _Problem(
+        backend, J, contains(J, F), pi_power, idx, weights, finite, infinite, f, chol, quad_error
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,35 +278,18 @@ class ProjectionResult:
         }
 
 
-def _check_level(domain, J: JetIdeal):
-    if isinstance(domain, MomentDomain) and J.level > domain.degree_bound + 1:
-        raise ValueError("jet-ideal level exceeds the moment degree bound + 1")
-
-
 def minimal_l2(domain, F: Jet, J: JetIdeal) -> ProjectionResult:
     """Least squared norm over holomorphic functions agreeing with F modulo
     the ideal; the minimizer is the projection of F's low-order jet onto the
     orthogonal complement of the ideal's subspace."""
-    if F.n != J.n:
-        raise DimensionMismatchError("jet and ideal dimensions differ")
-    if F.degree_bound < J.level - 1:
-        raise ValueError(
-            "F must be given at least to degree level-1 (higher terms are "
-            "absorbed by the maximal-ideal power)"
-        )
-    _check_level(domain, J)
-    if contains(J, F):
-        zero = PiValue(Fraction(0), domain.pi_power) if getattr(domain, "exact", False) else 0.0
-        return ProjectionResult(
-            zero,
-            Jet.zero(J.n, J.level - 1),
-            Functional.delta(J.n, (0,) * J.n),
-            domain.pi_power if getattr(domain, "exact", False) else 0,
-            {"contained": True},
-        )
-    if _exact_path(domain, F, J):
-        return _minimal_l2_exact(domain, F, J)
-    return _minimal_l2_float(domain, F, J)
+    prob = _problem(domain, F, J)
+    if prob.contained:
+        zero = Jet.zero(J.n, J.level - 1), Functional.delta(J.n, (0,) * J.n), prob.pi_power
+        diag = prob.diagnostics("contained", None, None)
+        return ProjectionResult(prob.value(Fraction(0)), *zero, diag)
+    if prob.backend == "exact":
+        return _minimal_l2_exact(prob)
+    return _minimal_l2_float(prob)
 
 
 def _combine(coeffs, rows, slots, start=None):
@@ -261,24 +302,19 @@ def _combine(coeffs, rows, slots, start=None):
     return out
 
 
-def _minimal_l2_exact(domain: DiagonalDomain, F: Jet, J: JetIdeal) -> ProjectionResult:
-    idx = J.indices
-    norms = [domain.norm(a) for a in idx]
-    finite = [i for i, c in enumerate(norms) if c != math.inf]
-    infinite = [i for i, c in enumerate(norms) if c == math.inf]
-    f = F.truncate(J.level - 1).vector(idx)
-    B = J.basis
+def _minimal_l2_exact(prob: _Problem) -> ProjectionResult:
+    J, idx, norms, f, B = prob.J, prob.indices, prob.weights, prob.f, prob.J.basis
+    finite, infinite = prob.finite, prob.infinite
 
     # the competitor f + sum_r u_r B_r must vanish on the non-integrable
     # slots: u = u0 + (null space of those constraints)
     if infinite:
         cons = [[row[i] for row in B] for i in infinite]
         try:
-            u0 = solve(cons, [-f[i] for i in infinite])
+            u0 = solve(cons, [-f[i] for i in infinite], len(B))
         except SingularMatrixError:
-            return ProjectionResult(
-                PiValue(math.inf, domain.pi_power), diagnostics={"feasible": False}
-            )
+            diag = prob.diagnostics("infeasible", None, None)
+            return ProjectionResult(prob.value(math.inf), diagnostics=diag)
         base = _combine(u0, B, finite, [f[i] for i in finite])
         cols = [_combine(z, B, finite) for z in null_space(cons, len(B))]
     else:
@@ -293,15 +329,15 @@ def _minimal_l2_exact(domain: DiagonalDomain, F: Jet, J: JetIdeal) -> Projection
     if cols:
         G = hermitian_gram(cols + [base], wts)
         rhs = [-row.pop() for row in G[:-1]]
-        x = _combine(solve(G[:-1], rhs), cols, range(len(finite)), base)
+        x = _combine(solve(G[:-1], rhs, len(cols)), cols, range(len(finite)), base)
 
     cval = sum((abs2_s(v) * w for v, w in zip(x, wts)), start=Fraction(0))
     minimizer = Jet(J.n, J.level - 1, {idx[i]: v for i, v in zip(finite, x) if bool(v)})
     eta = Functional(
         J.n, {idx[i]: conj_s(v) * w for i, v, w in zip(finite, x, wts) if bool(v)}
     )
-    diag = {"feasible": True, "exact": True, "span_dim": len(B)}
-    return ProjectionResult(PiValue(cval, domain.pi_power), minimizer, eta, domain.pi_power, diag)
+    diag = prob.diagnostics("solved", len(cols), None)
+    return ProjectionResult(prob.value(cval), minimizer, eta, prob.pi_power, diag)
 
 
 def _columns(vectors, m):
@@ -314,33 +350,6 @@ def _columns(vectors, m):
     return out
 
 
-def _float_problem(domain, F: Jet, J: JetIdeal):
-    """The inputs both float routes read: (indices, gram, f, span).
-
-    * ``indices``: the working monomials.  On a moment domain these are all
-      indices up to its degree bound, on a diagonal domain the jet indices
-      of degree < level.
-    * ``gram``: on a moment domain the full moment matrix M; on a diagonal
-      domain the vector of monomial norms, ``inf`` where the monomial is not
-      square-integrable.
-    * ``f``: F's coefficients below the level.
-    * ``span``: columns spanning the ideal's part of the working space, the
-      jet ideal's basis plus every monomial of degree >= level.
-    """
-    import numpy as np
-
-    if isinstance(domain, MomentDomain):
-        idx, gram = domain.indices, domain.matrix
-    else:
-        idx = J.indices
-        gram = np.array([float(domain.norm_float(a)) for a in idx])
-    m = len(idx)
-    f = np.array(F.truncate(J.level - 1).vector(idx), dtype=complex)
-    high = [i for i, a in enumerate(idx) if degree(a) >= J.level]
-    span = np.hstack([_columns(J.basis, m), np.eye(m, dtype=complex)[:, high]])
-    return idx, gram, f, span
-
-
 def _rank_split(A):
     """Orthonormal column bases (range, null) splitting the domain of A, the
     rank decided against its largest singular value."""
@@ -351,27 +360,33 @@ def _rank_split(A):
     return vh[:rank].conj().T, vh[rank:].conj().T
 
 
-def _minimal_l2_float(domain, F: Jet, J: JetIdeal) -> ProjectionResult:
+def _minimal_l2_float(prob: _Problem) -> ProjectionResult:
     import numpy as np
 
-    idx, gram, f, span = _float_problem(domain, F, J)
-    if gram.ndim == 1:
-        finite = np.isfinite(gram)
-        gram = np.diag(np.where(finite, gram, 0.0))
-        root = np.sqrt(gram)
-    else:
-        finite = np.ones(len(idx), dtype=bool)
+    J, idx, f, infinite = prob.J, prob.indices, prob.f, prob.infinite
+    m = len(idx)
+    # the ideal's part of the working space: the jet ideal's basis plus
+    # every monomial of degree >= level
+    high = [i for i, a in enumerate(idx) if degree(a) >= J.level]
+    span = np.hstack([_columns(J.basis, m), np.eye(m, dtype=complex)[:, high]])
+    if prob.backend == "moment":
         # x^T M conj(x) = ||L^T x||^2 for the Cholesky factor M = L L^H
-        root = np.linalg.cholesky(gram).T
+        gram, root = prob.weights, prob.chol.T
+    else:
+        norms = np.zeros(m)  # 0 on the non-integrable slots
+        norms[prob.finite] = prob.weights[prob.finite]
+        gram = np.diag(norms)
+        root = np.sqrt(gram)
 
-    if not finite.all():
+    if infinite:
         # the competitor f + span u must vanish on the non-integrable slots
-        rows, fi = span[~finite], f[~finite]
+        rows, fi = span[infinite], f[infinite]
         u0 = np.linalg.lstsq(rows, -fi, rcond=None)[0]
         if np.linalg.norm(fi + rows @ u0) > FLOAT_RANK_TOL * np.linalg.norm(f):
-            return ProjectionResult(math.inf, diagnostics={"feasible": False, "exact": False})
+            diag = prob.diagnostics("infeasible", None, None)
+            return ProjectionResult(math.inf, diagnostics=diag)
         f = f + span @ u0
-        f[~finite] = 0
+        f[infinite] = 0
         span = span @ _rank_split(rows)[1]
 
     # weighted least squares: min over w of ||root (f + span w)||
@@ -383,10 +398,10 @@ def _minimal_l2_float(domain, F: Jet, J: JetIdeal) -> ProjectionResult:
     r = root @ x
     value = float(np.vdot(r, r).real)
     eta_vec = gram @ np.conj(x)
-    bound = degree(idx[-1])
-    minimizer = Jet(J.n, bound, {a: v for a, v, ok in zip(idx, x.tolist(), finite) if ok and v})
+    xs = x.tolist()
+    minimizer = Jet(J.n, degree(idx[-1]), {idx[i]: xs[i] for i in prob.finite if xs[i]})
     eta = Functional(J.n, {a: v for a, v in zip(idx, eta_vec.tolist()) if v})
-    diag = {"feasible": True, "exact": False, "span_dim": J.span_dim, "gram_condition": cond}
+    diag = prob.diagnostics("solved", span.shape[1], cond)
     return ProjectionResult(value, minimizer, eta, 0, diag)
 
 
@@ -417,39 +432,30 @@ def b_circle(domain, F: Jet, J: JetIdeal) -> KernelRatioResult:
     """Supremum of |(xi.F)(o)|^2 / K_xi over finitely supported xi
     annihilating the ideal, computed as a closed-form quadratic maximum
     over the annihilator basis."""
-    if F.n != J.n:
-        raise DimensionMismatchError("jet and ideal dimensions differ")
-    _check_level(domain, J)
-    if contains(J, F):
-        zero = PiValue(Fraction(0), domain.pi_power) if getattr(domain, "exact", False) else 0.0
-        return KernelRatioResult(zero, None, {"contained": True})
-    # the annihilator: the null space of the span, read off its RREF
+    prob = _problem(domain, F, J)
+    if prob.contained:
+        diag = prob.diagnostics("contained", None, None)
+        return KernelRatioResult(prob.value(Fraction(0)), None, diag)
+    # the annihilator, read off the span's RREF: not empty, as F is outside
     vecs = rref_null_space(J.basis, J.pivots, len(J.indices))
-    if not vecs:
-        raise BerglabError("annihilator is empty; the ideal span fills the jet space")
-    if _exact_path(domain, F, J):
-        return _b_circle_exact(domain, F, J, vecs)
-    return _b_circle_float(domain, F, J, vecs)
+    if prob.backend == "exact":
+        return _b_circle_exact(prob, vecs)
+    return _b_circle_float(prob, vecs)
 
 
-def _b_circle_exact(domain, F, J, vecs) -> KernelRatioResult:
-    idx = J.indices
-    norms = [domain.norm(a) for a in idx]
-    finite = [i for i, c in enumerate(norms) if c != math.inf]
-    fvec = F.truncate(J.level - 1).vector(idx)
+def _b_circle_exact(prob: _Problem, vecs) -> KernelRatioResult:
+    idx, norms, finite, fvec = prob.indices, prob.weights, prob.finite, prob.f
     support = [i for i, c in enumerate(fvec) if bool(c)]
     pvals = [sum((v[i] * fvec[i] for i in support), start=0) for v in vecs]
 
-    if len(finite) < len(idx):
+    if prob.infinite:
         # directions supported on non-integrable slots have kernel 0; if one
         # of them pairs nontrivially with F the supremum is infinite
         red, keep = rref([[v[i] for v in vecs] for i in finite], len(vecs))
         for y in rref_null_space(red, keep, len(vecs)):
             if bool(sum((yi * p for yi, p in zip(y, pvals)), start=0)):
-                return KernelRatioResult(
-                    PiValue(math.inf, domain.pi_power),
-                    diagnostics={"unbounded_direction": True},
-                )
+                diag = prob.diagnostics("unbounded", None, None)
+                return KernelRatioResult(prob.value(math.inf), diagnostics=diag)
         # the pivot directions are independent on the integrable slots; the
         # others add only zero-kernel directions, which pair trivially
         vecs = [vecs[i] for i in keep]
@@ -458,45 +464,40 @@ def _b_circle_exact(domain, F, J, vecs) -> KernelRatioResult:
     # maximize |p^T y|^2 / y^H A y: A x = conj(p), the value p^T x
     wts = [1 / norms[i] for i in finite]
     A = hermitian_gram([[v[i] for i in finite] for v in vecs], wts)
-    x = solve(A, [conj_s(p) for p in pvals])
+    x = solve(A, [conj_s(p) for p in pvals], len(vecs))
     val = sum((p * xi for p, xi in zip(pvals, x)), start=0)
     val = val.re if isinstance(val, QQi) else val
-    maximizer = Functional(J.n, dict(zip(idx, _combine(x, vecs, range(len(idx))))))
-    return KernelRatioResult(
-        PiValue(Fraction(val), domain.pi_power),
-        maximizer,
-        {"exact": True, "basis_dim": len(vecs)},
-    )
+    maximizer = Functional(prob.J.n, dict(zip(idx, _combine(x, vecs, range(len(idx))))))
+    diag = prob.diagnostics("solved", len(vecs), None)
+    return KernelRatioResult(prob.value(Fraction(val)), maximizer, diag)
 
 
-def _b_circle_float(domain, F, J, vecs) -> KernelRatioResult:
+def _b_circle_float(prob: _Problem, vecs) -> KernelRatioResult:
     import numpy as np
 
-    idx, gram, f, _ = _float_problem(domain, F, J)
+    idx, gram = prob.indices, prob.weights
     V = _columns(vecs, len(idx))
-    p = V.T @ f  # the pairings (xi . F)(o), bilinear
+    p = V.T @ prob.f  # the pairings (xi . F)(o), bilinear
 
-    if gram.ndim == 1:
-        finite = np.isfinite(gram)
-        if not finite.all():
-            # directions supported on non-integrable slots have kernel 0; if
-            # one of them pairs nontrivially with F the supremum is infinite
-            keep, zero = _rank_split(V[finite])
-            if np.any(np.abs(p @ zero) > FLOAT_RANK_TOL * np.linalg.norm(p)):
-                return KernelRatioResult(
-                    math.inf, diagnostics={"unbounded_direction": True, "exact": False}
-                )
-            V, p = V @ keep, keep.T @ p
-        KV = V / gram[:, None]  # 1/inf = 0: non-integrable slots add no kernel
-    else:
+    if prob.infinite:
+        # directions supported on non-integrable slots have kernel 0; if one
+        # of them pairs nontrivially with F the supremum is infinite
+        keep, zero = _rank_split(V[prob.finite])
+        if np.any(np.abs(p @ zero) > FLOAT_RANK_TOL * np.linalg.norm(p)):
+            diag = prob.diagnostics("unbounded", None, None)
+            return KernelRatioResult(math.inf, diagnostics=diag)
+        V, p = V @ keep, keep.T @ p
+    if prob.backend == "moment":
         KV = np.linalg.solve(gram, V)  # the kernel form is M^{-1}
+    else:
+        KV = V / gram[:, None]  # 1/inf = 0: non-integrable slots add no kernel
 
     # maximize |p^T y|^2 / y^H A y: A x = conj(p), the value p^T x
     A = V.conj().T @ KV
     x = np.linalg.solve(A, np.conj(p))
     value = float((p @ x).real)
-    maximizer = Functional(J.n, {a: c for a, c in zip(idx, (V @ x).tolist()) if c})
-    return KernelRatioResult(value, maximizer, {"exact": False, "basis_dim": V.shape[1]})
+    maximizer = Functional(prob.J.n, {a: c for a, c in zip(idx, (V @ x).tolist()) if c})
+    return KernelRatioResult(value, maximizer, prob.diagnostics("solved", V.shape[1], None))
 
 
 ROUTES_RTOL = 1e-9
@@ -563,10 +564,8 @@ def krull_ladder(domain, F: Jet, gens: IdealPresentation, k_range) -> LadderResu
     stabilized = False
     limit = rows[-1].c_value if rows else None
     for i in range(len(rows) - 2):
-        a, b_, c_ = (value_float(rows[j].c_value) for j in (i, i + 1, i + 2))
-        if abs(b_ - a) <= STABILIZATION_RTOL * max(1.0, abs(a)) and abs(
-            c_ - b_
-        ) <= STABILIZATION_RTOL * max(1.0, abs(b_)):
+        v = [value_float(rows[j].c_value) for j in (i, i + 1, i + 2)]
+        if all(abs(y - x) <= STABILIZATION_RTOL * max(1.0, abs(x)) for x, y in zip(v, v[1:])):
             stabilized = True
             limit = rows[i + 2].c_value
             break
@@ -629,12 +628,12 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
                 raise BerglabError(
                     f"F is not in the orthogonal complement at level {k}"
                 )
-        if contains(J, Fk):
+        bc = b_circle(domain, Fk, J)
+        if bc.diagnostics["outcome"] == "contained":
             raise BerglabError(
                 f"F falls into the ideal at ladder level {k}; start the range "
                 "above ord(F)"
             )
-        bc = b_circle(domain, Fk, J)
         # float entries: the representative is taken with float norms
         g = riesz_representative(domain, bc.maximizer.to_float())
         norm_g = _norm_float(domain, g)

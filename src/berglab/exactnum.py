@@ -111,6 +111,11 @@ class QQi:
         return f"QQi({self.re}, {self.im})"
 
 
+def is_exact(scalars) -> bool:
+    """Whether every scalar is exact: an int, a Fraction or a QQi."""
+    return all(isinstance(x, (int, Fraction, QQi)) for x in scalars)
+
+
 def conj_s(x):
     """Conjugate a scalar of any supported type."""
     if isinstance(x, (QQi, complex)):

@@ -5,9 +5,10 @@ I + m^k: once the maximal-ideal power m^k is adjoined, membership is a
 finite linear-algebra question in the jet space of degrees < k.  Toric
 multiplier ideals are handled combinatorially as monomial ideals.
 
-Generators with exact coefficients give an exact jet ideal, eliminated over
-Fraction / QQi by :mod:`berglab.linalg`.  Any other generators give a float
-jet ideal, eliminated with numpy: each product row is normalised to unit
+Generators whose coefficients are all exact (int, Fraction, QQi) give an
+exact jet ideal, eliminated over Fraction / QQi by :mod:`berglab.linalg`.
+Any other generators (a float such as ``2.0`` included) give a float jet
+ideal, eliminated with numpy: each product row is normalised to unit
 size first, so rank and membership decisions compare against
 ``FLOAT_RANK_TOL`` on that scale and do not change when a generator or F is
 rescaled.
@@ -21,21 +22,12 @@ from fractions import Fraction
 from operator import add
 
 from .errors import ImproperIdealError
+from .exactnum import is_exact
 from .indices import degree, indices_up_to, order_key, validate_index
 from .jets import Functional, Jet
 from .linalg import in_span, rref, rref_null_space
 
 FLOAT_RANK_TOL = 1e-10
-
-
-def _jets_are_exact(jets) -> bool:
-    for g in jets:
-        for c in g.coeffs.values():
-            if isinstance(c, (complex, float)) and not (
-                isinstance(c, float) and c.is_integer()
-            ):
-                return False
-    return True
 
 
 @dataclass
@@ -103,7 +95,7 @@ def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
     """
     if k < 1:
         raise ValueError("ladder level k must be >= 1")
-    exact = _jets_are_exact(gens.generators)
+    exact = is_exact(c for g in gens.generators for c in g.coeffs.values())
     idx = indices_up_to(gens.n, k - 1)
     rows = _product_rows(gens.generators, idx)
     if exact:
@@ -178,7 +170,7 @@ def contains(J: JetIdeal, f: Jet) -> bool:
     largest coefficient.
     """
     vec = f.truncate(J.level - 1).vector(J.indices)
-    if J.exact and _jets_are_exact([f]):
+    if J.exact and is_exact(vec):
         return in_span(J.basis, J.pivots, vec)
     import numpy as np
 

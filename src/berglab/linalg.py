@@ -238,13 +238,13 @@ def null_space(rows, ncols):
     return rref_null_space(*rref(rows, ncols), ncols)
 
 
-def solve(matrix, rhs):
-    """A solution of the consistent linear system ``matrix x = rhs``.
+def solve(matrix, rhs, n):
+    """A solution of the consistent linear system ``matrix x = rhs`` in n
+    unknowns.
 
     The system may be non-square or rank-deficient; free variables are set
     to zero.  Raises SingularMatrixError when the system is inconsistent.
     """
-    n = len(matrix[0]) if matrix else 0
     ring, zero, one = _cleared([list(row) + [b] for row, b in zip(matrix, rhs)])
     # eliminate over n+1 columns: a pivot in the RHS column flags inconsistency
     U, pivots = _echelon(ring, n + 1, one)

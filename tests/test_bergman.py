@@ -33,6 +33,7 @@ from berglab.domains import (
 )
 from berglab.errors import (
     BerglabError,
+    DimensionMismatchError,
     QuadratureError,
     UnboundedFunctionalError,
     ZeroFunctionalError,
@@ -441,6 +442,63 @@ class TestBCircle:
         # F touches the constant, whose annihilator direction has kernel 0
         res = b_circle(wdisc, Jet(1, 1, {(0,): 1, (1,): 1}), J)
         assert value_float(res.value) == math.inf
+
+    def test_f_below_level_rejected(self):
+        # as in minimal_l2: F must be given at least to degree level - 1
+        disc = DiagonalDomain.disc(1)
+        J = jet_ideal(IdealPresentation(1, [Jet.monomial(1, (3,))]), 3)
+        with pytest.raises(ValueError):
+            b_circle(disc, Jet(1, 0, {(0,): 1}), J)
+
+
+class TestProblemRecord:
+    """What both routes read off the one record built per (domain, F, J)."""
+
+    def test_contained_float_f_on_exact_domain_gives_float_zero(self):
+        disc = DiagonalDomain.disc(1)
+        J = jet_ideal(IdealPresentation(1, [Jet.monomial(1, (2,))]), 3)
+        F = Jet(1, 2, {(2,): 1.5})
+        c, b = minimal_l2(disc, F, J), b_circle(disc, F, J)
+        assert type(c.value) is float and c.value == 0.0
+        assert type(b.value) is float and b.value == 0.0
+        assert c.eta_pi_power == 0
+
+    def test_domain_dimension_checked(self):
+        # on a moment domain a jet of another dimension used to read as zero
+        mom = moment_matrix({"kind": "polydisc", "radii": [1.0, 1.0]}, 3)
+        J = jet_ideal(IdealPresentation(1, [Jet.monomial(1, (2,))]), 2)
+        for route in (minimal_l2, b_circle):
+            with pytest.raises(DimensionMismatchError):
+                route(mom, Jet(1, 1, {(1,): 1}), J)
+
+    def test_integral_float_generator_gives_float_ideal(self):
+        J = jet_ideal(IdealPresentation(1, [Jet(1, 2, {(2,): 2.0})]), 3)
+        assert not J.exact
+
+    def test_diagnostics_keys_are_uniform(self):
+        disc, fdisc = DiagonalDomain.disc(1), DiagonalDomain.disc(1, exact=False)
+        wdisc = disc.with_weight(ToricWeight((1,)), 1)
+        mom = moment_matrix({"kind": "two_point_disc", "c": [0.3, -0.2], "r": 1.2}, 4)
+        J = jet_ideal(IdealPresentation(1, [Jet.monomial(1, (2,))]), 2)
+        Jm = jet_ideal(IdealPresentation(1, [Jet(1, 2, {(2,): 1, (1,): 0.5j})]), 3)
+        z, z2, one_z = Jet(1, 2, {(1,): 1}), Jet(1, 2, {(2,): 1}), Jet(1, 1, {(0,): 1, (1,): 1})
+        cases = [
+            (disc, z, J), (disc, z2, J), (wdisc, one_z, J),
+            (fdisc, z, J), (fdisc, z2, J), (wdisc, one_z.to_float(), J),
+            (mom, Jet(1, 2, {(0,): 1, (1,): -0.5}), Jm), (mom, z2, J),
+        ]
+        seen, keys = set(), set()
+        for domain, F, JJ in cases:
+            for res in (minimal_l2(domain, F, JJ), b_circle(domain, F, JJ)):
+                keys.add(frozenset(res.diagnostics))
+                seen.add((res.diagnostics["backend"], res.diagnostics["outcome"]))
+        assert len(keys) == 1
+        assert {b for b, _ in seen} == {"exact", "float", "moment"}
+        for backend in ("exact", "float"):
+            assert {o for b, o in seen if b == backend} == {
+                "solved", "contained", "infeasible", "unbounded"
+            }
+        assert minimal_l2(mom, z2, J).diagnostics["quad_error"] == mom.quad_error
 
 
 class TestRoutesAgree:

@@ -1,14 +1,18 @@
 """Jumping numbers, sublevel growth rates, effectiveness reports."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 from scipy.integrate import quad
 
+from berglab.bergman import b_circle, minimal_l2
 from berglab.domains import DiagonalDomain, ToricWeight
-from berglab.errors import BerglabError, ZeroFunctionalError
-from berglab.exactnum import PiValue, value_float
+from berglab.errors import BerglabError, DivergentIntegralError, ZeroFunctionalError
+from berglab.exactnum import PiValue, QQi, abs2_s, value_float
+from berglab.ideals import MonomialIdeal, monomial_jet_ideal
+from berglab.indices import indices_up_to
 from berglab.jets import Functional, Jet
 from berglab.sop import (
     effectiveness_report,
@@ -229,3 +233,63 @@ class TestEffectivenessReport:
             F = Jet(n, sum(beta) + 1, {beta: 1})
             rep = effectiveness_report(dom, F, ToricWeight(a))
             assert value_float(Fraction(rep.p_max)) <= float(rep.p_star) + 1e-12
+
+
+def monomial_oracle(domain, F, ideal):
+    """C for a monomial ideal on a diagonal domain: monomials are orthogonal
+    and the ideal's span is spanned by monomials, so the projection keeps
+    exactly F's terms outside the ideal.  C = sum |c_alpha|^2 ||z^alpha||^2
+    over alpha in F's support with alpha not in the ideal."""
+    total = sum(
+        abs2_s(c) * domain.norm(a)
+        for a, c in F.coeffs.items()
+        if not ideal.contains_exponent(a)
+    )
+    return PiValue(Fraction(total), domain.pi_power)
+
+
+def _random_jet(rng, n, max_degree, gaussian):
+    terms = {}
+    for a in rng.sample(indices_up_to(n, max_degree), 3):
+        c = QQi(rng.randint(-3, 3), rng.randint(-3, 3)) if gaussian else rng.randint(-3, 3)
+        if c:
+            terms[a] = c
+    return Jet(n, max_degree, terms or {(1,) * n: 1})
+
+
+class TestMonomialIdealOracle:
+    """C from the projection route against the closed-form monomial sum."""
+
+    def test_effectiveness_c_value(self):
+        # the report's just-beyond multiplier ideal is monomial
+        rng = random.Random(3)
+        checked = 0
+        for draw in range(48):
+            n = rng.randint(1, 2)
+            radii = [Fraction(rng.randint(1, 3), rng.randint(1, 2)) for _ in range(n)]
+            a = [Fraction(rng.randint(0, 3), 2) for _ in range(n)]
+            a[rng.randrange(n)] += Fraction(1, 2)
+            D = DiagonalDomain.polydisc(radii)
+            F = _random_jet(rng, n, 3, gaussian=draw % 2 == 1)
+            try:
+                rep = effectiveness_report(D, F, ToricWeight(tuple(a)))
+            except DivergentIntegralError:
+                continue
+            assert rep.c_value == monomial_oracle(D, F, rep.ideal_plus)
+            checked += 1
+        assert checked >= 12
+
+    def test_routes_on_balls(self):
+        # toric weights (and so effectiveness reports) need a polydisc; on
+        # balls the oracle checks both routes against random monomial ideals
+        rng = random.Random(4)
+        for draw in range(12):
+            n = rng.randint(2, 3)
+            D = DiagonalDomain.ball(n, Fraction(rng.randint(1, 3), rng.randint(1, 2)))
+            gens = [g for g in indices_up_to(n, 3) if 0 < sum(g)]
+            M = MonomialIdeal(n, tuple(rng.sample(gens, 2)))
+            J = monomial_jet_ideal(M, 4)
+            F = _random_jet(rng, n, 3, gaussian=draw % 2 == 1)
+            want = monomial_oracle(D, F, M)
+            assert minimal_l2(D, F, J).value == want
+            assert b_circle(D, F, J).value == want

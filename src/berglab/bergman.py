@@ -14,10 +14,21 @@ Both routes start from one problem record, built by :func:`_problem`: it
 checks (domain, F, J), decides containment and exact vs float once, and
 assembles the inputs both routes read (the working indices, the weights,
 the finite slots and F's vector).  Each route then does its own solve on
-its own system: exact diagonal problems over Fraction / QQi through
-:mod:`berglab.linalg`, every other problem (moment domains, float diagonal
-domains, float or complex data) through numpy.  Every result carries the
-record's diagnostics dict, with one key set for every backend and outcome.
+its own system:
+
+* the projection solves its normal equations on the independent product
+  rows g * z^beta that the jet ideal's elimination kept (``J.rows``), and
+  reads no RREF;
+* the kernel ratio solves on the annihilator, read off the RREF
+  (``J.basis``).
+
+Exact diagonal problems stay in cleared integers (Python ints, or Gaussian
+integers for QQi data) through :mod:`berglab.linalg` from the jet ideal to
+the result, and build one Fraction or QQi per output entry; every other
+problem (moment domains, float diagonal domains, float or complex data)
+runs through numpy.  Since the routes share no solve and no spanning set, a
+wrong RREF shows up as C != B.  Every result carries the record's
+diagnostics dict, with one key set for every backend and outcome.
 """
 
 from __future__ import annotations
@@ -25,6 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import TYPE_CHECKING
 
 from .domains import DiagonalDomain, ExhaustionSequence, MomentDomain
@@ -40,7 +52,20 @@ from .exactnum import PiValue, QQi, abs2_s, conj_s, is_exact, value_float
 from .ideals import FLOAT_RANK_TOL, IdealPresentation, JetIdeal, contains, jet_ideal
 from .indices import degree, indices_up_to
 from .jets import Functional, Jet, pair
-from .linalg import hermitian_gram, null_space, rref, rref_null_space, solve
+from .linalg import (
+    _clear,
+    _combine,
+    _echelon,
+    _gram,
+    _is_gaussian,
+    _lift,
+    _re,
+    _ring,
+    _scalars,
+    _solve_definite,
+    _solve_ring,
+    rref_null_space,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -292,50 +317,53 @@ def minimal_l2(domain, F: Jet, J: JetIdeal) -> ProjectionResult:
     return _minimal_l2_float(prob)
 
 
-def _combine(coeffs, rows, slots, start=None):
-    """start + sum_r coeffs[r] * rows[r], read at ``slots`` (zero terms skipped)."""
-    out = list(start) if start is not None else [0] * len(slots)
-    for c, row in zip(coeffs, rows):
-        if bool(c):
-            for k, i in enumerate(slots):
-                out[k] = out[k] + c * row[i]
-    return out
-
-
 def _minimal_l2_exact(prob: _Problem) -> ProjectionResult:
-    J, idx, norms, f, B = prob.J, prob.indices, prob.weights, prob.f, prob.J.basis
-    finite, infinite = prob.finite, prob.infinite
+    J, idx, norms, finite, infinite = prob.J, prob.indices, prob.weights, prob.finite, prob.infinite
+    # the span is taken on the independent product rows g * z^beta that the
+    # elimination kept, not on the RREF basis: the projection does not depend
+    # on the spanning set.  Cleared rows share one ring, so their first row
+    # tells it; everything below stays in ring integers, x = num / den.
+    rows_gaussian = _is_gaussian(J.rows[:1])
+    gaussian = rows_gaussian or _is_gaussian([prob.f])
+    zero, one = _ring(gaussian)
+    rows = _lift(J.rows) if gaussian and not rows_gaussian else J.rows
+    f, den = _clear(prob.f, gaussian)
 
-    # the competitor f + sum_r u_r B_r must vanish on the non-integrable
-    # slots: u = u0 + (null space of those constraints)
+    # the competitor (f + sum_r u_r rows_r) / den must vanish on the
+    # non-integrable slots: u = u0 + (homogeneous solutions)
     if infinite:
-        cons = [[row[i] for row in B] for i in infinite]
+        cons = [[row[i] for row in rows] + [-f[i]] for i in infinite]
         try:
-            u0 = solve(cons, [-f[i] for i in infinite], len(B))
+            u0, d, null = _solve_ring(cons, len(rows), zero, one, homogeneous=True)
         except SingularMatrixError:
             diag = prob.diagnostics("infeasible", None, None)
             return ProjectionResult(prob.value(math.inf), diagnostics=diag)
-        base = _combine(u0, B, finite, [f[i] for i in finite])
-        cols = [_combine(z, B, finite) for z in null_space(cons, len(B))]
+        rows = [[row[i] for i in finite] for row in rows]
+        base = _combine(u0, rows, [d * f[i] for i in finite])
+        den *= d
+        cols = [_combine(z, rows, [zero] * len(finite)) for z in null]
     else:
-        base = f
-        cols = B
+        base, cols = f, rows
 
     # weighted least squares on the integrable slots: the normal equations
-    # G w = -C^H W base, G = C^H W C; C^H W base is the last column of the
-    # Gram matrix of [C, base]
-    wts = [norms[i] for i in finite]
+    # S y = -s, S = C^H W C and s = C^H W base the last column of the Gram
+    # matrix of [C, base]; then x = (d base + sum_r y_r C_r) / (d den) for
+    # y = num / d.  The weights' common denominator cancels.
+    w, wden = _clear([norms[i] for i in finite], False)
     x = base
     if cols:
-        G = hermitian_gram(cols + [base], wts)
-        rhs = [-row.pop() for row in G[:-1]]
-        x = _combine(solve(G[:-1], rhs, len(cols)), cols, range(len(finite)), base)
+        m = len(cols)
+        G = _gram(cols + [base], w, zero)
+        y, d = _solve_definite([row[:m] for row in G[:m]], [-row[m] for row in G[:m]], zero, one)
+        x = _combine(y, cols, [d * v for v in base])
+        den *= d
 
-    cval = sum((abs2_s(v) * w for v, w in zip(x, wts)), start=Fraction(0))
-    minimizer = Jet(J.n, J.level - 1, {idx[i]: v for i, v in zip(finite, x) if bool(v)})
-    eta = Functional(
-        J.n, {idx[i]: conj_s(v) * w for i, v, w in zip(finite, x, wts) if bool(v)}
-    )
+    # eta = W conj(x), and C = eta(x)
+    eta = [wk * v.conjugate() for wk, v in zip(w, x)]
+    cval = Fraction(_re(sum(map(mul, eta, x), zero)), den * den * wden)
+    slots = [idx[i] for i in finite]
+    minimizer = Jet(J.n, J.level - 1, dict(zip(slots, _scalars(x, den, gaussian))))
+    eta = Functional(J.n, dict(zip(slots, _scalars(eta, den * wden, gaussian))))
     diag = prob.diagnostics("solved", len(cols), None)
     return ProjectionResult(prob.value(cval), minimizer, eta, prob.pi_power, diag)
 
@@ -436,40 +464,55 @@ def b_circle(domain, F: Jet, J: JetIdeal) -> KernelRatioResult:
     if prob.contained:
         diag = prob.diagnostics("contained", None, None)
         return KernelRatioResult(prob.value(Fraction(0)), None, diag)
-    # the annihilator, read off the span's RREF: not empty, as F is outside
-    vecs = rref_null_space(J.basis, J.pivots, len(J.indices))
+    # the annihilator is read off the span's RREF: not empty, as F is outside
     if prob.backend == "exact":
-        return _b_circle_exact(prob, vecs)
-    return _b_circle_float(prob, vecs)
+        return _b_circle_exact(prob)
+    return _b_circle_float(prob, rref_null_space(J.basis, J.pivots, len(J.indices)))
 
 
-def _b_circle_exact(prob: _Problem, vecs) -> KernelRatioResult:
-    idx, norms, finite, fvec = prob.indices, prob.weights, prob.finite, prob.f
-    support = [i for i, c in enumerate(fvec) if bool(c)]
-    pvals = [sum((v[i] * fvec[i] for i in support), start=0) for v in vecs]
+def _b_circle_exact(prob: _Problem) -> KernelRatioResult:
+    idx, norms, finite = prob.indices, prob.weights, prob.finite
+    # the annihilator V, each vector scaled to integers: the value p^T x and
+    # the maximizer V x of A x = conj(p), A = V^H W V, do not change under
+    # V -> V S.  With F's vector scaled by den, p scales by den, the value by
+    # den^2 and the maximizer by den; W's common denominator wden scales A.
+    vecs, ann_gaussian = prob.J._integer_annihilator
+    gaussian = ann_gaussian or _is_gaussian([prob.f])
+    zero, one = _ring(gaussian)
+    if gaussian and not ann_gaussian:
+        vecs = _lift(vecs)
+    f, den = _clear(prob.f, gaussian)
+    support = [i for i, c in enumerate(f) if c]
+    pvals = [sum((v[i] * f[i] for i in support), zero) for v in vecs]
 
     if prob.infinite:
         # directions supported on non-integrable slots have kernel 0; if one
-        # of them pairs nontrivially with F the supremum is infinite
-        red, keep = rref([[v[i] for v in vecs] for i in finite], len(vecs))
-        for y in rref_null_space(red, keep, len(vecs)):
-            if bool(sum((yi * p for yi, p in zip(y, pvals)), start=0)):
-                diag = prob.diagnostics("unbounded", None, None)
-                return KernelRatioResult(prob.value(math.inf), diagnostics=diag)
+        # of them pairs nontrivially with F the supremum is infinite, that
+        # is when p is outside the row space of V on the integrable slots
+        def on_finite():
+            return [[v[i] for v in vecs] for i in finite]
+
+        keep = _echelon(on_finite(), len(vecs), one)[1]
+        if len(_echelon(on_finite() + [pvals[:]], len(vecs), one)[1]) > len(keep):
+            diag = prob.diagnostics("unbounded", None, None)
+            return KernelRatioResult(prob.value(math.inf), diagnostics=diag)
         # the pivot directions are independent on the integrable slots; the
         # others add only zero-kernel directions, which pair trivially
         vecs = [vecs[i] for i in keep]
         pvals = [pvals[i] for i in keep]
 
     # maximize |p^T y|^2 / y^H A y: A x = conj(p), the value p^T x
-    wts = [1 / norms[i] for i in finite]
-    A = hermitian_gram([[v[i] for i in finite] for v in vecs], wts)
-    x = solve(A, [conj_s(p) for p in pvals], len(vecs))
-    val = sum((p * xi for p, xi in zip(pvals, x)), start=0)
-    val = val.re if isinstance(val, QQi) else val
-    maximizer = Functional(prob.J.n, dict(zip(idx, _combine(x, vecs, range(len(idx))))))
-    diag = prob.diagnostics("solved", len(vecs), None)
-    return KernelRatioResult(prob.value(Fraction(val)), maximizer, diag)
+    w, wden = _clear([1 / norms[i] for i in finite], False)
+    m = len(vecs)
+    A = _gram([[v[i] for i in finite] for v in vecs] if prob.infinite else vecs, w, zero)
+    x, d = _solve_definite(A, [p.conjugate() for p in pvals], zero, one)
+    val = _re(sum(map(mul, pvals, x), zero))
+    nums = _combine(x, vecs, [zero] * len(idx))
+    # QQi entries when the annihilator or the maximizer is complex
+    coeffs = _scalars([wden * v for v in nums], d * den, ann_gaussian)
+    maximizer = Functional(prob.J.n, dict(zip(idx, coeffs)))
+    diag = prob.diagnostics("solved", m, None)
+    return KernelRatioResult(prob.value(Fraction(wden * val, d * den * den)), maximizer, diag)
 
 
 def _b_circle_float(prob: _Problem, vecs) -> KernelRatioResult:

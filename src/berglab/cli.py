@@ -37,6 +37,7 @@ from .errors import (
     ImproperIdealError,
     QuadratureError,
     SingularMatrixError,
+    UnsupportedDomainError,
 )
 from .exactnum import PiValue, value_float
 from .ideals import IdealPresentation, jet_ideal
@@ -424,7 +425,7 @@ def sop_cmd(spec_path, out_dir):
     domain = _build(lambda: _load_domain(data["domain"]))
     F = _build(lambda: Jet.from_json(data["F"]))
     phi = _build(lambda: _weight(data["weight"]))
-    rep = _run(lambda: effectiveness_report(domain, F, phi))
+    rep = _run(lambda: effectiveness_report(domain, F, phi), (UnsupportedDomainError,))
     click.echo(rep.text_table())
     csv_lines = ["quantity,value"]
     for key, v in rep.to_json().items():
@@ -450,7 +451,7 @@ def cse(spec_path, out_dir, t_grid):
         res = xi_cse_limit(xi, phi, domain, grid)
         return res, xi_cse_combinatorial(xi, phi)
 
-    res, gamma = _run(compute)
+    res, gamma = _run(compute, (UnsupportedDomainError,))
     lines = ["t,logK"] + [f"{t:.17g},{lk:.17g}" for t, lk in res.table]
     csv_text = "\n".join(lines) + "\n"
     click.echo(csv_text.rstrip())

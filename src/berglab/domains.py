@@ -26,6 +26,7 @@ from .errors import (
     NotNestedError,
     QuadratureError,
     SingularMatrixError,
+    UnsupportedDomainError,
 )
 from .indices import degree, indices_up_to, validate_index
 
@@ -123,7 +124,7 @@ class DiagonalDomain:
             self.radius = radius
             self.radii = None
             if weight_exponents is not None and self.n > 1:
-                raise BerglabError("toric weights are only supported on polydiscs")
+                raise UnsupportedDomainError("toric weights are only supported on polydiscs")
         else:
             raise ValueError(f"unknown diagonal domain kind {kind!r}")
         if weight_exponents is None:
@@ -167,7 +168,7 @@ class DiagonalDomain:
         c = Fraction(c) if self.exact else c
         new_e = tuple(e + c * a for e, a in zip(self.weight_exponents, phi.a))
         if self.kind == "ball" and self.n > 1:
-            raise BerglabError("toric weights are only supported on polydiscs")
+            raise UnsupportedDomainError("toric weights are only supported on polydiscs")
         dom = DiagonalDomain(
             self.n,
             self.kind,
@@ -188,7 +189,7 @@ class DiagonalDomain:
         if tw.psi.n != self.n:
             raise DimensionMismatchError("weight dimension differs from domain")
         if self.kind != "polydisc":
-            raise BerglabError("truncated weights are only supported on polydiscs")
+            raise UnsupportedDomainError("truncated weights are only supported on polydiscs")
         new_e = tuple(
             e + Fraction(c) * a for e, a in zip(self.weight_exponents, tw.psi.a)
         )
@@ -383,7 +384,7 @@ def sublevel_domain(domain: DiagonalDomain, phi: ToricWeight, t) -> DiagonalDoma
     if t < 0:
         raise ValueError("sublevel parameter t must be non-negative")
     if domain.kind != "polydisc":
-        raise BerglabError("sublevel domains are only supported over polydiscs")
+        raise UnsupportedDomainError("sublevel domains are only supported over polydiscs")
     if phi.n != domain.n:
         raise DimensionMismatchError("weight dimension differs from domain")
     if t == 0:
@@ -408,7 +409,7 @@ def sublevel_domain(domain: DiagonalDomain, phi: ToricWeight, t) -> DiagonalDoma
             },
         )
     if domain.n != 2:
-        raise BerglabError("multi-variable sublevel sets are supported in dimension 2")
+        raise UnsupportedDomainError("multi-variable sublevel sets are supported in dimension 2")
     return _SublevelDomain2D(domain, phi, float(t))
 
 

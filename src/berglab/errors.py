@@ -43,3 +43,8 @@ class DivergentIntegralError(BerglabError):
 
 class NotNestedError(BerglabError, ValueError):
     """An exhaustion sequence whose domains are not nested (a spec error)."""
+
+
+class UnsupportedDomainError(BerglabError, ValueError):
+    """A domain that the requested construction does not support, such as a
+    toric weight on a ball of dimension >= 2 (a spec error)."""

@@ -6,7 +6,9 @@ finite linear-algebra question in the jet space of degrees < k.  Toric
 multiplier ideals are handled combinatorially as monomial ideals.
 
 Generators whose coefficients are all exact (int, Fraction, QQi) give an
-exact jet ideal, eliminated over Fraction / QQi by :mod:`berglab.linalg`.
+exact jet ideal, eliminated in cleared integers by :mod:`berglab.linalg`;
+it keeps the independent product rows g * z^beta that the elimination
+picked, and decides membership in integers against its annihilator.
 Any other generators (a float such as ``2.0`` included) give a float jet
 ideal, eliminated with numpy: each product row is normalised to unit
 size first, so rank and membership decisions compare against
@@ -17,15 +19,16 @@ rescaled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import add
 
 from .errors import ImproperIdealError
 from .exactnum import is_exact
 from .indices import degree, indices_up_to, order_key, validate_index
 from .jets import Functional, Jet
-from .linalg import in_span, rref, rref_null_space
+from .linalg import _annihilates, _annihilator, rref, rref_null_space
 
 FLOAT_RANK_TOL = 1e-10
 
@@ -66,7 +69,11 @@ class JetIdeal:
     ``basis`` holds the reduced row echelon basis of the span, as dense
     vectors over ``indices`` (all multi-indices of degree < k in the graded
     order).  ``exact`` tells whether its entries are exact scalars or
-    Python complexes.
+    Python complexes.  ``rows`` holds, for an exact ideal, the product rows
+    g * z^beta whose elimination gave the pivots: independent, spanning the
+    same space, each scaled to integers (Python ints, or Gaussian integers
+    when a generator has a QQi coefficient) and mostly zero.  It is None
+    for a float ideal.
     """
 
     n: int
@@ -75,10 +82,18 @@ class JetIdeal:
     basis: list
     pivots: list
     exact: bool = True
+    rows: list = field(default=None, repr=False, compare=False)
 
     @property
     def span_dim(self) -> int:
         return len(self.basis)
+
+    @cached_property
+    def _integer_annihilator(self):
+        """The annihilator read off the RREF, each vector scaled to integers
+        (exact ideals): read by :func:`contains` and by the kernel-ratio
+        route."""
+        return _annihilator(self.basis, self.pivots, len(self.indices))
 
     def basis_jets(self):
         return [
@@ -99,12 +114,13 @@ def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
     idx = indices_up_to(gens.n, k - 1)
     rows = _product_rows(gens.generators, idx)
     if exact:
-        basis, pivots = rref(rows, len(idx))
+        basis, pivots, rows = rref(rows, len(idx), keep_rows=True)
     else:
         basis, pivots = _float_rref(rows, len(idx))
+        rows = None
     if len(basis) == len(idx) or (pivots and pivots[0] == 0):
         raise ImproperIdealError(f"ideal is not proper at level {k}")
-    return JetIdeal(gens.n, k, idx, basis, pivots, exact)
+    return JetIdeal(gens.n, k, idx, basis, pivots, exact, rows)
 
 
 def _product_rows(generators, idx):
@@ -165,13 +181,15 @@ def _float_rref(rows, ncols):
 def contains(J: JetIdeal, f: Jet) -> bool:
     """Membership of f in I + m^k, decided on the degree < k jet.
 
-    Exact ideals and exact jets are decided exactly.  Otherwise f is a
-    member when its float remainder is at most ``FLOAT_RANK_TOL`` times its
-    largest coefficient.
+    Exact ideals and exact jets are decided exactly, in integers: f is a
+    member when its remainder vanishes on every free column of the RREF,
+    that is when it pairs to zero with the integer annihilator.  Otherwise
+    f is a member when its float remainder is at most ``FLOAT_RANK_TOL``
+    times its largest coefficient.
     """
     vec = f.truncate(J.level - 1).vector(J.indices)
     if J.exact and is_exact(vec):
-        return in_span(J.basis, J.pivots, vec)
+        return _annihilates(J._integer_annihilator, vec)
     import numpy as np
 
     v = np.array(vec, dtype=complex)

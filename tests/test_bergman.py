@@ -38,10 +38,11 @@ from berglab.errors import (
     UnboundedFunctionalError,
     ZeroFunctionalError,
 )
-from berglab.exactnum import PiValue, QQi, value_float
+from berglab.exactnum import PiValue, QQi, abs2_s, value_float
 from berglab.ideals import IdealPresentation, annihilator, jet_ideal
 from berglab.indices import degree, indices_up_to, order_key
-from berglab.jets import Functional, Jet, pair
+from berglab.jets import Functional, Jet, jet_multiply, pair
+from berglab.linalg import hermitian_gram, null_space, solve
 
 
 def oracle_minimal_l2_diagonal(domain, F, J):
@@ -348,6 +349,84 @@ class TestMinimalL2:
             for a, c in r.minimizer.coeffs.items()
         )
         assert value_float(r.value) == pytest.approx(norm2, rel=1e-12)
+
+
+def _product_rows(gens, level, idx):
+    """Every g * z^beta with |beta| < level, truncated below ``level``."""
+    return [
+        jet_multiply(g, Jet.monomial(g.n, beta), level - 1).vector(idx)
+        for g in gens
+        for beta in idx
+    ]
+
+
+class TestProjectionConditions:
+    """The exact minimizer x of C against its defining conditions, checked
+    on the product rows g * z^beta, without the jet ideal's RREF and without
+    the kernel-ratio route: x - F lies in their span, x vanishes on the
+    non-integrable slots, and x is orthogonal under the weights to every
+    combination of product rows that vanishes there (every product row,
+    when there is no such slot)."""
+
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["rational", "gaussian"])
+    @pytest.mark.parametrize("weighted", [False, True], ids=["polydisc", "weighted"])
+    def test_random_instances(self, gaussian, weighted):
+        rng = random.Random(17 + 2 * gaussian + weighted)
+
+        def coeff():
+            if gaussian:
+                return QQi(Fraction(rng.randint(-3, 3), rng.randint(1, 2)), rng.randint(-3, 3))
+            return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+
+        solved = with_infinite = 0
+        for _ in range(24):
+            n, level = rng.randint(1, 3), rng.randint(3, 4)
+            idx = indices_up_to(n, level - 1)
+            gens = [
+                Jet(n, level - 1, {rng.choice(idx[1:]): coeff() for _ in range(rng.randint(1, 3))})
+                for _ in range(rng.randint(1, 2))
+            ]
+            if all(g.is_zero() for g in gens):
+                continue
+            dom = DiagonalDomain.polydisc([Fraction(rng.randint(1, 3), rng.randint(1, 2))] * n)
+            if weighted:
+                a = [1] + [rng.randint(0, 1) for _ in range(n - 1)]
+                dom = dom.with_weight(ToricWeight(tuple(a)), 1)
+            try:
+                J = jet_ideal(IdealPresentation(n, gens), level)
+            except BerglabError:
+                continue
+            # terms on integrable slots, plus a multiple of a generator, which
+            # may touch the others: feasible, with active constraints
+            fin = [a for a in idx if dom.finite(a)]
+            terms = {a: coeff() for a in rng.sample(fin, min(3, len(fin)))}
+            F = Jet(n, level - 1, terms).add(gens[0].scale(coeff()))
+            res = minimal_l2(dom, F, J)
+            if res.diagnostics["outcome"] != "solved":
+                continue
+            solved += 1
+            w = [dom.norm(a) for a in idx]
+            finite = [i for i, wi in enumerate(w) if wi != math.inf]
+            infinite = [i for i, wi in enumerate(w) if wi == math.inf]
+            with_infinite += bool(infinite)
+            P = _product_rows(gens, level, idx)
+            x = res.minimizer.vector(idx)
+            f = F.vector(idx)
+            # x - F in the span: a solution u of sum_r u_r P_r = x - F exists
+            solve([list(col) for col in zip(*P)], [a - b for a, b in zip(x, f)], len(P))
+            assert not any(x[i] for i in infinite)
+            # the directions that keep x on the non-integrable slots at 0
+            cons = [[row[i] for row in P] for i in infinite]
+            directions = [
+                [sum((u * row[i] for u, row in zip(z, P)), start=0) for i in finite]
+                for z in null_space(cons, len(P))
+            ] if infinite else [[row[i] for i in finite] for row in P]
+            G = hermitian_gram([[x[i] for i in finite]] + directions, [w[i] for i in finite])
+            assert not any(G[0][1:])
+            cval = sum((abs2_s(x[i]) * w[i] for i in finite), start=Fraction(0))
+            assert res.value == PiValue(cval, n)
+        assert solved >= 8
+        assert with_infinite == (solved if weighted else 0)
 
 
 class TestExtremalFunctional:

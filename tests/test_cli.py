@@ -112,6 +112,8 @@ class TestEquiv:
                 ("domain",),
                 {"kind": "radial", "base": 1.0, "harmonics": [[1, 1.5, 0]]},
             ),
+            ("sop", ("domain",), {"kind": "ball", "n": 2, "radius": "1"}),
+            ("cse", ("domain",), {"kind": "ball", "n": 2, "radius": "1"}),
         ],
         ids=[
             "generator-n",
@@ -121,6 +123,8 @@ class TestEquiv:
             "no-radii",
             "exhaust-not-nested",
             "radial-nonpositive",
+            "sop-weight-on-ball",
+            "cse-weight-on-ball",
         ],
     )
     def test_rejected_spec_exit_2(self, runner, tmp_path, command, path, value):
@@ -129,6 +133,11 @@ class TestEquiv:
             bad["domains"] = [bad.pop("domain")]
         elif command == "basis":
             bad = {"domain": bad["domain"], "degree": 3}
+        elif command in ("sop", "cse"):
+            # a two-variable toric weight: only polydiscs carry one
+            jet = {"n": 2, "terms": [{"alpha": [1, 0], "re": "1", "im": "0"}]}
+            key = "F" if command == "sop" else "xi"
+            bad = {"domain": bad["domain"], key: jet, "weight": {"a": ["1", "1"]}}
         node = bad
         for key in path[:-1]:
             node = node[key]

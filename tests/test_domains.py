@@ -249,6 +249,19 @@ class TestMomentMatrices:
                 if j != i:
                     assert abs(dom.matrix[i, j]) < 1e-12
 
+    def test_polydisc_diagonal_oracle(self):
+        # the moment polydisc's diagonal against a product of 1-D polar
+        # integrals, int_0^r 2 pi t^(2a+1) dt per coordinate; unequal radii
+        # away from 1, so a wrong power of r shows
+        radii = (0.7, 1.3)
+        dom = moment_matrix({"kind": "polydisc", "radii": list(radii)}, 3)
+        for i, alpha in enumerate(dom.indices):
+            want = math.prod(
+                quad(lambda t, a=a: 2 * math.pi * t ** (2 * a + 1), 0, r)[0]
+                for a, r in zip(alpha, radii)
+            )
+            assert dom.matrix[i, i].real == pytest.approx(want, rel=1e-10)
+
     def test_offcenter_disc_oracle(self):
         center, radius = 0.3 + 0.2j, 0.7
         dom = moment_matrix(

@@ -20,7 +20,10 @@ from berglab.ideals import (
     next_jump,
 )
 from berglab.domains import ToricWeight
-from berglab.jets import Functional, Jet, pair
+from berglab.exactnum import QQi
+from berglab.indices import indices_up_to
+from berglab.jets import Functional, Jet, jet_multiply, pair
+from berglab.linalg import rref
 
 
 def z_pow(m):
@@ -100,6 +103,45 @@ class TestAnnihilator:
         for xi in annihilator(J):
             for s in J.basis_jets():
                 assert not bool(pair(xi, s))
+
+
+_coefficients = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=3),
+    st.builds(QQi, st.integers(-2, 2), st.integers(-2, 2)),
+)
+
+
+@st.composite
+def presentations(draw):
+    n = draw(st.integers(1, 3))
+    level = draw(st.integers(2, 4))
+    monomials = st.sampled_from(indices_up_to(n, level - 1)[1:])
+    terms = st.dictionaries(monomials, _coefficients, min_size=1, max_size=3)
+    gens = draw(st.lists(terms, min_size=1, max_size=3))
+    return n, level, [Jet(n, level - 1, t) for t in gens]
+
+
+class TestKeptProductRows:
+    @settings(max_examples=80, deadline=None)
+    @given(presentations())
+    def test_kept_rows_span_the_ideal(self, presentation):
+        n, level, gens = presentation
+        try:
+            J = jet_ideal(IdealPresentation(n, gens), level)
+        except (ImproperIdealError, ValueError):
+            return
+        product_rows = [
+            jet_multiply(g, Jet.monomial(n, beta), level - 1).vector(J.indices)
+            for g in gens
+            for beta in J.indices
+        ]
+        m = len(J.indices)
+        # each kept row is a multiple of a product row ...
+        lines = {str(rref([row], m)) for row in product_rows}
+        assert all(str(rref([row], m)) in lines for row in J.rows)
+        # ... and they are independent: span_dim of them, with the same span
+        assert len(J.rows) == J.span_dim
+        assert rref(J.rows, m) == rref(product_rows, m)
 
 
 class TestMonomialIdeal:

@@ -52,20 +52,7 @@ from .exactnum import PiValue, QQi, abs2_s, conj_s, is_exact, value_float
 from .ideals import FLOAT_RANK_TOL, IdealPresentation, JetIdeal, contains, jet_ideal
 from .indices import degree, indices_up_to
 from .jets import Functional, Jet, pair
-from .linalg import (
-    _clear,
-    _combine,
-    _echelon,
-    _gram,
-    _is_gaussian,
-    _lift,
-    _re,
-    _ring,
-    _scalars,
-    _solve_definite,
-    _solve_ring,
-    rref_null_space,
-)
+from .linalg import combine, from_ring, hermitian_gram, rref_null_space, solve, to_ring
 
 if TYPE_CHECKING:
     import numpy as np
@@ -321,27 +308,24 @@ def _minimal_l2_exact(prob: _Problem) -> ProjectionResult:
     J, idx, norms, finite, infinite = prob.J, prob.indices, prob.weights, prob.finite, prob.infinite
     # the span is taken on the independent product rows g * z^beta that the
     # elimination kept, not on the RREF basis: the projection does not depend
-    # on the spanning set.  Cleared rows share one ring, so their first row
-    # tells it; everything below stays in ring integers, x = num / den.
-    rows_gaussian = _is_gaussian(J.rows[:1])
-    gaussian = rows_gaussian or _is_gaussian([prob.f])
-    zero, one = _ring(gaussian)
-    rows = _lift(J.rows) if gaussian and not rows_gaussian else J.rows
-    f, den = _clear(prob.f, gaussian)
+    # on the spanning set.  Everything below stays in ring integers,
+    # x = num / den.
+    rows = J.rows
+    (f,), (den,) = to_ring([prob.f])
 
     # the competitor (f + sum_r u_r rows_r) / den must vanish on the
     # non-integrable slots: u = u0 + (homogeneous solutions)
     if infinite:
         cons = [[row[i] for row in rows] + [-f[i]] for i in infinite]
         try:
-            u0, d, null = _solve_ring(cons, len(rows), zero, one, homogeneous=True)
+            u0, d, null = solve(cons, len(rows), homogeneous=True)
         except SingularMatrixError:
             diag = prob.diagnostics("infeasible", None, None)
             return ProjectionResult(prob.value(math.inf), diagnostics=diag)
         rows = [[row[i] for i in finite] for row in rows]
-        base = _combine(u0, rows, [d * f[i] for i in finite])
+        base = combine(u0, rows, [d * f[i] for i in finite])
         den *= d
-        cols = [_combine(z, rows, [zero] * len(finite)) for z in null]
+        cols = [combine(z, rows, [0] * len(finite)) for z in null]
     else:
         base, cols = f, rows
 
@@ -349,21 +333,23 @@ def _minimal_l2_exact(prob: _Problem) -> ProjectionResult:
     # S y = -s, S = C^H W C and s = C^H W base the last column of the Gram
     # matrix of [C, base]; then x = (d base + sum_r y_r C_r) / (d den) for
     # y = num / d.  The weights' common denominator cancels.
-    w, wden = _clear([norms[i] for i in finite], False)
+    (w,), (wden,) = to_ring([[norms[i] for i in finite]])
     x = base
     if cols:
         m = len(cols)
-        G = _gram(cols + [base], w, zero)
-        y, d = _solve_definite([row[:m] for row in G[:m]], [-row[m] for row in G[:m]], zero, one)
-        x = _combine(y, cols, [d * v for v in base])
+        G = hermitian_gram(cols + [base], w)
+        y, d, _ = solve([row[:m] + [-row[m]] for row in G[:m]], m, definite=True)
+        x = combine(y, cols, [d * v for v in base])
         den *= d
 
     # eta = W conj(x), and C = eta(x)
     eta = [wk * v.conjugate() for wk, v in zip(w, x)]
-    cval = Fraction(_re(sum(map(mul, eta, x), zero)), den * den * wden)
+    cval = Fraction(sum(map(mul, eta, x), 0).real, den * den * wden)
     slots = [idx[i] for i in finite]
-    minimizer = Jet(J.n, J.level - 1, dict(zip(slots, _scalars(x, den, gaussian))))
-    eta = Functional(J.n, dict(zip(slots, _scalars(eta, den * wden, gaussian))))
+    # all QQi when F or a generator has a QQi coefficient
+    gaussian = J.gaussian or any(isinstance(c, QQi) for c in prob.f)
+    minimizer = Jet(J.n, J.level - 1, dict(zip(slots, from_ring(x, den, gaussian))))
+    eta = Functional(J.n, dict(zip(slots, from_ring(eta, den * wden, gaussian))))
     diag = prob.diagnostics("solved", len(cols), None)
     return ProjectionResult(prob.value(cval), minimizer, eta, prob.pi_power, diag)
 
@@ -476,49 +462,40 @@ def _b_circle_exact(prob: _Problem) -> KernelRatioResult:
     # the maximizer V x of A x = conj(p), A = V^H W V, do not change under
     # V -> V S.  With F's vector scaled by den, p scales by den, the value by
     # den^2 and the maximizer by den; W's common denominator wden scales A.
-    vecs, ann_gaussian = prob.J._integer_annihilator
-    gaussian = ann_gaussian or _is_gaussian([prob.f])
-    zero, one = _ring(gaussian)
-    if gaussian and not ann_gaussian:
-        vecs = _lift(vecs)
-    f, den = _clear(prob.f, gaussian)
+    vecs, gaussian = prob.J.integer_annihilator
+    (f,), (den,) = to_ring([prob.f])
     support = [i for i, c in enumerate(f) if c]
-    pvals = [sum((v[i] * f[i] for i in support), zero) for v in vecs]
-
-    if prob.infinite:
-        # directions supported on non-integrable slots have kernel 0; if one
-        # of them pairs nontrivially with F the supremum is infinite, that
-        # is when p is outside the row space of V on the integrable slots
-        def on_finite():
-            return [[v[i] for v in vecs] for i in finite]
-
-        keep = _echelon(on_finite(), len(vecs), one)[1]
-        if len(_echelon(on_finite() + [pvals[:]], len(vecs), one)[1]) > len(keep):
-            diag = prob.diagnostics("unbounded", None, None)
-            return KernelRatioResult(prob.value(math.inf), diagnostics=diag)
-        # the pivot directions are independent on the integrable slots; the
-        # others add only zero-kernel directions, which pair trivially
-        vecs = [vecs[i] for i in keep]
-        pvals = [pvals[i] for i in keep]
+    pvals = [sum((v[i] * f[i] for i in support), 0) for v in vecs]
 
     # maximize |p^T y|^2 / y^H A y: A x = conj(p), the value p^T x
-    w, wden = _clear([1 / norms[i] for i in finite], False)
+    (w,), (wden,) = to_ring([[1 / norms[i] for i in finite]])
     m = len(vecs)
-    A = _gram([[v[i] for i in finite] for v in vecs] if prob.infinite else vecs, w, zero)
-    x, d = _solve_definite(A, [p.conjugate() for p in pvals], zero, one)
-    val = _re(sum(map(mul, pvals, x), zero))
-    nums = _combine(x, vecs, [zero] * len(idx))
-    # QQi entries when the annihilator or the maximizer is complex
-    coeffs = _scalars([wden * v for v in nums], d * den, ann_gaussian)
+    A = hermitian_gram([[v[i] for i in finite] for v in vecs] if prob.infinite else vecs, w)
+    rows = [row + [p.conjugate()] for row, p in zip(A, pvals)]
+    try:
+        # directions supported on non-integrable slots have kernel 0, so with
+        # such slots A may be singular.  If one of them pairs nontrivially
+        # with F, that is when conj(p) is outside the range of A, the
+        # supremum is infinite.  Otherwise every solution gives the same
+        # value, and the one with the free unknowns 0 lies on the directions
+        # that are independent on the integrable slots.
+        x, d, null = solve(rows, m, homogeneous=bool(prob.infinite), definite=not prob.infinite)
+    except SingularMatrixError:
+        diag = prob.diagnostics("unbounded", None, None)
+        return KernelRatioResult(prob.value(math.inf), diagnostics=diag)
+    val = sum(map(mul, pvals, x), 0).real
+    nums = combine(x, vecs, [0] * len(idx))
+    # all QQi when the annihilator or the maximizer is complex
+    coeffs = from_ring([wden * v for v in nums], d * den, gaussian or any(v.imag for v in nums))
     maximizer = Functional(prob.J.n, dict(zip(idx, coeffs)))
-    diag = prob.diagnostics("solved", m, None)
+    diag = prob.diagnostics("solved", m - len(null), None)
     return KernelRatioResult(prob.value(Fraction(wden * val, d * den * den)), maximizer, diag)
 
 
 def _b_circle_float(prob: _Problem, vecs) -> KernelRatioResult:
     import numpy as np
 
-    idx, gram = prob.indices, prob.weights
+    idx = prob.indices
     V = _columns(vecs, len(idx))
     p = V.T @ prob.f  # the pairings (xi . F)(o), bilinear
 
@@ -530,15 +507,21 @@ def _b_circle_float(prob: _Problem, vecs) -> KernelRatioResult:
             diag = prob.diagnostics("unbounded", None, None)
             return KernelRatioResult(math.inf, diagnostics=diag)
         V, p = V @ keep, keep.T @ p
+    # the kernel form is A = V^H K V = B^H B with B = K^(1/2) V: K = M^-1 =
+    # L^-H L^-1 for the Cholesky factor M = L L^H on a moment domain, and
+    # 1/w on a diagonal one (1/inf = 0: non-integrable slots add no kernel)
     if prob.backend == "moment":
-        KV = np.linalg.solve(gram, V)  # the kernel form is M^{-1}
+        B = np.linalg.solve(prob.chol, V)
     else:
-        KV = V / gram[:, None]  # 1/inf = 0: non-integrable slots add no kernel
+        B = V / np.sqrt(prob.weights)[:, None]
 
-    # maximize |p^T y|^2 / y^H A y: A x = conj(p), the value p^T x
-    A = V.conj().T @ KV
-    x = np.linalg.solve(A, np.conj(p))
-    value = float((p @ x).real)
+    # maximize |p^T y|^2 / ||B y||^2: A x = conj(p), the value p^T x.  A is
+    # not formed, as that would square B's condition number: with B = QR,
+    # R^H z = conj(p) gives the value ||z||^2 and x = R^-1 z
+    R = np.linalg.qr(B, mode="r")
+    z = np.linalg.solve(R.conj().T, np.conj(p))
+    x = np.linalg.solve(R, z)
+    value = float(np.vdot(z, z).real)
     maximizer = Functional(prob.J.n, {a: c for a, c in zip(idx, (V @ x).tolist()) if c})
     return KernelRatioResult(value, maximizer, prob.diagnostics("solved", V.shape[1], None))
 

@@ -168,11 +168,14 @@ def _load_spec(path, command):
 
 
 def _load_domain(desc, degree=None, mode=None):
-    if desc.get("kind") in _MOMENT_KINDS or desc.get("moment"):
+    moment = desc.get("kind") in _MOMENT_KINDS or desc.get("moment")
+    dom = None if moment else domain_from_json(desc)
+    if mode == "exact" and not getattr(dom, "exact", False):
+        raise ValueError("--mode exact: the domain has no exact norms")
+    if moment:
         d = degree if degree is not None else int(desc.get("degree", 4))
         return moment_matrix(desc, d)
-    dom = domain_from_json(desc)
-    if mode == "float" and hasattr(dom, "exact"):
+    if mode == "float":
         dom.exact = False
     return dom
 

@@ -25,10 +25,10 @@ from functools import cached_property
 from operator import add
 
 from .errors import ImproperIdealError
-from .exactnum import is_exact
+from .exactnum import QQi, is_exact
 from .indices import degree, indices_up_to, order_key, validate_index
 from .jets import Functional, Jet
-from .linalg import _annihilates, _annihilator, rref, rref_null_space
+from .linalg import annihilates, integer_null_space, rref, rref_null_space
 
 FLOAT_RANK_TOL = 1e-10
 
@@ -73,7 +73,9 @@ class JetIdeal:
     g * z^beta whose elimination gave the pivots: independent, spanning the
     same space, each scaled to integers (Python ints, or Gaussian integers
     when a generator has a QQi coefficient) and mostly zero.  It is None
-    for a float ideal.
+    for a float ideal.  ``gaussian`` tells whether a generator has a QQi
+    coefficient below degree k: exact results computed on the ideal are
+    then all QQi.
     """
 
     n: int
@@ -83,17 +85,18 @@ class JetIdeal:
     pivots: list
     exact: bool = True
     rows: list = field(default=None, repr=False, compare=False)
+    gaussian: bool = field(default=False, repr=False, compare=False)
 
     @property
     def span_dim(self) -> int:
         return len(self.basis)
 
     @cached_property
-    def _integer_annihilator(self):
-        """The annihilator read off the RREF, each vector scaled to integers
-        (exact ideals): read by :func:`contains` and by the kernel-ratio
-        route."""
-        return _annihilator(self.basis, self.pivots, len(self.indices))
+    def integer_annihilator(self):
+        """The annihilator read off the RREF, each vector scaled to integers,
+        and whether an entry is complex (exact ideals): read by
+        :func:`contains` and by the kernel-ratio route."""
+        return integer_null_space(self.basis, self.pivots, len(self.indices))
 
     def basis_jets(self):
         return [
@@ -113,14 +116,19 @@ def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
     exact = is_exact(c for g in gens.generators for c in g.coeffs.values())
     idx = indices_up_to(gens.n, k - 1)
     rows = _product_rows(gens.generators, idx)
+    gaussian = False
     if exact:
-        basis, pivots, rows = rref(rows, len(idx), keep_rows=True)
+        basis, pivots, rows = rref(rows, len(idx))
+        # every term below degree k is in the row of beta = 0
+        gaussian = any(
+            isinstance(c, QQi) and degree(a) < k for g in gens.generators for a, c in g.coeffs.items()
+        )
     else:
         basis, pivots = _float_rref(rows, len(idx))
         rows = None
     if len(basis) == len(idx) or (pivots and pivots[0] == 0):
         raise ImproperIdealError(f"ideal is not proper at level {k}")
-    return JetIdeal(gens.n, k, idx, basis, pivots, exact, rows)
+    return JetIdeal(gens.n, k, idx, basis, pivots, exact, rows, gaussian)
 
 
 def _product_rows(generators, idx):
@@ -189,7 +197,7 @@ def contains(J: JetIdeal, f: Jet) -> bool:
     """
     vec = f.truncate(J.level - 1).vector(J.indices)
     if J.exact and is_exact(vec):
-        return _annihilates(J._integer_annihilator, vec)
+        return annihilates(J.integer_annihilator[0], vec)
     import numpy as np
 
     v = np.array(vec, dtype=complex)

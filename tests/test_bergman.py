@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from berglab.bergman import (
+    ROUTES_RTOL,
     b_circle,
     density_sequence,
     exhaustion_limit,
@@ -38,11 +39,11 @@ from berglab.errors import (
     UnboundedFunctionalError,
     ZeroFunctionalError,
 )
-from berglab.exactnum import PiValue, QQi, abs2_s, value_float
+from berglab.exactnum import PiValue, QQi, abs2_s, conj_s, value_float
 from berglab.ideals import IdealPresentation, annihilator, jet_ideal
 from berglab.indices import degree, indices_up_to, order_key
 from berglab.jets import Functional, Jet, jet_multiply, pair
-from berglab.linalg import hermitian_gram, null_space, solve
+from reference_linalg import gauss_jordan, null_space
 
 
 def oracle_minimal_l2_diagonal(domain, F, J):
@@ -362,8 +363,9 @@ def _product_rows(gens, level, idx):
 
 class TestProjectionConditions:
     """The exact minimizer x of C against its defining conditions, checked
-    on the product rows g * z^beta, without the jet ideal's RREF and without
-    the kernel-ratio route: x - F lies in their span, x vanishes on the
+    on the product rows g * z^beta with plain Gauss-Jordan elimination and
+    direct sums, without the package's linear algebra, the jet ideal's RREF
+    or the kernel-ratio route: x - F lies in their span, x vanishes on the
     non-integrable slots, and x is orthogonal under the weights to every
     combination of product rows that vanishes there (every product row,
     when there is no such slot)."""
@@ -412,8 +414,9 @@ class TestProjectionConditions:
             P = _product_rows(gens, level, idx)
             x = res.minimizer.vector(idx)
             f = F.vector(idx)
-            # x - F in the span: a solution u of sum_r u_r P_r = x - F exists
-            solve([list(col) for col in zip(*P)], [a - b for a, b in zip(x, f)], len(P))
+            # x - F in the span: adding it to the product rows keeps the rank
+            rank = len(gauss_jordan(P, len(idx))[1])
+            assert len(gauss_jordan(P + [[a - b for a, b in zip(x, f)]], len(idx))[1]) == rank
             assert not any(x[i] for i in infinite)
             # the directions that keep x on the non-integrable slots at 0
             cons = [[row[i] for row in P] for i in infinite]
@@ -421,8 +424,8 @@ class TestProjectionConditions:
                 [sum((u * row[i] for u, row in zip(z, P)), start=0) for i in finite]
                 for z in null_space(cons, len(P))
             ] if infinite else [[row[i] for i in finite] for row in P]
-            G = hermitian_gram([[x[i] for i in finite]] + directions, [w[i] for i in finite])
-            assert not any(G[0][1:])
+            for d in directions:
+                assert sum((conj_s(x[i]) * v * w[i] for i, v in zip(finite, d)), start=0) == 0
             cval = sum((abs2_s(x[i]) * w[i] for i in finite), start=Fraction(0))
             assert res.value == PiValue(cval, n)
         assert solved >= 8
@@ -653,6 +656,31 @@ class TestComplexCoefficients:
             assert J.span_dim == 1
             assert minimal_l2(disc, F, J).value == pytest.approx(math.pi / 2, rel=1e-12)
             assert b_circle(disc, F, J).value == pytest.approx(math.pi / 2, rel=1e-12)
+
+    def test_ill_conditioned_kernel_ratio(self):
+        # a float ladder instance (n = 4, level 7, span 100) on which forming
+        # the kernel-ratio normal matrix V^H K V, which squares the condition
+        # number, lost six digits of B: 1.5905546352337245
+        gens = IdealPresentation(4, [
+            Jet(4, 2, {(0, 0, 2, 0): -0.6142646764342286 - 0.9858663870943754j,
+                       (0, 1, 0, 1): -0.21783756175437596 + 0.9173767689639887j,
+                       (0, 1, 1, 0): -0.3239234461830882 - 0.3410831831962584j}),
+            Jet(4, 3, {(1, 2, 0, 0): 0.4951210566203994 - 0.478061870287517j,
+                       (0, 2, 1, 0): -0.6767374075383303 - 0.6089474363916525j,
+                       (2, 1, 0, 0): -0.21566482250997288 - 0.007349112633724175j}),
+        ])
+        F = Jet(4, 6, {(1, 2, 0, 0): -0.9616518123912077 - 0.7976361704150323j,
+                       (2, 0, 2, 0): -0.01734246603340428 - 0.44820693136375j,
+                       (0, 2, 1, 3): -0.6834646079434499 + 0.3790522638646019j,
+                       (1, 0, 3, 0): 0.23409347493359278 - 0.8140406175230728j})
+        radii = [0.591200443142621, 0.9881983641760235, 0.8604796895627013, 0.9414296065831865]
+        dom = DiagonalDomain.polydisc(radii, exact=False)
+        J = jet_ideal(gens, 7)
+        assert J.span_dim == 100
+        c, b = minimal_l2(dom, F, J), b_circle(dom, F, J)
+        assert c.value == pytest.approx(oracle_minimal_l2_diagonal(dom, F, J), rel=1e-12)
+        ok, gap = routes_agree(c.value, b.value)
+        assert ok and gap <= ROUTES_RTOL
 
 
 class TestLadder:

@@ -87,6 +87,26 @@ class TestEquiv:
         result = runner.invoke(main, ["equiv", "--spec", spec, "--mode", "float"])
         assert result.exit_code == 0
 
+    def test_exact_mode(self, runner, tmp_path):
+        spec = write_spec(tmp_path, DISC_Z_SQUARED)
+        result = runner.invoke(main, ["equiv", "--spec", spec, "--mode", "exact"])
+        assert result.exit_code == 0, result.output
+        assert "gap = 0.000e+00" in result.output
+
+    @pytest.mark.parametrize(
+        "domain",
+        [
+            {"kind": "polydisc", "radii": [0.7]},
+            {"kind": "offcenter_disc", "center": [0.2, 0.1], "radius": 0.9},
+        ],
+        ids=["float-radius", "offcenter-disc"],
+    )
+    def test_exact_mode_without_exact_norms_exit_2(self, runner, tmp_path, domain):
+        spec = write_spec(tmp_path, dict(DISC_Z_SQUARED, domain=domain))
+        result = runner.invoke(main, ["equiv", "--spec", spec, "--mode", "exact"])
+        assert result.exit_code == 2, result.output
+        assert "spec error" in result.output
+
     def test_missing_field_exit_2(self, runner, tmp_path):
         bad = {"domain": {"kind": "polydisc", "radii": [1]}}
         spec = write_spec(tmp_path, bad)

@@ -137,11 +137,11 @@ class TestKeptProductRows:
         ]
         m = len(J.indices)
         # each kept row is a multiple of a product row ...
-        lines = {str(rref([row], m)) for row in product_rows}
-        assert all(str(rref([row], m)) in lines for row in J.rows)
+        lines = {str(rref([row], m)[:2]) for row in product_rows}
+        assert all(str(rref([row], m)[:2]) in lines for row in J.rows)
         # ... and they are independent: span_dim of them, with the same span
         assert len(J.rows) == J.span_dim
-        assert rref(J.rows, m) == rref(product_rows, m)
+        assert rref(J.rows, m)[:2] == rref(product_rows, m)[:2]
 
 
 class TestMonomialIdeal:

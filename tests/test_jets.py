@@ -26,7 +26,17 @@ from berglab.indices import (
     sort_indices,
 )
 from berglab.jets import Functional, Jet, jet_multiply, pair
-from berglab.linalg import hermitian_gram, in_span, null_space, rref, solve
+from berglab.linalg import (
+    _GaussInt,
+    annihilates,
+    hermitian_gram,
+    integer_null_space,
+    rref,
+    rref_null_space,
+    solve,
+    to_ring,
+)
+from reference_linalg import gauss_jordan
 
 multi_index = st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple)
 
@@ -51,25 +61,6 @@ def matrices(draw, scalars):
             c = draw(scalars) if kind == "comb" else 0
             rows.append([x + c * y for x, y in zip(a, b)])
     return rows, ncols
-
-
-def gauss_jordan(rows, ncols):
-    """Reference RREF: plain Gauss-Jordan over Fraction / QQi scalars."""
-    rows = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
-    pivots = []
-    for c in range(ncols):
-        r = len(pivots)
-        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-    return rows[: len(pivots)], pivots
 
 
 class TestOrder:
@@ -193,50 +184,103 @@ class TestExactScalars:
         assert w.is_infinite() and w.to_float() == math.inf
 
 
+ring_ints = st.one_of(
+    st.integers(-60, 60), st.builds(_GaussInt, st.integers(-60, 60), st.integers(-60, 60))
+)
+
+
+def parts(x):
+    """(real, imag) of an int or a Gaussian integer."""
+    return x.real, x.imag
+
+
+def as_qqi(x, den=1):
+    """A ring integer over an int denominator as a QQi, by QQi arithmetic."""
+    return QQi(Fraction(x.real, den), Fraction(x.imag, den))
+
+
 class TestLinalg:
+    @settings(max_examples=300)
+    @given(ring_ints, ring_ints)
+    def test_mixed_ring_operations(self, a, b):
+        # an int is the Gaussian integer with imaginary part 0: mixed
+        # operands give what lifted operands give, and that is the QQi result
+        def lift(x):
+            return x if isinstance(x, _GaussInt) else _GaussInt(x)
+
+        for op, qop in (
+            (lambda x, y: x + y, lambda x, y: x + y),
+            (lambda x, y: x - y, lambda x, y: x - y),
+            (lambda x, y: x * y, lambda x, y: x * y),
+        ):
+            want = op(lift(a), lift(b))
+            assert parts(op(a, b)) == parts(want)
+            assert as_qqi(want) == qop(as_qqi(a), as_qqi(b))
+        # exact division, by either operand, with the product on either side
+        for num, den in ((a * b, b), (a * b, a), (lift(a) * lift(b), b), (b * a, lift(a))):
+            if den:
+                q = num // den
+                want = lift(num) // lift(den)
+                assert parts(q) == parts(want)
+                assert as_qqi(want) == as_qqi(num) / as_qqi(den)
+        for x in (a, b):
+            assert parts(-x) == parts(-lift(x))
+            assert parts(x.conjugate()) == parts(lift(x).conjugate())
+            assert bool(x) == bool(lift(x)) == bool(as_qqi(x))
+
     def test_rref_exact_stays_rational(self):
-        rows, pivots = rref([[2, 4], [1, 3]], 2)
+        rows, pivots, kept = rref([[2, 4], [1, 3]], 2)
         assert pivots == [0, 1]
         for row in rows:
             for x in row:
                 assert isinstance(x, Fraction)
+        assert kept == [[2, 4], [1, 3]]
 
     def test_null_space_bilinear(self):
-        ns = null_space([[1, 1, 0]], 3)
-        assert len(ns) == 2
+        red, pivots, _ = rref([[1, 1, 0]], 3)
+        ns, gaussian = integer_null_space(red, pivots, 3)
+        assert len(ns) == 2 and not gaussian
+        assert len(rref_null_space(red, pivots, 3)) == 2
         for v in ns:
-            assert v[0] + v[1] == 0 or v[2] != 0
+            assert v[0] + v[1] == 0
 
     def test_solve_exact(self):
-        x = solve([[2, 1], [1, 3]], [5, 10], 2)
-        assert x == [Fraction(1), Fraction(3)]
+        x, D, _ = solve([[2, 1, 5], [1, 3, 10]], 2)
+        assert [Fraction(v, D) for v in x] == [1, 3]
 
     def test_singular_raises(self):
         with pytest.raises(SingularMatrixError):
-            solve([[1, 1], [2, 2]], [1, 1], 2)
+            solve([[1, 1, 1], [2, 2, 1]], 2)
 
     def test_least_squares_rank_deficient_consistent(self):
-        x = solve([[1, 1], [2, 2]], [3, 6], 2)
-        assert x[0] + x[1] == 3
+        x, D, null = solve([[1, 1, 3], [2, 2, 6]], 2, homogeneous=True)
+        assert x[0] + x[1] == 3 * D
+        assert len(null) == 1 and null[0][0] + null[0][1] == 0 and any(null[0])
 
     def test_least_squares_inconsistent(self):
         with pytest.raises(SingularMatrixError):
-            solve([[1, 1], [2, 2]], [3, 7], 2)
+            solve([[1, 1, 3], [2, 2, 7]], 2)
 
     @settings(max_examples=150)
     @given(st.one_of(matrices(fractions_), matrices(gaussians)))
     def test_rref_properties(self, matrix):
         rows, ncols = matrix
-        red, pivots = rref(rows, ncols)
+        red, pivots, kept = rref(rows, ncols)
         # echelon form with the identity on the pivot columns
         assert pivots == sorted(set(pivots)) and len(red) == len(pivots)
         for k, (row, c) in enumerate(zip(red, pivots)):
             assert len(row) == ncols
             assert not any(row[:c])
             assert [row[p] for p in pivots] == [int(i == k) for i in range(len(pivots))]
-        # every input row reduces to zero against the result
+        # every input row pairs to zero with the integer null space
+        ns, gaussian = integer_null_space(red, pivots, ncols)
+        assert len(ns) == ncols - len(pivots)
+        assert gaussian == any(isinstance(x, QQi) for row in red for x in row)
         for row in rows:
-            assert in_span(red, pivots, row)
+            assert annihilates(ns, row)
+        # the kept rows are independent and span the same space
+        assert len(kept) == len(pivots)
+        assert rref(kept, ncols)[:2] == (red, pivots)
         # rank and rows equal plain Gauss-Jordan elimination's
         ref_rows, ref_pivots = gauss_jordan(rows, ncols)
         assert pivots == ref_pivots
@@ -253,27 +297,60 @@ class TestLinalg:
             rhs = [sum((a * b for a, b in zip(row, x0)), start=0) for row in rows]
         else:
             rhs = data.draw(st.lists(scalars, min_size=len(rows), max_size=len(rows)))
-        consistent = len(gauss_jordan(rows, n)[1]) == len(
-            gauss_jordan([r + [b] for r, b in zip(rows, rhs)], n + 1)[1]
-        )
+        rank = len(gauss_jordan(rows, n)[1])
+        consistent = rank == len(gauss_jordan([r + [b] for r, b in zip(rows, rhs)], n + 1)[1])
+        ring, _ = to_ring([r + [b] for r, b in zip(rows, rhs)])
         try:
-            x = solve(rows, rhs, n)
+            x, D, null = solve(ring, n, homogeneous=True)
         except SingularMatrixError:
             assert not consistent
             return
-        assert consistent and len(x) == n
+        assert consistent and len(x) == n and isinstance(D, int) and D
+        x = [as_qqi(v, D) for v in x]
         for row, b in zip(rows, rhs):
             assert sum((a * xi for a, xi in zip(row, x)), start=0) == b
+        # a basis of the homogeneous solutions
+        null = [[as_qqi(v) for v in z] for z in null]
+        assert len(null) == n - rank
+        assert len(gauss_jordan(null, n)[1]) == len(null)
+        for z in null:
+            for row in rows:
+                assert sum((a * zi for a, zi in zip(row, z)), start=0) == 0
+
+    @settings(max_examples=100)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda size: st.tuples(
+                st.integers(0, 4).flatmap(
+                    lambda length: st.lists(
+                        st.lists(ring_ints, min_size=length, max_size=length),
+                        min_size=size, max_size=size,
+                    )
+                ),
+                st.lists(ring_ints, min_size=size, max_size=size),
+            )
+        )
+    )
+    def test_definite_order_same_solution(self, data):
+        # S = Gram + identity is Hermitian positive definite; the
+        # minimum-degree order gives the solution of the natural order
+        vectors, rhs = data
+        n = len(rhs)
+        S = hermitian_gram(vectors, [1] * len(vectors[0]))
+        for i in range(n):
+            S[i][i] = S[i][i] + 1
+        x1, d1, _ = solve([row + [b] for row, b in zip(S, rhs)], n, definite=True)
+        x2, d2, _ = solve([row + [b] for row, b in zip(S, rhs)], n)
+        assert [as_qqi(v, d1) for v in x1] == [as_qqi(v, d2) for v in x2]
+        for row, b in zip(S, rhs):
+            assert sum((as_qqi(a) * as_qqi(v, d1) for a, v in zip(row, x1)), start=0) == as_qqi(b)
 
     @settings(max_examples=100)
     @given(
         st.integers(0, 5).flatmap(
             lambda size: st.tuples(
-                st.lists(
-                    st.lists(st.one_of(fractions_, gaussians), min_size=size, max_size=size),
-                    max_size=4,
-                ),
-                st.lists(fractions_.map(abs), min_size=size, max_size=size),
+                st.lists(st.lists(ring_ints, min_size=size, max_size=size), max_size=4),
+                st.lists(st.integers(0, 30), min_size=size, max_size=size),
             )
         )
     )
@@ -283,9 +360,10 @@ class TestLinalg:
         for i, u in enumerate(vectors):
             for j, v in enumerate(vectors):
                 want = sum(
-                    (conj_s(a) * b * w for a, b, w in zip(u, v, weights)), start=Fraction(0)
+                    (as_qqi(a).conjugate() * as_qqi(b) * w for a, b, w in zip(u, v, weights)),
+                    start=QQi(0),
                 )
-                assert G[i][j] == want
+                assert as_qqi(G[i][j]) == want
 
     def test_pinned_ball_3d_level_8(self):
         # 120 indices, span 81; the value was computed by Fraction Gauss-Jordan
@@ -307,7 +385,9 @@ class TestLinalg:
     @settings(max_examples=30)
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=3))
     def test_null_space_annihilates(self, rows):
-        ns = null_space(rows, 3)
-        for v in ns:
-            for row in rows:
-                assert sum(a * b for a, b in zip(row, v)) == 0
+        red, pivots, _ = rref(rows, 3)
+        for ns in (integer_null_space(red, pivots, 3)[0], rref_null_space(red, pivots, 3)):
+            assert len(ns) == 3 - len(pivots)
+            for v in ns:
+                for row in rows:
+                    assert sum(a * b for a, b in zip(row, v)) == 0

@@ -311,7 +311,7 @@ def _minimal_l2_exact(prob: _Problem) -> ProjectionResult:
     # on the spanning set.  Everything below stays in ring integers,
     # x = num / den.
     rows = J.rows
-    (f,), (den,) = to_ring([prob.f])
+    (f, w), (den, wden) = to_ring([prob.f, [norms[i] for i in finite]])
 
     # the competitor (f + sum_r u_r rows_r) / den must vanish on the
     # non-integrable slots: u = u0 + (homogeneous solutions)
@@ -333,7 +333,6 @@ def _minimal_l2_exact(prob: _Problem) -> ProjectionResult:
     # S y = -s, S = C^H W C and s = C^H W base the last column of the Gram
     # matrix of [C, base]; then x = (d base + sum_r y_r C_r) / (d den) for
     # y = num / d.  The weights' common denominator cancels.
-    (w,), (wden,) = to_ring([[norms[i] for i in finite]])
     x = base
     if cols:
         m = len(cols)
@@ -463,12 +462,11 @@ def _b_circle_exact(prob: _Problem) -> KernelRatioResult:
     # V -> V S.  With F's vector scaled by den, p scales by den, the value by
     # den^2 and the maximizer by den; W's common denominator wden scales A.
     vecs, gaussian = prob.J.integer_annihilator
-    (f,), (den,) = to_ring([prob.f])
+    (f, w), (den, wden) = to_ring([prob.f, [1 / norms[i] for i in finite]])
     support = [i for i, c in enumerate(f) if c]
     pvals = [sum((v[i] * f[i] for i in support), 0) for v in vecs]
 
     # maximize |p^T y|^2 / y^H A y: A x = conj(p), the value p^T x
-    (w,), (wden,) = to_ring([[1 / norms[i] for i in finite]])
     m = len(vecs)
     A = hermitian_gram([[v[i] for i in finite] for v in vecs] if prob.infinite else vecs, w)
     rows = [row + [p.conjugate()] for row, p in zip(A, pvals)]

@@ -119,9 +119,11 @@ def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
     gaussian = False
     if exact:
         basis, pivots, rows = rref(rows, len(idx))
-        # every term below degree k is in the row of beta = 0
+        # the terms below degree k are those in the product rows
         gaussian = any(
-            isinstance(c, QQi) and degree(a) < k for g in gens.generators for a, c in g.coeffs.items()
+            isinstance(c, QQi) and degree(a) < k
+            for g in gens.generators
+            for a, c in g.coeffs.items()
         )
     else:
         basis, pivots = _float_rref(rows, len(idx))

@@ -103,9 +103,6 @@ class _GaussInt:
     def conjugate(self):
         return _GaussInt(self.real, -self.imag)
 
-    def __repr__(self):
-        return f"_GaussInt({self.real}, {self.imag})"
-
 
 def _clear(row):
     """(ring row, d): an exact row (ints, Fractions, QQi or Gaussian
@@ -240,7 +237,7 @@ def rref(rows, ncols):
     rows the pivot rows came from, cleared to ring integers (each scaled by
     its own denominators): independent rows spanning the same space.
     """
-    ring, _ = to_ring(rows)
+    ring = [_clear(row)[0] for row in rows]
     U, pivots, kept = _echelon([row[:] for row in ring], ncols)
     out = []
     for c in pivots:
@@ -287,16 +284,16 @@ def integer_null_space(rref_rows, pivots, ncols):
     """
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
-    cols, dens = to_ring([[row[j] for row in rref_rows] for j in free])
+    cols = [_clear([row[j] for row in rref_rows]) for j in free]
     vectors = []
-    for j, col, d in zip(free, cols, dens):
+    for j, (col, d) in zip(free, cols):
         v = [0] * ncols
         v[j] = d
         for c, x in zip(pivots, col):
             v[c] = -x
         vectors.append(v)
     # the pivot columns hold 0 and 1: only the free columns can be complex
-    return vectors, any(isinstance(x, _GaussInt) for col in cols for x in col)
+    return vectors, any(isinstance(x, _GaussInt) for col, _ in cols for x in col)
 
 
 def annihilates(vectors, vec):
@@ -306,7 +303,7 @@ def annihilates(vectors, vec):
     The pairing with the vector of free column j is d_j times the remainder
     of ``vec`` on column j after elimination against the RREF.
     """
-    (v,), _ = to_ring([vec])
+    v = _clear(vec)[0]
     support = [i for i, x in enumerate(v) if x]
     return not any(sum(a[i] * v[i] for i in support) for a in vectors)
 

@@ -216,8 +216,12 @@ class TestLinalg:
             want = op(lift(a), lift(b))
             assert parts(op(a, b)) == parts(want)
             assert as_qqi(want) == qop(as_qqi(a), as_qqi(b))
-        # exact division, by either operand, with the product on either side
-        for num, den in ((a * b, b), (a * b, a), (lift(a) * lift(b), b), (b * a, lift(a))):
+        # exact division, by either operand, with the product on either side;
+        # |b|^2 a is an int multiple of b when a is an int
+        norm_b = b.real * b.real + b.imag * b.imag
+        for num, den in (
+            (a * b, b), (a * b, a), (lift(a) * lift(b), b), (b * a, lift(a)), (norm_b * a, b)
+        ):
             if den:
                 q = num // den
                 want = lift(num) // lift(den)

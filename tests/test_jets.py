@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from berglab.errors import (
 )
 from berglab.bergman import b_circle, minimal_l2
 from berglab.domains import DiagonalDomain
-from berglab.exactnum import PiValue, QQi, conj_s
+from berglab.exactnum import PiValue, QQi
 from berglab.ideals import IdealPresentation, jet_ideal
 from berglab.indices import (
     compare,
@@ -208,14 +209,10 @@ class TestLinalg:
         def lift(x):
             return x if isinstance(x, _GaussInt) else _GaussInt(x)
 
-        for op, qop in (
-            (lambda x, y: x + y, lambda x, y: x + y),
-            (lambda x, y: x - y, lambda x, y: x - y),
-            (lambda x, y: x * y, lambda x, y: x * y),
-        ):
+        for op in (add, sub, mul):
             want = op(lift(a), lift(b))
             assert parts(op(a, b)) == parts(want)
-            assert as_qqi(want) == qop(as_qqi(a), as_qqi(b))
+            assert as_qqi(want) == op(as_qqi(a), as_qqi(b))
         # exact division, by either operand, with the product on either side;
         # |b|^2 a is an int multiple of b when a is an int
         norm_b = b.real * b.real + b.imag * b.imag

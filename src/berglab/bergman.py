@@ -156,9 +156,9 @@ def triangular_basis(domain, degree_bound: int) -> TriangularBasis:
                 f"Gram matrix numerically indefinite (condition {cond:.3e})"
             ) from exc
         L = G[np.ix_(P, P)].conj().T  # lower triangular
-        from scipy.linalg import solve_triangular
-
-        S = solve_triangular(np.conj(L), np.eye(m), lower=True)
+        # the inverse of a lower triangular matrix is lower triangular: the
+        # rounding np.linalg.solve leaves above the diagonal is cleared
+        S = np.tril(np.linalg.solve(np.conj(L), np.eye(m)))
         fns = []
         for j in range(m):
             xi = {a: v for a, v in zip(idx, np.conj(L[j, :])) if abs(v) > 1e-14 * abs(L[j, j])}

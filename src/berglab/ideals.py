@@ -13,7 +13,8 @@ Any other generators (a float such as ``2.0`` included) give a float jet
 ideal, eliminated with numpy: each product row is normalised to unit
 size first, so rank and membership decisions compare against
 ``FLOAT_RANK_TOL`` on that scale and do not change when a generator or F is
-rescaled.
+rescaled; singular values settle the rank when a pivot is small enough to
+be rounding.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from .jets import Functional, Jet
 from .linalg import annihilates, integer_null_space, rref, rref_null_space
 
 FLOAT_RANK_TOL = 1e-10
+# pivots below this size are checked against the singular values
+AMBIGUOUS_PIVOT = math.sqrt(FLOAT_RANK_TOL)
 
 
 @dataclass
@@ -157,22 +160,49 @@ def _product_rows(generators, idx):
 
 def _float_rref(rows, ncols):
     """Reduced row echelon form of complex rows, by numpy elimination with
-    partial pivoting.  Each row is scaled to unit max-norm first, and a
-    column gets no pivot when every remaining entry is at most
-    ``FLOAT_RANK_TOL`` on that scale."""
+    partial pivoting (:func:`_float_eliminate`) on rows scaled to unit
+    max-norm.
+
+    Rounding in the elimination can leave a row that should vanish at a
+    size just above ``FLOAT_RANK_TOL``, where it takes a spurious pivot.
+    So when some pivot is below ``AMBIGUOUS_PIVOT``, the singular values of
+    the scaled rows decide the rank (those above ``FLOAT_RANK_TOL`` times
+    the largest); while the elimination finds more pivots than that, it is
+    run again with its smallest surplus pivots below the tolerance.
+    """
     import numpy as np
 
     A = np.array(rows, dtype=complex).reshape(-1, ncols)
     if A.size:
         A /= np.abs(A).max(axis=1, keepdims=True)
-    pivots = []
+    basis, pivots, sizes = _float_eliminate(A.copy(), FLOAT_RANK_TOL)
+    if pivots and min(sizes) < AMBIGUOUS_PIVOT:
+        sv = np.linalg.svd(A, compute_uv=False)
+        rank = int(np.count_nonzero(sv > FLOAT_RANK_TOL * sv[0]))
+        while len(pivots) > rank:
+            # the smallest pivots are spurious: eliminate again without them
+            tol = sorted(sizes)[len(pivots) - rank - 1]
+            basis, pivots, sizes = _float_eliminate(A.copy(), tol)
+    return basis.tolist(), pivots
+
+
+def _float_eliminate(A, tol):
+    """Gauss-Jordan elimination of A with partial pivoting, in place.  A
+    column gets no pivot when every remaining entry is at most ``tol``.
+    Returns the echelon rows, the pivot columns and the pivots' sizes."""
+    import numpy as np
+
+    ncols = A.shape[1]
+    pivots, sizes = [], []
     r = 0
     for c in range(ncols):
         if r == A.shape[0]:
             break
         p = r + int(np.argmax(np.abs(A[r:, c])))
-        if abs(A[p, c]) <= FLOAT_RANK_TOL:
+        size = abs(A[p, c])
+        if size <= tol:
             continue
+        sizes.append(size)
         A[[r, p]] = A[[p, r]]
         A[r] /= A[r, c]
         rest = np.flatnonzero(A[:, c])
@@ -185,7 +215,7 @@ def _float_rref(rows, ncols):
     # the pivot columns (null spaces are read off it)
     basis[np.arange(ncols) < np.array(pivots)[:, None]] = 0
     basis[:, pivots] = np.eye(r)
-    return basis.tolist(), pivots
+    return basis, pivots, sizes
 
 
 def contains(J: JetIdeal, f: Jet) -> bool:

@@ -232,6 +232,25 @@ class TestTriangularBasis:
         tb = triangular_basis(wdisc, 2)
         assert tb.included == [(1,), (2,)]
 
+    @pytest.mark.parametrize(
+        "desc",
+        [
+            {"kind": "offcenter_disc", "center": [0.2, -0.1], "radius": 0.9},
+            {"kind": "two_point_disc", "c": [0.3, 0.2], "r": 1.2},
+            {"kind": "radial", "base": 1.0, "harmonics": [[1, 0.05, 0.02], [3, -0.04, 0.06]]},
+            {"kind": "polydisc", "radii": [0.7, 1.3]},
+            {"kind": "ball", "n": 3, "radius": 1.1},
+        ],
+        ids=lambda d: d["kind"],
+    )
+    def test_moment_coefficients_exactly_triangular(self, desc):
+        # sigma_j has no Taylor coefficient before its own index: exactly 0,
+        # not a rounding residue
+        dom = moment_matrix(desc, 4)
+        S = triangular_basis(dom, 4).coeff_matrix
+        assert np.all(np.triu(S, 1) == 0)
+        assert np.all(np.diag(S) != 0)
+
     def test_moment_properties(self):
         rng = random.Random(5)
         for _ in range(3):
@@ -679,6 +698,51 @@ class TestComplexCoefficients:
         assert J.span_dim == 100
         c, b = minimal_l2(dom, F, J), b_circle(dom, F, J)
         assert c.value == pytest.approx(oracle_minimal_l2_diagonal(dom, F, J), rel=1e-12)
+        ok, gap = routes_agree(c.value, b.value)
+        assert ok and gap <= ROUTES_RTOL
+
+    def test_spurious_pivots_rejected(self):
+        # a float ladder instance (n = 4, level 7) whose exact span is 100:
+        # partial-pivoting elimination left three rows that should vanish at
+        # 2e-10 to 1.2e-9, took them as pivots (span 103) and both routes
+        # agreed on C = 10.5599 instead of 10.7511
+        gens = IdealPresentation(4, [
+            Jet(4, 2, {(0, 0, 2, 0): 0.24138771444374063 + 0.6869240416018061j,
+                       (0, 1, 0, 1): 0.5393358824761387 + 0.8499362234748706j,
+                       (0, 1, 1, 0): -0.015457407407663437 + 0.07243508769409202j}),
+            Jet(4, 3, {(1, 2, 0, 0): 0.06208411242293321 - 0.8695334971260733j,
+                       (0, 2, 1, 0): 0.7408918227037125 + 0.754123281304989j,
+                       (2, 1, 0, 0): 0.9279839691179126 + 0.4863125219462894j}),
+        ])
+        F = Jet(4, 6, {(1, 2, 0, 0): 0.26520414062579944 + 0.1576733132296162j,
+                       (2, 0, 2, 0): 0.4676792988710796 - 0.8482794881505182j,
+                       (0, 2, 1, 3): 0.71089616027765 + 0.9419175473704435j,
+                       (1, 0, 3, 0): 0.2741115557970144 + 0.6972602717085694j})
+        radii = [1.4537671696278593, 0.9083457646804948, 1.0036171473882773, 0.7240013089663653]
+        dom = DiagonalDomain.polydisc(radii, exact=False)
+        J = jet_ideal(gens, 7)
+        assert J.span_dim == 100
+        # oracle: least squares over the product columns g * z^beta, built
+        # here from the generators, with no elimination
+        idx = J.indices
+        pos = {a: i for i, a in enumerate(idx)}
+        cols = []
+        for g in gens.generators:
+            for beta in idx:
+                col = np.zeros(len(idx), dtype=complex)
+                for a, v in g.coeffs.items():
+                    i = pos.get(tuple(x + y for x, y in zip(a, beta)))
+                    if i is not None:
+                        col[i] = v
+                cols.append(col)
+        w = np.sqrt([dom.norm_float(a) for a in idx])
+        f = np.array([complex(F.coeffs.get(a, 0)) for a in idx]) * w
+        P = np.array(cols).T * w[:, None]
+        r = f + P @ np.linalg.lstsq(P, -f, rcond=None)[0]
+        want = float(np.vdot(r, r).real)
+        assert want == pytest.approx(10.751062954345848, rel=1e-9)
+        c, b = minimal_l2(dom, F, J), b_circle(dom, F, J)
+        assert c.value == pytest.approx(want, rel=1e-8)
         ok, gap = routes_agree(c.value, b.value)
         assert ok and gap <= ROUTES_RTOL
 

@@ -132,6 +132,16 @@ class TestEquiv:
                 ("domain",),
                 {"kind": "radial", "base": 1.0, "harmonics": [[1, 1.5, 0]]},
             ),
+            (
+                "basis",
+                ("domain",),
+                {"kind": "radial", "base": 1.0, "harmonics": [[1.5, 0.1, 0]]},
+            ),
+            (
+                "basis",
+                ("domain",),
+                {"kind": "radial", "base": 1.0, "harmonics": [[-2, 0.1, 0]]},
+            ),
             ("sop", ("domain",), {"kind": "ball", "n": 2, "radius": "1"}),
             ("cse", ("domain",), {"kind": "ball", "n": 2, "radius": "1"}),
         ],
@@ -143,6 +153,8 @@ class TestEquiv:
             "no-radii",
             "exhaust-not-nested",
             "radial-nonpositive",
+            "radial-fractional-order",
+            "radial-negative-order",
             "sop-weight-on-ball",
             "cse-weight-on-ball",
         ],

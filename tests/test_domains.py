@@ -60,6 +60,34 @@ class TestPolydiscNorms:
                 polar_norm_1d(k, 1.5), rel=1e-10
             )
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_product_of_coordinate_factors(self, exact):
+        # the norm is pi^n (float mode) times one factor r^(2x)/x per
+        # coordinate, x = k - e + 1, multiplied in coordinate order
+        radii = [1, Fraction(1, 3), Fraction(3, 2)]
+        dom = DiagonalDomain(
+            3, "polydisc", radii=radii, weight_exponents=(Fraction(4, 3), 0, 1), exact=exact
+        )
+        for alpha in [(0, 0, 1), (2, 1, 3), (1, 4, 2), (0, 0, 0)]:
+            want = Fraction(1) if exact else math.pi**3
+            for k, r, e in zip(alpha, radii, dom.weight_exponents):
+                x = k - e + 1
+                if x <= 0:
+                    want = math.inf
+                    break
+                # (the fractional x sits on the coordinate of radius 1)
+                want *= Fraction(r) ** int(2 * x) / x if exact else float(r) ** (2 * float(x)) / float(x)
+            assert dom.norm(alpha) == want
+            assert dom.norm(list(alpha)) == want
+
+    def test_cached_index_still_validated(self):
+        disc = DiagonalDomain.disc(1)
+        assert disc.norm((1,)) == Fraction(1, 2)
+        with pytest.raises(ValueError):
+            disc.norm((-1,))
+        with pytest.raises(BerglabError):
+            disc.norm((1, 0))
+
 
 class TestBallNorms:
     def test_unit_ball_2d_oracle(self):
@@ -312,6 +340,42 @@ class TestMomentMatrices:
         for a in range(3):
             for b in range(3):
                 assert dom.matrix[a, b] == pytest.approx(entry(a, b), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "harmonics",
+        [[[2, 0.1, -0.05]], [[1, 0.07, 0.03], [3, -0.04, 0.09]]],
+        ids=["k2", "k1-k3"],
+    )
+    def test_radial_trapezoid_matches_adaptive_quadrature(self, harmonics):
+        dom = moment_matrix({"kind": "radial", "base": 1.0, "harmonics": harmonics}, 6)
+
+        def radius(th):
+            return 1.0 + sum(a * math.cos(k * th) + b * math.sin(k * th) for k, a, b in harmonics)
+
+        def entry(a, b):
+            m = a + b + 2
+            re = quad(lambda th: math.cos((a - b) * th) * radius(th) ** m / m,
+                      0, 2 * math.pi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+            im = quad(lambda th: math.sin((a - b) * th) * radius(th) ** m / m,
+                      0, 2 * math.pi, epsabs=1e-13, epsrel=1e-12, limit=200)[0]
+            return complex(re, im)
+
+        want = np.array([[entry(a, b) for b in range(7)] for a in range(7)])
+        scale = np.abs(want).max()
+        assert np.abs(dom.matrix - want).max() <= 1e-12 * scale
+        assert dom.quad_error <= 1e-14 * scale
+
+    @pytest.mark.parametrize("k", [1.5, -1, "2", None])
+    def test_radial_harmonic_order_must_be_natural(self, k):
+        desc = {"kind": "radial", "base": 1.0, "harmonics": [[k, 0.1, 0.0]]}
+        with pytest.raises(ValueError, match="harmonic order"):
+            moment_matrix(desc, 2)
+
+    def test_radial_integral_float_order_accepted(self):
+        desc = {"kind": "radial", "base": 1.0, "harmonics": [[2, 0.1, 0.0]]}
+        ref = moment_matrix(desc, 3).matrix
+        desc["harmonics"][0][0] = 2.0
+        assert np.array_equal(moment_matrix(desc, 3).matrix, ref)
 
     def test_hermitian_pd_enforced(self):
         with pytest.raises(SingularMatrixError):

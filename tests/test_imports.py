@@ -58,14 +58,27 @@ def test_exact_equiv_runs_without_numpy_or_scipy(tmp_path):
 
 
 def test_basis_on_radial_domain_still_runs(tmp_path):
+    # the trapezoid-rule moments and the triangular inverse are numpy only
     spec = tmp_path / "spec.json"
     spec.write_text(
         json.dumps(
             {"domain": {"kind": "radial", "base": 1.0, "harmonics": [[2, 0.1, 0.0]]}, "degree": 3}
         )
     )
-    proc = _python("-m", "berglab.cli", "basis", "--spec", str(spec), "--out", str(tmp_path))
+    proc = _python("-c", RUN_CLI, "basis", "--spec", str(spec), "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == ["numpy"]
     rows = (tmp_path / "basis.csv").read_text().strip().splitlines()
     assert rows[0] == "alpha,coefficients"
     assert len(rows) == 1 + 4
+
+
+def test_equivalence_suite_runs_without_scipy(tmp_path):
+    # seed 4 draws a radial moment domain for its one moment instance
+    proc = _python(
+        "-c", RUN_CLI, "suite", "equivalence", "--seed", "4", "--count", "5",
+        "--out", str(tmp_path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == ["numpy"]
+    assert (tmp_path / "suite_equivalence.csv").exists()

@@ -9,7 +9,7 @@ Two families are supported:
   factored out.
 * :class:`MomentDomain` -- a finite Hermitian positive-definite moment
   matrix of monomial inner products for general bounded domains, assembled
-  from closed forms or quadrature.
+  from closed forms or an exact trapezoid rule.
 
 All values are immutable after construction.
 """
@@ -172,12 +172,14 @@ class DiagonalDomain:
         new_e = tuple(e + c * a for e, a in zip(self.weight_exponents, phi.a))
         if self.kind == "ball" and self.n > 1:
             raise UnsupportedDomainError("toric weights are only supported on polydiscs")
+        # a float domain stays float; an exact one is exact again if it can be
         dom = DiagonalDomain(
             self.n,
             self.kind,
             radii=self.radii,
             radius=self.radius,
             weight_exponents=new_e,
+            exact=None if self.exact else False,
             descriptor={
                 "kind": "toric_weight",
                 "a": [str(a) for a in phi.a],
@@ -243,7 +245,8 @@ class DiagonalDomain:
         """Squared monomial norm: reduced Fraction in exact mode (carrying an
         implicit pi**n), plain float otherwise; math.inf when the monomial is
         not square-integrable against the weight.  A monomial's norm is
-        positive, so a float norm of 0.0 is an underflow: QuadratureError."""
+        positive, so a float norm of 0.0 is an underflow, and one past the
+        float range an overflow: both raise QuadratureError."""
         if type(alpha) is tuple:
             cached = self._norm_cache.get(alpha)
             if cached is not None:
@@ -251,7 +254,10 @@ class DiagonalDomain:
         alpha = validate_index(alpha, self.n)
         cached = self._norm_cache.get(alpha)
         if cached is None:
-            cached = self._compute_norm(alpha)
+            try:
+                cached = self._compute_norm(alpha)
+            except OverflowError:
+                raise QuadratureError(f"the norm of z^{alpha} overflows a float") from None
             if cached == 0:
                 raise QuadratureError(f"the norm of z^{alpha} underflows to 0")
             self._norm_cache[alpha] = cached
@@ -280,7 +286,7 @@ class DiagonalDomain:
             if t == math.inf:
                 return math.inf
             out *= t
-        return out
+        return out if self.exact else _finite(out)
 
     def _polydisc_factor(self, j, k):
         """Coordinate j's factor r^(2x) / x, x = k - e + 1 for e its weight
@@ -315,7 +321,7 @@ class DiagonalDomain:
         if len(active) == 1:
             return self._truncated_norm_1var(alpha, active[0])
         if self.n == 2 and len(active) == 2:
-            return _truncated_norm_quad_2d(self, alpha)
+            return _truncated_norm_2d(self, alpha)
         raise BerglabError(
             "truncated weights support one active coordinate, or two in dimension 2"
         )
@@ -356,7 +362,7 @@ class DiagonalDomain:
             else:
                 outer = math.pi * (r ** (2 * x_out) - rho ** (2 * x_out)) / x_out
             out *= inner + outer
-        return out
+        return _finite(out)
 
     # -- structure ------------------------------------------------------
 
@@ -425,9 +431,55 @@ def sublevel_domain(domain: DiagonalDomain, phi: ToricWeight, t) -> DiagonalDoma
     return _SublevelDomain2D(domain, phi, float(t))
 
 
+def _int_pow(e, u1, u2, log_c=0.0):
+    """c * (integral of x^e over [e^u1, e^u2]), c = exp(log_c).
+
+    In u = log x the integrand is exp(log_c + f*u) with f = e + 1.  The
+    exponential is taken at the end where f*u is largest and the rest is
+    (1 - exp(-|f|*l)) / |f| <= l for l = u2 - u1, so a term overflows only
+    when the integral does.  f = 0 (e = -1) gives c*l, the log; u1 = -inf
+    (lower limit 0) needs f > 0.
+    """
+    f, length = e + 1, u2 - u1
+    if f == 0:
+        return math.exp(log_c) * length
+    end = u2 if f > 0 else u1
+    return math.exp(log_c + f * end) * -math.expm1(-abs(f) * length) / abs(f)
+
+
+def _int_pow_log(e, u1, u2):
+    """The integral of x^e * log x over [e^u1, e^u2], both limits finite.
+
+    With f = e + 1 and u = end - sign(f)*v, v in [0, l], this is
+    exp(f*end) * (end*E - sign(f)*W), where E and W are the
+    integrals of exp(-|f|v) and v*exp(-|f|v) over [0, l]; f = 0 gives
+    (u2^2 - u1^2)/2.
+    """
+    f, length = e + 1, u2 - u1
+    end, sign = (u2, 1) if f >= 0 else (u1, -1)
+    z = -abs(f) * length
+    E = length * math.expm1(z) / z if z else length
+    if z > -1:
+        # W / l^2 = sum_k z^k / (k! (k+2)); the closed form cancels here
+        term, W = 1.0, 0.5
+        for k in range(1, 20):
+            term *= z / k
+            W += term / (k + 2)
+    else:
+        W = (z * math.exp(z) - math.expm1(z)) / (z * z)
+    return math.exp(f * end) * (end * E - sign * W * length * length)
+
+
+def _finite(val):
+    """``val``; a norm that came out inf or nan from finite data overflowed."""
+    if not math.isfinite(val):
+        raise OverflowError("the norm overflows a float")
+    return val
+
+
 class _SublevelDomain2D(DiagonalDomain):
     """{phi < -t} over a bidisc with a two-variable toric weight; norms are
-    computed by quadrature over the Reinhardt shadow."""
+    integrated in closed form over the Reinhardt shadow."""
 
     def __init__(self, base: DiagonalDomain, phi: ToricWeight, t: float):
         super().__init__(
@@ -447,8 +499,6 @@ class _SublevelDomain2D(DiagonalDomain):
         self._t = t
 
     def _compute_norm(self, alpha):
-        from scipy.integrate import quad
-
         a1, a2 = (float(x) for x in self._phi.a)
         r1, r2 = (float(r) for r in self.radii)
         e1, e2 = (float(e) for e in self.weight_exponents)
@@ -457,34 +507,31 @@ class _SublevelDomain2D(DiagonalDomain):
         q = 2 * alpha[1] + 1 - 2 * e2
         if p + 1 <= 0 or q + 1 <= 0:
             return math.inf
+        # 4 pi^2 times the integral of x1^p x2^q over the shadow; x1 runs up
+        # to r1 below the kink u* (in u = log x2) and up to the sublevel
+        # curve x1 = exp((-t/2 - a2*u)/a1) above it
+        u2 = math.log(r2)
+        u_star = min(u2, (-t / 2 - a1 * math.log(r1)) / a2)
 
-        # log of the kink x2* where the inner bound switches from r1 to the
-        # sublevel curve
-        u_star = min(math.log(r2), (-t / 2 - a1 * math.log(r1)) / a2)
-        # below the kink the inner bound is r1: a product of two powers
-        val = r1 ** (p + 1) / (p + 1) * math.exp((q + 1) * u_star) / (q + 1)
-        if u_star < math.log(r2):
-            # above it the integrand is a steep power of x2 whose values can
-            # be far below any absolute tolerance: integrate in u = log x2
-            # to relative accuracy only
-            def integrand(u):
-                x1 = math.exp((-t / 2 - a2 * u) / a1)
-                return math.exp((q + 1) * u) * x1 ** (p + 1) / (p + 1)
-
-            upper, err = quad(
-                integrand, u_star, math.log(r2), epsabs=0, epsrel=1e-12, limit=200
-            )
-            if not math.isfinite(upper):
-                raise QuadratureError("sublevel norm quadrature diverged", achieved=err)
-            val += upper
-        return 4 * math.pi**2 * val
+        val = _int_pow(q, -math.inf, u_star, (p + 1) * math.log(r1) - math.log(p + 1))
+        if u_star < u2:
+            # above it the integrand is exp(A + B*u) in u
+            A = -(p + 1) * t / (2 * a1) - math.log(p + 1)
+            B = (q + 1) - (p + 1) * a2 / a1
+            val += _int_pow(B - 1, u_star, u2, A)
+        return _finite(4 * math.pi**2 * val)
 
 
-def _truncated_norm_quad_2d(domain: DiagonalDomain, alpha):
-    """Norm against exp(-c*max(psi,-j)) on a bidisc: outer quadrature with a
-    closed-form inner integral split at the cap curve."""
-    from scipy.integrate import quad
+def _truncated_norm_2d(domain: DiagonalDomain, alpha):
+    """Norm against exp(-c*max(psi,-j)) on a bidisc, in closed form.
 
+    x1 is split at the cap curve x1* = K*x2^(-s), K = e^(-j/(2a1)),
+    s = a2/a1: below it the density is the cap e^(cj) times the base
+    weight, above it the full weighted density.  The curve meets x1 = r1 at
+    x2*; on [0, x2*] the inner integral is a constant times x2^q, and on
+    [x2*, r2] it is a sum of powers of x2, with a log x2 term when the
+    singular exponent p_sing is -1.
+    """
     tw, c = domain.truncated, float(domain.trunc_scale)
     a1, a2 = (float(x) for x in tw.psi.a)
     j = tw.j
@@ -496,31 +543,33 @@ def _truncated_norm_quad_2d(domain: DiagonalDomain, alpha):
     q_base = 2 * alpha[1] + 1 - 2 * base_e2
     if p_cap + 1 <= 0 or q_base + 1 <= 0:
         return math.inf
-    cap = math.exp(c * j)
+    log_k, s = -j / (2 * a1), a2 / a1
+    log_r1, u2 = math.log(r1), math.log(r2)
+    u_star = (log_k - log_r1) / s  # log x2*
+    # the singular region's power of x2 before the x1 integral
+    q_sing = q_base - 2 * c * a2
 
-    def inner(x2):
-        # split x1 at the curve a1*log(x1) + a2*log(x2) = -j/2
-        x1_star = math.exp((-j / 2 - a2 * math.log(x2)) / a1)
-        x1_star = min(x1_star, r1)
-        total = cap * x1_star ** (p_cap + 1) / (p_cap + 1)
-        if x1_star < r1:
-            w2 = x2 ** (-2 * c * a2)
-            if abs(p_sing + 1) < 1e-14:
-                total += w2 * (math.log(r1) - math.log(x1_star))
-            else:
-                total += (
-                    w2
-                    * (r1 ** (p_sing + 1) - x1_star ** (p_sing + 1))
-                    / (p_sing + 1)
-                )
-        return x2**q_base * total
-
-    x2_star = math.exp((-j / 2 - a1 * math.log(r1)) / a2)
-    points = [x2_star] if 0 < x2_star < r2 else None
-    val, err = quad(inner, 0, r2, points=points, epsabs=1e-13, epsrel=1e-12, limit=200)
-    if not math.isfinite(val):
-        raise QuadratureError("truncated weight quadrature diverged", achieved=err)
-    return 4 * math.pi**2 * val
+    # [0, min(x2*, r2)]: x1 up to r1 under the cap
+    val = _int_pow(
+        q_base, -math.inf, min(u_star, u2), c * j + (p_cap + 1) * log_r1 - math.log(p_cap + 1)
+    )
+    if u_star < u2:
+        # [x2*, r2]: cap * x1*^(p_cap+1) / (p_cap+1) ...
+        val += _int_pow(
+            q_base - s * (p_cap + 1), u_star, u2,
+            c * j + (p_cap + 1) * log_k - math.log(p_cap + 1),
+        )
+        # ... + x2^(-2 c a2) * (the integral of x1^p_sing from x1* to r1)
+        ps1 = p_sing + 1
+        if abs(ps1) < 1e-14:
+            # log r1 - log x1* = (log r1 - log K) + s * log x2
+            val += (log_r1 - log_k) * _int_pow(q_sing, u_star, u2)
+            val += s * _int_pow_log(q_sing, u_star, u2)
+        else:
+            sign, log_ps1 = math.copysign(1.0, ps1), math.log(abs(ps1))
+            val += sign * _int_pow(q_sing, u_star, u2, ps1 * log_r1 - log_ps1)
+            val -= sign * _int_pow(q_sing - s * ps1, u_star, u2, ps1 * log_k - log_ps1)
+    return _finite(4 * math.pi**2 * val)
 
 
 def truncate_weight(psi: ToricWeight, j: int) -> TruncatedWeight:

@@ -349,6 +349,22 @@ class TestSopCse:
         assert isinstance(result.exception, SystemExit)
         assert "numerical failure" in result.output
 
+    def test_cse_overflow_exit_3(self, runner, tmp_path):
+        # ||z1^600||^2 on the sublevel sets of the radius-2 bidisc is about
+        # 2^1202: past the float range
+        spec = write_spec(
+            tmp_path,
+            {
+                "domain": {"kind": "polydisc", "radii": ["2", "2"]},
+                "xi": {"n": 2, "terms": [{"alpha": [600, 0], "re": "1", "im": "0"}]},
+                "weight": {"a": ["1", "1"]},
+            },
+        )
+        result = runner.invoke(main, ["cse", "--spec", spec])
+        assert result.exit_code == 3, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "numerical failure" in result.output
+
 
 class TestExhaustDensity:
     def test_exhaust(self, runner, tmp_path):

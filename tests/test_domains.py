@@ -24,7 +24,7 @@ from berglab.domains import (
     truncate_weight,
     weighted_integral,
 )
-from berglab.errors import BerglabError, SingularMatrixError
+from berglab.errors import BerglabError, QuadratureError, SingularMatrixError
 from berglab.exactnum import PiValue, value_float
 from berglab.jets import Functional, Jet
 
@@ -152,6 +152,14 @@ class TestWeightedNorms:
         assert disc.norm((1,)) == math.inf
         assert disc.norm((2,)) == Fraction(1)
 
+    def test_float_domain_stays_float(self):
+        dom = DiagonalDomain.polydisc([1, 2], exact=False).with_weight(ToricWeight((1, 0)), 1)
+        assert dom.exact is False
+        nrm = dom.norm((1, 1))
+        assert type(nrm) is float
+        # pi * 1^2 / 1 times pi * 2^4 / 2
+        assert nrm == pytest.approx(8 * math.pi**2, rel=1e-15)
+
     def test_weighted_integral_value(self):
         disc = DiagonalDomain.disc(1)
         F = Jet(1, 1, {(1,): 1})
@@ -212,6 +220,127 @@ class TestSublevel:
         k10 = kernel_at_origin(sub, Functional.delta(2, (1, 0)))
         k01 = kernel_at_origin(sub, Functional.delta(2, (0, 1)))
         assert k10 == pytest.approx(k01, rel=1e-10)
+
+
+def sublevel_oracle(radii, a, t, alpha, e=(0, 0)):
+    """Nested quadrature of |z^alpha|^2 prod |z_j|^(-2 e_j) over the shadow of
+    {a1 log x1^2 + a2 log x2^2 < -t} in the bidisc, outer variable u = log x2."""
+    r1, r2 = radii
+    a1, a2 = a
+    u_star = (-t / 2 - a1 * math.log(r1)) / a2
+
+    def inner(u):
+        bound = r1 if u <= u_star else math.exp((-t / 2 - a2 * u) / a1)
+        v, _ = quad(lambda x1: x1 ** (2 * alpha[0] + 1 - 2 * e[0]), 0, bound, epsabs=0, epsrel=1e-13)
+        return math.exp((2 * alpha[1] + 2 - 2 * e[1]) * u) * v
+
+    cuts = [-math.inf, min(u_star, math.log(r2)), math.log(r2)]
+    v = sum(
+        quad(inner, lo, hi, epsabs=0, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(cuts, cuts[1:])
+        if lo < hi
+    )
+    return 4 * math.pi**2 * v
+
+
+def truncated_oracle(radii, a, j, c, alpha):
+    """Nested quadrature of |z^alpha|^2 exp(-c max(psi, -j)) over the bidisc,
+    psi = a1 log x1^2 + a2 log x2^2, outer variable u = log x2, both
+    integrals split where psi = -j."""
+    r1, r2 = radii
+    a1, a2 = a
+    u_star = (-j / 2 - a1 * math.log(r1)) / a2
+
+    def density(x1, u):
+        psi = 2 * a1 * math.log(x1) + 2 * a2 * u
+        return x1 ** (2 * alpha[0] + 1) * math.exp((2 * alpha[1] + 2) * u - c * max(psi, -j))
+
+    def inner(u):
+        cut = r1 if u <= u_star else math.exp((-j / 2 - a2 * u) / a1)
+        cuts = [0.0, cut, r1]
+        return sum(
+            quad(density, lo, hi, args=(u,), epsabs=0, epsrel=1e-13)[0]
+            for lo, hi in zip(cuts, cuts[1:])
+            if lo < hi
+        )
+
+    cuts = [-math.inf, min(u_star, math.log(r2)), math.log(r2)]
+    v = sum(
+        quad(inner, lo, hi, epsabs=0, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(cuts, cuts[1:])
+        if lo < hi
+    )
+    return 4 * math.pi**2 * v
+
+
+class TestTwoVariableClosedForms:
+    """The closed-form sublevel and truncated-weight norms against nested
+    adaptive quadrature, at the 1e-12 the package once integrated them to."""
+
+    @pytest.mark.parametrize(
+        "radii, a, t, alpha",
+        [
+            ((1, 1.5), ("1", "2"), 1.0, (1, 2)),  # the curve cuts the bidisc
+            ((0.25, 1), ("1", "1"), 1.0, (2, 1)),  # kink past r2: the whole bidisc
+            ((1, 2), ("1", "1"), 5.0, (1, 1)),  # B = 0: constant in u above the kink
+            ((1.5, 1.5), ("3/2", "3/2"), 30.0, (2, 2)),  # B = 0, deep
+            ((2, 1), ("1/2", "3"), 12.0, (3, 0)),  # B < 0
+        ],
+    )
+    def test_sublevel(self, radii, a, t, alpha):
+        phi = ToricWeight(tuple(Fraction(x) for x in a))
+        sub = sublevel_domain(DiagonalDomain.polydisc(list(radii), exact=False), phi, t)
+        want = sublevel_oracle(radii, [float(x) for x in phi.a], t, alpha)
+        assert sub.norm(alpha) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_sublevel_over_weighted_bidisc(self):
+        base = DiagonalDomain.polydisc([1, 1.5], exact=False).with_weight(
+            ToricWeight((Fraction(1, 2), Fraction(1, 4))), 1
+        )
+        sub = sublevel_domain(base, ToricWeight((1, 2)), 2.0)
+        want = sublevel_oracle((1, 1.5), (1, 2), 2.0, (1, 0), e=(0.5, 0.25))
+        assert sub.norm((1, 0)) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize(
+        "radii, a, j, c, alpha",
+        [
+            ((1, 1.5), ("1/2", "2"), 3, "1", (2, 1)),
+            ((0.25, 1), ("1", "1"), 1, "1", (1, 2)),  # x2* >= r2: all under the cap
+            ((1, 1), ("1", "1"), 2, "1", (0, 0)),  # p_sing = -1, x2 exponent -1
+            ((1, 1.5), ("1", "1/2"), 4, "1", (0, 2)),  # p_sing = -1
+            ((0.75, 1), ("1", "1"), 1, "1", (0, 1)),  # p_sing = -1, x2* near r2
+            ((1.5, 2), ("2", "1"), 5, "1/2", (1, 1)),
+        ],
+    )
+    def test_truncated(self, radii, a, j, c, alpha):
+        psi = ToricWeight(tuple(Fraction(x) for x in a))
+        dom = DiagonalDomain.polydisc([Fraction(r) for r in radii], exact=False)
+        dom = dom.with_truncated_weight(truncate_weight(psi, j), Fraction(c))
+        want = truncated_oracle(radii, [float(x) for x in psi.a], j, float(Fraction(c)), alpha)
+        assert dom.norm(alpha) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+class TestOverflow:
+    """A norm past the float range is a QuadratureError, never inf (which
+    would read as "not square-integrable") or a raw OverflowError."""
+
+    def test_polydisc_product(self):
+        # each factor 2^1000/500 is finite, their product is not
+        with pytest.raises(QuadratureError):
+            DiagonalDomain.polydisc([2, 2], exact=False).norm((499, 499))
+
+    def test_sublevel(self):
+        sub = sublevel_domain(DiagonalDomain.polydisc([2, 2], exact=False), ToricWeight((1, 1)), 1.0)
+        with pytest.raises(QuadratureError):
+            sub.norm((600, 0))
+
+    @pytest.mark.parametrize("a", [(1,), (1, 1)])
+    def test_truncated(self, a):
+        dom = DiagonalDomain.polydisc([2] * len(a), exact=False).with_truncated_weight(
+            truncate_weight(ToricWeight(a), 1), 1
+        )
+        with pytest.raises(QuadratureError):
+            dom.norm((600,) + (0,) * (len(a) - 1))
 
 
 class TestTruncatedWeight:

@@ -1,4 +1,5 @@
-"""Import hygiene: numpy and scipy load only for commands that use them.
+"""Import hygiene: numpy loads only for commands that use it, and scipy
+never loads.
 
 Each check runs in a fresh interpreter, because this test process has long
 since imported both.
@@ -82,3 +83,48 @@ def test_equivalence_suite_runs_without_scipy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == ["numpy"]
     assert (tmp_path / "suite_equivalence.csv").exists()
+
+
+def test_two_variable_sublevel_cse_runs_without_scipy(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "domain": {"kind": "polydisc", "radii": ["1", "1"]},
+                "xi": {"n": 2, "terms": [{"alpha": [1, 0], "re": "1", "im": "0"}]},
+                "weight": {"a": ["1", "1"]},
+            }
+        )
+    )
+    proc = _python("-c", RUN_CLI, "cse", "--spec", str(spec))
+    assert proc.returncode == 0, proc.stderr
+    assert "slope = " in proc.stdout
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == ["numpy"]
+
+
+def test_two_variable_truncated_weight_equiv_runs_without_scipy(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "domain": {
+                    "kind": "truncated_weight",
+                    "a": ["1", "1"],
+                    "j": 2,
+                    "base": {"kind": "polydisc", "radii": ["1", "1"]},
+                },
+                "F": {"n": 2, "terms": [{"alpha": [1, 0], "re": "1", "im": "0"}]},
+                "ideal": {
+                    "generators": [
+                        {"n": 2, "terms": [{"alpha": [2, 0], "re": "1", "im": "0"}]},
+                        {"n": 2, "terms": [{"alpha": [0, 1], "re": "1", "im": "0"}]},
+                    ],
+                    "level": 2,
+                },
+            }
+        )
+    )
+    proc = _python("-c", RUN_CLI, "equiv", "--spec", str(spec))
+    assert proc.returncode == 0, proc.stderr
+    assert "B' = " in proc.stdout
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == ["numpy"]

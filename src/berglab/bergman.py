@@ -16,19 +16,24 @@ assembles the inputs both routes read (the working indices, the weights,
 the finite slots and F's vector).  Each route then does its own solve on
 its own system:
 
-* the projection solves its normal equations on the independent product
-  rows g * z^beta that the jet ideal's elimination kept (``J.rows``), and
-  reads no RREF;
-* the kernel ratio solves on the annihilator, read off the RREF
-  (``J.basis``).
+* in exact mode the projection solves its normal equations on the
+  independent product rows g * z^beta that the jet ideal's elimination kept
+  (``J.rows``), and reads no RREF, while the kernel ratio solves on the
+  annihilator read off the RREF (``J.basis``);
+* in float mode the projection solves a least-squares problem on the span's
+  basis (``J.basis``), and the kernel ratio a QR factorization on the
+  annihilator (``J.float_annihilator``).
 
 Exact diagonal problems stay in cleared integers (Python ints, or Gaussian
 integers for QQi data) through :mod:`berglab.linalg` from the jet ideal to
 the result, and build one Fraction or QQi per output entry; every other
 problem (moment domains, float diagonal domains, float or complex data)
-runs through numpy.  Since the routes share no solve and no spanning set, a
-wrong RREF shows up as C != B.  Every result carries the record's
-diagnostics dict, with one key set for every backend and outcome.
+runs through numpy.  In exact mode the routes share no solve and no
+spanning set, so a wrong RREF shows up as C != B.  A float ideal's span and
+annihilator come from one singular value decomposition, so the routes share
+that input, and the float rank is not checked by C = B.  Every result
+carries the record's diagnostics dict, with one key set for every backend
+and outcome.
 """
 
 from __future__ import annotations
@@ -49,10 +54,17 @@ from .errors import (
     ZeroFunctionalError,
 )
 from .exactnum import PiValue, QQi, abs2_s, conj_s, is_exact, value_float
-from .ideals import FLOAT_RANK_TOL, IdealPresentation, JetIdeal, contains, jet_ideal
+from .ideals import (
+    FLOAT_RANK_TOL,
+    IdealPresentation,
+    JetIdeal,
+    contains,
+    jet_ideal,
+    rank_split,
+)
 from .indices import degree, indices_up_to
 from .jets import Functional, Jet, pair
-from .linalg import combine, from_ring, hermitian_gram, rref_null_space, solve, to_ring
+from .linalg import combine, from_ring, hermitian_gram, solve, to_ring
 
 if TYPE_CHECKING:
     import numpy as np
@@ -354,23 +366,14 @@ def _minimal_l2_exact(prob: _Problem) -> ProjectionResult:
 
 
 def _columns(vectors, m):
-    """Complex matrix whose columns are ``vectors``, zero-padded to length m."""
+    """Complex matrix whose columns are ``vectors`` (of one length), zero-padded
+    to length m."""
     import numpy as np
 
     out = np.zeros((m, len(vectors)), dtype=complex)
-    for j, v in enumerate(vectors):
-        out[: len(v), j] = np.array(v, dtype=complex)
+    if len(vectors):
+        out[: len(vectors[0])] = np.asarray(vectors, dtype=complex).T
     return out
-
-
-def _rank_split(A):
-    """Orthonormal column bases (range, null) splitting the domain of A, the
-    rank decided against its largest singular value."""
-    import numpy as np
-
-    _, s, vh = np.linalg.svd(A)
-    rank = int(np.sum(s > FLOAT_RANK_TOL * s[0])) if s.size else 0
-    return vh[:rank].conj().T, vh[rank:].conj().T
 
 
 def _minimal_l2_float(prob: _Problem) -> ProjectionResult:
@@ -400,7 +403,7 @@ def _minimal_l2_float(prob: _Problem) -> ProjectionResult:
             return ProjectionResult(math.inf, diagnostics=diag)
         f = f + span @ u0
         f[infinite] = 0
-        span = span @ _rank_split(rows)[1]
+        span = span @ rank_split(rows)[1]
 
     # weighted least squares: min over w of ||root (f + span w)||
     x, cond = f, 1.0
@@ -449,10 +452,10 @@ def b_circle(domain, F: Jet, J: JetIdeal) -> KernelRatioResult:
     if prob.contained:
         diag = prob.diagnostics("contained", None, None)
         return KernelRatioResult(prob.value(Fraction(0)), None, diag)
-    # the annihilator is read off the span's RREF: not empty, as F is outside
+    # the annihilator is not empty, as F is outside the span
     if prob.backend == "exact":
         return _b_circle_exact(prob)
-    return _b_circle_float(prob, rref_null_space(J.basis, J.pivots, len(J.indices)))
+    return _b_circle_float(prob)
 
 
 def _b_circle_exact(prob: _Problem) -> KernelRatioResult:
@@ -490,17 +493,17 @@ def _b_circle_exact(prob: _Problem) -> KernelRatioResult:
     return KernelRatioResult(prob.value(Fraction(wden * val, d * den * den)), maximizer, diag)
 
 
-def _b_circle_float(prob: _Problem, vecs) -> KernelRatioResult:
+def _b_circle_float(prob: _Problem) -> KernelRatioResult:
     import numpy as np
 
     idx = prob.indices
-    V = _columns(vecs, len(idx))
+    V = _columns(prob.J.float_annihilator, len(idx))
     p = V.T @ prob.f  # the pairings (xi . F)(o), bilinear
 
     if prob.infinite:
         # directions supported on non-integrable slots have kernel 0; if one
         # of them pairs nontrivially with F the supremum is infinite
-        keep, zero = _rank_split(V[prob.finite])
+        keep, zero = rank_split(V[prob.finite])
         if np.any(np.abs(p @ zero) > FLOAT_RANK_TOL * np.linalg.norm(p)):
             diag = prob.diagnostics("unbounded", None, None)
             return KernelRatioResult(math.inf, diagnostics=diag)

@@ -309,11 +309,9 @@ class DiagonalDomain:
         denom = math.factorial(d + self.n)
         if self.exact:
             return Fraction(fact, denom) * Fraction(self.radius) ** (2 * (d + self.n))
-        return (
-            math.pi**self.n
-            * fact
-            / denom
-            * float(self.radius) ** (2 * (d + self.n))
+        # int / int first: alpha! alone can pass the float range
+        return _finite(
+            math.pi**self.n * (fact / denom) * float(self.radius) ** (2 * (d + self.n))
         )
 
     def _truncated_norm(self, alpha):

@@ -10,11 +10,12 @@ exact jet ideal, eliminated in cleared integers by :mod:`berglab.linalg`;
 it keeps the independent product rows g * z^beta that the elimination
 picked, and decides membership in integers against its annihilator.
 Any other generators (a float such as ``2.0`` included) give a float jet
-ideal, eliminated with numpy: each product row is normalised to unit
-size first, so rank and membership decisions compare against
-``FLOAT_RANK_TOL`` on that scale and do not change when a generator or F is
-rescaled; singular values settle the rank when a pivot is small enough to
-be rounding.
+ideal, from one singular value decomposition of the product rows, each
+normalised to unit size first: the right singular vectors split the jet
+space into an orthonormal basis of the span and an orthonormal basis of its
+annihilator.  The rank counts the singular values above ``FLOAT_RANK_TOL``
+times the largest (:func:`rank_split`), so it does not change when a
+generator is rescaled.
 """
 
 from __future__ import annotations
@@ -32,8 +33,16 @@ from .jets import Functional, Jet
 from .linalg import annihilates, integer_null_space, rref, rref_null_space
 
 FLOAT_RANK_TOL = 1e-10
-# pivots below this size are checked against the singular values
-AMBIGUOUS_PIVOT = math.sqrt(FLOAT_RANK_TOL)
+
+
+def rank_split(A):
+    """Orthonormal column bases (range, null) splitting the domain of A, the
+    rank decided against its largest singular value: the one float rank rule."""
+    import numpy as np
+
+    _, s, vh = np.linalg.svd(A)
+    rank = int(np.sum(s > FLOAT_RANK_TOL * s[0])) if s.size else 0
+    return vh[:rank].conj().T, vh[rank:].conj().T
 
 
 @dataclass
@@ -69,15 +78,19 @@ class IdealPresentation:
 class JetIdeal:
     """The linear span of (I + m^k) / m^k inside the jet space of degree < k.
 
-    ``basis`` holds the reduced row echelon basis of the span, as dense
-    vectors over ``indices`` (all multi-indices of degree < k in the graded
-    order).  ``exact`` tells whether its entries are exact scalars or
-    Python complexes.  ``rows`` holds, for an exact ideal, the product rows
-    g * z^beta whose elimination gave the pivots: independent, spanning the
-    same space, each scaled to integers (Python ints, or Gaussian integers
-    when a generator has a QQi coefficient) and mostly zero.  It is None
-    for a float ideal.  ``gaussian`` tells whether a generator has a QQi
-    coefficient below degree k: exact results computed on the ideal are
+    ``basis`` holds a basis of the span as dense vectors over ``indices``
+    (all multi-indices of degree < k in the graded order).  ``exact`` tells
+    whether its entries are exact scalars or Python complexes.  For an exact
+    ideal the basis is the reduced row echelon form, with its pivot columns
+    in ``pivots``; ``rows`` holds the product rows g * z^beta whose
+    elimination gave the pivots: independent, spanning the same space, each
+    scaled to integers (Python ints, or Gaussian integers when a generator
+    has a QQi coefficient) and mostly zero.  For a float ideal the basis rows
+    are orthonormal (right singular vectors), ``pivots`` and ``rows`` are
+    None, and ``null_rows`` holds the remaining right singular vectors,
+    conjugated: an orthonormal basis of the annihilator, as a complex matrix
+    with one vector per row.  ``gaussian`` tells whether a generator has a
+    QQi coefficient below degree k: exact results computed on the ideal are
     then all QQi.
     """
 
@@ -89,6 +102,7 @@ class JetIdeal:
     exact: bool = True
     rows: list = field(default=None, repr=False, compare=False)
     gaussian: bool = field(default=False, repr=False, compare=False)
+    null_rows: object = field(default=None, repr=False, compare=False)
 
     @property
     def span_dim(self) -> int:
@@ -101,6 +115,19 @@ class JetIdeal:
         :func:`contains` and by the kernel-ratio route."""
         return integer_null_space(self.basis, self.pivots, len(self.indices))
 
+    @cached_property
+    def float_annihilator(self):
+        """The annihilator as a complex matrix, one vector per row: the
+        singular vectors of a float ideal, or read off the RREF of an exact
+        one (for float data on an exact ideal).  Read by :func:`contains`,
+        :func:`annihilator` and the float kernel-ratio route."""
+        if self.null_rows is not None:
+            return self.null_rows
+        import numpy as np
+
+        vectors = rref_null_space(self.basis, self.pivots, len(self.indices))
+        return np.array(vectors, dtype=complex).reshape(-1, len(self.indices))
+
     def basis_jets(self):
         return [
             Jet(self.n, self.level - 1, dict(zip(self.indices, row)))
@@ -109,7 +136,8 @@ class JetIdeal:
 
 
 def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
-    """Span of {truncate(g * z^beta) : |beta| < k} in reduced echelon form.
+    """Span of {truncate(g * z^beta) : |beta| < k}: in reduced echelon form
+    for exact generators, by an orthonormal basis for float ones.
 
     Raises ImproperIdealError when the span fills the whole jet space
     (equivalently, when the span contains a unit germ).
@@ -119,9 +147,10 @@ def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
     exact = is_exact(c for g in gens.generators for c in g.coeffs.values())
     idx = indices_up_to(gens.n, k - 1)
     rows = _product_rows(gens.generators, idx)
-    gaussian = False
+    gaussian, null = False, None
     if exact:
         basis, pivots, rows = rref(rows, len(idx))
+        improper = len(basis) == len(idx) or (pivots and pivots[0] == 0)
         # the terms below degree k are those in the product rows
         gaussian = any(
             isinstance(c, QQi) and degree(a) < k
@@ -129,11 +158,18 @@ def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
             for a, c in g.coeffs.items()
         )
     else:
-        basis, pivots = _float_rref(rows, len(idx))
-        rows = None
-    if len(basis) == len(idx) or (pivots and pivots[0] == 0):
+        import numpy as np
+
+        A = np.array(rows, dtype=complex).reshape(-1, len(idx))
+        # unit rows: the rank does not depend on the generators' scale
+        A /= np.abs(A).max(axis=1, keepdims=True)
+        span, null = rank_split(A)
+        basis, pivots, rows, null = span.T.conj().tolist(), None, None, null.T
+        # e_0 lies in the span when every annihilator vector vanishes on it
+        improper = not null.size or abs(null[:, 0]).max() <= FLOAT_RANK_TOL
+    if improper:
         raise ImproperIdealError(f"ideal is not proper at level {k}")
-    return JetIdeal(gens.n, k, idx, basis, pivots, exact, rows, gaussian)
+    return JetIdeal(gens.n, k, idx, basis, pivots, exact, rows, gaussian, null)
 
 
 def _product_rows(generators, idx):
@@ -158,74 +194,16 @@ def _product_rows(generators, idx):
     return rows
 
 
-def _float_rref(rows, ncols):
-    """Reduced row echelon form of complex rows, by numpy elimination with
-    partial pivoting (:func:`_float_eliminate`) on rows scaled to unit
-    max-norm.
-
-    Rounding in the elimination can leave a row that should vanish at a
-    size just above ``FLOAT_RANK_TOL``, where it takes a spurious pivot.
-    So when some pivot is below ``AMBIGUOUS_PIVOT``, the singular values of
-    the scaled rows decide the rank (those above ``FLOAT_RANK_TOL`` times
-    the largest); while the elimination finds more pivots than that, it is
-    run again with its smallest surplus pivots below the tolerance.
-    """
-    import numpy as np
-
-    A = np.array(rows, dtype=complex).reshape(-1, ncols)
-    if A.size:
-        A /= np.abs(A).max(axis=1, keepdims=True)
-    basis, pivots, sizes = _float_eliminate(A.copy(), FLOAT_RANK_TOL)
-    if pivots and min(sizes) < AMBIGUOUS_PIVOT:
-        sv = np.linalg.svd(A, compute_uv=False)
-        rank = int(np.count_nonzero(sv > FLOAT_RANK_TOL * sv[0]))
-        while len(pivots) > rank:
-            # the smallest pivots are spurious: eliminate again without them
-            tol = sorted(sizes)[len(pivots) - rank - 1]
-            basis, pivots, sizes = _float_eliminate(A.copy(), tol)
-    return basis.tolist(), pivots
-
-
-def _float_eliminate(A, tol):
-    """Gauss-Jordan elimination of A with partial pivoting, in place.  A
-    column gets no pivot when every remaining entry is at most ``tol``.
-    Returns the echelon rows, the pivot columns and the pivots' sizes."""
-    import numpy as np
-
-    ncols = A.shape[1]
-    pivots, sizes = [], []
-    r = 0
-    for c in range(ncols):
-        if r == A.shape[0]:
-            break
-        p = r + int(np.argmax(np.abs(A[r:, c])))
-        size = abs(A[p, c])
-        if size <= tol:
-            continue
-        sizes.append(size)
-        A[[r, p]] = A[[p, r]]
-        A[r] /= A[r, c]
-        rest = np.flatnonzero(A[:, c])
-        rest = rest[rest != r]
-        A[rest, c:] -= np.outer(A[rest, c], A[r, c:])
-        pivots.append(c)
-        r += 1
-    basis = A[:r]
-    # echelon structure exactly: zeros left of each pivot, the identity on
-    # the pivot columns (null spaces are read off it)
-    basis[np.arange(ncols) < np.array(pivots)[:, None]] = 0
-    basis[:, pivots] = np.eye(r)
-    return basis, pivots, sizes
-
-
 def contains(J: JetIdeal, f: Jet) -> bool:
     """Membership of f in I + m^k, decided on the degree < k jet.
 
     Exact ideals and exact jets are decided exactly, in integers: f is a
     member when its remainder vanishes on every free column of the RREF,
     that is when it pairs to zero with the integer annihilator.  Otherwise
-    f is a member when its float remainder is at most ``FLOAT_RANK_TOL``
-    times its largest coefficient.
+    f is a member when its pairings with the float annihilator are at most
+    ``FLOAT_RANK_TOL`` times its largest coefficient: for an orthonormal
+    annihilator they are the coordinates of f's distance from the span, and
+    for one read off an RREF they are f's remainder on the free columns.
     """
     vec = f.truncate(J.level - 1).vector(J.indices)
     if J.exact and is_exact(vec):
@@ -233,18 +211,20 @@ def contains(J: JetIdeal, f: Jet) -> bool:
     import numpy as np
 
     v = np.array(vec, dtype=complex)
-    # the pivot block of an RREF is the identity: one step reduces v
-    rest = v - v[J.pivots] @ np.array(J.basis, dtype=complex).reshape(-1, len(vec))
-    return bool(abs(rest).max() <= FLOAT_RANK_TOL * abs(v).max())
+    return bool(abs(J.float_annihilator @ v).max() <= FLOAT_RANK_TOL * abs(v).max())
 
 
 def annihilator(J: JetIdeal) -> list:
     """Basis of {xi : ord(xi) < k, xi annihilates the span}, as Functionals.
 
     The pairing is bilinear, so this is the plain (unconjugated) null space
-    of the span matrix, read off its RREF.
+    of the span matrix: read off the RREF of an exact ideal, the orthonormal
+    annihilator of a float one.
     """
-    vectors = rref_null_space(J.basis, J.pivots, len(J.indices))
+    if J.exact:
+        vectors = rref_null_space(J.basis, J.pivots, len(J.indices))
+    else:
+        vectors = J.float_annihilator.tolist()
     return [Functional(J.n, dict(zip(J.indices, v))) for v in vectors]
 
 

@@ -257,10 +257,7 @@ def rref(rows, ncols):
 
 
 def rref_null_space(rref_rows, pivots, ncols):
-    """Basis of the null space read off an RREF: one vector per free column.
-
-    Makes no scalar decision, so it serves float RREFs as well.
-    """
+    """Basis of the null space read off an RREF: one vector per free column."""
     pivot_set = set(pivots)
     basis = []
     for f in range(ncols):

@@ -342,6 +342,25 @@ class TestOverflow:
         with pytest.raises(QuadratureError):
             dom.norm((600,) + (0,) * (len(a) - 1))
 
+    def test_ball(self):
+        # 2^1204 / (601 * 602) is past the float range
+        with pytest.raises(QuadratureError):
+            DiagonalDomain.ball(2, 2, exact=False).norm((600, 0))
+
+
+class TestBallFactorials:
+    """alpha! past the float range while the ball norm pi^n alpha! /
+    (|alpha| + n)! r^(2(|alpha| + n)) is small: no overflow."""
+
+    @pytest.mark.parametrize("a", [(170, 0), (200, 0), (85, 86)])
+    def test_matches_exact(self, a):
+        want = DiagonalDomain.ball(2, 1).norm_float(a)
+        assert DiagonalDomain.ball(2, 1, exact=False).norm(a) == pytest.approx(want, rel=1e-12)
+
+    def test_closed_form(self):
+        want = math.pi**2 / (201 * 202)
+        assert DiagonalDomain.ball(2, 1, exact=False).norm((200, 0)) == pytest.approx(want, rel=1e-12)
+
 
 class TestTruncatedWeight:
     def test_one_variable_oracle(self):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -90,19 +91,47 @@ class TestAnnihilator:
         m=st.integers(1, 3),
         extra=st.integers(-3, 3),
         level=st.integers(2, 4),
+        as_float=st.booleans(),
     )
-    def test_annihilator_perp_span_random(self, m, extra, level):
+    def test_annihilator_perp_span_random(self, m, extra, level, as_float):
         g = Jet(1, m, {(m,): 1})
         if extra and m > 1:
             g = g.add(Jet(1, m, {(m - 1,): extra}))
+        if as_float:
+            g = g.to_float()
         try:
             pres = IdealPresentation(1, [g])
             J = jet_ideal(pres, level)
         except ImproperIdealError:
             return
+        assert J.exact is not as_float
         for xi in annihilator(J):
             for s in J.basis_jets():
-                assert not bool(pair(xi, s))
+                if as_float:
+                    assert abs(pair(xi, s)) <= 1e-12
+                else:
+                    assert not bool(pair(xi, s))
+
+    def test_float_ideal_is_orthonormal(self):
+        # the float ladder instance of test_spurious_pivots_rejected (n = 4,
+        # level 7, span 100): an annihilator read off a float RREF of these
+        # rows had entries up to 6.1e10
+        gens = IdealPresentation(4, [
+            Jet(4, 2, {(0, 0, 2, 0): 0.24138771444374063 + 0.6869240416018061j,
+                       (0, 1, 0, 1): 0.5393358824761387 + 0.8499362234748706j,
+                       (0, 1, 1, 0): -0.015457407407663437 + 0.07243508769409202j}),
+            Jet(4, 3, {(1, 2, 0, 0): 0.06208411242293321 - 0.8695334971260733j,
+                       (0, 2, 1, 0): 0.7408918227037125 + 0.754123281304989j,
+                       (2, 1, 0, 0): 0.9279839691179126 + 0.4863125219462894j}),
+        ])
+        J = jet_ideal(gens, 7)
+        B = np.array(J.basis, dtype=complex)
+        N = np.array([xi.vector(J.indices) for xi in annihilator(J)], dtype=complex)
+        assert len(B) + len(N) == len(J.indices)
+        for M in (B, N):
+            assert abs(M @ M.conj().T - np.eye(len(M))).max() <= 1e-12
+        # orthonormal rows: no entry above 1 but for rounding
+        assert abs(N).max() <= 1 + 1e-12
 
 
 _coefficients = st.one_of(

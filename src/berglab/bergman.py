@@ -18,22 +18,22 @@ its own system:
 
 * in exact mode the projection solves its normal equations on the
   independent product rows g * z^beta that the jet ideal's elimination kept
-  (``J.rows``), and reads no RREF, while the kernel ratio solves on the
-  annihilator read off the RREF (``J.basis``);
-* in float mode the projection solves a least-squares problem on the span's
-  basis (``J.basis``), and the kernel ratio a QR factorization on the
-  annihilator (``J.float_annihilator``).
+  (``J.rows``), while the kernel ratio solves on the integer annihilator
+  (``J.null``);
+* in float mode the projection solves a least-squares problem on the
+  span's orthonormal basis, and the kernel ratio a QR factorization on the
+  annihilator's (both from ``J.float_view``).
 
 Exact diagonal problems stay in cleared integers (Python ints, or Gaussian
 integers for QQi data) through :mod:`berglab.linalg` from the jet ideal to
 the result, and build one Fraction or QQi per output entry; every other
 problem (moment domains, float diagonal domains, float or complex data)
 runs through numpy.  In exact mode the routes share no solve and no
-spanning set, so a wrong RREF shows up as C != B.  A float ideal's span and
-annihilator come from one singular value decomposition, so the routes share
-that input, and the float rank is not checked by C = B.  Every result
-carries the record's diagnostics dict, with one key set for every backend
-and outcome.
+spanning set, so a wrong annihilator shows up as C != B.  A float view's
+span and annihilator come from one singular value decomposition, so the
+routes share that input, and the float rank is not checked by C = B.
+Every result carries the record's diagnostics dict, with one key set for
+every backend and outcome.
 """
 
 from __future__ import annotations
@@ -319,9 +319,8 @@ def minimal_l2(domain, F: Jet, J: JetIdeal) -> ProjectionResult:
 def _minimal_l2_exact(prob: _Problem) -> ProjectionResult:
     J, idx, norms, finite, infinite = prob.J, prob.indices, prob.weights, prob.finite, prob.infinite
     # the span is taken on the independent product rows g * z^beta that the
-    # elimination kept, not on the RREF basis: the projection does not depend
-    # on the spanning set.  Everything below stays in ring integers,
-    # x = num / den.
+    # elimination kept: the projection does not depend on the spanning set.
+    # Everything below stays in ring integers, x = num / den.
     rows = J.rows
     (f, w), (den, wden) = to_ring([prob.f, [norms[i] for i in finite]])
 
@@ -365,14 +364,13 @@ def _minimal_l2_exact(prob: _Problem) -> ProjectionResult:
     return ProjectionResult(prob.value(cval), minimizer, eta, prob.pi_power, diag)
 
 
-def _columns(vectors, m):
-    """Complex matrix whose columns are ``vectors`` (of one length), zero-padded
-    to length m."""
+def _columns(rows, m):
+    """Complex matrix whose columns are the rows of the array ``rows``,
+    zero-padded to length m."""
     import numpy as np
 
-    out = np.zeros((m, len(vectors)), dtype=complex)
-    if len(vectors):
-        out[: len(vectors[0])] = np.asarray(vectors, dtype=complex).T
+    out = np.zeros((m, len(rows)), dtype=complex)
+    out[: rows.shape[1]] = rows.T
     return out
 
 
@@ -381,10 +379,10 @@ def _minimal_l2_float(prob: _Problem) -> ProjectionResult:
 
     J, idx, f, infinite = prob.J, prob.indices, prob.f, prob.infinite
     m = len(idx)
-    # the ideal's part of the working space: the jet ideal's basis plus
+    # the ideal's part of the working space: the jet ideal's span plus
     # every monomial of degree >= level
     high = [i for i, a in enumerate(idx) if degree(a) >= J.level]
-    span = np.hstack([_columns(J.basis, m), np.eye(m, dtype=complex)[:, high]])
+    span = np.hstack([_columns(J.float_view[0], m), np.eye(m, dtype=complex)[:, high]])
     if prob.backend == "moment":
         # x^T M conj(x) = ||L^T x||^2 for the Cholesky factor M = L L^H
         gram, root = prob.weights, prob.chol.T
@@ -397,13 +395,14 @@ def _minimal_l2_float(prob: _Problem) -> ProjectionResult:
     if infinite:
         # the competitor f + span u must vanish on the non-integrable slots
         rows, fi = span[infinite], f[infinite]
-        u0 = np.linalg.lstsq(rows, -fi, rcond=None)[0]
+        keep, zero = rank_split(rows)
+        u0 = keep @ np.linalg.lstsq(rows @ keep, -fi, rcond=None)[0]
         if np.linalg.norm(fi + rows @ u0) > FLOAT_RANK_TOL * np.linalg.norm(f):
             diag = prob.diagnostics("infeasible", None, None)
             return ProjectionResult(math.inf, diagnostics=diag)
         f = f + span @ u0
         f[infinite] = 0
-        span = span @ rank_split(rows)[1]
+        span = span @ zero
 
     # weighted least squares: min over w of ||root (f + span w)||
     x, cond = f, 1.0
@@ -464,7 +463,7 @@ def _b_circle_exact(prob: _Problem) -> KernelRatioResult:
     # the maximizer V x of A x = conj(p), A = V^H W V, do not change under
     # V -> V S.  With F's vector scaled by den, p scales by den, the value by
     # den^2 and the maximizer by den; W's common denominator wden scales A.
-    vecs, gaussian = prob.J.integer_annihilator
+    vecs, gaussian = prob.J.null, prob.J.null_gaussian
     (f, w), (den, wden) = to_ring([prob.f, [1 / norms[i] for i in finite]])
     support = [i for i, c in enumerate(f) if c]
     pvals = [sum((v[i] * f[i] for i in support), 0) for v in vecs]
@@ -497,7 +496,7 @@ def _b_circle_float(prob: _Problem) -> KernelRatioResult:
     import numpy as np
 
     idx = prob.indices
-    V = _columns(prob.J.float_annihilator, len(idx))
+    V = _columns(prob.J.float_view[1], len(idx))
     p = V.T @ prob.f  # the pairings (xi . F)(o), bilinear
 
     if prob.infinite:

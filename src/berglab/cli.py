@@ -42,7 +42,7 @@ from .errors import (
 from .exactnum import PiValue, value_float
 from .ideals import IdealPresentation, jet_ideal
 from .jets import Functional, Jet
-from .sop import effectiveness_report, xi_cse_combinatorial, xi_cse_limit
+from .sop import effectiveness_report, t_grid_points, xi_cse_combinatorial, xi_cse_limit
 from .suites import run_suite
 
 EXIT_CROSSCHECK = 1
@@ -168,7 +168,7 @@ def _load_spec(path, command):
 
 
 def _load_domain(desc, degree=None, mode=None):
-    moment = desc.get("kind") in _MOMENT_KINDS or desc.get("moment")
+    moment = desc.get("kind") in _MOMENT_KINDS
     dom = None if moment else domain_from_json(desc)
     if mode == "exact" and not getattr(dom, "exact", False):
         raise ValueError("--mode exact: the domain has no exact norms")
@@ -178,6 +178,14 @@ def _load_domain(desc, degree=None, mode=None):
     if mode == "float":
         dom.exact = False
     return dom
+
+
+def _load_diagonal(desc, command):
+    """The domain of a command that needs a diagonal one: a moment-domain
+    descriptor is a spec error."""
+    if desc.get("kind") in _MOMENT_KINDS:
+        raise ValueError(f"{command} needs a diagonal domain, not {desc['kind']!r}")
+    return _load_domain(desc)
 
 
 def _encode(v):
@@ -217,16 +225,21 @@ def _write_outputs(out, name, result_json, csv_text=None):
 
 def _parse_krange(text):
     a, b = text.split("..")
-    return range(int(a), int(b) + 1)
+    ks = range(int(a), int(b) + 1)
+    if not ks or ks[0] < 1:
+        raise ValueError(f"k range {text!r} must be a nonempty range of levels >= 1")
+    return ks
 
 
 def _parse_tgrid(text):
     a, b, step = (float(x) for x in text.split(":"))
+    if not (math.isfinite(a) and math.isfinite(b) and step > 0):
+        raise ValueError(f"t grid {text!r} needs finite ends and a positive step")
     out, t = [], a
     while t <= b + 1e-12:
         out.append(round(t, 12))
         t += step
-    return out
+    return t_grid_points(out)
 
 
 # what the library raises for input the maths rejects: while a spec is turned
@@ -425,7 +438,7 @@ def basis(spec_path, out_dir):
 def sop_cmd(spec_path, out_dir):
     """Effectiveness report for (domain, F, weight)."""
     data = _load_spec(spec_path, "sop")
-    domain = _build(lambda: _load_domain(data["domain"]))
+    domain = _build(lambda: _load_diagonal(data["domain"], "sop"))
     F = _build(lambda: Jet.from_json(data["F"]))
     phi = _build(lambda: _weight(data["weight"]))
     rep = _run(lambda: effectiveness_report(domain, F, phi), (UnsupportedDomainError,))
@@ -445,7 +458,7 @@ def sop_cmd(spec_path, out_dir):
 def cse(spec_path, out_dir, t_grid):
     """Sublevel-kernel growth rate of a functional against a toric weight."""
     data = _load_spec(spec_path, "cse")
-    domain = _build(lambda: _load_domain(data["domain"]))
+    domain = _build(lambda: _load_diagonal(data["domain"], "cse"))
     xi = _build(lambda: Functional.from_json(data["xi"]))
     phi = _build(lambda: _weight(data["weight"]))
     grid = _build(lambda: _parse_tgrid(data.get("t_grid", t_grid)))
@@ -474,7 +487,7 @@ def cse(spec_path, out_dir, t_grid):
 def density(spec_path, out_dir, k_range):
     """Distances from F to the rescaled kernel representatives."""
     data = _load_spec(spec_path, "density")
-    domain = _build(lambda: _load_domain(data["domain"]))
+    domain = _build(lambda: _load_diagonal(data["domain"], "density"))
     F, gens = _build(lambda: _jet_and_gens(data["F"], data["generators"]))
     ks = _build(lambda: _parse_krange(data.get("k_range", k_range)))
     F = Jet(F.n, max(F.degree_bound, max(ks) - 1), F.coeffs)

@@ -5,23 +5,25 @@ I + m^k: once the maximal-ideal power m^k is adjoined, membership is a
 finite linear-algebra question in the jet space of degrees < k.  Toric
 multiplier ideals are handled combinatorially as monomial ideals.
 
-Generators whose coefficients are all exact (int, Fraction, QQi) give an
-exact jet ideal, eliminated in cleared integers by :mod:`berglab.linalg`;
-it keeps the independent product rows g * z^beta that the elimination
-picked, and decides membership in integers against its annihilator.
-Any other generators (a float such as ``2.0`` included) give a float jet
-ideal, from one singular value decomposition of the product rows, each
-normalised to unit size first: the right singular vectors split the jet
-space into an orthonormal basis of the span and an orthonormal basis of its
-annihilator.  The rank counts the singular values above ``FLOAT_RANK_TOL``
-times the largest (:func:`rank_split`), so it does not change when a
-generator is rescaled.
+A jet ideal holds one span and one annihilator.  Generators whose
+coefficients are all exact (int, Fraction, QQi) give an exact jet ideal,
+eliminated in cleared integers by :mod:`berglab.linalg`: it keeps the
+independent product rows g * z^beta that the elimination picked and an
+integer annihilator, and decides membership in integers against it.  Any
+other generators (a float such as ``2.0`` included) give a float jet ideal,
+from one singular value decomposition of the product rows, each normalised
+to unit size first: the right singular vectors split the jet space into an
+orthonormal basis of the span and an orthonormal basis of its annihilator.
+The rank counts the singular values above ``FLOAT_RANK_TOL`` times the
+largest, so it does not change when a generator is rescaled.  A float
+problem on an exact ideal reads the same decomposition of the kept rows,
+split at their exact rank (:attr:`JetIdeal.float_view`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import add
@@ -30,19 +32,39 @@ from .errors import ImproperIdealError
 from .exactnum import QQi, is_exact
 from .indices import degree, indices_up_to, order_key, validate_index
 from .jets import Functional, Jet
-from .linalg import annihilates, integer_null_space, rref, rref_null_space
+from .linalg import annihilates, from_ring, span_and_annihilator
 
 FLOAT_RANK_TOL = 1e-10
 
 
 def rank_split(A):
-    """Orthonormal column bases (range, null) splitting the domain of A, the
-    rank decided against its largest singular value: the one float rank rule."""
+    """Orthonormal column bases (range, null) splitting the domain of A, a
+    block of rows or columns of a matrix with orthonormal columns.  Its
+    singular values are at most 1 and the rank is decided against 1, so a
+    block of rounding noise has rank 0."""
     import numpy as np
 
     _, s, vh = np.linalg.svd(A)
-    rank = int(np.sum(s > FLOAT_RANK_TOL * s[0])) if s.size else 0
+    rank = int((s > FLOAT_RANK_TOL).sum())
     return vh[:rank].conj().T, vh[rank:].conj().T
+
+
+def _orthonormal_split(rows, m, rank=None):
+    """(span, annihilator) of rows of length m, as complex arrays with one
+    orthonormal vector per row: the right singular vectors of the rows, each
+    row scaled to unit size first, split at ``rank`` (by default the number
+    of singular values above ``FLOAT_RANK_TOL`` times the largest).  The
+    annihilator's are conjugated, so that they pair bilinearly to zero with
+    the span."""
+    import numpy as np
+
+    A = np.array(rows, dtype=complex).reshape(-1, m)
+    # unit rows: the rank does not depend on the generators' scale
+    A /= np.abs(A).max(axis=1, keepdims=True)
+    _, s, vh = np.linalg.svd(A)
+    if rank is None:
+        rank = int((s > FLOAT_RANK_TOL * s[0]).sum()) if s.size else 0
+    return vh[:rank], vh[rank:].conj()
 
 
 @dataclass
@@ -74,83 +96,72 @@ class IdealPresentation:
         return cls(data["n"], [Jet.from_json(g) for g in data["generators"]])
 
 
-@dataclass
+@dataclass(eq=False)
 class JetIdeal:
     """The linear span of (I + m^k) / m^k inside the jet space of degree < k.
 
-    ``basis`` holds a basis of the span as dense vectors over ``indices``
-    (all multi-indices of degree < k in the graded order).  ``exact`` tells
-    whether its entries are exact scalars or Python complexes.  For an exact
-    ideal the basis is the reduced row echelon form, with its pivot columns
-    in ``pivots``; ``rows`` holds the product rows g * z^beta whose
-    elimination gave the pivots: independent, spanning the same space, each
-    scaled to integers (Python ints, or Gaussian integers when a generator
-    has a QQi coefficient) and mostly zero.  For a float ideal the basis rows
-    are orthonormal (right singular vectors), ``pivots`` and ``rows`` are
-    None, and ``null_rows`` holds the remaining right singular vectors,
-    conjugated: an orthonormal basis of the annihilator, as a complex matrix
-    with one vector per row.  ``gaussian`` tells whether a generator has a
-    QQi coefficient below degree k: exact results computed on the ideal are
-    then all QQi.
+    Vectors are dense over ``indices`` (all multi-indices of degree < k in
+    the graded order).  ``rows`` spans the ideal with independent vectors
+    (``span_dim`` of them), and ``null`` spans its annihilator under the
+    plain, unconjugated pairing, one vector per row.  An exact ideal holds
+    ring integers (Python ints, or Gaussian integers when a generator has a
+    QQi coefficient): ``rows`` are the product rows g * z^beta that the
+    elimination kept, and ``null`` the primitive vectors of
+    :func:`berglab.linalg.span_and_annihilator`, with ``null_gaussian``
+    telling whether one of their entries is complex.  A float ideal holds
+    orthonormal right singular vectors as complex arrays, the rest of them
+    conjugated in ``null``.  ``gaussian`` tells whether a generator has a
+    QQi coefficient below degree k: exact results are then all QQi.
     """
 
     n: int
     level: int
     indices: list
-    basis: list
-    pivots: list
+    rows: object
+    null: object
     exact: bool = True
-    rows: list = field(default=None, repr=False, compare=False)
-    gaussian: bool = field(default=False, repr=False, compare=False)
-    null_rows: object = field(default=None, repr=False, compare=False)
+    gaussian: bool = False
+    null_gaussian: bool = False
 
     @property
     def span_dim(self) -> int:
-        return len(self.basis)
+        return len(self.rows)
 
     @cached_property
-    def integer_annihilator(self):
-        """The annihilator read off the RREF, each vector scaled to integers,
-        and whether an entry is complex (exact ideals): read by
-        :func:`contains` and by the kernel-ratio route."""
-        return integer_null_space(self.basis, self.pivots, len(self.indices))
-
-    @cached_property
-    def float_annihilator(self):
-        """The annihilator as a complex matrix, one vector per row: the
-        singular vectors of a float ideal, or read off the RREF of an exact
-        one (for float data on an exact ideal).  Read by :func:`contains`,
-        :func:`annihilator` and the float kernel-ratio route."""
-        if self.null_rows is not None:
-            return self.null_rows
-        import numpy as np
-
-        vectors = rref_null_space(self.basis, self.pivots, len(self.indices))
-        return np.array(vectors, dtype=complex).reshape(-1, len(self.indices))
+    def float_view(self):
+        """(span, annihilator) as complex arrays of orthonormal rows, read by
+        float problems: a float ideal's own, and for an exact ideal the
+        singular value decomposition of its unit-scaled kept rows, split at
+        their exact rank."""
+        if not self.exact:
+            return self.rows, self.null
+        return _orthonormal_split(self.rows, len(self.indices), len(self.rows))
 
     def basis_jets(self):
-        return [
-            Jet(self.n, self.level - 1, dict(zip(self.indices, row)))
-            for row in self.basis
-        ]
+        """The span's vectors as jets: the kept rows of an exact ideal, the
+        orthonormal ones of a float ideal."""
+        if self.exact:
+            rows = [from_ring(row, 1, self.gaussian) for row in self.rows]
+        else:
+            rows = self.rows.tolist()
+        return [Jet(self.n, self.level - 1, dict(zip(self.indices, row))) for row in rows]
 
 
 def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
-    """Span of {truncate(g * z^beta) : |beta| < k}: in reduced echelon form
-    for exact generators, by an orthonormal basis for float ones.
+    """Span of {truncate(g * z^beta) : |beta| < k} and its annihilator: in
+    ring integers for exact generators, by orthonormal bases for float ones.
 
-    Raises ImproperIdealError when the span fills the whole jet space
-    (equivalently, when the span contains a unit germ).
+    Raises ImproperIdealError when the span contains the unit germ's jet,
+    that is when every annihilator vector vanishes on the constant slot.
     """
     if k < 1:
         raise ValueError("ladder level k must be >= 1")
     exact = is_exact(c for g in gens.generators for c in g.coeffs.values())
     idx = indices_up_to(gens.n, k - 1)
     rows = _product_rows(gens.generators, idx)
-    gaussian, null = False, None
+    gaussian = null_gaussian = False
     if exact:
-        basis, pivots, rows = rref(rows, len(idx))
-        improper = len(basis) == len(idx) or (pivots and pivots[0] == 0)
+        rows, null, null_gaussian = span_and_annihilator(rows, len(idx))
         # the terms below degree k are those in the product rows
         gaussian = any(
             isinstance(c, QQi) and degree(a) < k
@@ -158,18 +169,11 @@ def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
             for a, c in g.coeffs.items()
         )
     else:
-        import numpy as np
-
-        A = np.array(rows, dtype=complex).reshape(-1, len(idx))
-        # unit rows: the rank does not depend on the generators' scale
-        A /= np.abs(A).max(axis=1, keepdims=True)
-        span, null = rank_split(A)
-        basis, pivots, rows, null = span.T.conj().tolist(), None, None, null.T
-        # e_0 lies in the span when every annihilator vector vanishes on it
-        improper = not null.size or abs(null[:, 0]).max() <= FLOAT_RANK_TOL
-    if improper:
+        rows, null = _orthonormal_split(rows, len(idx))
+    tol = 0 if exact else FLOAT_RANK_TOL
+    if all(abs(complex(v[0])) <= tol for v in null):
         raise ImproperIdealError(f"ideal is not proper at level {k}")
-    return JetIdeal(gens.n, k, idx, basis, pivots, exact, rows, gaussian, null)
+    return JetIdeal(gens.n, k, idx, rows, null, exact, gaussian, null_gaussian)
 
 
 def _product_rows(generators, idx):
@@ -198,33 +202,32 @@ def contains(J: JetIdeal, f: Jet) -> bool:
     """Membership of f in I + m^k, decided on the degree < k jet.
 
     Exact ideals and exact jets are decided exactly, in integers: f is a
-    member when its remainder vanishes on every free column of the RREF,
-    that is when it pairs to zero with the integer annihilator.  Otherwise
-    f is a member when its pairings with the float annihilator are at most
-    ``FLOAT_RANK_TOL`` times its largest coefficient: for an orthonormal
-    annihilator they are the coordinates of f's distance from the span, and
-    for one read off an RREF they are f's remainder on the free columns.
+    member when it pairs to zero with the integer annihilator.  Otherwise f
+    is a member when its pairings with the orthonormal annihilator of
+    :attr:`JetIdeal.float_view` are at most ``FLOAT_RANK_TOL`` times its
+    largest coefficient: they are the coordinates of f's distance from the
+    span.
     """
     vec = f.truncate(J.level - 1).vector(J.indices)
     if J.exact and is_exact(vec):
-        return annihilates(J.integer_annihilator[0], vec)
+        return annihilates(J.null, vec)
     import numpy as np
 
     v = np.array(vec, dtype=complex)
-    return bool(abs(J.float_annihilator @ v).max() <= FLOAT_RANK_TOL * abs(v).max())
+    return bool(abs(J.float_view[1] @ v).max() <= FLOAT_RANK_TOL * abs(v).max())
 
 
 def annihilator(J: JetIdeal) -> list:
     """Basis of {xi : ord(xi) < k, xi annihilates the span}, as Functionals.
 
     The pairing is bilinear, so this is the plain (unconjugated) null space
-    of the span matrix: read off the RREF of an exact ideal, the orthonormal
-    annihilator of a float one.
+    of the span: the integer annihilator of an exact ideal, with Fraction or
+    QQi entries, the orthonormal one of a float ideal.
     """
     if J.exact:
-        vectors = rref_null_space(J.basis, J.pivots, len(J.indices))
+        vectors = [from_ring(v, 1, J.null_gaussian) for v in J.null]
     else:
-        vectors = J.float_annihilator.tolist()
+        vectors = J.null.tolist()
     return [Functional(J.n, dict(zip(J.indices, v))) for v in vectors]
 
 

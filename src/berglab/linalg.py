@@ -18,18 +18,17 @@ One kernel.  The forward pass is Bareiss's fraction-free elimination
 minor of the cleared matrix, and each step divides exactly by an earlier
 pivot.  It also reports which input rows became pivot rows.  The back pass
 is fraction-free back-substitution over the columns the caller reads, with
-the last pivot as the common denominator.
+the last pivot as the common denominator.  No Fraction is built between the
+cleared input and the ring integers these passes return.
 
 The public API:
 
 * :func:`to_ring` and :func:`from_ring`: exact vectors to ring integers over
   one denominator, and back, one Fraction or QQi per entry;
-* :func:`rref`: the reduced row echelon form of exact rows, ``==`` to that of
-  Fraction Gauss-Jordan elimination (scaling a row does not change its row
-  space, whose RREF is unique), and the independent input rows it kept;
-* :func:`rref_null_space` and :func:`integer_null_space`: the null space read
-  off an RREF, the latter scaled to ring integers; :func:`annihilates`:
-  membership in a row space as a zero pairing with that null space;
+* :func:`span_and_annihilator`: the independent input rows the elimination
+  kept, and the null space of the rows, one primitive ring vector per free
+  column; :func:`annihilates`: membership in a row space as a zero pairing
+  with that null space;
 * :func:`solve`: a ring system's solution over one int denominator, and its
   homogeneous solutions; Hermitian positive definite systems are eliminated
   in a minimum-degree order;
@@ -45,18 +44,17 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 
 from .errors import SingularMatrixError
 from .exactnum import QQi
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
+_REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
 class _GaussInt:
     """A Gaussian integer real + imag*i; the other operand of an arithmetic
-    operation may be a Gaussian integer or an int, on either side."""
+    operation may be a Gaussian integer or an int, on either side.  numpy
+    reads it as a complex through ``__complex__``."""
 
     __slots__ = ("real", "imag")
 
@@ -103,6 +101,9 @@ class _GaussInt:
     def conjugate(self):
         return _GaussInt(self.real, -self.imag)
 
+    def __complex__(self):
+        return complex(self.real, self.imag)
+
 
 def _clear(row):
     """(ring row, d): an exact row (ints, Fractions, QQi or Gaussian
@@ -127,14 +128,6 @@ def to_ring(rows):
     other entry as an int."""
     cleared = [_clear(row) for row in rows]
     return [r for r, _ in cleared], [d for _, d in cleared]
-
-
-def _rational(num, den):
-    """num / den for a ring integer num and a nonzero int den: a Fraction, or
-    a QQi when the imaginary part is nonzero."""
-    if num.imag:
-        return QQi(Fraction(num.real, den), Fraction(num.imag, den))
-    return Fraction(num.real, den)
 
 
 def from_ring(nums, den, gaussian):
@@ -229,76 +222,52 @@ def _back_substitute(U, pivots, cols):
     return out
 
 
-def rref(rows, ncols):
-    """Reduced row echelon form of exact rows: (rows, pivot_columns, kept).
+def span_and_annihilator(rows, ncols):
+    """(kept, annihilator, gaussian) of exact rows, in ring integers.
 
-    Zero rows are dropped; pivots are scaled to 1; an entry is a Fraction,
-    or a QQi when its imaginary part is nonzero.  ``kept`` holds the input
-    rows the pivot rows came from, cleared to ring integers (each scaled by
-    its own denominators): independent rows spanning the same space.
+    ``kept``: the input rows the pivot rows came from, each cleared of its
+    denominators, independent and spanning the row space.  ``annihilator``:
+    per free column j, the RREF null vector e_j - sum_k R[k][j] e_(pivot k)
+    (no conjugation) times the least positive integer that clears it, built
+    from the back pass as D e_j - sum_k x_k e_(pivot k), times conj(D) when
+    the last pivot D is complex, over its integer content.  ``gaussian``:
+    whether an annihilator entry is complex (one with imaginary part 0 is an
+    int).
     """
     ring = [_clear(row)[0] for row in rows]
     U, pivots, kept = _echelon([row[:] for row in ring], ncols)
-    out = []
-    for c in pivots:
-        row = [_ZERO] * ncols
-        row[c] = _ONE
-        out.append(row)
-    if pivots:
-        D = U[-1][pivots[-1]]
-        pivot_set = set(pivots)
-        free = [j for j in range(pivots[0] + 1, ncols) if j not in pivot_set]
-        for j, x in zip(free, _back_substitute(U, pivots, free)):
-            x, d = _int_denominator(x, D)
-            for row, v in zip(out, x):
-                if v:
-                    row[j] = _rational(v, d)
-    return out, pivots, [ring[i] for i in kept]
-
-
-def rref_null_space(rref_rows, pivots, ncols):
-    """Basis of the null space read off an RREF: one vector per free column."""
-    pivot_set = set(pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivot_set:
-            continue
-        v = [0] * ncols
-        v[f] = 1
-        for row, c in zip(rref_rows, pivots):
-            v[c] = -row[f]
-        basis.append(v)
-    return basis
-
-
-def integer_null_space(rref_rows, pivots, ncols):
-    """The null space read off an exact RREF (see :func:`rref_null_space`),
-    each vector scaled to ring integers: (vectors, gaussian), ``gaussian``
-    telling whether an entry is complex.
-
-    The vector of free column j is d_j e_j - sum_k d_j R[k][j] e_(pivot k),
-    d_j the least common multiple of the denominators in column j.
-    """
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
-    cols = [_clear([row[j] for row in rref_rows]) for j in free]
-    vectors = []
-    for j, (col, d) in zip(free, cols):
+    if not pivots:
+        return [], [[int(i == j) for i in range(ncols)] for j in free], False
+    D = U[-1][pivots[-1]]
+    annihilator, gaussian = [], False
+    for j, x in zip(free, _back_substitute(U, pivots, free)):
+        # the entries on column j and on the pivot columns left of it
+        x = [D] + [-s for s in x]
+        if D.imag:
+            c = D.conjugate()
+            x = [s * c for s in x]
+        g = math.gcd(*map(_REAL, x), *map(_IMAG, x))
+        if x[0].real < 0:
+            g = -g
+        x = [_GaussInt(s.real // g, s.imag // g) if s.imag else s.real // g for s in x]
+        gaussian = gaussian or any(map(_IMAG, x))
         v = [0] * ncols
-        v[j] = d
-        for c, x in zip(pivots, col):
-            v[c] = -x
-        vectors.append(v)
-    # the pivot columns hold 0 and 1: only the free columns can be complex
-    return vectors, any(isinstance(x, _GaussInt) for col, _ in cols for x in col)
+        v[j] = x[0]
+        for c, s in zip(pivots, x[1:]):
+            v[c] = s
+        annihilator.append(v)
+    return [ring[i] for i in kept], annihilator, gaussian
 
 
 def annihilates(vectors, vec):
-    """Whether every vector of an :func:`integer_null_space` pairs to zero
-    with the exact vector ``vec``: whether ``vec`` lies in the row space.
+    """Whether every annihilator vector of :func:`span_and_annihilator` pairs
+    to zero with the exact vector ``vec``: whether ``vec`` lies in the row
+    space.
 
-    The pairing with the vector of free column j is d_j times the remainder
-    of ``vec`` on column j after elimination against the RREF.
+    The pairing with the vector of free column j is a nonzero multiple of
+    the remainder of ``vec`` on column j after elimination against the rows.
     """
     v = _clear(vec)[0]
     support = [i for i, x in enumerate(v) if x]

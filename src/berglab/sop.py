@@ -86,6 +86,17 @@ class CseLimitResult:
         }
 
 
+def t_grid_points(t_grid) -> list:
+    """The grid as floats; raises ValueError unless it has at least 4
+    points and is strictly increasing."""
+    t_grid = [float(t) for t in t_grid]
+    if len(t_grid) < 4:
+        raise ValueError("t grid needs at least 4 points")
+    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
+        raise ValueError("t grid must be strictly increasing")
+    return t_grid
+
+
 def xi_cse_limit(xi: Functional, phi: ToricWeight, D: DiagonalDomain, t_grid) -> CseLimitResult:
     """Growth rate of log K_{xi} on the sublevel domains {phi < -t} ∩ D.
 
@@ -97,13 +108,8 @@ def xi_cse_limit(xi: Functional, phi: ToricWeight, D: DiagonalDomain, t_grid) ->
 
     from .bergman import kernel_at_origin
 
-    t_grid = [float(t) for t in t_grid]
-    if len(t_grid) < 4:
-        raise ValueError("t grid needs at least 4 points")
-    if any(b <= a for a, b in zip(t_grid, t_grid[1:])):
-        raise ValueError("t grid must be strictly increasing")
     table = []
-    for t in t_grid:
+    for t in t_grid_points(t_grid):
         sub = sublevel_domain(D, phi, t)
         k = kernel_at_origin(sub, xi)
         k = value_float(k)

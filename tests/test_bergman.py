@@ -46,31 +46,38 @@ from berglab.jets import Functional, Jet, jet_multiply, pair
 from reference_linalg import gauss_jordan, null_space
 
 
-def oracle_minimal_l2_diagonal(domain, F, J):
+def _product_columns(gens, J):
+    """The products g * z^beta truncated below J's level, for every generator
+    g and every beta of degree < level, as the columns of a complex matrix
+    over J.indices: they span the jet ideal, dependent ones included."""
+    return np.array([
+        [complex(x) for x in jet_multiply(g, Jet.monomial(J.n, beta), J.level - 1).vector(J.indices)]
+        for g in gens.generators
+        for beta in J.indices
+    ]).reshape(-1, len(J.indices)).T
+
+
+def oracle_minimal_l2_diagonal(domain, F, gens, J):
     """Weighted least squares over the ideal span, via numpy lstsq."""
     idx = J.indices
     w = np.array([domain.norm_float(a) for a in idx])
     assert np.all(np.isfinite(w)), "oracle only covers finite-norm instances"
     f = np.array([complex(c) for c in F.truncate(J.level - 1).to_float().vector(idx)])
-    if not J.basis:
-        return float(np.sum(np.abs(f) ** 2 * w))
-    B = np.array([[complex(x) for x in row] for row in J.basis]).T
+    B = _product_columns(gens, J)
     s = np.sqrt(w)
     u, *_ = np.linalg.lstsq(B * s[:, None], -f * s, rcond=None)
     res = f + B @ u
     return float(np.sum(np.abs(res) ** 2 * w))
 
 
-def oracle_minimal_l2_moment(dom, F, J):
+def oracle_minimal_l2_moment(dom, F, gens, J):
     """Moment-domain oracle: Cholesky-scale the quadratic form, lstsq."""
     idx = dom.indices
     f = np.zeros(len(idx), dtype=complex)
     for a, c in F.truncate(J.level - 1).coeffs.items():
         f[idx.index(a)] = complex(c)
-    cols = [
-        np.array([complex(x) for x in row] + [0] * (len(idx) - len(row)))
-        for row in J.basis
-    ]
+    P = _product_columns(gens, J)
+    cols = [np.concatenate([P[:, j], np.zeros(len(idx) - len(J.indices))]) for j in range(P.shape[1])]
     for i, a in enumerate(idx):
         if degree(a) >= J.level:
             e = np.zeros(len(idx), dtype=complex)
@@ -322,7 +329,8 @@ class TestMinimalL2:
             if not gens or all(g.is_zero() for g in gens):
                 continue
             try:
-                J = jet_ideal(IdealPresentation(n, gens), level)
+                gens = IdealPresentation(n, gens)
+                J = jet_ideal(gens, level)
             except BerglabError:
                 continue
             F = Jet(
@@ -332,18 +340,18 @@ class TestMinimalL2:
             )
             dom = DiagonalDomain.polydisc([1] * n)
             got = value_float(minimal_l2(dom, F, J).value)
-            want = oracle_minimal_l2_diagonal(dom, F, J)
+            want = oracle_minimal_l2_diagonal(dom, F, gens, J)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_oracle_agreement_moment(self):
         dom = moment_matrix(
             {"kind": "offcenter_disc", "center": [0.2, 0.1], "radius": 0.8}, 4
         )
-        gens = [Jet(1, 2, {(2,): 1, (1,): 0.4 - 0.2j})]
-        J = jet_ideal(IdealPresentation(1, gens), 3)
+        gens = IdealPresentation(1, [Jet(1, 2, {(2,): 1, (1,): 0.4 - 0.2j})])
+        J = jet_ideal(gens, 3)
         F = Jet(1, 2, {(0,): 0.7, (1,): 1})
         got = minimal_l2(dom, F, J).value
-        want = oracle_minimal_l2_moment(dom, F, J)
+        want = oracle_minimal_l2_moment(dom, F, gens, J)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_weighted_infinite(self):
@@ -383,8 +391,8 @@ def _product_rows(gens, level, idx):
 class TestProjectionConditions:
     """The exact minimizer x of C against its defining conditions, checked
     on the product rows g * z^beta with plain Gauss-Jordan elimination and
-    direct sums, without the package's linear algebra, the jet ideal's RREF
-    or the kernel-ratio route: x - F lies in their span, x vanishes on the
+    direct sums, without the package's linear algebra, the jet ideal's
+    annihilator or the kernel-ratio route: x - F lies in their span, x vanishes on the
     non-integrable slots, and x is orthogonal under the weights to every
     combination of product rows that vanishes there (every product row,
     when there is no such slot)."""
@@ -449,6 +457,60 @@ class TestProjectionConditions:
             assert res.value == PiValue(cval, n)
         assert solved >= 8
         assert with_infinite == (solved if weighted else 0)
+
+
+class TestCrossBackend:
+    """An exact instance run again on its exact=False domain: the float
+    routes then read the exact ideal's float view, and their C and B must
+    match the exact C."""
+
+    @pytest.mark.parametrize("gaussian", [False, True], ids=["int", "gaussian"])
+    @pytest.mark.parametrize("kind", ["polydisc", "ball", "weighted"])
+    def test_float_routes_match_exact(self, kind, gaussian):
+        rng = random.Random(f"{kind}-{gaussian}")
+
+        def coeff():
+            c = rng.choice((-3, -2, -1, 1, 2, 3))
+            return QQi(c, rng.randint(-3, 3)) if gaussian else c
+
+        def make_domain(n, radii, a, exact):
+            if kind == "ball":
+                return DiagonalDomain.ball(n, radii[0], exact=exact)
+            dom = DiagonalDomain.polydisc(radii, exact=exact)
+            return dom.with_weight(ToricWeight(a), 1) if kind == "weighted" else dom
+
+        outcomes = []
+        for _ in range(24):
+            n, level = rng.randint(2 if kind == "ball" else 1, 3), rng.randint(3, 4)
+            idx = indices_up_to(n, level - 1)
+            gens = [
+                Jet(n, level - 1, {rng.choice(idx[1:]): coeff() for _ in range(rng.randint(1, 3))})
+                for _ in range(rng.randint(1, 2))
+            ]
+            radii = [rng.randint(1, 2) for _ in range(n)]
+            a = tuple([1] + [rng.randint(0, 1) for _ in range(n - 1)])
+            exact_dom = make_domain(n, radii, a, True)
+            float_dom = make_domain(n, radii, a, False)
+            try:
+                J = jet_ideal(IdealPresentation(n, gens), level)
+            except BerglabError:
+                continue
+            # terms on the integrable slots (on every slot now and then),
+            # plus a multiple of a generator, which may touch the others
+            slots = idx if rng.random() < 0.3 else [b for b in idx if exact_dom.finite(b)]
+            terms = {b: coeff() for b in rng.sample(slots, min(3, len(slots)))}
+            F = Jet(n, level - 1, terms).add(gens[0].scale(coeff()))
+            c = minimal_l2(exact_dom, F, J)
+            assert J.exact and c.diagnostics["backend"] == "exact"
+            for res in (minimal_l2(float_dom, F, J), b_circle(float_dom, F, J)):
+                assert res.diagnostics["backend"] == "float"
+                ok, gap = routes_agree(c.value, res.value)
+                assert ok and gap <= ROUTES_RTOL, (c.value, res.value)
+            outcomes.append((c.diagnostics["outcome"], c.diagnostics["infinite_slots"]))
+        assert sum(o == "solved" for o, _ in outcomes) >= 6
+        if kind == "weighted":
+            assert any(o == "solved" and inf for o, inf in outcomes)
+            assert any(o == "infeasible" for o, _ in outcomes)
 
 
 class TestExtremalFunctional:
@@ -662,7 +724,7 @@ class TestComplexCoefficients:
         F = Jet(2, 3, {(0, 0): 0.2 + 0.5j, (1, 0): -0.7 + 0.1j, (1, 1): 0.6 - 0.4j,
                        (0, 3): -0.3 + 0.8j})
         dom = DiagonalDomain.polydisc([0.7, 1.3], exact=False)
-        want = oracle_minimal_l2_diagonal(dom, F, J)
+        want = oracle_minimal_l2_diagonal(dom, F, gens, J)
         assert minimal_l2(dom, F, J).value == pytest.approx(want, rel=1e-9)
         assert b_circle(dom, F, J).value == pytest.approx(want, rel=1e-9)
 
@@ -697,7 +759,7 @@ class TestComplexCoefficients:
         J = jet_ideal(gens, 7)
         assert J.span_dim == 100
         c, b = minimal_l2(dom, F, J), b_circle(dom, F, J)
-        assert c.value == pytest.approx(oracle_minimal_l2_diagonal(dom, F, J), rel=1e-12)
+        assert c.value == pytest.approx(oracle_minimal_l2_diagonal(dom, F, gens, J), rel=1e-12)
         ok, gap = routes_agree(c.value, b.value)
         assert ok and gap <= ROUTES_RTOL
 

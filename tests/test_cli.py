@@ -409,6 +409,71 @@ class TestExhaustDensity:
             assert float(line.split(",")[1]) <= 1e-10
 
 
+DISC_Z = {"n": 1, "terms": [{"alpha": [1], "re": "1", "im": "0"}]}
+DIAGONAL_SPECS = {
+    "ladder": dict(TWISTED_CUSP),
+    "sop": {"domain": {"kind": "polydisc", "radii": [1]}, "F": DISC_Z, "weight": {"a": ["1"]}},
+    "cse": {"domain": {"kind": "polydisc", "radii": [1]}, "xi": DISC_Z, "weight": {"a": ["1"]}},
+    "density": {
+        "domain": {"kind": "polydisc", "radii": [1]},
+        "F": DISC_Z,
+        "generators": [{"n": 1, "terms": [{"alpha": [2], "re": "1", "im": "0"}]}],
+    },
+}
+
+
+class TestSpecRanges:
+    @pytest.mark.parametrize(
+        "command, option, value",
+        [
+            ("ladder", "--k", "5..2"),
+            ("density", "--k", "5..2"),
+            ("ladder", "--k", "0..3"),
+            ("cse", "--t", "1:3:1"),
+            ("cse", "--t", "10:1:1"),
+            ("cse", "--t", "1:10:0"),
+            ("cse", "--t", "1:10:-1"),
+            ("cse", "--t", "-inf:10:1"),
+        ],
+        ids=[
+            "ladder-empty-k",
+            "density-empty-k",
+            "ladder-level-0",
+            "cse-three-points",
+            "cse-backwards",
+            "cse-zero-step",
+            "cse-negative-step",
+            "cse-infinite-start",
+        ],
+    )
+    def test_bad_range_exit_2(self, runner, tmp_path, command, option, value):
+        spec = write_spec(tmp_path, DIAGONAL_SPECS[command])
+        result = runner.invoke(main, [command, "--spec", spec, option, value])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "spec error" in result.output
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("ladder", "k_range", "5..2"), ("density", "k_range", "5..2"), ("cse", "t_grid", "1:3:1")],
+    )
+    def test_bad_range_in_spec_exit_2(self, runner, tmp_path, command, key, value):
+        spec = write_spec(tmp_path, dict(DIAGONAL_SPECS[command], **{key: value}))
+        result = runner.invoke(main, [command, "--spec", spec])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "spec error" in result.output
+
+    @pytest.mark.parametrize("command", ["sop", "cse", "density"])
+    def test_moment_domain_exit_2(self, runner, tmp_path, command):
+        domain = {"kind": "offcenter_disc", "center": [0.2, 0.1], "radius": 0.9}
+        spec = write_spec(tmp_path, dict(DIAGONAL_SPECS[command], domain=domain))
+        result = runner.invoke(main, [command, "--spec", spec])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"spec error: {command} needs a diagonal domain" in result.output
+
+
 class TestSuite:
     def test_equivalence_suite(self, runner):
         result = runner.invoke(

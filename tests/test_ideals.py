@@ -24,7 +24,7 @@ from berglab.domains import ToricWeight
 from berglab.exactnum import QQi
 from berglab.indices import indices_up_to
 from berglab.jets import Functional, Jet, jet_multiply, pair
-from berglab.linalg import rref
+from reference_linalg import gauss_jordan
 
 
 def z_pow(m):
@@ -125,7 +125,7 @@ class TestAnnihilator:
                        (2, 1, 0, 0): 0.9279839691179126 + 0.4863125219462894j}),
         ])
         J = jet_ideal(gens, 7)
-        B = np.array(J.basis, dtype=complex)
+        B = J.rows
         N = np.array([xi.vector(J.indices) for xi in annihilator(J)], dtype=complex)
         assert len(B) + len(N) == len(J.indices)
         for M in (B, N):
@@ -165,12 +165,34 @@ class TestKeptProductRows:
             for beta in J.indices
         ]
         m = len(J.indices)
+        kept = [[QQi(x.real, x.imag) for x in row] for row in J.rows]
         # each kept row is a multiple of a product row ...
-        lines = {str(rref([row], m)[:2]) for row in product_rows}
-        assert all(str(rref([row], m)[:2]) in lines for row in J.rows)
+        lines = [gauss_jordan([row], m) for row in product_rows]
+        assert all(gauss_jordan([row], m) in lines for row in kept)
         # ... and they are independent: span_dim of them, with the same span
         assert len(J.rows) == J.span_dim
-        assert rref(J.rows, m)[:2] == rref(product_rows, m)[:2]
+        assert gauss_jordan(kept, m) == gauss_jordan(product_rows, m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(presentations())
+    def test_float_view_splits_at_exact_rank(self, presentation):
+        # a float problem on an exact ideal reads orthonormal bases of the
+        # same span and annihilator
+        n, level, gens = presentation
+        try:
+            J = jet_ideal(IdealPresentation(n, gens), level)
+        except (ImproperIdealError, ValueError):
+            return
+        span, null = J.float_view
+        assert span.shape == (J.span_dim, len(J.indices))
+        assert null.shape == (len(J.indices) - J.span_dim, len(J.indices))
+        V = np.vstack([span, null.conj()])
+        assert abs(V @ V.conj().T - np.eye(len(J.indices))).max() <= 1e-12
+        rows = np.array([[complex(x) for x in row] for row in J.rows]).reshape(-1, len(J.indices))
+        assert abs(null @ rows.T).max(initial=0) <= 1e-12 * max(1, abs(rows).max(initial=0))
+        # the integer annihilator spans the same space as the float one
+        ints = np.array([[complex(x) for x in v] for v in J.null]).reshape(-1, len(J.indices))
+        assert abs(ints @ span.T).max(initial=0) <= 1e-12 * max(1, abs(ints).max(initial=0))
 
 
 class TestMonomialIdeal:

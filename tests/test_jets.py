@@ -31,13 +31,11 @@ from berglab.linalg import (
     _GaussInt,
     annihilates,
     hermitian_gram,
-    integer_null_space,
-    rref,
-    rref_null_space,
     solve,
+    span_and_annihilator,
     to_ring,
 )
-from reference_linalg import gauss_jordan
+from reference_linalg import gauss_jordan, null_space
 
 multi_index = st.lists(st.integers(0, 6), min_size=1, max_size=4).map(tuple)
 
@@ -229,19 +227,18 @@ class TestLinalg:
             assert parts(x.conjugate()) == parts(lift(x).conjugate())
             assert bool(x) == bool(lift(x)) == bool(as_qqi(x))
 
-    def test_rref_exact_stays_rational(self):
-        rows, pivots, kept = rref([[2, 4], [1, 3]], 2)
-        assert pivots == [0, 1]
-        for row in rows:
-            for x in row:
-                assert isinstance(x, Fraction)
-        assert kept == [[2, 4], [1, 3]]
+    def test_exact_output_stays_integer(self):
+        kept, ns, gaussian = span_and_annihilator([[2, 4], [1, 3]], 2)
+        assert kept == [[2, 4], [1, 3]] and ns == [] and not gaussian
+        # a row is cleared by its denominators; the RREF row is [1, 2/3, 0]
+        kept, ns, gaussian = span_and_annihilator([[Fraction(1, 2), Fraction(1, 3), 0]], 3)
+        assert kept == [[3, 2, 0]]
+        assert ns == [[-2, 3, 0], [0, 0, 1]] and not gaussian
+        assert all(type(x) is int for v in kept + ns for x in v)
 
     def test_null_space_bilinear(self):
-        red, pivots, _ = rref([[1, 1, 0]], 3)
-        ns, gaussian = integer_null_space(red, pivots, 3)
+        _, ns, gaussian = span_and_annihilator([[1, 1, 0]], 3)
         assert len(ns) == 2 and not gaussian
-        assert len(rref_null_space(red, pivots, 3)) == 2
         for v in ns:
             assert v[0] + v[1] == 0
 
@@ -264,28 +261,29 @@ class TestLinalg:
 
     @settings(max_examples=150)
     @given(st.one_of(matrices(fractions_), matrices(gaussians)))
-    def test_rref_properties(self, matrix):
+    def test_span_and_annihilator_properties(self, matrix):
         rows, ncols = matrix
-        red, pivots, kept = rref(rows, ncols)
-        # echelon form with the identity on the pivot columns
-        assert pivots == sorted(set(pivots)) and len(red) == len(pivots)
-        for k, (row, c) in enumerate(zip(red, pivots)):
-            assert len(row) == ncols
-            assert not any(row[:c])
-            assert [row[p] for p in pivots] == [int(i == k) for i in range(len(pivots))]
-        # every input row pairs to zero with the integer null space
-        ns, gaussian = integer_null_space(red, pivots, ncols)
-        assert len(ns) == ncols - len(pivots)
-        assert gaussian == any(isinstance(x, QQi) for row in red for x in row)
+        kept, ns, gaussian = span_and_annihilator(rows, ncols)
+        ref_rows, ref_pivots = gauss_jordan(rows, ncols)
+        # the kept rows are independent and span the reference row space
+        assert len(kept) == len(ref_pivots)
+        assert gauss_jordan([[as_qqi(x) for x in row] for row in kept], ncols) == (
+            ref_rows, ref_pivots
+        )
+        # one vector per free column: the reference null vector times its
+        # positive free-column entry, with content 1
+        free = [j for j in range(ncols) if j not in ref_pivots]
+        ref_ns = null_space(rows, ncols)
+        assert len(ns) == len(ref_ns) == len(free)
+        for v, r, j in zip(ns, ref_ns, free):
+            assert type(v[j]) is int and v[j] > 0
+            assert [as_qqi(x) for x in v] == [v[j] * x for x in r]
+            assert math.gcd(*(p for x in v for p in parts(x))) == 1
+        assert gaussian == any(x.imag for v in ns for x in v)
+        assert all(type(x) is int for v in ns for x in v if not x.imag)
+        # every input row pairs to zero with the annihilator
         for row in rows:
             assert annihilates(ns, row)
-        # the kept rows are independent and span the same space
-        assert len(kept) == len(pivots)
-        assert rref(kept, ncols)[:2] == (red, pivots)
-        # rank and rows equal plain Gauss-Jordan elimination's
-        ref_rows, ref_pivots = gauss_jordan(rows, ncols)
-        assert pivots == ref_pivots
-        assert red == ref_rows
 
     @settings(max_examples=150)
     @given(st.one_of(matrices(fractions_), matrices(gaussians)), st.data())
@@ -386,9 +384,8 @@ class TestLinalg:
     @settings(max_examples=30)
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=3))
     def test_null_space_annihilates(self, rows):
-        red, pivots, _ = rref(rows, 3)
-        for ns in (integer_null_space(red, pivots, 3)[0], rref_null_space(red, pivots, 3)):
-            assert len(ns) == 3 - len(pivots)
-            for v in ns:
-                for row in rows:
-                    assert sum(a * b for a, b in zip(row, v)) == 0
+        kept, ns, _ = span_and_annihilator(rows, 3)
+        assert len(ns) == 3 - len(kept)
+        for v in ns:
+            for row in rows:
+                assert sum(a * b for a, b in zip(row, v)) == 0

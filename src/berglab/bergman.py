@@ -13,8 +13,9 @@ to exercise; it is asserted by the test suites, never assumed by the code.
 Both routes start from one problem record, built by :func:`_problem`: it
 checks (domain, F, J), decides containment and exact vs float once, and
 assembles the inputs both routes read (the working indices, the weights,
-the finite slots and F's vector).  Each route then does its own solve on
-its own system:
+the finite slots and F's vector).  :func:`both_routes` builds the record
+once for a caller that wants both values.  Each route then does its own
+solve on its own system:
 
 * in exact mode the projection solves its normal equations on the
   independent product rows g * z^beta that the jet ideal's elimination kept
@@ -306,8 +307,12 @@ def minimal_l2(domain, F: Jet, J: JetIdeal) -> ProjectionResult:
     """Least squared norm over holomorphic functions agreeing with F modulo
     the ideal; the minimizer is the projection of F's low-order jet onto the
     orthogonal complement of the ideal's subspace."""
-    prob = _problem(domain, F, J)
+    return _project(_problem(domain, F, J))
+
+
+def _project(prob: _Problem) -> ProjectionResult:
     if prob.contained:
+        J = prob.J
         zero = Jet.zero(J.n, J.level - 1), Functional.delta(J.n, (0,) * J.n), prob.pi_power
         diag = prob.diagnostics("contained", None, None)
         return ProjectionResult(prob.value(Fraction(0)), *zero, diag)
@@ -447,7 +452,10 @@ def b_circle(domain, F: Jet, J: JetIdeal) -> KernelRatioResult:
     """Supremum of |(xi.F)(o)|^2 / K_xi over finitely supported xi
     annihilating the ideal, computed as a closed-form quadratic maximum
     over the annihilator basis."""
-    prob = _problem(domain, F, J)
+    return _kernel_ratio(_problem(domain, F, J))
+
+
+def _kernel_ratio(prob: _Problem) -> KernelRatioResult:
     if prob.contained:
         diag = prob.diagnostics("contained", None, None)
         return KernelRatioResult(prob.value(Fraction(0)), None, diag)
@@ -526,6 +534,13 @@ def _b_circle_float(prob: _Problem) -> KernelRatioResult:
     return KernelRatioResult(value, maximizer, prob.diagnostics("solved", V.shape[1], None))
 
 
+def both_routes(domain, F: Jet, J: JetIdeal):
+    """(minimal_l2, b_circle) of one (domain, F, J), from one problem record:
+    the routes share its input assembly, and each does its own solve."""
+    prob = _problem(domain, F, J)
+    return _project(prob), _kernel_ratio(prob)
+
+
 ROUTES_RTOL = 1e-9
 
 
@@ -584,8 +599,7 @@ def krull_ladder(domain, F: Jet, gens: IdealPresentation, k_range) -> LadderResu
         J = jet_ideal(gens, k)
         # F is a full polynomial here; widen its declared bound as k grows
         Fk = Jet(F.n, max(F.degree_bound, k - 1), F.coeffs)
-        c = minimal_l2(domain, Fk, J)
-        b = b_circle(domain, Fk, J)
+        c, b = both_routes(domain, Fk, J)
         rows.append(LadderRow(k, c.value, b.value))
     stabilized = False
     limit = rows[-1].c_value if rows else None

@@ -16,12 +16,11 @@ from pathlib import Path
 import click
 
 from .bergman import (
-    b_circle,
+    both_routes,
     density_sequence,
     exhaustion_limit,
     kernel_at_origin,
     krull_ladder,
-    minimal_l2,
     routes_agree,
     triangular_basis,
 )
@@ -48,6 +47,9 @@ from .suites import run_suite
 EXIT_CROSSCHECK = 1
 EXIT_SCHEMA = 2
 EXIT_NUMERICAL = 3
+
+# most points a "start:stop:step" t grid may have
+MAX_T_POINTS = 10_000
 
 _TERMS = {
     "type": "array",
@@ -98,6 +100,7 @@ SCHEMAS = {
             "domain": _DOMAIN,
             "F": _JET,
             "generators": {"type": "array", "items": _JET, "minItems": 1},
+            "k_range": {"type": "string"},
         },
     },
     "exhaust": {
@@ -134,6 +137,7 @@ SCHEMAS = {
             "domain": _DOMAIN,
             "xi": {"type": "object", "required": ["n", "terms"]},
             "weight": _WEIGHT,
+            "t_grid": {"type": "string"},
         },
     },
     "density": {
@@ -143,6 +147,7 @@ SCHEMAS = {
             "domain": _DOMAIN,
             "F": _JET,
             "generators": {"type": "array", "items": _JET, "minItems": 1},
+            "k_range": {"type": "string"},
         },
     },
 }
@@ -235,6 +240,8 @@ def _parse_tgrid(text):
     a, b, step = (float(x) for x in text.split(":"))
     if not (math.isfinite(a) and math.isfinite(b) and step > 0):
         raise ValueError(f"t grid {text!r} needs finite ends and a positive step")
+    if (b - a) / step >= MAX_T_POINTS:
+        raise ValueError(f"t grid {text!r} has more than {MAX_T_POINTS} points")
     out, t = [], a
     while t <= b + 1e-12:
         out.append(round(t, 12))
@@ -302,7 +309,7 @@ def equiv(spec_path, out_dir, mode):
 
     def compute():
         J = jet_ideal(gens, level)
-        return minimal_l2(domain, F, J), b_circle(domain, F, J)
+        return both_routes(domain, F, J)
 
     proj, ratio = _run(compute)
     agree, gap = routes_agree(proj.value, ratio.value)

@@ -6,7 +6,11 @@ Two families are supported:
   diagonal toric weights, sublevel sets, truncated weights).  Monomials are
   orthogonal, so the domain is fully described by its monomial norms.  In
   exact mode the norms are rational multiples of pi**n and the pi power is
-  factored out.
+  factored out.  Norms are closed forms: a polydisc norm is a product of
+  cached per-coordinate factors (a one-variable truncated weight changes
+  only its active coordinate's factor), and a two-variable cut of a bidisc
+  integrates powers of |z| in u = log|z| with :func:`_int_pow`, the part
+  below the cut curve by :func:`_below_curve`.
 * :class:`MomentDomain` -- a finite Hermitian positive-definite moment
   matrix of monomial inner products for general bounded domains, assembled
   from closed forms or an exact trapezoid rule.
@@ -95,7 +99,8 @@ class DiagonalDomain:
     attached density prod_j |z_j|^(-2 e_j) (the toric weight with its scale
     already folded in).  ``truncated`` optionally caps the toric part of the
     density at exp(c*j) (the max(psi,-j) construction); ``trunc_scale`` is
-    that c.
+    that c.  Polydisc norms, truncated ones with one active coordinate
+    included, are products of per-coordinate factors cached by exponent.
     """
 
     def __init__(
@@ -170,8 +175,6 @@ class DiagonalDomain:
             raise BerglabError("cannot stack a plain weight on a truncated one")
         c = Fraction(c) if self.exact else c
         new_e = tuple(e + c * a for e, a in zip(self.weight_exponents, phi.a))
-        if self.kind == "ball" and self.n > 1:
-            raise UnsupportedDomainError("toric weights are only supported on polydiscs")
         # a float domain stays float; an exact one is exact again if it can be
         dom = DiagonalDomain(
             self.n,
@@ -272,10 +275,14 @@ class DiagonalDomain:
         return v
 
     def _compute_norm(self, alpha):
-        if self.truncated is not None:
-            return self._truncated_norm(alpha)
         if self.kind == "ball":
             return self._ball_norm(alpha)
+        if self.truncated is not None and len(self.truncated.psi.active()) > 1:
+            if self.n == 2:
+                return _truncated_norm_2d(self, alpha)
+            raise BerglabError(
+                "truncated weights support one active coordinate, or two in dimension 2"
+            )
         # polydisc: the product of the coordinates' factors, with a factor pi
         # per coordinate (factored out in exact mode)
         out = Fraction(1) if self.exact else math.pi**self.n
@@ -289,9 +296,22 @@ class DiagonalDomain:
         return out if self.exact else _finite(out)
 
     def _polydisc_factor(self, j, k):
-        """Coordinate j's factor r^(2x) / x, x = k - e + 1 for e its weight
-        exponent; math.inf when x <= 0."""
+        """Coordinate j's factor 2 * (the integral of s^(2x-1) over [0, r]) =
+        r^(2x) / x, x = k - e + 1 for e its weight exponent; math.inf when
+        x <= 0.  On the active coordinate m of a one-variable truncated
+        weight, the density is capped at e^(c*j) below rho = e^(-j/(2a_m)),
+        leaving the base weight's exponent x + c*a_m there."""
         r, x = self.radii[j], k - self.weight_exponents[j] + 1
+        tw = self.truncated
+        if tw is not None and tw.psi.a[j] > 0:
+            c, a, x = float(self.trunc_scale), float(tw.psi.a[j]), float(x)
+            if x + c * a <= 0:
+                return math.inf
+            log_r, log_rho = math.log(float(r)), -tw.j / (2 * a)
+            val = _int_pow(2 * (x + c * a) - 1, -math.inf, min(log_r, log_rho), c * tw.j)
+            if log_rho < log_r:
+                val += _int_pow(2 * x - 1, log_rho, log_r)
+            return 2 * val
         if x <= 0:
             return math.inf
         if not self.exact:
@@ -313,54 +333,6 @@ class DiagonalDomain:
         return _finite(
             math.pi**self.n * (fact / denom) * float(self.radius) ** (2 * (d + self.n))
         )
-
-    def _truncated_norm(self, alpha):
-        active = self.truncated.psi.active()
-        if len(active) == 1:
-            return self._truncated_norm_1var(alpha, active[0])
-        if self.n == 2 and len(active) == 2:
-            return _truncated_norm_2d(self, alpha)
-        raise BerglabError(
-            "truncated weights support one active coordinate, or two in dimension 2"
-        )
-
-    def _truncated_norm_1var(self, alpha, m):
-        """Closed-form split of the weighted integral at |z_m| = e^(-j/(2a))."""
-        tw, c = self.truncated, float(self.trunc_scale)
-        a = float(tw.psi.a[m])
-        j = tw.j
-        rho = math.exp(-j / (2 * a))
-        out = 1.0
-        for i, (k, r) in enumerate(zip(alpha, self.radii)):
-            r = float(r)
-            e = float(self.weight_exponents[i])
-            if i != m:
-                x = k - e + 1
-                if x <= 0:
-                    return math.inf
-                out *= math.pi * r ** (2 * x) / x
-                continue
-            ca = c * a  # e already includes base weight + c*a on this slot
-            ebase = e - ca  # any pre-existing weight on the coordinate
-            cap = math.exp(c * j)
-            if rho >= r:
-                # the cap covers the whole disc in this coordinate
-                x = k - ebase + 1
-                if x <= 0:
-                    return math.inf
-                out *= cap * math.pi * r ** (2 * x) / x
-                continue
-            x_in = k - ebase + 1  # capped region: density exp(c*j)
-            if x_in <= 0:
-                return math.inf
-            inner = cap * math.pi * rho ** (2 * x_in) / x_in
-            x_out = k - e + 1  # singular region: full weighted density
-            if abs(x_out) < 1e-15:
-                outer = 2 * math.pi * (math.log(r) + j / (2 * a))
-            else:
-                outer = math.pi * (r ** (2 * x_out) - rho ** (2 * x_out)) / x_out
-            out *= inner + outer
-        return _finite(out)
 
     # -- structure ------------------------------------------------------
 
@@ -468,6 +440,22 @@ def _int_pow_log(e, u1, u2):
     return math.exp(f * end) * (end * E - sign * W * length * length)
 
 
+def _below_curve(p, q, log_r1, log_r2, log_k, s, log_c=0.0):
+    """c * (the integral of x1^p x2^q over {x1 < min(r1, K*x2^(-s)),
+    x2 < r2}), c = exp(log_c) and K = exp(log_k), for p, q > -1 and s > 0.
+
+    In u = log x2 the curve meets x1 = r1 at the kink u* = (log K - log r1)/s:
+    below it x1 runs up to r1, above it up to the curve, and the x1 integral
+    leaves a power of x2 on each side.
+    """
+    u_star = (log_k - log_r1) / s
+    log_c -= math.log(p + 1)
+    val = _int_pow(q, -math.inf, min(u_star, log_r2), log_c + (p + 1) * log_r1)
+    if u_star < log_r2:
+        val += _int_pow(q - s * (p + 1), u_star, log_r2, log_c + (p + 1) * log_k)
+    return val
+
+
 def _finite(val):
     """``val``; a norm that came out inf or nan from finite data overflowed."""
     if not math.isfinite(val):
@@ -476,8 +464,9 @@ def _finite(val):
 
 
 class _SublevelDomain2D(DiagonalDomain):
-    """{phi < -t} over a bidisc with a two-variable toric weight; norms are
-    integrated in closed form over the Reinhardt shadow."""
+    """{phi < -t} over a bidisc with a two-variable toric weight; a norm is
+    the integral over the Reinhardt shadow, the part of the bidisc below the
+    curve x1 = e^(-t/(2 a1)) x2^(-a2/a1) (:func:`_below_curve`)."""
 
     def __init__(self, base: DiagonalDomain, phi: ToricWeight, t: float):
         super().__init__(
@@ -500,23 +489,13 @@ class _SublevelDomain2D(DiagonalDomain):
         a1, a2 = (float(x) for x in self._phi.a)
         r1, r2 = (float(r) for r in self.radii)
         e1, e2 = (float(e) for e in self.weight_exponents)
-        t = self._t
         p = 2 * alpha[0] + 1 - 2 * e1
         q = 2 * alpha[1] + 1 - 2 * e2
         if p + 1 <= 0 or q + 1 <= 0:
             return math.inf
-        # 4 pi^2 times the integral of x1^p x2^q over the shadow; x1 runs up
-        # to r1 below the kink u* (in u = log x2) and up to the sublevel
-        # curve x1 = exp((-t/2 - a2*u)/a1) above it
-        u2 = math.log(r2)
-        u_star = min(u2, (-t / 2 - a1 * math.log(r1)) / a2)
-
-        val = _int_pow(q, -math.inf, u_star, (p + 1) * math.log(r1) - math.log(p + 1))
-        if u_star < u2:
-            # above it the integrand is exp(A + B*u) in u
-            A = -(p + 1) * t / (2 * a1) - math.log(p + 1)
-            B = (q + 1) - (p + 1) * a2 / a1
-            val += _int_pow(B - 1, u_star, u2, A)
+        # 4 pi^2 times the integral of x1^p x2^q over the shadow, the part of
+        # the bidisc below the sublevel curve x1 = e^(-t/(2 a1)) x2^(-a2/a1)
+        val = _below_curve(p, q, math.log(r1), math.log(r2), -self._t / (2 * a1), a2 / a1)
         return _finite(4 * math.pi**2 * val)
 
 
@@ -525,10 +504,10 @@ def _truncated_norm_2d(domain: DiagonalDomain, alpha):
 
     x1 is split at the cap curve x1* = K*x2^(-s), K = e^(-j/(2a1)),
     s = a2/a1: below it the density is the cap e^(cj) times the base
-    weight, above it the full weighted density.  The curve meets x1 = r1 at
-    x2*; on [0, x2*] the inner integral is a constant times x2^q, and on
-    [x2*, r2] it is a sum of powers of x2, with a log x2 term when the
-    singular exponent p_sing is -1.
+    weight (:func:`_below_curve`), above it the full weighted density.  The
+    curve meets x1 = r1 at x2*; on [x2*, r2] the part above it is a sum of
+    powers of x2, with a log x2 term when the singular exponent p_sing is
+    -1.
     """
     tw, c = domain.truncated, float(domain.trunc_scale)
     a1, a2 = (float(x) for x in tw.psi.a)
@@ -547,17 +526,11 @@ def _truncated_norm_2d(domain: DiagonalDomain, alpha):
     # the singular region's power of x2 before the x1 integral
     q_sing = q_base - 2 * c * a2
 
-    # [0, min(x2*, r2)]: x1 up to r1 under the cap
-    val = _int_pow(
-        q_base, -math.inf, min(u_star, u2), c * j + (p_cap + 1) * log_r1 - math.log(p_cap + 1)
-    )
+    # under the cap: the base weight times e^(cj)
+    val = _below_curve(p_cap, q_base, log_r1, u2, log_k, s, c * j)
     if u_star < u2:
-        # [x2*, r2]: cap * x1*^(p_cap+1) / (p_cap+1) ...
-        val += _int_pow(
-            q_base - s * (p_cap + 1), u_star, u2,
-            c * j + (p_cap + 1) * log_k - math.log(p_cap + 1),
-        )
-        # ... + x2^(-2 c a2) * (the integral of x1^p_sing from x1* to r1)
+        # above it, on [x2*, r2]: x2^(-2 c a2) * (the integral of x1^p_sing
+        # from x1* to r1)
         ps1 = p_sing + 1
         if abs(ps1) < 1e-14:
             # log r1 - log x1* = (log r1 - log K) + s * log x2

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bergman import b_circle, extremal_functional, minimal_l2, routes_agree
+from .bergman import both_routes, extremal_functional, routes_agree
 from .domains import DiagonalDomain, ToricWeight, sublevel_domain, weighted_integral
 from .errors import (
     BerglabError,
@@ -271,10 +271,10 @@ def effectiveness_report(D: DiagonalDomain, F: Jet, phi: ToricWeight) -> Effecti
     iplus = multiplier_ideal_plus(phi, c0)
     J = _plus_jet_ideal(iplus, F)
     Fw = Jet(F.n, J.level - 1, F.coeffs)
-    proj = minimal_l2(D, Fw, J)
-    bc = b_circle(D, Fw, J)
+    proj, bc = both_routes(D, Fw, J)
     cv, bv = proj.value, bc.value
-    if not routes_agree(cv, bv)[0]:
+    agree, gap = routes_agree(cv, bv)
+    if not agree:
         raise BerglabError(f"kernel-ratio route disagrees: {cv} vs {bv}")
     exact = isinstance(A, PiValue) and isinstance(cv, PiValue)
     if exact and A.pi_power == cv.pi_power:
@@ -293,7 +293,7 @@ def effectiveness_report(D: DiagonalDomain, F: Jet, phi: ToricWeight) -> Effecti
         )
     diag = {
         "jet_level": J.level,
-        "b_gap": abs(value_float(cv) - value_float(bv)),
+        "b_gap": gap,
     }
     return EffectivenessReport(
         A, c0, iplus, cv, bv, R, p_max, p_star, sharp, diag

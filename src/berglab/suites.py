@@ -16,7 +16,7 @@ import traceback
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bergman import b_circle, density_sequence, minimal_l2, routes_agree
+from .bergman import both_routes, density_sequence, routes_agree
 from .domains import (
     DiagonalDomain,
     ToricWeight,
@@ -174,7 +174,8 @@ def _random_moment_domain(rng, degree_bound):
 
 def _equivalence_instance(args):
     _, _, (domain, F, J) = args
-    ok, gap = routes_agree(minimal_l2(domain, F, J).value, b_circle(domain, F, J).value)
+    c, b = both_routes(domain, F, J)
+    ok, gap = routes_agree(c.value, b.value)
     return ok, gap, ""
 
 

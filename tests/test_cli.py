@@ -202,30 +202,30 @@ class TestEquiv:
         assert data["C"] == data["B_circle"] == {"pi_power": 1, "rational": "inf"}
 
 
-def off_by_pi_e12(real_b_circle):
-    """A b_circle whose exact value is off by pi^n * 1e-12: far inside any
-    float tolerance, yet unequal."""
+def off_by_pi_e12(real_kernel_ratio):
+    """A kernel-ratio solve whose exact value is off by pi^n * 1e-12: far
+    inside any float tolerance, yet unequal."""
 
-    def b_circle(domain, F, J):
-        res = real_b_circle(domain, F, J)
+    def kernel_ratio(prob):
+        res = real_kernel_ratio(prob)
         res.value = res.value + PiValue(Fraction(1, 10**12), res.value.pi_power)
         return res
 
-    return b_circle
+    return kernel_ratio
 
 
 class TestCrossCheck:
     """An exact C != B is a cross-check failure, however small the gap."""
 
     def test_equiv_exact_mismatch_exit_1(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "b_circle", off_by_pi_e12(cli.b_circle))
+        monkeypatch.setattr(bergman, "_kernel_ratio", off_by_pi_e12(bergman._kernel_ratio))
         spec = write_spec(tmp_path, DISC_Z_SQUARED)
         result = runner.invoke(main, ["equiv", "--spec", spec])
         assert result.exit_code == 1, result.output
         assert "cross-check failed" in result.output
 
     def test_ladder_exact_mismatch_exit_1(self, runner, tmp_path, monkeypatch):
-        monkeypatch.setattr(bergman, "b_circle", off_by_pi_e12(bergman.b_circle))
+        monkeypatch.setattr(bergman, "_kernel_ratio", off_by_pi_e12(bergman._kernel_ratio))
         spec = write_spec(tmp_path, TWISTED_CUSP)
         result = runner.invoke(main, ["ladder", "--spec", spec, "--k", "2..5"])
         assert result.exit_code == 1, result.output
@@ -434,6 +434,8 @@ class TestSpecRanges:
             ("cse", "--t", "1:10:0"),
             ("cse", "--t", "1:10:-1"),
             ("cse", "--t", "-inf:10:1"),
+            ("cse", "--t", "0:1:1e-9"),
+            ("cse", "--t", "0:1e300:1e-300"),
         ],
         ids=[
             "ladder-empty-k",
@@ -444,6 +446,8 @@ class TestSpecRanges:
             "cse-zero-step",
             "cse-negative-step",
             "cse-infinite-start",
+            "cse-tiny-step",
+            "cse-step-underflows",
         ],
     )
     def test_bad_range_exit_2(self, runner, tmp_path, command, option, value):
@@ -463,6 +467,26 @@ class TestSpecRanges:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "spec error" in result.output
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("ladder", "k_range", [2, 5]),
+            ("density", "k_range", [2, 5]),
+            ("cse", "t_grid", [1, 2, 3, 4]),
+        ],
+    )
+    def test_range_given_as_list_exit_2(self, runner, tmp_path, command, key, value):
+        spec = write_spec(tmp_path, dict(DIAGONAL_SPECS[command], **{key: value}))
+        result = runner.invoke(main, [command, "--spec", spec])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"spec validation failed at {key}" in result.output
+
+    def test_t_grid_point_cap(self):
+        assert len(cli._parse_tgrid(f"0:{cli.MAX_T_POINTS - 1}:1")) == cli.MAX_T_POINTS
+        with pytest.raises(ValueError, match="points"):
+            cli._parse_tgrid(f"0:{cli.MAX_T_POINTS}:1")
 
     @pytest.mark.parametrize("command", ["sop", "cse", "density"])
     def test_moment_domain_exit_2(self, runner, tmp_path, command):

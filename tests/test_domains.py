@@ -273,6 +273,66 @@ def truncated_oracle(radii, a, j, c, alpha):
     return 4 * math.pi**2 * v
 
 
+def capped_oracle(radii, m, a, j, c, alpha, e=None):
+    """|z^alpha|^2 prod |z_i|^(-2 e_i) exp(-c max(2 a log|z_m|, -j)) over the
+    polydisc: 1-D quadrature in |z_m| split at rho = e^(-j/(2a)), times the
+    polar closed form pi r^(2x) / x, x = k - e + 1, of every other
+    coordinate."""
+    e = e or [0] * len(radii)
+    r, rho = radii[m], math.exp(-j / (2 * a))
+
+    def density(s):
+        return s ** (2 * alpha[m] + 1 - 2 * e[m]) * math.exp(-c * max(2 * a * math.log(s), -j))
+
+    cuts = [0.0, min(rho, r), r]
+    v = 2 * math.pi * sum(
+        quad(density, lo, hi, epsabs=0, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(cuts, cuts[1:])
+        if lo < hi
+    )
+    for i, (k, ri) in enumerate(zip(alpha, radii)):
+        if i != m:
+            x = k - e[i] + 1
+            v *= math.pi * ri ** (2 * x) / x
+    return v
+
+
+class TestOneActiveTruncation:
+    """A truncated weight with one active coordinate: its capped factor times
+    the polydisc factors of the others, against 1-D quadrature."""
+
+    @pytest.mark.parametrize(
+        "radii, a, j, c, alpha",
+        [
+            ((1.5, 0.5), (1, 0), 3, "1", (2, 1)),  # active on z1 only, r2 != 1
+            ((1.5, 0.5), (1, 0), 3, "1", (0, 3)),
+            ((1.5, 1), (1, 0), 2, "1", (0, 1)),  # x = 0 above rho: the log
+            ((1.5, 0.75), (1, 0), 2, "2", (0, 2)),  # x < 0 above rho
+            ((2, 1.5), (0, "1/2"), 1, "1/2", (3, 1)),  # active on z2 only
+            ((0.1, 2), ("1/2", 0), 1, "1", (1, 2)),  # rho >= r: the cap covers the disc
+            ((1.5, 0.2), (0, 1), 2, "2", (2, 0)),  # rho >= r on z2
+        ],
+    )
+    def test_bidisc(self, radii, a, j, c, alpha):
+        psi = ToricWeight(tuple(Fraction(x) for x in a))
+        dom = DiagonalDomain.polydisc([Fraction(r) for r in radii], exact=False)
+        dom = dom.with_truncated_weight(truncate_weight(psi, j), Fraction(c))
+        m = psi.active()[0]
+        want = capped_oracle(radii, m, float(psi.a[m]), j, float(Fraction(c)), alpha)
+        assert dom.norm(alpha) == pytest.approx(want, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("alpha", [(0, 0), (1, 2), (3, 0)])
+    @pytest.mark.parametrize("radii, j", [((1, 1.5), 2), ((0.2, 1.5), 2)])
+    def test_weighted_base_under_the_cap(self, radii, j, alpha):
+        e = (Fraction(1, 3), Fraction(1, 4))
+        base = DiagonalDomain.polydisc([Fraction(r) for r in radii], exact=False)
+        dom = base.with_weight(ToricWeight(e), 1).with_truncated_weight(
+            truncate_weight(ToricWeight((1, 0)), j), Fraction(1, 2)
+        )
+        want = capped_oracle(radii, 0, 1.0, j, 0.5, alpha, e=[float(x) for x in e])
+        assert dom.norm(alpha) == pytest.approx(want, rel=1e-12, abs=0)
+
+
 class TestTwoVariableClosedForms:
     """The closed-form sublevel and truncated-weight norms against nested
     adaptive quadrature, at the 1e-12 the package once integrated them to."""

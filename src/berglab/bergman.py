@@ -25,14 +25,15 @@ solve on its own system:
   span's orthonormal basis, and the kernel ratio a QR factorization on the
   annihilator's (both from ``J.float_view``).
 
-Exact diagonal problems stay in cleared integers (Python ints, or Gaussian
-integers for QQi data) through :mod:`berglab.linalg` from the jet ideal to
-the result, and build one Fraction or QQi per output entry; every other
-problem (moment domains, float diagonal domains, float or complex data)
-runs through numpy.  In exact mode the routes share no solve and no
-spanning set, so a wrong annihilator shows up as C != B.  A float view's
-span and annihilator come from one singular value decomposition, so the
-routes share that input, and the float rank is not checked by C = B.
+Exact diagonal problems stay in cleared integers (Python ints, and Gaussian
+integers where an entry is complex) through :mod:`berglab.linalg` from the
+jet ideal to the result, and build one QQi per complex output entry and one
+Fraction per real one; every other problem (moment domains, float diagonal
+domains, float or complex data) runs through numpy.  In exact mode the
+routes share no solve and no spanning set, so a wrong annihilator shows up
+as C != B.  A float view's span and annihilator come from one singular
+value decomposition, so the routes share that input, and the float rank is
+not checked by C = B.
 Every result carries the record's diagnostics dict, with one key set for
 every backend and outcome.
 """
@@ -59,6 +60,7 @@ from .ideals import (
     FLOAT_RANK_TOL,
     IdealPresentation,
     JetIdeal,
+    check_jet_space,
     contains,
     jet_ideal,
     rank_split,
@@ -334,7 +336,7 @@ def _minimal_l2_exact(prob: _Problem) -> ProjectionResult:
     if infinite:
         cons = [[row[i] for row in rows] + [-f[i]] for i in infinite]
         try:
-            u0, d, null = solve(cons, len(rows), homogeneous=True)
+            u0, d, null = solve(cons, len(rows))
         except SingularMatrixError:
             diag = prob.diagnostics("infeasible", None, None)
             return ProjectionResult(prob.value(math.inf), diagnostics=diag)
@@ -361,10 +363,8 @@ def _minimal_l2_exact(prob: _Problem) -> ProjectionResult:
     eta = [wk * v.conjugate() for wk, v in zip(w, x)]
     cval = Fraction(sum(map(mul, eta, x), 0).real, den * den * wden)
     slots = [idx[i] for i in finite]
-    # all QQi when F or a generator has a QQi coefficient
-    gaussian = J.gaussian or any(isinstance(c, QQi) for c in prob.f)
-    minimizer = Jet(J.n, J.level - 1, dict(zip(slots, from_ring(x, den, gaussian))))
-    eta = Functional(J.n, dict(zip(slots, from_ring(eta, den * wden, gaussian))))
+    minimizer = Jet(J.n, J.level - 1, dict(zip(slots, from_ring(x, den))))
+    eta = Functional(J.n, dict(zip(slots, from_ring(eta, den * wden))))
     diag = prob.diagnostics("solved", len(cols), None)
     return ProjectionResult(prob.value(cval), minimizer, eta, prob.pi_power, diag)
 
@@ -471,7 +471,7 @@ def _b_circle_exact(prob: _Problem) -> KernelRatioResult:
     # the maximizer V x of A x = conj(p), A = V^H W V, do not change under
     # V -> V S.  With F's vector scaled by den, p scales by den, the value by
     # den^2 and the maximizer by den; W's common denominator wden scales A.
-    vecs, gaussian = prob.J.null, prob.J.null_gaussian
+    vecs = prob.J.null
     (f, w), (den, wden) = to_ring([prob.f, [1 / norms[i] for i in finite]])
     support = [i for i, c in enumerate(f) if c]
     pvals = [sum((v[i] * f[i] for i in support), 0) for v in vecs]
@@ -487,14 +487,13 @@ def _b_circle_exact(prob: _Problem) -> KernelRatioResult:
         # supremum is infinite.  Otherwise every solution gives the same
         # value, and the one with the free unknowns 0 lies on the directions
         # that are independent on the integrable slots.
-        x, d, null = solve(rows, m, homogeneous=bool(prob.infinite), definite=not prob.infinite)
+        x, d, null = solve(rows, m, definite=not prob.infinite)
     except SingularMatrixError:
         diag = prob.diagnostics("unbounded", None, None)
         return KernelRatioResult(prob.value(math.inf), diagnostics=diag)
     val = sum(map(mul, pvals, x), 0).real
     nums = combine(x, vecs, [0] * len(idx))
-    # all QQi when the annihilator or the maximizer is complex
-    coeffs = from_ring([wden * v for v in nums], d * den, gaussian or any(v.imag for v in nums))
+    coeffs = from_ring([wden * v for v in nums], d * den)
     maximizer = Functional(prob.J.n, dict(zip(idx, coeffs)))
     diag = prob.diagnostics("solved", m - len(null), None)
     return KernelRatioResult(prob.value(Fraction(wden * val, d * den * den)), maximizer, diag)
@@ -593,7 +592,18 @@ class LadderResult:
 
 def krull_ladder(domain, F: Jet, gens: IdealPresentation, k_range) -> LadderResult:
     """Minimal L2 integrals along the ladder I + m^k: nondecreasing in k,
-    with the kernel-ratio value computed alongside at every level."""
+    with the kernel-ratio value computed alongside at every level.
+
+    The ladder has stabilized at the first three consecutive levels whose
+    values differ by at most ``STABILIZATION_RTOL`` times the larger of each
+    pair, a relative rule with no absolute floor: rescaling the domain, and
+    with it every value, does not change the verdict.  ``limit_estimate`` is
+    the third of those values, or the last value when the ladder has not
+    stabilized.  A level past the jet-space cap is refused before any level
+    is computed.
+    """
+    k_range = list(k_range)
+    check_jet_space(gens.n, max(k_range, default=1))
     rows = []
     for k in k_range:
         J = jet_ideal(gens, k)
@@ -605,7 +615,7 @@ def krull_ladder(domain, F: Jet, gens: IdealPresentation, k_range) -> LadderResu
     limit = rows[-1].c_value if rows else None
     for i in range(len(rows) - 2):
         v = [value_float(rows[j].c_value) for j in (i, i + 1, i + 2)]
-        if all(abs(y - x) <= STABILIZATION_RTOL * max(1.0, abs(x)) for x, y in zip(v, v[1:])):
+        if all(abs(y - x) <= STABILIZATION_RTOL * max(abs(x), abs(y)) for x, y in zip(v, v[1:])):
             stabilized = True
             limit = rows[i + 2].c_value
             break
@@ -657,6 +667,8 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
     normF = _norm_float(domain, F)
     if not math.isfinite(normF):
         raise UnboundedFunctionalError("F has infinite norm on the domain")
+    k_range = list(k_range)
+    check_jet_space(gens.n, max(k_range, default=1))
     out = []
     for k in k_range:
         J = jet_ideal(gens, k)

@@ -34,6 +34,7 @@ from .errors import (
     BerglabError,
     DimensionMismatchError,
     ImproperIdealError,
+    JetSpaceTooLargeError,
     QuadratureError,
     SingularMatrixError,
     UnsupportedDomainError,
@@ -256,10 +257,11 @@ _SPEC_ERRORS = (ValueError, KeyError, DimensionMismatchError, ImproperIdealError
 
 def _run(fn, spec_errors=()):
     """Call ``fn``, turning library errors into exit codes: ``spec_errors``
-    exit 2, numerical and other berglab errors exit 3."""
+    and a jet space past the size cap exit 2, numerical and other berglab
+    errors exit 3."""
     try:
         return fn()
-    except spec_errors as exc:
+    except (JetSpaceTooLargeError, *spec_errors) as exc:
         click.echo(f"spec error: {exc}", err=True)
         sys.exit(EXIT_SCHEMA)
     except (QuadratureError, SingularMatrixError) as exc:

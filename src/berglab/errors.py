@@ -48,3 +48,8 @@ class NotNestedError(BerglabError, ValueError):
 class UnsupportedDomainError(BerglabError, ValueError):
     """A domain that the requested construction does not support, such as a
     toric weight on a ball of dimension >= 2 (a spec error)."""
+
+
+class JetSpaceTooLargeError(BerglabError, ValueError):
+    """A jet space with more indices than ``ideals.MAX_JET_INDICES`` (a spec
+    error)."""

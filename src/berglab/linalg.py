@@ -6,12 +6,13 @@ test; floating-point problems run through numpy in :mod:`berglab.bergman`
 and :mod:`berglab.ideals` instead.
 
 One ring.  An exact row is cleared once: multiplied by the least common
-multiple of its denominators, a QQi entry becomes a :class:`_GaussInt` and
-any other entry an int.  A ``_GaussInt`` takes int operands on either side
-of ``+``, ``-``, ``*`` and exact ``//``, and has ``real``, ``imag`` and
-``conjugate()`` as an int does, so an int is a Gaussian integer with
-imaginary part 0 and the two mix freely: no code below asks which ring a row
-is in.
+multiple of its denominators, an entry with a nonzero imaginary part becomes
+a :class:`_GaussInt` and any other entry an int.  A ``_GaussInt`` takes int
+operands on either side of ``+``, ``-``, ``*`` and exact ``//``, and has
+``real``, ``imag`` and ``conjugate()`` as an int does, so an int is a
+Gaussian integer with imaginary part 0 and the two mix freely: no code below
+asks which ring a row is in, and each result entry is typed by itself on the
+way out.
 
 One kernel.  The forward pass is Bareiss's fraction-free elimination
 (E. H. Bareiss, Math. Comp. 22 (1968) 565-578): every entry stays an integer
@@ -24,14 +25,15 @@ cleared input and the ring integers these passes return.
 The public API:
 
 * :func:`to_ring` and :func:`from_ring`: exact vectors to ring integers over
-  one denominator, and back, one Fraction or QQi per entry;
+  one denominator, and back, each entry typed by itself: a QQi where it is
+  complex, a Fraction where it is real, 0 where it is zero;
 * :func:`span_and_annihilator`: the independent input rows the elimination
   kept, and the null space of the rows, one primitive ring vector per free
   column; :func:`annihilates`: membership in a row space as a zero pairing
   with that null space;
-* :func:`solve`: a ring system's solution over one int denominator, and its
-  homogeneous solutions; Hermitian positive definite systems are eliminated
-  in a minimum-degree order;
+* :func:`solve`: a ring system's solution over one int denominator, and a
+  basis of its homogeneous solutions; Hermitian positive definite systems
+  are eliminated in a minimum-degree order;
 * :func:`hermitian_gram`: a ring Gram matrix under int weights;
 * :func:`combine`: a ring linear combination of rows.
 
@@ -107,41 +109,41 @@ class _GaussInt:
 
 def _clear(row):
     """(ring row, d): an exact row (ints, Fractions, QQi or Gaussian
-    integers) times d, the least common multiple of its denominators."""
-    gauss = [isinstance(x, (QQi, _GaussInt)) for x in row]
-    if not any(gauss):
+    integers) times d, the least common multiple of its denominators; an
+    entry whose imaginary part is 0 becomes an int."""
+    if not any(isinstance(x, (QQi, _GaussInt)) for x in row):
         d = math.lcm(*(x.denominator for x in row))
         return [x.numerator * (d // x.denominator) for x in row], d
     # an int or a Fraction has real part itself and imaginary part 0
     parts = [(x.re, x.im) if isinstance(x, QQi) else (x.real, x.imag) for x in row]
     d = math.lcm(*(p.denominator for pair in parts for p in pair))
     out = []
-    for (re, im), g in zip(parts, gauss):
+    for re, im in parts:
         re = re.numerator * (d // re.denominator)
-        out.append(_GaussInt(re, im.numerator * (d // im.denominator)) if g else re)
+        out.append(_GaussInt(re, im.numerator * (d // im.denominator)) if im else re)
     return out, d
 
 
 def to_ring(rows):
     """(ring rows, denominators): each exact row times the least common
-    multiple of its denominators, a QQi entry as a Gaussian integer and any
-    other entry as an int."""
+    multiple of its denominators, a complex entry as a Gaussian integer and
+    any other entry as an int."""
     cleared = [_clear(row) for row in rows]
     return [r for r, _ in cleared], [d for _, d in cleared]
 
 
-def from_ring(nums, den, gaussian):
-    """nums[k] / den for ring numerators and a nonzero int den: one QQi per
-    nonzero entry when ``gaussian`` is set, else one Fraction (so
-    ``gaussian`` must be set when a numerator is complex); 0 for a zero
-    entry."""
+def from_ring(nums, den):
+    """nums[k] / den for ring numerators and a nonzero int den, typed per
+    entry: a QQi where the numerator's imaginary part is nonzero, a Fraction
+    where it is real, 0 where it is zero."""
     out = []
     for v in nums:
         if not v:
             out.append(0)
-            continue
-        re = Fraction(v.real, den)
-        out.append(QQi(re, Fraction(v.imag, den)) if gaussian else re)
+        elif v.imag:
+            out.append(QQi(Fraction(v.real, den), Fraction(v.imag, den)))
+        else:
+            out.append(Fraction(v.real, den))
     return out
 
 
@@ -223,25 +225,24 @@ def _back_substitute(U, pivots, cols):
 
 
 def span_and_annihilator(rows, ncols):
-    """(kept, annihilator, gaussian) of exact rows, in ring integers.
+    """(kept, annihilator) of exact rows, in ring integers.
 
     ``kept``: the input rows the pivot rows came from, each cleared of its
     denominators, independent and spanning the row space.  ``annihilator``:
     per free column j, the RREF null vector e_j - sum_k R[k][j] e_(pivot k)
     (no conjugation) times the least positive integer that clears it, built
     from the back pass as D e_j - sum_k x_k e_(pivot k), times conj(D) when
-    the last pivot D is complex, over its integer content.  ``gaussian``:
-    whether an annihilator entry is complex (one with imaginary part 0 is an
-    int).
+    the last pivot D is complex, over its integer content.  In both, an
+    entry with imaginary part 0 is an int.
     """
     ring = [_clear(row)[0] for row in rows]
     U, pivots, kept = _echelon([row[:] for row in ring], ncols)
     pivot_set = set(pivots)
     free = [j for j in range(ncols) if j not in pivot_set]
     if not pivots:
-        return [], [[int(i == j) for i in range(ncols)] for j in free], False
+        return [], [[int(i == j) for i in range(ncols)] for j in free]
     D = U[-1][pivots[-1]]
-    annihilator, gaussian = [], False
+    annihilator = []
     for j, x in zip(free, _back_substitute(U, pivots, free)):
         # the entries on column j and on the pivot columns left of it
         x = [D] + [-s for s in x]
@@ -252,13 +253,12 @@ def span_and_annihilator(rows, ncols):
         if x[0].real < 0:
             g = -g
         x = [_GaussInt(s.real // g, s.imag // g) if s.imag else s.real // g for s in x]
-        gaussian = gaussian or any(map(_IMAG, x))
         v = [0] * ncols
         v[j] = x[0]
         for c, s in zip(pivots, x[1:]):
             v[c] = s
         annihilator.append(v)
-    return [ring[i] for i in kept], annihilator, gaussian
+    return [ring[i] for i in kept], annihilator
 
 
 def annihilates(vectors, vec):
@@ -292,19 +292,19 @@ def _minimum_degree(rows, n):
     return order
 
 
-def solve(rows, n, homogeneous=False, definite=False):
+def solve(rows, n, definite=False):
     """Solve the ring system whose rows are [a_1 .. a_n | b], in place.
 
     Returns (x, D, null): x / D is a solution (free unknowns 0) with D a
-    nonzero int; ``null`` is, when ``homogeneous`` is set, a basis of the
-    solutions of the homogeneous system, scaled to ring integers (else
-    empty).  Raises SingularMatrixError when the system is inconsistent.
+    nonzero int, and ``null`` a basis of the solutions of the homogeneous
+    system, one ring vector per free unknown, empty when the solution is
+    unique.  Raises SingularMatrixError when the system is inconsistent.
 
     ``definite`` declares the n x n matrix Hermitian positive definite: its
     unknowns are then eliminated in a minimum-degree order, which on a
     sparse matrix keeps the fill-in, and so the number of big-integer
     updates, small.  A symmetric permutation of a definite matrix keeps
-    every pivot nonzero.
+    every pivot nonzero, so such a system has no free unknowns.
     """
     order = None
     if definite:
@@ -316,7 +316,7 @@ def solve(rows, n, homogeneous=False, definite=False):
         raise SingularMatrixError("inconsistent linear system")
     x = [0] * n
     pivot_set = set(pivots)
-    free = [j for j in range(n) if j not in pivot_set] if homogeneous else []
+    free = [j for j in range(n) if j not in pivot_set]
     if not pivots:
         return x, 1, [[int(i == j) for i in range(n)] for j in free]
     D = U[-1][pivots[-1]]

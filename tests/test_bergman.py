@@ -711,6 +711,41 @@ class TestComplexCoefficients:
         assert minimal_l2(bidisc, F, J).value == want
         assert b_circle(bidisc, F, J).value == want
 
+    def test_exact_entries_typed_per_entry(self):
+        # a Gaussian instance: each entry of the minimizer, eta and the
+        # maximizer is a Fraction where it is real and a QQi where it is
+        # complex; the values are those of the flag-typed results, which
+        # were QQi(a, 0) on the real entries
+        dom = DiagonalDomain.polydisc([1, Fraction(3, 2)])
+        gens = IdealPresentation(2, [
+            Jet(2, 2, {(2, 0): QQi(1, 1), (0, 2): -1}),
+            Jet(2, 3, {(1, 1): QQi(0, 1), (0, 3): Fraction(1, 2)}),
+        ])
+        F = Jet(2, 3, {
+            (0, 0): 3, (1, 0): 2, (0, 1): QQi(Fraction(1, 3), -1), (1, 1): 1,
+            (2, 1): 3, (0, 2): QQi(0, Fraction(5, 2)),
+        })
+        J = jet_ideal(gens, 4)
+        c, b = minimal_l2(dom, F, J), b_circle(dom, F, J)
+        assert c.value == b.value == PiValue(Fraction(61983, 1808), 2)
+        minimizer = {
+            (0, 0): 3, (1, 0): 2, (0, 1): QQi(Fraction(1, 3), -1),
+            (2, 0): QQi(Fraction(-405, 226), Fraction(405, 226)),
+            (0, 2): QQi(0, Fraction(80, 113)),
+        }
+        eta = {
+            (0, 0): Fraction(27, 4), (1, 0): Fraction(9, 4),
+            (0, 1): QQi(Fraction(27, 32), Fraction(81, 32)),
+            (2, 0): QQi(Fraction(-1215, 904), Fraction(-1215, 904)),
+            (0, 2): QQi(0, Fraction(-1215, 452)),
+        }
+        assert c.minimizer.coeffs == minimizer
+        assert c.eta.entries == eta == b.maximizer.entries
+        # every pinned QQi has a nonzero imaginary part
+        for got, want in ((c.minimizer.coeffs, minimizer), (c.eta.entries, eta), (b.maximizer.entries, eta)):
+            for a, v in got.items():
+                assert type(v) is (QQi if isinstance(want[a], QQi) else Fraction)
+
     def test_float_complex_ladder_matches_oracle(self):
         gens = IdealPresentation(
             2,
@@ -821,6 +856,21 @@ class TestLadder:
             assert v == PiValue(Fraction(1, 5), 2)
         assert lad.stabilized
         assert lad.limit_estimate == PiValue(Fraction(1, 5), 2)
+
+    def test_stabilization_is_scale_invariant(self):
+        # D -> lam D with F(z / lam) and g(z / lam) multiplies every C_k by
+        # lam^4; the stabilization verdict and the limit follow
+        def ladder(lam):
+            dom = DiagonalDomain.polydisc([lam, lam])
+            g = Jet(2, 3, {(1, 0): 1 / lam, (0, 2): -1 / lam**2, (0, 3): 1 / lam**3})
+            F = Jet(2, 1, {(1, 0): 1 / lam})
+            return krull_ladder(dom, F, IdealPresentation(2, [g]), range(2, 10))
+
+        lam = Fraction(1, 1000)
+        unit, small = ladder(Fraction(1)), ladder(lam)
+        assert [r.c_value * lam**4 for r in unit.rows] == [r.c_value for r in small.rows]
+        assert not unit.stabilized and not small.stabilized
+        assert unit.limit_estimate * lam**4 == small.limit_estimate
 
     def test_disc_constant(self):
         disc = DiagonalDomain.disc(1)

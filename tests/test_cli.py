@@ -1,5 +1,6 @@
 """CLI behavior: dispatch, schema validation, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -52,6 +53,63 @@ WEIGHTED_DISC_INFINITE = {
     "ideal": {
         "generators": [{"n": 1, "terms": [{"alpha": [2], "re": "1", "im": "0"}]}],
         "level": 2,
+    },
+}
+
+
+# the two-variable ideal <z1 - (2 - i) z2^2> on the polydisc of radii (1, 2)
+EXACT_2D_LADDER = {
+    "domain": {"kind": "polydisc", "radii": [1, 2]},
+    "F": {
+        "n": 2,
+        "terms": [
+            {"alpha": [1, 0], "re": "1", "im": "0"},
+            {"alpha": [0, 1], "re": "1/2", "im": "-1"},
+        ],
+    },
+    "generators": [
+        {
+            "n": 2,
+            "terms": [
+                {"alpha": [1, 0], "re": "1", "im": "0"},
+                {"alpha": [0, 2], "re": "-2", "im": "1"},
+            ],
+        }
+    ],
+}
+
+# Gaussian data whose projection and eta have real and complex entries
+GAUSSIAN_BIDISC = {
+    "domain": {"kind": "polydisc", "radii": ["1", "3/2"]},
+    "F": {
+        "n": 2,
+        "terms": [
+            {"alpha": [0, 0], "re": "3", "im": "0"},
+            {"alpha": [1, 0], "re": "2", "im": "0"},
+            {"alpha": [0, 1], "re": "1/3", "im": "-1"},
+            {"alpha": [1, 1], "re": "1", "im": "0"},
+            {"alpha": [0, 2], "re": "0", "im": "5/2"},
+            {"alpha": [2, 1], "re": "3", "im": "0"},
+        ],
+    },
+    "ideal": {
+        "generators": [
+            {
+                "n": 2,
+                "terms": [
+                    {"alpha": [2, 0], "re": "1", "im": "1"},
+                    {"alpha": [0, 2], "re": "-1", "im": "0"},
+                ],
+            },
+            {
+                "n": 2,
+                "terms": [
+                    {"alpha": [1, 1], "re": "0", "im": "1"},
+                    {"alpha": [0, 3], "re": "1/2", "im": "0"},
+                ],
+            },
+        ],
+        "level": 4,
     },
 }
 
@@ -184,6 +242,20 @@ class TestEquiv:
         p.write_text("{not json")
         result = runner.invoke(main, ["equiv", "--spec", str(p)])
         assert result.exit_code == 2
+
+    def test_gaussian_json_bytes(self, runner, tmp_path):
+        # a real entry of an exact result is written {"re": "a", "im": "0"}
+        # whether it is a Fraction or a QQi: these are the bytes written
+        # when every entry of a Gaussian result was a QQi
+        spec = write_spec(tmp_path, GAUSSIAN_BIDISC)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["equiv", "--spec", spec, "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        data = (out / "equiv.json").read_bytes()
+        assert b'"re": "3",' in data and b'"re": "27/4",' in data
+        assert hashlib.sha256(data).hexdigest() == (
+            "33f2d1142179615b781649eb51f98ed6615c618c40ddbc68cba48a9c05c0b4e3"
+        )
 
     def test_no_tolerance_option(self, runner, tmp_path):
         spec = write_spec(tmp_path, DISC_Z_SQUARED)
@@ -482,6 +554,37 @@ class TestSpecRanges:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert f"spec validation failed at {key}" in result.output
+
+    @pytest.mark.parametrize(
+        "command, spec, args",
+        [
+            ("ladder", EXACT_2D_LADDER, ["--k", "2..100000"]),
+            (
+                "equiv",
+                {
+                    "domain": EXACT_2D_LADDER["domain"],
+                    "F": EXACT_2D_LADDER["F"],
+                    "ideal": {"generators": EXACT_2D_LADDER["generators"], "level": 100000},
+                },
+                [],
+            ),
+            (
+                "sop",
+                {
+                    "domain": {"kind": "polydisc", "radii": [1, 1]},
+                    "F": {"n": 2, "terms": [{"alpha": [200, 200], "re": "1", "im": "0"}]},
+                    "weight": {"a": ["1", "1"]},
+                },
+                [],
+            ),
+        ],
+        ids=["ladder-k-100000", "equiv-level-100000", "sop-degree-400"],
+    )
+    def test_jet_space_past_cap_exit_2(self, runner, tmp_path, command, spec, args):
+        result = runner.invoke(main, [command, "--spec", write_spec(tmp_path, spec), *args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "spec error: the jet space of level" in result.output
 
     def test_t_grid_point_cap(self):
         assert len(cli._parse_tgrid(f"0:{cli.MAX_T_POINTS - 1}:1")) == cli.MAX_T_POINTS

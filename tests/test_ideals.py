@@ -7,8 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berglab.errors import ImproperIdealError
+from berglab.bergman import krull_ladder
+from berglab.domains import DiagonalDomain
+from berglab.errors import ImproperIdealError, JetSpaceTooLargeError
 from berglab.ideals import (
+    MAX_JET_INDICES,
     IdealPresentation,
     MonomialIdeal,
     annihilator,
@@ -70,6 +73,27 @@ class TestJetIdeal:
         J = jet_ideal(IdealPresentation(1, [g]), 3)
         assert not J.exact
         assert contains(J, g)
+
+
+    def test_real_qqi_coefficients_give_int_rows(self):
+        # a real ideal written with QQi(a, 0) coefficients, as a JSON spec
+        # reads every string coefficient, eliminates over ints
+        g = Jet(2, 3, {(1, 0): QQi(1), (0, 2): QQi(-2), (0, 3): QQi(Fraction(1, 2))})
+        J = jet_ideal(IdealPresentation(2, [g]), 4)
+        assert J.rows and J.null
+        assert all(type(x) is int for v in J.rows + J.null for x in v)
+
+    def test_jet_space_cap(self):
+        # C(n + k - 1, n) indices: 2 variables, level 31 has 496 and 32 has 528
+        assert MAX_JET_INDICES == 500
+        gens = IdealPresentation(2, [Jet(2, 1, {(1, 0): 1})])
+        assert len(jet_ideal(gens, 31).indices) == 496
+        with pytest.raises(JetSpaceTooLargeError, match="528 indices"):
+            jet_ideal(gens, 32)
+        # a ladder refuses its top level before computing the others
+        bidisc = DiagonalDomain.polydisc([1, 1])
+        with pytest.raises(JetSpaceTooLargeError):
+            krull_ladder(bidisc, Jet(2, 1, {(0, 1): 1}), gens, range(2, 100_000))
 
 
 class TestAnnihilator:

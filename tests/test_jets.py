@@ -228,17 +228,17 @@ class TestLinalg:
             assert bool(x) == bool(lift(x)) == bool(as_qqi(x))
 
     def test_exact_output_stays_integer(self):
-        kept, ns, gaussian = span_and_annihilator([[2, 4], [1, 3]], 2)
-        assert kept == [[2, 4], [1, 3]] and ns == [] and not gaussian
+        kept, ns = span_and_annihilator([[2, 4], [1, 3]], 2)
+        assert kept == [[2, 4], [1, 3]] and ns == []
         # a row is cleared by its denominators; the RREF row is [1, 2/3, 0]
-        kept, ns, gaussian = span_and_annihilator([[Fraction(1, 2), Fraction(1, 3), 0]], 3)
+        kept, ns = span_and_annihilator([[Fraction(1, 2), Fraction(1, 3), 0]], 3)
         assert kept == [[3, 2, 0]]
-        assert ns == [[-2, 3, 0], [0, 0, 1]] and not gaussian
+        assert ns == [[-2, 3, 0], [0, 0, 1]]
         assert all(type(x) is int for v in kept + ns for x in v)
 
     def test_null_space_bilinear(self):
-        _, ns, gaussian = span_and_annihilator([[1, 1, 0]], 3)
-        assert len(ns) == 2 and not gaussian
+        _, ns = span_and_annihilator([[1, 1, 0]], 3)
+        assert len(ns) == 2
         for v in ns:
             assert v[0] + v[1] == 0
 
@@ -251,7 +251,7 @@ class TestLinalg:
             solve([[1, 1, 1], [2, 2, 1]], 2)
 
     def test_least_squares_rank_deficient_consistent(self):
-        x, D, null = solve([[1, 1, 3], [2, 2, 6]], 2, homogeneous=True)
+        x, D, null = solve([[1, 1, 3], [2, 2, 6]], 2)
         assert x[0] + x[1] == 3 * D
         assert len(null) == 1 and null[0][0] + null[0][1] == 0 and any(null[0])
 
@@ -263,7 +263,7 @@ class TestLinalg:
     @given(st.one_of(matrices(fractions_), matrices(gaussians)))
     def test_span_and_annihilator_properties(self, matrix):
         rows, ncols = matrix
-        kept, ns, gaussian = span_and_annihilator(rows, ncols)
+        kept, ns = span_and_annihilator(rows, ncols)
         ref_rows, ref_pivots = gauss_jordan(rows, ncols)
         # the kept rows are independent and span the reference row space
         assert len(kept) == len(ref_pivots)
@@ -279,7 +279,6 @@ class TestLinalg:
             assert type(v[j]) is int and v[j] > 0
             assert [as_qqi(x) for x in v] == [v[j] * x for x in r]
             assert math.gcd(*(p for x in v for p in parts(x))) == 1
-        assert gaussian == any(x.imag for v in ns for x in v)
         assert all(type(x) is int for v in ns for x in v if not x.imag)
         # every input row pairs to zero with the annihilator
         for row in rows:
@@ -300,7 +299,7 @@ class TestLinalg:
         consistent = rank == len(gauss_jordan([r + [b] for r, b in zip(rows, rhs)], n + 1)[1])
         ring, _ = to_ring([r + [b] for r, b in zip(rows, rhs)])
         try:
-            x, D, null = solve(ring, n, homogeneous=True)
+            x, D, null = solve(ring, n)
         except SingularMatrixError:
             assert not consistent
             return
@@ -384,7 +383,7 @@ class TestLinalg:
     @settings(max_examples=30)
     @given(st.lists(st.lists(st.integers(-4, 4), min_size=3, max_size=3), min_size=1, max_size=3))
     def test_null_space_annihilates(self, rows):
-        kept, ns, _ = span_and_annihilator(rows, 3)
+        kept, ns = span_and_annihilator(rows, 3)
         assert len(ns) == 3 - len(kept)
         for v in ns:
             for row in rows:

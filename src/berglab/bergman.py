@@ -55,7 +55,7 @@ from .errors import (
     UnboundedFunctionalError,
     ZeroFunctionalError,
 )
-from .exactnum import PiValue, QQi, abs2_s, conj_s, is_exact, value_float
+from .exactnum import PiValue, QQi, abs2_s, conj_s, encode, is_exact, value_float
 from .ideals import (
     FLOAT_RANK_TOL,
     IdealPresentation,
@@ -149,7 +149,11 @@ class TriangularBasis:
 
 def triangular_basis(domain, degree_bound: int) -> TriangularBasis:
     """Orthonormalize monomials in the graded order so that each basis
-    element's first nonvanishing Taylor coefficient sits at its own index."""
+    element's first nonvanishing Taylor coefficient sits at its own index.
+
+    On a diagonal domain the indices of degree <= ``degree_bound`` are the
+    jet space of level ``degree_bound + 1``: past the jet-space cap that
+    raises JetSpaceTooLargeError before any matrix is built."""
     import numpy as np
 
     if isinstance(domain, MomentDomain):
@@ -181,6 +185,7 @@ def triangular_basis(domain, degree_bound: int) -> TriangularBasis:
         return TriangularBasis(domain, degree_bound, idx, list(idx), S, fns)
 
     # diagonal case: monomials are already orthogonal
+    check_jet_space(domain.n, degree_bound + 1)
     idx = indices_up_to(domain.n, degree_bound)
     included = [a for a in idx if domain.finite(a)]
     m = len(idx)
@@ -294,9 +299,8 @@ class ProjectionResult:
         return value_float(self.value)
 
     def to_json(self):
-        val = self.value.to_json() if isinstance(self.value, PiValue) else self.value
         return {
-            "value": val,
+            "value": encode(self.value),
             "value_float": self.value_float(),
             "minimizer": self.minimizer.to_json() if self.minimizer else None,
             "eta": self.eta.to_json() if self.eta else None,
@@ -595,9 +599,10 @@ def krull_ladder(domain, F: Jet, gens: IdealPresentation, k_range) -> LadderResu
     with the kernel-ratio value computed alongside at every level.
 
     The ladder has stabilized at the first three consecutive levels whose
-    values differ by at most ``STABILIZATION_RTOL`` times the larger of each
-    pair, a relative rule with no absolute floor: rescaling the domain, and
-    with it every value, does not change the verdict.  ``limit_estimate`` is
+    values that are equal (infinite ones included) or differ by at most
+    ``STABILIZATION_RTOL`` times the larger of each pair, a relative rule
+    with no absolute floor: rescaling the domain, and with it every value,
+    does not change the verdict.  ``limit_estimate`` is
     the third of those values, or the last value when the ladder has not
     stabilized.  A level past the jet-space cap is refused before any level
     is computed.
@@ -615,7 +620,11 @@ def krull_ladder(domain, F: Jet, gens: IdealPresentation, k_range) -> LadderResu
     limit = rows[-1].c_value if rows else None
     for i in range(len(rows) - 2):
         v = [value_float(rows[j].c_value) for j in (i, i + 1, i + 2)]
-        if all(abs(y - x) <= STABILIZATION_RTOL * max(abs(x), abs(y)) for x, y in zip(v, v[1:])):
+        # x == y first: two infinite values are equal, and inf - inf is nan
+        if all(
+            x == y or abs(y - x) <= STABILIZATION_RTOL * max(abs(x), abs(y))
+            for x, y in zip(v, v[1:])
+        ):
             stabilized = True
             limit = rows[i + 2].c_value
             break
@@ -660,7 +669,9 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
     G_k = e^{i theta} (||F||/||g_k||) T(xi_k), xi_k the ladder maximizer.
 
     F must lie in the orthogonal complement of the ideal subspace at every
-    requested level; the phase is chosen so <F, G_k> >= 0.
+    requested level: |<F, s>| at most 1e-9 ||F|| ||s|| for each spanning
+    vector s, a rule that neither rescaling the domain nor a generator
+    changes.  The phase is chosen so <F, G_k> >= 0.
     """
     if F.is_zero():
         raise ZeroFunctionalError("density sequence needs a nonzero F")
@@ -673,10 +684,12 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
     for k in k_range:
         J = jet_ideal(gens, k)
         Fk = Jet(F.n, max(F.degree_bound, k - 1), F.coeffs)
-        # validate F against the complement: it must be orthogonal to the span
+        # validate F against the complement: it must be orthogonal to the
+        # span, up to 1e-9 of the Cauchy-Schwarz bound ||F|| ||s||, with ||s||
+        # over the integrable slots that the pairing sums
         for s in J.basis_jets():
             ip = _inner_float(domain, F, s)
-            if abs(ip) > 1e-9 * max(1.0, normF):
+            if abs(ip) > 1e-9 * normF * math.sqrt(_inner_float(domain, s, s).real):
                 raise BerglabError(
                     f"F is not in the orthogonal complement at level {k}"
                 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -24,12 +23,7 @@ from .bergman import (
     routes_agree,
     triangular_basis,
 )
-from .domains import (
-    ExhaustionSequence,
-    ToricWeight,
-    domain_from_json,
-    moment_matrix,
-)
+from .domains import MOMENT_KINDS, ExhaustionSequence, ToricWeight, domain_from_json
 from .errors import (
     BerglabError,
     DimensionMismatchError,
@@ -39,7 +33,7 @@ from .errors import (
     SingularMatrixError,
     UnsupportedDomainError,
 )
-from .exactnum import PiValue, value_float
+from .exactnum import encode, is_exact, value_float
 from .ideals import IdealPresentation, jet_ideal
 from .jets import Functional, Jet
 from .sop import effectiveness_report, t_grid_points, xi_cse_combinatorial, xi_cse_limit
@@ -153,9 +147,6 @@ SCHEMAS = {
     },
 }
 
-_MOMENT_KINDS = {"offcenter_disc", "two_point_disc", "radial"}
-
-
 def _load_spec(path, command):
     import jsonschema
 
@@ -174,13 +165,15 @@ def _load_spec(path, command):
 
 
 def _load_domain(desc, degree=None, mode=None):
-    moment = desc.get("kind") in _MOMENT_KINDS
-    dom = None if moment else domain_from_json(desc)
-    if mode == "exact" and not getattr(dom, "exact", False):
-        raise ValueError("--mode exact: the domain has no exact norms")
-    if moment:
-        d = degree if degree is not None else int(desc.get("degree", 4))
-        return moment_matrix(desc, d)
+    """The spec's domain (:func:`domain_from_json`).  ``--mode exact``
+    refuses one without exact norms, a moment descriptor before its matrix
+    is built; ``--mode float`` runs a diagonal one in float arithmetic."""
+    no_exact = ValueError("--mode exact: the domain has no exact norms")
+    if mode == "exact" and desc.get("kind") in MOMENT_KINDS:
+        raise no_exact
+    dom = domain_from_json(desc, degree)
+    if mode == "exact" and not dom.exact:
+        raise no_exact
     if mode == "float":
         dom.exact = False
     return dom
@@ -189,17 +182,16 @@ def _load_domain(desc, degree=None, mode=None):
 def _load_diagonal(desc, command):
     """The domain of a command that needs a diagonal one: a moment-domain
     descriptor is a spec error."""
-    if desc.get("kind") in _MOMENT_KINDS:
+    if desc.get("kind") in MOMENT_KINDS:
         raise ValueError(f"{command} needs a diagonal domain, not {desc['kind']!r}")
-    return _load_domain(desc)
+    return domain_from_json(desc)
 
 
-def _encode(v):
-    if isinstance(v, PiValue):
-        return v.to_json()
-    if isinstance(v, Fraction):
-        return str(v)
-    return v
+def _insist_exact(mode, *coeffs):
+    """Under ``--mode exact`` a non-exact coefficient (a JSON number rather
+    than a string) in any of the coefficient dicts is a spec error."""
+    if mode == "exact" and not all(is_exact(c.values()) for c in coeffs):
+        raise ValueError("--mode exact: a coefficient is not exact; pass it as a string")
 
 
 def _json_safe(v):
@@ -278,13 +270,11 @@ def _build(fn):
     return _run(fn, _SPEC_ERRORS)
 
 
-def _jet_and_gens(f_json, gens_json):
+def _jet_and_gens(f_json, gens_json, mode=None):
     F = Jet.from_json(f_json)
-    return F, IdealPresentation(F.n, [Jet.from_json(g) for g in gens_json])
-
-
-def _weight(w_json):
-    return ToricWeight(tuple(Fraction(x) for x in w_json["a"]))
+    gens = [Jet.from_json(g) for g in gens_json]
+    _insist_exact(mode, F.coeffs, *(g.coeffs for g in gens))
+    return F, IdealPresentation(F.n, gens)
 
 
 spec_opt = click.option("--spec", "spec_path", required=True, type=click.Path())
@@ -305,7 +295,7 @@ def equiv(spec_path, out_dir, mode):
     """Compare the projection and kernel-ratio values on one instance."""
     data = _load_spec(spec_path, "equiv")
     domain = _build(lambda: _load_domain(data["domain"], mode=mode))
-    F, gens = _build(lambda: _jet_and_gens(data["F"], data["ideal"]["generators"]))
+    F, gens = _build(lambda: _jet_and_gens(data["F"], data["ideal"]["generators"], mode))
     level = data["ideal"]["level"]
     F = Jet(F.n, max(F.degree_bound, level - 1), F.coeffs)
 
@@ -319,8 +309,8 @@ def equiv(spec_path, out_dir, mode):
     click.echo(f"B' = {_fmt(ratio.value)}")
     click.echo(f"gap = {gap:.3e}")
     result = {
-        "C": _encode(proj.value),
-        "B_circle": _encode(ratio.value),
+        "C": encode(proj.value),
+        "B_circle": encode(ratio.value),
         "gap": gap,
         "projection": proj.to_json(),
     }
@@ -342,9 +332,8 @@ def ladder(spec_path, out_dir, mode, k_range):
     """Minimal L2 integrals along I + m^k for a range of k."""
     data = _load_spec(spec_path, "ladder")
     domain = _build(lambda: _load_domain(data["domain"], mode=mode))
-    F, gens = _build(lambda: _jet_and_gens(data["F"], data["generators"]))
+    F, gens = _build(lambda: _jet_and_gens(data["F"], data["generators"], mode))
     ks = _build(lambda: _parse_krange(data.get("k_range", k_range)))
-    F = Jet(F.n, max(F.degree_bound, max(ks) - 1), F.coeffs)
     result = _run(lambda: krull_ladder(domain, F, gens, ks))
     lines = ["k,C_k,B_k,gap"]
     for row in result.rows:
@@ -359,11 +348,11 @@ def ladder(spec_path, out_dir, mode, k_range):
         "ladder",
         {
             "rows": [
-                {"k": r.k, "C": _encode(r.c_value), "B": _encode(r.b_value)}
+                {"k": r.k, "C": encode(r.c_value), "B": encode(r.b_value)}
                 for r in result.rows
             ],
             "stabilized": result.stabilized,
-            "limit": _encode(result.limit_estimate),
+            "limit": encode(result.limit_estimate),
         },
         csv_text,
     )
@@ -394,7 +383,7 @@ def exhaust(spec_path, out_dir):
     _write_outputs(
         out_dir,
         "exhaust",
-        {"rows": [{"i": i, "C": _encode(v)} for i, v in rows]},
+        {"rows": [{"i": i, "C": encode(v)} for i, v in rows]},
         csv_text,
     )
     vals = [value_float(v) for _, v in rows]
@@ -412,9 +401,10 @@ def kernel(spec_path, out_dir, mode):
     data = _load_spec(spec_path, "kernel")
     domain = _build(lambda: _load_domain(data["domain"], mode=mode))
     xi = _build(lambda: Functional.from_json(data["xi"]))
+    _build(lambda: _insist_exact(mode, xi.entries))
     value = _run(lambda: kernel_at_origin(domain, xi))
     click.echo(f"K = {_fmt(value)}")
-    _write_outputs(out_dir, "kernel", {"K": _encode(value)}, f"K\n{_fmt(value)}\n")
+    _write_outputs(out_dir, "kernel", {"K": encode(value)}, f"K\n{_fmt(value)}\n")
 
 
 @main.command()
@@ -449,7 +439,7 @@ def sop_cmd(spec_path, out_dir):
     data = _load_spec(spec_path, "sop")
     domain = _build(lambda: _load_diagonal(data["domain"], "sop"))
     F = _build(lambda: Jet.from_json(data["F"]))
-    phi = _build(lambda: _weight(data["weight"]))
+    phi = _build(lambda: ToricWeight.from_json(data["weight"]))
     rep = _run(lambda: effectiveness_report(domain, F, phi), (UnsupportedDomainError,))
     click.echo(rep.text_table())
     csv_lines = ["quantity,value"]
@@ -469,7 +459,7 @@ def cse(spec_path, out_dir, t_grid):
     data = _load_spec(spec_path, "cse")
     domain = _build(lambda: _load_diagonal(data["domain"], "cse"))
     xi = _build(lambda: Functional.from_json(data["xi"]))
-    phi = _build(lambda: _weight(data["weight"]))
+    phi = _build(lambda: ToricWeight.from_json(data["weight"]))
     grid = _build(lambda: _parse_tgrid(data.get("t_grid", t_grid)))
 
     def compute():
@@ -482,7 +472,7 @@ def cse(spec_path, out_dir, t_grid):
     click.echo(csv_text.rstrip())
     click.echo(f"slope = {res.slope:.12g}  combinatorial = {float(gamma):.12g}")
     payload = res.to_json()
-    payload["combinatorial"] = str(gamma)
+    payload["combinatorial"] = encode(gamma)
     _write_outputs(out_dir, "cse", payload, csv_text)
     if not res.convex:
         click.echo("cross-check failed: log K not convex along the grid", err=True)
@@ -499,7 +489,6 @@ def density(spec_path, out_dir, k_range):
     domain = _build(lambda: _load_diagonal(data["domain"], "density"))
     F, gens = _build(lambda: _jet_and_gens(data["F"], data["generators"]))
     ks = _build(lambda: _parse_krange(data.get("k_range", k_range)))
-    F = Jet(F.n, max(F.degree_bound, max(ks) - 1), F.coeffs)
     rows = _run(lambda: density_sequence(domain, F, gens, ks))
     lines = ["k,distance"] + [f"{k},{dist:.17g}" for k, dist in rows]
     csv_text = "\n".join(lines) + "\n"

@@ -39,6 +39,9 @@ from .indices import degree, indices_up_to, validate_index
 # max(1, its largest entry)
 QUAD_TOL = 1e-10
 
+# descriptor kinds that only :func:`moment_matrix` builds
+MOMENT_KINDS = ("offcenter_disc", "two_point_disc", "radial")
+
 
 def _as_fraction(x):
     if isinstance(x, float) and not x.is_integer():
@@ -68,16 +71,14 @@ class ToricWeight:
         """Coordinates with a positive exponent."""
         return [j for j, x in enumerate(self.a) if x > 0]
 
-    def value(self, point) -> float:
-        """phi at a point given by coordinate moduli."""
-        return sum(2 * float(aj) * math.log(x) for aj, x in zip(self.a, point) if aj > 0)
-
     def to_json(self):
         return {"a": [str(x) for x in self.a]}
 
     @classmethod
     def from_json(cls, data):
-        return cls(tuple(Fraction(x) for x in data["a"]))
+        """The weight of the exponents ``data["a"]``: numbers, or strings
+        such as "1/2", each read as a Fraction."""
+        return cls(tuple(data["a"]))
 
 
 @dataclass(frozen=True)
@@ -350,9 +351,13 @@ class DiagonalDomain:
         return float(self.radius) <= float(other.radius) + 1e-15
 
     def _default_descriptor(self):
+        """The JSON descriptor that :func:`domain_from_json` reads back: an
+        exact domain's radii as strings ("1/2"), so that it reloads exact,
+        a float domain's as floats."""
+        number = str if self.exact else float
         if self.kind == "polydisc":
-            return {"kind": "polydisc", "radii": [float(r) for r in self.radii]}
-        return {"kind": "ball", "radius": float(self.radius), "n": self.n}
+            return {"kind": "polydisc", "radii": [number(r) for r in self.radii]}
+        return {"kind": "ball", "radius": number(self.radius), "n": self.n}
 
     def to_json(self):
         return self.descriptor
@@ -727,7 +732,7 @@ def moment_matrix(descriptor, degree_bound) -> MomentDomain:
         n = len(radii)
     elif kind == "ball":
         n = int(descriptor.get("n", 1))
-    elif kind in ("offcenter_disc", "two_point_disc", "radial"):
+    elif kind in MOMENT_KINDS:
         n = 1
     else:
         raise ValueError(f"unsupported moment descriptor kind {kind!r}")
@@ -781,30 +786,42 @@ def moment_matrix(descriptor, degree_bound) -> MomentDomain:
     return MomentDomain(n, degree_bound, M, descriptor=descriptor, quad_error=quad_error)
 
 
-def domain_from_json(data):
-    """Build a diagonal domain from a JSON descriptor."""
+def _number(x):
+    """A descriptor's number: a string such as "1/2" read as a Fraction, a
+    JSON number as it is."""
+    return Fraction(x) if isinstance(x, str) else x
+
+
+def domain_from_json(data, degree=None):
+    """Build the domain of a JSON descriptor, of any kind.
+
+    A moment kind (:data:`MOMENT_KINDS`) gives :func:`moment_matrix` of
+    degree ``degree``, else the descriptor's ``"degree"``, else 4; every
+    other kind a :class:`DiagonalDomain`.  A descriptor's number is read by
+    :func:`_number`, so a domain whose numbers are all exact is exact, and
+    ``domain_from_json(d.to_json())`` rebuilds ``d``, exact if ``d`` is (a
+    float domain with integer radii reloads exact too).
+    """
+    if data.get("kind") in MOMENT_KINDS:
+        return moment_matrix(data, degree if degree is not None else int(data.get("degree", 4)))
+    return _diagonal_from_json(data)
+
+
+def _diagonal_from_json(data):
+    """The diagonal domain of a descriptor; the base of a weighted or
+    sublevel kind is diagonal too."""
     kind = data.get("kind")
     if kind == "polydisc":
-        radii = [Fraction(r) if isinstance(r, str) else r for r in data["radii"]]
-        return DiagonalDomain.polydisc(radii)
+        return DiagonalDomain.polydisc([_number(r) for r in data["radii"]])
     if kind == "ball":
-        radius = data["radius"]
-        radius = Fraction(radius) if isinstance(radius, str) else radius
-        return DiagonalDomain.ball(int(data.get("n", 1)), radius)
-    if kind == "toric_weight":
-        base = domain_from_json(data["base"])
-        phi = ToricWeight(tuple(Fraction(x) for x in data["a"]))
-        c = data.get("c", 1)
-        c = Fraction(c) if isinstance(c, str) else c
-        return base.with_weight(phi, c)
+        return DiagonalDomain.ball(int(data.get("n", 1)), _number(data["radius"]))
     if kind == "sublevel":
-        base = domain_from_json(data["base"])
-        phi = ToricWeight.from_json(data["weight"])
-        return sublevel_domain(base, phi, float(data["t"]))
-    if kind == "truncated_weight":
-        base = domain_from_json(data["base"])
-        psi = ToricWeight(tuple(Fraction(x) for x in data["a"]))
-        c = data.get("c", 1)
-        c = Fraction(c) if isinstance(c, str) else c
-        return base.with_truncated_weight(truncate_weight(psi, int(data["j"])), c)
+        base = _diagonal_from_json(data["base"])
+        return sublevel_domain(base, ToricWeight.from_json(data["weight"]), float(data["t"]))
+    if kind in ("toric_weight", "truncated_weight"):
+        base = _diagonal_from_json(data["base"])
+        phi, c = ToricWeight.from_json(data), _number(data.get("c", 1))
+        if kind == "toric_weight":
+            return base.with_weight(phi, c)
+        return base.with_truncated_weight(truncate_weight(phi, int(data["j"])), c)
     raise ValueError(f"unknown domain kind {kind!r}")

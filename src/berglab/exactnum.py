@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-__all__ = ["QQi", "PiValue", "conj_s", "abs2_s", "value_float"]
+__all__ = ["QQi", "PiValue", "conj_s", "abs2_s", "value_float", "encode"]
 
 
 class QQi:
@@ -186,3 +186,13 @@ def value_float(v) -> float:
     if isinstance(v, PiValue):
         return v.to_float()
     return float(v)
+
+
+def encode(v):
+    """A result value as JSON data: a PiValue as its dict, a Fraction as a
+    string, anything else as it is."""
+    if isinstance(v, PiValue):
+        return v.to_json()
+    if isinstance(v, Fraction):
+        return str(v)
+    return v

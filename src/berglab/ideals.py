@@ -95,13 +95,6 @@ class IdealPresentation:
                     "a generator with nonzero constant term is a unit germ"
                 )
 
-    def to_json(self):
-        return {"n": self.n, "generators": [g.to_json() for g in self.generators]}
-
-    @classmethod
-    def from_json(cls, data):
-        return cls(data["n"], [Jet.from_json(g) for g in data["generators"]])
-
 
 @dataclass(eq=False)
 class JetIdeal:

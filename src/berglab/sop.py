@@ -21,7 +21,7 @@ from .errors import (
     UnboundedFunctionalError,
     ZeroFunctionalError,
 )
-from .exactnum import PiValue, value_float
+from .exactnum import PiValue, encode, value_float
 from .ideals import (
     MonomialIdeal,
     monomial_jet_ideal,
@@ -145,18 +145,6 @@ class MinimizationReport:
     def consistent(self) -> bool:
         return self.attained == self.closed_form and self.all_above
 
-    def to_json(self):
-        return {
-            "closed_form": str(self.closed_form),
-            "attained": str(self.attained),
-            "all_above": self.all_above,
-            "consistent": self.consistent,
-            "family": [
-                {"xi": label, "gamma": str(g), "pairs": p}
-                for label, g, p in self.family
-            ],
-        }
-
 
 def verify_corollary_min(F: Jet, phi: ToricWeight, degree_bound: int) -> MinimizationReport:
     """Minimize gamma over a search family of functionals pairing
@@ -207,22 +195,15 @@ class EffectivenessReport:
     diagnostics: dict = field(default_factory=dict)
 
     def to_json(self):
-        def enc(v):
-            if isinstance(v, PiValue):
-                return v.to_json()
-            if isinstance(v, Fraction):
-                return str(v)
-            return v
-
         return {
-            "integral": enc(self.integral),
-            "jumping_number": str(self.jump),
+            "integral": encode(self.integral),
+            "jumping_number": encode(self.jump),
             "ideal_plus": [list(g) for g in self.ideal_plus.generators],
-            "c_value": enc(self.c_value),
-            "b_value": enc(self.b_value),
-            "ratio": enc(self.ratio),
-            "p_max": enc(self.p_max),
-            "p_star": str(self.p_star),
+            "c_value": encode(self.c_value),
+            "b_value": encode(self.b_value),
+            "ratio": encode(self.ratio),
+            "p_max": encode(self.p_max),
+            "p_star": encode(self.p_star),
             "sharp": self.sharp,
             "diagnostics": self.diagnostics,
         }

@@ -887,6 +887,16 @@ class TestLadder:
         for row in lad.rows:
             assert value_float(row.c_value) == 0
 
+    def test_all_infinite_stabilizes(self):
+        # F = 1 + z on the disc with weight |z|^-2: the constant has infinite
+        # norm, so C_k = inf at every level, and inf - inf is nan
+        wdisc = DiagonalDomain.disc(1).with_weight(ToricWeight((1,)), 1)
+        gens = IdealPresentation(1, [Jet.monomial(1, (2,))])
+        lad = krull_ladder(wdisc, Jet(1, 1, {(0,): 1, (1,): 1}), gens, range(2, 7))
+        assert all(value_float(r.c_value) == math.inf for r in lad.rows)
+        assert lad.stabilized
+        assert value_float(lad.limit_estimate) == math.inf
+
     def test_nondecreasing(self):
         bidisc = DiagonalDomain.polydisc([1, 1])
         gens = IdealPresentation(2, [Jet(2, 3, {(2, 0): 1, (0, 3): 1})])
@@ -992,6 +1002,28 @@ class TestDensity:
         gens = IdealPresentation(1, [Jet.monomial(1, (2,))])
         with pytest.raises(BerglabError):
             density_sequence(disc, Jet(1, 3, {(2,): 1, (1,): 1}), gens, [3])
+
+    @pytest.mark.parametrize(
+        "pair, verdict",
+        [
+            # F = z + z^2 against <z^2> on the unit disc, and F = z + 10^6 z^2
+            # on the disc of radius 1/1000, whose norms are all below 1e-5
+            ([(1, 1, 1), (Fraction(1, 1000), 10**6, 1)], "raises"),
+            # a z^2 term 1e-10 of F against <z^2> and against <100 z^2>
+            ([(1, Fraction(1, 10**10), 1), (1, Fraction(1, 10**10), 100)], "passes"),
+        ],
+        ids=["domain-rescaled", "generator-rescaled"],
+    )
+    def test_complement_check_is_scale_free(self, pair, verdict):
+        for radius, c2, g in pair:
+            F = Jet(1, 2, {(1,): 1, (2,): c2})
+            gens = IdealPresentation(1, [Jet.monomial(1, (2,), g)])
+            try:
+                density_sequence(DiagonalDomain.disc(radius), F, gens, [3])
+                got = "passes"
+            except BerglabError:
+                got = "raises"
+            assert got == verdict, (radius, c2, g)
 
 
 class TestWeightedVariants:

@@ -165,6 +165,37 @@ class TestEquiv:
         assert result.exit_code == 2, result.output
         assert "spec error" in result.output
 
+    @pytest.mark.parametrize(
+        "command, spec",
+        [
+            ("equiv", dict(DISC_Z_SQUARED, F={"n": 1, "terms": [{"alpha": [1], "re": 1}]})),
+            (
+                "ladder",
+                dict(
+                    TWISTED_CUSP,
+                    generators=[{"n": 2, "terms": [{"alpha": [1, 0], "re": 1, "im": 0}]}],
+                ),
+            ),
+            (
+                "kernel",
+                {
+                    "domain": {"kind": "polydisc", "radii": [1]},
+                    "xi": {"n": 1, "terms": [{"alpha": [1], "re": 2.5, "im": 0}]},
+                },
+            ),
+        ],
+        ids=["equiv-F", "ladder-generator", "kernel-xi"],
+    )
+    def test_exact_mode_non_exact_coefficient_exit_2(self, runner, tmp_path, command, spec):
+        # a JSON number is a float coefficient: --mode exact refuses it
+        result = runner.invoke(main, [command, "--spec", write_spec(tmp_path, spec)])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(
+            main, [command, "--spec", write_spec(tmp_path, spec), "--mode", "exact"]
+        )
+        assert result.exit_code == 2, result.output
+        assert "spec error: --mode exact: a coefficient is not exact" in result.output
+
     def test_missing_field_exit_2(self, runner, tmp_path):
         bad = {"domain": {"kind": "polydisc", "radii": [1]}}
         spec = write_spec(tmp_path, bad)
@@ -577,8 +608,9 @@ class TestSpecRanges:
                 },
                 [],
             ),
+            ("basis", {"domain": {"kind": "polydisc", "radii": [1, 1]}, "degree": 300}, []),
         ],
-        ids=["ladder-k-100000", "equiv-level-100000", "sop-degree-400"],
+        ids=["ladder-k-100000", "equiv-level-100000", "sop-degree-400", "basis-degree-300"],
     )
     def test_jet_space_past_cap_exit_2(self, runner, tmp_path, command, spec, args):
         result = runner.invoke(main, [command, "--spec", write_spec(tmp_path, spec), *args])

@@ -26,6 +26,7 @@ from berglab.domains import (
 )
 from berglab.errors import BerglabError, QuadratureError, SingularMatrixError
 from berglab.exactnum import PiValue, value_float
+from berglab.indices import indices_up_to
 from berglab.jets import Functional, Jet
 
 
@@ -605,11 +606,54 @@ class TestStructure:
         with pytest.raises(BerglabError):
             ExhaustionSequence([d2, d1])
 
-    def test_json_round_trip(self):
-        dom = DiagonalDomain.polydisc([1, 2]).with_weight(ToricWeight((1, 0)), 1)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DiagonalDomain.polydisc([Fraction(1, 2), 1]),
+            lambda: DiagonalDomain.ball(2, Fraction(1, 3)),
+            lambda: DiagonalDomain.polydisc([1, 2]).with_weight(ToricWeight((1, 0)), 1),
+            lambda: DiagonalDomain.polydisc([0.7, 1.3]),
+            lambda: DiagonalDomain.polydisc([1, Fraction(3, 2)]).with_truncated_weight(
+                truncate_weight(ToricWeight((1, 2)), 3), Fraction(1, 2)
+            ),
+            lambda: sublevel_domain(DiagonalDomain.polydisc([1, 1]), ToricWeight((1, 0)), 2),
+            lambda: sublevel_domain(
+                DiagonalDomain.polydisc([1, Fraction(3, 2)]), ToricWeight((1, 2)), 3
+            ),
+        ],
+        ids=[
+            "exact-polydisc",
+            "exact-ball",
+            "weighted",
+            "float-polydisc",
+            "truncated",
+            "sublevel-1d",
+            "sublevel-2d",
+        ],
+    )
+    def test_json_round_trip(self, make):
+        dom = make()
         back = domain_from_json(dom.to_json())
-        for alpha in [(0, 0), (1, 0), (2, 1)]:
+        assert back.exact == dom.exact
+        for alpha in indices_up_to(dom.n, 4):
             assert back.norm(alpha) == dom.norm(alpha)
+
+    @pytest.mark.parametrize(
+        "desc",
+        [
+            {"kind": "offcenter_disc", "center": [0.2, 0.1], "radius": 0.9},
+            {"kind": "two_point_disc", "c": [0.3, -0.2], "r": 2.0},
+            {"kind": "radial", "base": 1.0, "harmonics": [[1, 0.1, 0.05]]},
+        ],
+        ids=lambda d: d["kind"],
+    )
+    def test_moment_kinds_from_json(self, desc):
+        # the degree comes from the argument, else the descriptor, else 4
+        cases = [(dict(desc, degree=6), 3, 3), (dict(desc, degree=6), None, 6), (desc, None, 4)]
+        for data, arg, d in cases:
+            dom = domain_from_json(data, arg)
+            assert isinstance(dom, MomentDomain) and dom.degree_bound == d
+            assert np.array_equal(dom.matrix, moment_matrix(desc, d).matrix)
 
     def test_monomial_norm_helper(self):
         disc = DiagonalDomain.disc(1)

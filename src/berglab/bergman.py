@@ -51,8 +51,8 @@ from .errors import (
     BerglabError,
     DimensionMismatchError,
     SingularMatrixError,
-    SupportBoundError,
     UnboundedFunctionalError,
+    UnsupportedDomainError,
     ZeroFunctionalError,
 )
 from .exactnum import PiValue, QQi, abs2_s, conj_s, encode, is_exact, value_float
@@ -88,7 +88,9 @@ def riesz_representative(domain, xi: Functional) -> Jet:
     if isinstance(domain, MomentDomain):
         beyond = [a for a in xi.entries if degree(a) > domain.degree_bound]
         if beyond:
-            raise SupportBoundError(f"functional support {beyond[0]} beyond moment degree bound")
+            raise UnsupportedDomainError(
+                f"functional support {beyond[0]} beyond moment degree bound"
+            )
         import numpy as np
 
         vec = np.array([complex(c) for c in xi.vector(domain.indices)], dtype=complex)
@@ -259,7 +261,7 @@ def _problem(domain, F: Jet, J: JetIdeal) -> _Problem:
         )
     moment = isinstance(domain, MomentDomain)
     if moment and J.level > domain.degree_bound + 1:
-        raise ValueError("jet-ideal level exceeds the moment degree bound + 1")
+        raise UnsupportedDomainError("jet-ideal level exceeds the moment degree bound + 1")
     idx = domain.indices if moment else J.indices
     f = F.truncate(J.level - 1).vector(idx)
     if moment:

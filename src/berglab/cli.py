@@ -248,12 +248,13 @@ _SPEC_ERRORS = (ValueError, KeyError, DimensionMismatchError, ImproperIdealError
 
 
 def _run(fn, spec_errors=()):
-    """Call ``fn``, turning library errors into exit codes: ``spec_errors``
-    and a jet space past the size cap exit 2, numerical and other berglab
-    errors exit 3."""
+    """Call ``fn``, turning library errors into exit codes: ``spec_errors``,
+    a jet space past the size cap and a domain the construction does not
+    support (moment data too small included) exit 2, numerical and other
+    berglab errors exit 3."""
     try:
         return fn()
-    except (JetSpaceTooLargeError, *spec_errors) as exc:
+    except (JetSpaceTooLargeError, UnsupportedDomainError, *spec_errors) as exc:
         click.echo(f"spec error: {exc}", err=True)
         sys.exit(EXIT_SCHEMA)
     except (QuadratureError, SingularMatrixError) as exc:
@@ -440,7 +441,7 @@ def sop_cmd(spec_path, out_dir):
     domain = _build(lambda: _load_diagonal(data["domain"], "sop"))
     F = _build(lambda: Jet.from_json(data["F"]))
     phi = _build(lambda: ToricWeight.from_json(data["weight"]))
-    rep = _run(lambda: effectiveness_report(domain, F, phi), (UnsupportedDomainError,))
+    rep = _run(lambda: effectiveness_report(domain, F, phi))
     click.echo(rep.text_table())
     csv_lines = ["quantity,value"]
     for key, v in rep.to_json().items():
@@ -466,7 +467,7 @@ def cse(spec_path, out_dir, t_grid):
         res = xi_cse_limit(xi, phi, domain, grid)
         return res, xi_cse_combinatorial(xi, phi)
 
-    res, gamma = _run(compute, (UnsupportedDomainError,))
+    res, gamma = _run(compute)
     lines = ["t,logK"] + [f"{t:.17g},{lk:.17g}" for t, lk in res.table]
     csv_text = "\n".join(lines) + "\n"
     click.echo(csv_text.rstrip())

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
-    BerglabError,
     DimensionMismatchError,
     NotNestedError,
     QuadratureError,
@@ -93,15 +92,29 @@ class TruncatedWeight:
             raise ValueError("truncation level j must be >= 1")
 
 
+@dataclass(frozen=True)
+class Cut:
+    """A domain's one cut: the "truncated" weight exp(-scale*max(psi,
+    -level)), its exponents folded into the domain's, or the "sublevel" set
+    {psi < -level} of a two-variable psi."""
+
+    kind: str
+    psi: ToricWeight
+    level: object
+    scale: Fraction = None
+
+
 class DiagonalDomain:
     """Monomial-norm oracle for a complete Reinhardt domain.
 
     ``weight_exponents`` holds the per-coordinate exponent e_j of the
     attached density prod_j |z_j|^(-2 e_j) (the toric weight with its scale
-    already folded in).  ``truncated`` optionally caps the toric part of the
-    density at exp(c*j) (the max(psi,-j) construction); ``trunc_scale`` is
-    that c.  Polydisc norms, truncated ones with one active coordinate
-    included, are products of per-coordinate factors cached by exponent.
+    already folded in).  ``cut`` is the domain's one :class:`Cut`, if any: a
+    truncated weight or a two-variable sublevel set of a polydisc (a
+    one-variable sublevel set is a smaller radius, not a cut).  Polydisc
+    norms, truncated ones with one active coordinate included, are products
+    of per-coordinate factors cached by exponent.  Every derived domain is
+    built by :meth:`_derived`.
     """
 
     def __init__(
@@ -111,15 +124,13 @@ class DiagonalDomain:
         radii=None,
         radius=None,
         weight_exponents=None,
-        truncated=None,
-        trunc_scale=None,
+        cut=None,
         exact=None,
         descriptor=None,
     ):
         self.n = int(n)
         self.kind = kind
-        self.truncated = truncated
-        self.trunc_scale = Fraction(trunc_scale) if trunc_scale is not None else None
+        self.cut = cut
         if kind == "polydisc":
             if radii is None or len(radii) != self.n:
                 raise ValueError("polydisc needs one radius per coordinate")
@@ -168,61 +179,61 @@ class DiagonalDomain:
             return cls.polydisc([radius], exact=exact)
         return cls(n, "ball", radius=radius, exact=exact)
 
+    def _derived(self, descriptor, **changes):
+        """The domain of ``descriptor`` built on this one: every constructor
+        field copied from ``self`` but ``changes``, and this domain's
+        descriptor as its ``"base"``.  A domain has at most one cut, so a
+        ``cut`` change on a domain that has one raises
+        UnsupportedDomainError."""
+        if "cut" in changes and self.cut is not None:
+            raise UnsupportedDomainError(f"a {changes['cut'].kind} cut on a {self.cut.kind} domain")
+        fields = {"radii": self.radii, "radius": self.radius, "cut": self.cut, "exact": self.exact}
+        fields["weight_exponents"] = self.weight_exponents
+        fields.update(changes, descriptor=dict(descriptor, base=self.descriptor))
+        return DiagonalDomain(self.n, self.kind, **fields)
+
     def with_weight(self, phi: ToricWeight, c=1) -> "DiagonalDomain":
-        """Attach the density exp(-c*phi), folding into the exponents."""
+        """Attach the density exp(-c*phi), folding into the exponents.  A
+        sublevel cut is kept; a truncated domain raises
+        UnsupportedDomainError."""
         if phi.n != self.n:
             raise DimensionMismatchError("weight dimension differs from domain")
-        if self.truncated is not None:
-            raise BerglabError("cannot stack a plain weight on a truncated one")
+        if self.cut is not None and self.cut.kind == "truncated":
+            raise UnsupportedDomainError("cannot stack a plain weight on a truncated one")
         c = Fraction(c) if self.exact else c
-        new_e = tuple(e + c * a for e, a in zip(self.weight_exponents, phi.a))
-        # a float domain stays float; an exact one is exact again if it can be
-        dom = DiagonalDomain(
-            self.n,
-            self.kind,
-            radii=self.radii,
-            radius=self.radius,
-            weight_exponents=new_e,
+        c_json = str(c) if isinstance(c, Fraction) else c
+        return self._derived(
+            {"kind": "toric_weight", "a": [str(a) for a in phi.a], "c": c_json},
+            weight_exponents=tuple(e + c * a for e, a in zip(self.weight_exponents, phi.a)),
+            # a float domain stays float; an exact one is exact again if it can be
             exact=None if self.exact else False,
-            descriptor={
-                "kind": "toric_weight",
-                "a": [str(a) for a in phi.a],
-                "c": str(Fraction(c)) if isinstance(c, Fraction) else c,
-                "base": self.descriptor,
-            },
         )
-        return dom
 
     def with_truncated_weight(self, tw: TruncatedWeight, c=1) -> "DiagonalDomain":
-        """Attach exp(-c*max(psi,-j)); norms are finite for every index."""
+        """Attach exp(-c*max(psi,-j)); norms are finite for every index.
+        The closed forms take one active coordinate, or two in dimension 2:
+        any other psi raises UnsupportedDomainError, as does a domain that
+        already has a cut."""
         if tw.psi.n != self.n:
             raise DimensionMismatchError("weight dimension differs from domain")
         if self.kind != "polydisc":
             raise UnsupportedDomainError("truncated weights are only supported on polydiscs")
-        new_e = tuple(
-            e + Fraction(c) * a for e, a in zip(self.weight_exponents, tw.psi.a)
-        )
-        return DiagonalDomain(
-            self.n,
-            "polydisc",
-            radii=self.radii,
-            weight_exponents=new_e,
-            truncated=tw,
-            trunc_scale=c,
+        if len(tw.psi.active()) > 1 and self.n != 2:
+            raise UnsupportedDomainError(
+                "truncated weights support one active coordinate, or two in dimension 2"
+            )
+        c = Fraction(c)
+        return self._derived(
+            {"kind": "truncated_weight", "a": [str(a) for a in tw.psi.a], "j": tw.j, "c": str(c)},
+            weight_exponents=tuple(e + c * a for e, a in zip(self.weight_exponents, tw.psi.a)),
+            cut=Cut("truncated", tw.psi, tw.j, c),
             exact=False,
-            descriptor={
-                "kind": "truncated_weight",
-                "a": [str(a) for a in tw.psi.a],
-                "j": tw.j,
-                "c": str(Fraction(c)),
-                "base": self.descriptor,
-            },
         )
 
     # -- norms ----------------------------------------------------------
 
     def _exactness_possible(self) -> bool:
-        if self.truncated is not None:
+        if self.cut is not None:
             return False
         sizes = self.radii if self.radii is not None else (self.radius,)
         try:
@@ -278,12 +289,10 @@ class DiagonalDomain:
     def _compute_norm(self, alpha):
         if self.kind == "ball":
             return self._ball_norm(alpha)
-        if self.truncated is not None and len(self.truncated.psi.active()) > 1:
-            if self.n == 2:
-                return _truncated_norm_2d(self, alpha)
-            raise BerglabError(
-                "truncated weights support one active coordinate, or two in dimension 2"
-            )
+        if self.cut is not None and len(self.cut.psi.active()) > 1:
+            if self.cut.kind == "sublevel":
+                return _sublevel_norm_2d(self, alpha)
+            return _truncated_norm_2d(self, alpha)
         # polydisc: the product of the coordinates' factors, with a factor pi
         # per coordinate (factored out in exact mode)
         out = Fraction(1) if self.exact else math.pi**self.n
@@ -303,13 +312,13 @@ class DiagonalDomain:
         weight, the density is capped at e^(c*j) below rho = e^(-j/(2a_m)),
         leaving the base weight's exponent x + c*a_m there."""
         r, x = self.radii[j], k - self.weight_exponents[j] + 1
-        tw = self.truncated
-        if tw is not None and tw.psi.a[j] > 0:
-            c, a, x = float(self.trunc_scale), float(tw.psi.a[j]), float(x)
+        cut = self.cut
+        if cut is not None and cut.psi.a[j] > 0:
+            c, a, x = float(cut.scale), float(cut.psi.a[j]), float(x)
             if x + c * a <= 0:
                 return math.inf
-            log_r, log_rho = math.log(float(r)), -tw.j / (2 * a)
-            val = _int_pow(2 * (x + c * a) - 1, -math.inf, min(log_r, log_rho), c * tw.j)
+            log_r, log_rho = math.log(float(r)), -cut.level / (2 * a)
+            val = _int_pow(2 * (x + c * a) - 1, -math.inf, min(log_r, log_rho), c * cut.level)
             if log_rho < log_r:
                 val += _int_pow(2 * x - 1, log_rho, log_r)
             return 2 * val
@@ -339,12 +348,18 @@ class DiagonalDomain:
 
     def is_subset_of(self, other: "DiagonalDomain") -> bool:
         """Inclusion certified from the descriptors (same family, same
-        weight, radii nondecreasing)."""
+        weight, radii nondecreasing, and the same cut, but for sublevel sets
+        {psi < -t} of one psi, which nest by t)."""
         if self.n != other.n or self.kind != other.kind:
             return False
         we_a = [float(e) for e in self.weight_exponents]
         we_b = [float(e) for e in other.weight_exponents]
-        if we_a != we_b or self.truncated != other.truncated:
+        a, b = self.cut, other.cut
+        nested = a == b or (
+            a is not None and b is not None and a.kind == b.kind == "sublevel"
+            and a.psi == b.psi and a.level >= b.level
+        )
+        if we_a != we_b or not nested:
             return False
         if self.kind == "polydisc":
             return all(float(r) <= float(s) + 1e-15 for r, s in zip(self.radii, other.radii))
@@ -373,7 +388,10 @@ def monomial_norm(domain: DiagonalDomain, alpha):
 
 
 def sublevel_domain(domain: DiagonalDomain, phi: ToricWeight, t) -> DiagonalDomain:
-    """The intersection {phi < -t} with a polydisc, keeping its weight."""
+    """The intersection {phi < -t} with a polydisc, keeping its weight and
+    its cut.  A one-variable phi shrinks a radius; a two-variable phi, in
+    dimension 2 only, is the domain's cut, so a domain that has one raises
+    UnsupportedDomainError."""
     if t < 0:
         raise ValueError("sublevel parameter t must be non-negative")
     if domain.kind != "polydisc":
@@ -382,28 +400,16 @@ def sublevel_domain(domain: DiagonalDomain, phi: ToricWeight, t) -> DiagonalDoma
         raise DimensionMismatchError("weight dimension differs from domain")
     if t == 0:
         return domain
-    active = phi.active()
+    t, active = float(t), phi.active()
+    radii = [float(r) for r in domain.radii]
+    desc = {"kind": "sublevel", "t": t, "weight": phi.to_json()}
     if len(active) == 1:
         m = active[0]
-        a = float(phi.a[m])
-        new_radii = [float(r) for r in domain.radii]
-        new_radii[m] = min(new_radii[m], math.exp(-t / (2 * a)))
-        return DiagonalDomain(
-            domain.n,
-            "polydisc",
-            radii=new_radii,
-            weight_exponents=domain.weight_exponents,
-            exact=False,
-            descriptor={
-                "kind": "sublevel",
-                "t": float(t),
-                "weight": phi.to_json(),
-                "base": domain.descriptor,
-            },
-        )
+        radii[m] = min(radii[m], math.exp(-t / (2 * float(phi.a[m]))))
+        return domain._derived(desc, radii=radii, exact=False)
     if domain.n != 2:
         raise UnsupportedDomainError("multi-variable sublevel sets are supported in dimension 2")
-    return _SublevelDomain2D(domain, phi, float(t))
+    return domain._derived(desc, radii=radii, cut=Cut("sublevel", phi, t), exact=False)
 
 
 def _int_pow(e, u1, u2, log_c=0.0):
@@ -468,40 +474,20 @@ def _finite(val):
     return val
 
 
-class _SublevelDomain2D(DiagonalDomain):
-    """{phi < -t} over a bidisc with a two-variable toric weight; a norm is
-    the integral over the Reinhardt shadow, the part of the bidisc below the
-    curve x1 = e^(-t/(2 a1)) x2^(-a2/a1) (:func:`_below_curve`)."""
-
-    def __init__(self, base: DiagonalDomain, phi: ToricWeight, t: float):
-        super().__init__(
-            2,
-            "polydisc",
-            radii=[float(r) for r in base.radii],
-            weight_exponents=tuple(float(e) for e in base.weight_exponents),
-            exact=False,
-            descriptor={
-                "kind": "sublevel",
-                "t": t,
-                "weight": phi.to_json(),
-                "base": base.descriptor,
-            },
-        )
-        self._phi = phi
-        self._t = t
-
-    def _compute_norm(self, alpha):
-        a1, a2 = (float(x) for x in self._phi.a)
-        r1, r2 = (float(r) for r in self.radii)
-        e1, e2 = (float(e) for e in self.weight_exponents)
-        p = 2 * alpha[0] + 1 - 2 * e1
-        q = 2 * alpha[1] + 1 - 2 * e2
-        if p + 1 <= 0 or q + 1 <= 0:
-            return math.inf
-        # 4 pi^2 times the integral of x1^p x2^q over the shadow, the part of
-        # the bidisc below the sublevel curve x1 = e^(-t/(2 a1)) x2^(-a2/a1)
-        val = _below_curve(p, q, math.log(r1), math.log(r2), -self._t / (2 * a1), a2 / a1)
-        return _finite(4 * math.pi**2 * val)
+def _sublevel_norm_2d(domain: DiagonalDomain, alpha):
+    """Norm on {phi < -t} over a bidisc, phi two-variable: the integral over
+    the Reinhardt shadow, the part of the bidisc below the curve
+    x1 = e^(-t/(2 a1)) x2^(-a2/a1) (:func:`_below_curve`)."""
+    a1, a2 = (float(x) for x in domain.cut.psi.a)
+    r1, r2 = (float(r) for r in domain.radii)
+    e1, e2 = (float(e) for e in domain.weight_exponents)
+    p = 2 * alpha[0] + 1 - 2 * e1
+    q = 2 * alpha[1] + 1 - 2 * e2
+    if p + 1 <= 0 or q + 1 <= 0:
+        return math.inf
+    # 4 pi^2 times the integral of x1^p x2^q over the shadow
+    val = _below_curve(p, q, math.log(r1), math.log(r2), -domain.cut.level / (2 * a1), a2 / a1)
+    return _finite(4 * math.pi**2 * val)
 
 
 def _truncated_norm_2d(domain: DiagonalDomain, alpha):
@@ -514,9 +500,9 @@ def _truncated_norm_2d(domain: DiagonalDomain, alpha):
     powers of x2, with a log x2 term when the singular exponent p_sing is
     -1.
     """
-    tw, c = domain.truncated, float(domain.trunc_scale)
-    a1, a2 = (float(x) for x in tw.psi.a)
-    j = tw.j
+    cut, c = domain.cut, float(domain.cut.scale)
+    a1, a2 = (float(x) for x in cut.psi.a)
+    j = cut.level
     r1, r2 = (float(r) for r in domain.radii)
     base_e1 = float(domain.weight_exponents[0]) - c * a1
     base_e2 = float(domain.weight_exponents[1]) - c * a2
@@ -737,7 +723,7 @@ def moment_matrix(descriptor, degree_bound) -> MomentDomain:
     else:
         raise ValueError(f"unsupported moment descriptor kind {kind!r}")
     if n > 3 or degree_bound > 8:
-        raise BerglabError("moment matrices support n <= 3 and degree <= 8")
+        raise UnsupportedDomainError("moment matrices support n <= 3 and degree <= 8")
 
     idx = indices_up_to(n, degree_bound)
     m = len(idx)

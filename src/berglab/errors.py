@@ -47,7 +47,8 @@ class NotNestedError(BerglabError, ValueError):
 
 class UnsupportedDomainError(BerglabError, ValueError):
     """A domain that the requested construction does not support, such as a
-    toric weight on a ball of dimension >= 2 (a spec error)."""
+    toric weight on a ball of dimension >= 2, a second cut, or a problem
+    past a moment matrix's degree (a spec error)."""
 
 
 class JetSpaceTooLargeError(BerglabError, ValueError):

@@ -633,6 +633,95 @@ class TestSpecRanges:
         assert f"spec error: {command} needs a diagonal domain" in result.output
 
 
+    OFFCENTER = {"kind": "offcenter_disc", "center": [0.1, 0.0], "radius": 1.0}
+
+    @pytest.mark.parametrize(
+        "command, spec, args",
+        [
+            (
+                "equiv",
+                {
+                    "domain": OFFCENTER,
+                    "F": DISC_Z_SQUARED["F"],
+                    "ideal": dict(DISC_Z_SQUARED["ideal"], level=7),
+                },
+                [],
+            ),
+            (
+                "ladder",
+                {
+                    "domain": OFFCENTER,
+                    "F": DISC_Z_SQUARED["F"],
+                    "generators": DISC_Z_SQUARED["ideal"]["generators"],
+                },
+                ["--k", "2..8"],
+            ),
+            ("equiv", dict(DISC_Z_SQUARED, domain=dict(OFFCENTER, degree=12)), []),
+            ("basis", {"domain": OFFCENTER, "degree": 12}, []),
+            (
+                "kernel",
+                {
+                    "domain": OFFCENTER,
+                    "xi": {"n": 1, "terms": [{"alpha": [6], "re": "1", "im": "0"}]},
+                },
+                [],
+            ),
+        ],
+        ids=["equiv-level-7", "ladder-k-8", "equiv-degree-12", "basis-degree-12", "kernel-z6"],
+    )
+    def test_past_moment_data_exit_2(self, runner, tmp_path, command, spec, args):
+        # the off-center disc's moment matrix has degree 4 unless set
+        result = runner.invoke(main, [command, "--spec", write_spec(tmp_path, spec), *args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "spec error: " in result.output
+
+    @pytest.mark.parametrize(
+        "command, spec",
+        [
+            (
+                "equiv",
+                dict(
+                    DISC_Z_SQUARED,
+                    domain={
+                        "kind": "truncated_weight",
+                        "a": ["1"],
+                        "j": 3,
+                        "base": {
+                            "kind": "truncated_weight",
+                            "a": ["1"],
+                            "j": 2,
+                            "base": {"kind": "polydisc", "radii": [1]},
+                        },
+                    },
+                ),
+            ),
+            (
+                "exhaust",
+                {
+                    "domains": [
+                        {
+                            "kind": "sublevel",
+                            "t": t,
+                            "weight": {"a": ["1", "1"]},
+                            "base": {"kind": "polydisc", "radii": [1, 1]},
+                        }
+                        for t in (1.0, 3.0)
+                    ],
+                    "F": TWISTED_CUSP["F"],
+                    "ideal": {"generators": TWISTED_CUSP["generators"], "level": 3},
+                },
+            ),
+        ],
+        ids=["truncated-over-truncated", "sublevel-exhaustion-decreasing"],
+    )
+    def test_cut_spec_error_exit_2(self, runner, tmp_path, command, spec):
+        result = runner.invoke(main, [command, "--spec", write_spec(tmp_path, spec)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "spec error: " in result.output
+
+
 class TestSuite:
     def test_equivalence_suite(self, runner):
         result = runner.invoke(

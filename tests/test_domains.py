@@ -24,10 +24,17 @@ from berglab.domains import (
     truncate_weight,
     weighted_integral,
 )
-from berglab.errors import BerglabError, QuadratureError, SingularMatrixError
+from berglab.errors import (
+    BerglabError,
+    NotNestedError,
+    QuadratureError,
+    SingularMatrixError,
+    UnsupportedDomainError,
+)
 from berglab.exactnum import PiValue, value_float
 from berglab.indices import indices_up_to
 from berglab.jets import Functional, Jet
+from berglab.sop import effectiveness_report
 
 
 def polar_norm_1d(k, r, weight_exp=0.0):
@@ -379,6 +386,91 @@ class TestTwoVariableClosedForms:
         dom = dom.with_truncated_weight(truncate_weight(psi, j), Fraction(c))
         want = truncated_oracle(radii, [float(x) for x in psi.a], j, float(Fraction(c)), alpha)
         assert dom.norm(alpha) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+class TestCuts:
+    """A domain holds at most one cut (a truncated weight or a two-variable
+    sublevel set): weights and one-variable sublevel sets compose with it,
+    a second cut is refused when the domain is built."""
+
+    BASE = DiagonalDomain.polydisc([1, Fraction(3, 2)])
+
+    @pytest.mark.parametrize("a", [(1, 0), (1, 2)], ids=["one-variable", "two-variable"])
+    def test_weight_and_sublevel_commute(self, a):
+        phi, q, c = ToricWeight(a), ToricWeight((Fraction(1, 2), Fraction(1, 4))), Fraction(1, 2)
+        first = sublevel_domain(self.BASE.with_weight(q, c), phi, 1.0)
+        second = sublevel_domain(self.BASE, phi, 1.0).with_weight(q, c)
+        for alpha in indices_up_to(2, 4):
+            assert second.norm(alpha) == first.norm(alpha)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda b: b.with_truncated_weight(truncate_weight(ToricWeight((1, 1)), 2), 1)
+            .with_truncated_weight(truncate_weight(ToricWeight((1, 0)), 3), 1),
+            lambda b: sublevel_domain(
+                b.with_truncated_weight(truncate_weight(ToricWeight((1, 0)), 2), 1),
+                ToricWeight((1, 1)),
+                1.0,
+            ),
+            lambda b: sublevel_domain(b, ToricWeight((1, 2)), 1.0).with_truncated_weight(
+                truncate_weight(ToricWeight((1, 1)), 2), 1
+            ),
+            lambda b: sublevel_domain(
+                sublevel_domain(b, ToricWeight((1, 1)), 1.0), ToricWeight((1, 2)), 2.0
+            ),
+            lambda b: b.with_truncated_weight(
+                truncate_weight(ToricWeight((1, 1)), 2), 1
+            ).with_weight(ToricWeight((1, 0)), 1),
+            lambda b: DiagonalDomain.polydisc([1, 1, 1]).with_truncated_weight(
+                truncate_weight(ToricWeight((1, 1, 0)), 2), 1
+            ),
+        ],
+        ids=[
+            "truncated-over-truncated",
+            "sublevel-over-truncated",
+            "truncated-over-sublevel",
+            "sublevel-over-sublevel",
+            "weight-over-truncated",
+            "truncated-two-active-in-3d",
+        ],
+    )
+    def test_refused_when_built(self, make):
+        with pytest.raises(UnsupportedDomainError):
+            make(self.BASE)
+
+    def test_one_variable_sublevel_keeps_the_cap(self):
+        tw = truncate_weight(ToricWeight((1, 1)), 2)
+        small = DiagonalDomain.polydisc([1, math.exp(-1 / 2)], exact=False)
+        sub = sublevel_domain(self.BASE.with_truncated_weight(tw, 1), ToricWeight((0, 1)), 1.0)
+        for alpha in indices_up_to(2, 3):
+            assert sub.norm(alpha) == small.with_truncated_weight(tw, 1).norm(alpha)
+
+    def test_json_round_trip_of_weight_over_sublevel(self):
+        e = (Fraction(1, 2), Fraction(1, 4))
+        dom = sublevel_domain(self.BASE, ToricWeight((1, 2)), 2.0).with_weight(ToricWeight(e), 1)
+        back = domain_from_json(dom.to_json())
+        for alpha in indices_up_to(2, 4):
+            assert back.norm(alpha) == dom.norm(alpha)
+        want = sublevel_oracle((1, 1.5), (1, 2), 2.0, (1, 0), e=(0.5, 0.25))
+        assert back.norm((1, 0)) == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_sublevel_sets_nest_by_t(self):
+        phi = ToricWeight((1, 1))
+        deep, shallow = sublevel_domain(self.BASE, phi, 3.0), sublevel_domain(self.BASE, phi, 1.0)
+        assert deep.is_subset_of(shallow) and deep.is_subset_of(deep)
+        assert not shallow.is_subset_of(deep)
+        ExhaustionSequence([deep, shallow])
+        with pytest.raises(NotNestedError):
+            ExhaustionSequence([shallow, deep])
+
+    def test_effectiveness_integral_over_sublevel(self):
+        # {|z1| |z2|^2 < e^(-1/2)} in the bidisc of radii (1, 3/2), F = z1 z2,
+        # a = (1/2, 1/2): A integrates |z1 z2|^2 / (|z1| |z2|) over the cut
+        sub = sublevel_domain(self.BASE, ToricWeight((1, 2)), 1.0)
+        rep = effectiveness_report(sub, Jet(2, 2, {(1, 1): 1}), ToricWeight((Fraction(1, 2),) * 2))
+        want = sublevel_oracle((1, 1.5), (1, 2), 1.0, (1, 1), e=(0.5, 0.5))
+        assert value_float(rep.integral) == pytest.approx(want, rel=1e-12, abs=0)
 
 
 class TestOverflow:

@@ -14,11 +14,20 @@ Both routes start from one problem record, built by :func:`_problem`: it
 checks (domain, F, J), decides containment and exact vs float once, and
 assembles the inputs both routes read (the working indices, the weights,
 the finite slots and F's vector).  :func:`both_routes` builds the record
-once for a caller that wants both values.  Each route then does its own
-solve on its own system:
+once for a caller that wants both values.
+
+On a diagonal domain distinct monomials are orthogonal, so the problem
+splits along the jet ideal's blocks (:class:`berglab.ideals.Block`), and a
+block that F does not touch adds 0 to C and to B.  The record therefore
+holds the jet ideal restricted to the blocks that F touches
+(:meth:`JetIdeal.restrict`), with weights and slots for their indices only;
+the other blocks are never assembled or solved.  A moment domain's Gram
+matrix is dense, so there the record holds the whole jet ideal.  Each route
+then does its own solve, once, on its own system over the record's jet
+ideal ``J``:
 
 * in exact mode the projection solves its normal equations on the
-  independent product rows g * z^beta that the jet ideal's elimination kept
+  independent product rows g * z^beta that the blocks' eliminations kept
   (``J.rows``), while the kernel ratio solves on the integer annihilator
   (``J.null``);
 * in float mode the projection solves a least-squares problem on the
@@ -32,8 +41,9 @@ Fraction per real one; every other problem (moment domains, float diagonal
 domains, float or complex data) runs through numpy.  In exact mode the
 routes share no solve and no spanning set, so a wrong annihilator shows up
 as C != B.  A float view's span and annihilator come from one singular
-value decomposition, so the routes share that input, and the float rank is
-not checked by C = B.
+value decomposition per block, so the routes share that input, and the
+float rank is not checked by C = B; nor is the block split, which both
+routes read.
 Every result carries the record's diagnostics dict, with one key set for
 every backend and outcome.
 """
@@ -209,13 +219,18 @@ class _Problem:
     """One checked (domain, F, J) and the inputs both routes read.
 
     ``backend`` is "exact" (Fraction / QQi lists), "float" (numpy, diagonal
-    domain) or "moment" (numpy).  ``indices`` are the working monomials and
-    ``weights`` their squared norms (inf where not square-integrable), or on
-    a moment domain the moment matrix, with ``chol`` its Cholesky factor.
-    ``finite``/``infinite`` split the slots by weight; ``f`` is F's vector.
+    domain) or "moment" (numpy).  ``ideal`` is the jet ideal as given and
+    ``J`` the one the routes solve on: on a diagonal domain the restriction
+    of ``ideal`` to the blocks that F touches (:meth:`JetIdeal.restrict`),
+    on a moment domain ``ideal`` itself.  ``indices`` are the working
+    monomials, ``J``'s on a diagonal domain, and ``weights`` their squared
+    norms (inf where not square-integrable), or on a moment domain the
+    moment matrix, with ``chol`` its Cholesky factor.  ``finite``/``infinite``
+    split the slots by weight; ``f`` is F's vector.
     """
 
     backend: str
+    ideal: JetIdeal
     J: JetIdeal
     contained: bool
     pi_power: int
@@ -234,13 +249,20 @@ class _Problem:
     def diagnostics(self, outcome, system_dim, condition) -> dict:
         """How a result was obtained, under one key set for every result: the
         route gives its outcome (solved, contained, infeasible or unbounded),
-        its own system's size and its condition estimate, or None."""
+        its own system's size and its condition estimate, or None.  The
+        sizes of the whole problem (indices, span and annihilator, blocks)
+        come with those of the part that was solved (solved indices, finite
+        and infinite slots)."""
+        ideal = self.ideal
         return {
             "backend": self.backend,
             "outcome": outcome,
-            "indices": len(self.indices),
-            "span_dim": self.J.span_dim,
-            "annihilator_dim": len(self.J.indices) - self.J.span_dim,
+            "indices": len(self.indices if self.backend == "moment" else ideal.indices),
+            "span_dim": ideal.span_dim,
+            "annihilator_dim": len(ideal.indices) - ideal.span_dim,
+            "blocks": len(ideal.blocks),
+            "largest_block": ideal.largest_block,
+            "solved_indices": len(self.indices),
             "finite_slots": len(self.finite),
             "infinite_slots": len(self.infinite),
             "system_dim": system_dim,
@@ -251,7 +273,12 @@ class _Problem:
 
 def _problem(domain, F: Jet, J: JetIdeal) -> _Problem:
     """Check (domain, F, J), decide containment and exact vs float, and
-    assemble the inputs both routes read."""
+    assemble the inputs both routes read.
+
+    On a diagonal domain distinct monomials are orthogonal, so the problem
+    splits with the jet ideal's blocks, and a block that F does not touch
+    adds 0 to both routes: only the blocks F touches are assembled, and
+    each route solves once on all of them."""
     if not (domain.n == F.n == J.n):
         raise DimensionMismatchError("domain, jet and ideal dimensions differ")
     if F.degree_bound < J.level - 1:
@@ -262,8 +289,10 @@ def _problem(domain, F: Jet, J: JetIdeal) -> _Problem:
     moment = isinstance(domain, MomentDomain)
     if moment and J.level > domain.degree_bound + 1:
         raise UnsupportedDomainError("jet-ideal level exceeds the moment degree bound + 1")
-    idx = domain.indices if moment else J.indices
-    f = F.truncate(J.level - 1).vector(idx)
+    F = F.truncate(J.level - 1)
+    system = J if moment else J.restrict(F.coeffs)
+    idx = domain.indices if moment else system.indices
+    f = F.vector(idx)
     if moment:
         backend, weights, finite, infinite = "moment", domain.matrix, list(range(len(idx))), []
         chol, quad_error = domain._chol, domain.quad_error
@@ -279,7 +308,8 @@ def _problem(domain, F: Jet, J: JetIdeal) -> _Problem:
 
         f, weights = np.array(f, dtype=complex), np.asarray(weights)
     return _Problem(
-        backend, J, contains(J, F), pi_power, idx, weights, finite, infinite, f, chol, quad_error
+        backend, J, system, contains(system, F), pi_power, idx, weights, finite, infinite, f,
+        chol, quad_error,
     )
 
 
@@ -425,7 +455,8 @@ def _minimal_l2_float(prob: _Problem) -> ProjectionResult:
     value = float(np.vdot(r, r).real)
     eta_vec = gram @ np.conj(x)
     xs = x.tolist()
-    minimizer = Jet(J.n, degree(idx[-1]), {idx[i]: xs[i] for i in prob.finite if xs[i]})
+    bound = max(J.level - 1, degree(idx[-1]))
+    minimizer = Jet(J.n, bound, {idx[i]: xs[i] for i in prob.finite if xs[i]})
     eta = Functional(J.n, {a: v for a, v in zip(idx, eta_vec.tolist()) if v})
     diag = prob.diagnostics("solved", span.shape[1], cond)
     return ProjectionResult(value, minimizer, eta, 0, diag)

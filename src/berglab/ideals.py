@@ -5,19 +5,34 @@ I + m^k: once the maximal-ideal power m^k is adjoined, membership is a
 finite linear-algebra question in the jet space of degrees < k.  Toric
 multiplier ideals are handled combinatorially as monomial ideals.
 
-A jet ideal holds one span and one annihilator.  Generators whose
+A jet ideal is cut into blocks before it is eliminated.  A product row
+g * z^beta touches only the monomials of g's terms shifted by beta; join the
+monomials that one row touches, and the jet space splits into components,
+each with its own rows (a monomial that no row touches is a block of its
+own, with no rows).  The span and the annihilator are the direct sums of
+the blocks' spans and annihilators, so each block is eliminated by itself,
+dense over its own monomials only.
+
+Each block holds one span and one annihilator.  Generators whose
 coefficients are all exact (int, Fraction, QQi) give an exact jet ideal,
-eliminated in cleared integers by :mod:`berglab.linalg`: it keeps the
-independent product rows g * z^beta that the elimination picked and an
-integer annihilator, and decides membership in integers against it.  Any
-other generators (a float such as ``2.0`` included) give a float jet ideal,
-from one singular value decomposition of the product rows, each normalised
-to unit size first: the right singular vectors split the jet space into an
-orthonormal basis of the span and an orthonormal basis of its annihilator.
-The rank counts the singular values above ``FLOAT_RANK_TOL`` times the
-largest, so it does not change when a generator is rescaled.  A float
-problem on an exact ideal reads the same decomposition of the kept rows,
-split at their exact rank (:attr:`JetIdeal.float_view`).
+eliminated in cleared integers by :mod:`berglab.linalg`: a block keeps the
+independent product rows that its elimination picked and an integer
+annihilator, and membership is decided in integers against it.  Any other
+generators (a float such as ``2.0`` included) give a float jet ideal, from
+one singular value decomposition of each block's product rows, each row
+normalised to unit size first: the right singular vectors split the block
+into an orthonormal basis of its span and one of its annihilator.  The rank
+counts the singular values above ``FLOAT_RANK_TOL`` times the block's
+largest, so it does not change when a generator is rescaled; a one-monomial
+block needs no decomposition, as it is in the span exactly when a row
+touches it.  A float problem on an exact ideal reads the same decomposition
+of each block's kept rows, split at their exact rank
+(:attr:`JetIdeal.float_view`).
+
+On a diagonal domain distinct monomials are orthogonal, so the blocks that
+a jet F does not touch add nothing to F's minimal integral or kernel ratio:
+:meth:`JetIdeal.restrict` gives the jet ideal on the blocks F touches,
+which is all that :mod:`berglab.bergman` solves on there.
 """
 
 from __future__ import annotations
@@ -36,11 +51,14 @@ from .linalg import annihilates, from_ring, span_and_annihilator
 
 FLOAT_RANK_TOL = 1e-10
 
-# most indices a jet space may have.  Exact time grows about as the cube of
-# the size: one exact level of the two-variable ladder of <z1 - (2 - i) z2^2>
-# (`berglab ladder --k k..k`, process included) took 0.56 s at 210 indices,
-# 4.0 s at 496, 7.9 s at 630 and 16 s at 820 on a 2-core Linux x86-64
-# machine under Python 3.11.
+# most indices a jet space may have.  One exact level of the two-variable
+# ladder of <z1 - (2 - i) z2^2> (`berglab ladder --k k..k`, process
+# included) took 0.32 s at 210 indices and 0.30 s at 496, nearly all of it
+# interpreter start and imports, on a 2-core Linux x86-64 machine under
+# Python 3.11; before the jet space was split into blocks it took 0.70 s and
+# 3.8 s.  That ideal splits into blocks of at most 16 indices; but a moment
+# problem reads the whole jet space, and the exact time of an ideal with a
+# large block grows about as the cube of that block's size.
 MAX_JET_INDICES = 500
 
 
@@ -62,9 +80,13 @@ def _orthonormal_split(rows, m, rank=None):
     row scaled to unit size first, split at ``rank`` (by default the number
     of singular values above ``FLOAT_RANK_TOL`` times the largest).  The
     annihilator's are conjugated, so that they pair bilinearly to zero with
-    the span."""
+    the span.  A single column (m = 1) is the span when there is a row, and
+    the annihilator when there is none."""
     import numpy as np
 
+    if m == 1:
+        unit, empty = np.ones((1, 1), dtype=complex), np.zeros((0, 1), dtype=complex)
+        return (unit, empty) if len(rows) else (empty, unit)
     A = np.array(rows, dtype=complex).reshape(-1, m)
     # unit rows: the rank does not depend on the generators' scale
     A /= np.abs(A).max(axis=1, keepdims=True)
@@ -97,41 +119,143 @@ class IdealPresentation:
 
 
 @dataclass(eq=False)
+class Block:
+    """One component of a jet ideal: the multi-indices ``indices`` (in the
+    graded order) that the product rows join, and the span (``rows``) and
+    annihilator (``null``) of the rows that touch them, as vectors over
+    ``indices`` of the kinds :class:`JetIdeal` holds."""
+
+    indices: list
+    rows: object
+    null: object
+    exact: bool
+
+    @cached_property
+    def float_view(self):
+        """(span, annihilator) as complex arrays of orthonormal rows over
+        ``indices``: a float block's own, and for an exact block the split of
+        its unit-scaled kept rows at their exact rank."""
+        if not self.exact:
+            return self.rows, self.null
+        return _orthonormal_split(self.rows, len(self.indices), len(self.rows))
+
+
+@dataclass(eq=False)
 class JetIdeal:
     """The linear span of (I + m^k) / m^k inside the jet space of degree < k.
 
-    Vectors are dense over ``indices`` (all multi-indices of degree < k in
-    the graded order).  ``rows`` spans the ideal with independent vectors
+    ``indices`` are multi-indices of degree < k in the graded order: all of
+    them for the ideal that :func:`jet_ideal` builds, those of some blocks
+    for one that :meth:`restrict` builds.  ``blocks`` partition them; a
+    vector of the span or of the annihilator lives on one block.
+
+    Vectors are dense over ``indices``, assembled block by block from the
+    blocks' own.  ``rows`` spans the ideal with independent vectors
     (``span_dim`` of them), and ``null`` spans its annihilator under the
     plain, unconjugated pairing, one vector per row.  An exact ideal holds
     ring integers (a Python int where an entry is real, a Gaussian integer
     where it is complex): ``rows`` are the product rows g * z^beta that the
-    elimination kept, and ``null`` the primitive vectors of
-    :func:`berglab.linalg.span_and_annihilator`.  A float ideal holds
-    orthonormal right singular vectors as complex arrays, the rest of them
-    conjugated in ``null``.
+    blocks' eliminations kept, and ``null`` the primitive vectors of
+    :func:`berglab.linalg.span_and_annihilator`, in the order of their free
+    columns, as one elimination over all of ``indices`` would give them.  A
+    float ideal holds orthonormal right singular vectors as complex arrays,
+    the rest of them conjugated in ``null``.
     """
 
     n: int
     level: int
     indices: list
-    rows: object
-    null: object
+    blocks: list
     exact: bool = True
 
     @property
     def span_dim(self) -> int:
-        return len(self.rows)
+        return sum(len(b.rows) for b in self.blocks)
+
+    @property
+    def largest_block(self) -> int:
+        return max((len(b.indices) for b in self.blocks), default=0)
+
+    @cached_property
+    def _block_of(self):
+        return {a: k for k, b in enumerate(self.blocks) for a in b.indices}
+
+    @cached_property
+    def _columns(self):
+        """Per block, the positions of its indices in ``indices``."""
+        pos = {a: i for i, a in enumerate(self.indices)}
+        return [[pos[a] for a in b.indices] for b in self.blocks]
+
+    @cached_property
+    def _restrictions(self):
+        return {}
+
+    def restrict(self, support) -> "JetIdeal":
+        """The jet ideal on the blocks that meet ``support``, multi-indices of
+        degree < level: its span and annihilator are the parts of this
+        ideal's that live on those blocks.  One restriction per set of
+        blocks is built, so that its assembled vectors are shared."""
+        touched = tuple(sorted({self._block_of[a] for a in support}))
+        J = self._restrictions.get(touched)
+        if J is None:
+            blocks = [self.blocks[k] for k in touched]
+            cols = sorted(c for k in touched for c in self._columns[k])
+            indices = [self.indices[c] for c in cols]
+            J = self._restrictions[touched] = JetIdeal(
+                self.n, self.level, indices, blocks, self.exact
+            )
+        return J
+
+    def _dense(self, part):
+        """The blocks' ``part`` vectors (rows or null, given as a function of
+        the block), each placed on its block's positions in ``indices``."""
+        m = len(self.indices)
+        out = []
+        for b, cols in zip(self.blocks, self._columns):
+            for vec in part(b):
+                v = [0] * m
+                for c, x in zip(cols, vec):
+                    v[c] = x
+                out.append(v)
+        return out
+
+    def _dense_array(self, part):
+        """:meth:`_dense` for the complex arrays of the float views."""
+        import numpy as np
+
+        parts = [part(b) for b in self.blocks]
+        out = np.zeros((sum(map(len, parts)), len(self.indices)), dtype=complex)
+        r = 0
+        for p, cols in zip(parts, self._columns):
+            out[r : r + len(p), cols] = p
+            r += len(p)
+        return out
+
+    @cached_property
+    def rows(self):
+        if not self.exact:
+            return self.float_view[0]
+        return self._dense(lambda b: b.rows)
+
+    @cached_property
+    def null(self):
+        if not self.exact:
+            return self.float_view[1]
+        # a null vector's last nonzero entry is on its free column
+        return sorted(
+            self._dense(lambda b: b.null),
+            key=lambda v: max(i for i, x in enumerate(v) if x),
+        )
 
     @cached_property
     def float_view(self):
         """(span, annihilator) as complex arrays of orthonormal rows, read by
-        float problems: a float ideal's own, and for an exact ideal the
-        singular value decomposition of its unit-scaled kept rows, split at
-        their exact rank."""
-        if not self.exact:
-            return self.rows, self.null
-        return _orthonormal_split(self.rows, len(self.indices), len(self.rows))
+        float problems: the blocks' float views (:attr:`Block.float_view`)
+        placed on their positions."""
+        return (
+            self._dense_array(lambda b: b.float_view[0]),
+            self._dense_array(lambda b: b.float_view[1]),
+        )
 
     def basis_jets(self):
         """The span's vectors as jets: the kept rows of an exact ideal, the
@@ -156,50 +280,84 @@ def check_jet_space(n: int, k: int) -> None:
 
 
 def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
-    """Span of {truncate(g * z^beta) : |beta| < k} and its annihilator: in
-    ring integers for exact generators, by orthonormal bases for float ones.
+    """Span of {truncate(g * z^beta) : |beta| < k} and its annihilator, block
+    by block: in ring integers for exact generators, by orthonormal bases
+    for float ones.
 
-    Raises ImproperIdealError when the span contains the unit germ's jet,
-    that is when every annihilator vector vanishes on the constant slot, and
-    JetSpaceTooLargeError (before any row is built) past the size cap of
-    :func:`check_jet_space`.
+    Raises JetSpaceTooLargeError (before any row is built) past the size cap
+    of :func:`check_jet_space`.  No generator has a constant term, so no row
+    touches the constant slot: it is a block of its own with no rows, and
+    the ideal is proper at every level.
     """
     if k < 1:
         raise ValueError("ladder level k must be >= 1")
     check_jet_space(gens.n, k)
     exact = is_exact(c for g in gens.generators for c in g.coeffs.values())
     idx = indices_up_to(gens.n, k - 1)
-    rows = _product_rows(gens.generators, idx)
-    if exact:
-        rows, null = span_and_annihilator(rows, len(idx))
-    else:
-        rows, null = _orthonormal_split(rows, len(idx))
-    tol = 0 if exact else FLOAT_RANK_TOL
-    if all(abs(complex(v[0])) <= tol for v in null):
-        raise ImproperIdealError(f"ideal is not proper at level {k}")
-    return JetIdeal(gens.n, k, idx, rows, null, exact)
+    blocks = []
+    for cols, rows in _blocks(_product_rows(gens.generators, idx), len(idx)):
+        if exact:
+            rows, null = span_and_annihilator(rows, len(cols))
+        else:
+            rows, null = _orthonormal_split(rows, len(cols))
+        blocks.append(Block([idx[c] for c in cols], rows, null, exact))
+    return JetIdeal(gens.n, k, idx, blocks, exact)
 
 
 def _product_rows(generators, idx):
     """The nonzero rows g * z^beta, truncated to ``idx``, for every generator
-    g and every beta in ``idx``: each exponent of g shifted by beta and
-    placed by its position in ``idx`` (exponents past the last degree of
-    ``idx`` are cut off)."""
+    g and every beta in ``idx``, each as (position, coefficient) pairs: each
+    exponent of g shifted by beta and placed by its position in ``idx``
+    (exponents past the last degree of ``idx`` are cut off)."""
     position = {a: i for i, a in enumerate(idx)}
     rows = []
     for g in generators:
         terms = list(g.coeffs.items())
         for beta in idx:
-            row = None
+            row = []
             for a, c in terms:
                 i = position.get(tuple(map(add, a, beta)))
                 if i is not None:
-                    if row is None:
-                        row = [0] * len(idx)
-                    row[i] = c
-            if row is not None:
+                    row.append((i, c))
+            if row:
                 rows.append(row)
     return rows
+
+
+def _blocks(rows, m):
+    """The components of positions 0..m-1 when the positions of each sparse
+    row are joined (union-find), in the order of their first positions: per
+    component its positions, ascending, and its rows, dense over them."""
+    parent = list(range(m))
+
+    def find(c):
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for row in rows:
+        r = find(row[0][0])
+        for c, _ in row[1:]:
+            s = find(c)
+            if s != r:
+                parent[s] = r
+    root = [find(c) for c in range(m)]
+    members = {}
+    for c, r in enumerate(root):
+        members.setdefault(r, []).append(c)
+    local = [0] * m
+    for cols in members.values():
+        for i, c in enumerate(cols):
+            local[c] = i
+    dense = {r: [] for r in members}
+    for row in rows:
+        r = root[row[0][0]]
+        v = [0] * len(members[r])
+        for c, x in row:
+            v[local[c]] = x
+        dense[r].append(v)
+    return [(cols, dense[r]) for r, cols in members.items()]
 
 
 def contains(J: JetIdeal, f: Jet) -> bool:
@@ -210,7 +368,7 @@ def contains(J: JetIdeal, f: Jet) -> bool:
     is a member when its pairings with the orthonormal annihilator of
     :attr:`JetIdeal.float_view` are at most ``FLOAT_RANK_TOL`` times its
     largest coefficient: they are the coordinates of f's distance from the
-    span.
+    span.  An ideal with no annihilator contains every jet.
     """
     vec = f.truncate(J.level - 1).vector(J.indices)
     if J.exact and is_exact(vec):
@@ -218,7 +376,8 @@ def contains(J: JetIdeal, f: Jet) -> bool:
     import numpy as np
 
     v = np.array(vec, dtype=complex)
-    return bool(abs(J.float_view[1] @ v).max() <= FLOAT_RANK_TOL * abs(v).max())
+    r = J.float_view[1] @ v
+    return not r.size or bool(abs(r).max() <= FLOAT_RANK_TOL * abs(v).max())
 
 
 def annihilator(J: JetIdeal) -> list:

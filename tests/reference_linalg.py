@@ -6,7 +6,8 @@ from fractions import Fraction
 
 
 def gauss_jordan(rows, ncols):
-    """Reference RREF: (rows, pivot columns)."""
+    """Reference RREF: (rows, pivot columns).  Zero entries are passed over
+    rather than multiplied, so that sparse rows reduce quickly."""
     rows = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in rows]
     pivots = []
     for c in range(ncols):
@@ -15,11 +16,12 @@ def gauss_jordan(rows, ncols):
         if p is None:
             continue
         rows[r], rows[p] = rows[p], rows[r]
-        rows[r] = [x / rows[r][c] for x in rows[r]]
+        piv = rows[r][c]
+        rows[r] = [x / piv if x else x for x in rows[r]]
         for i in range(len(rows)):
             if i != r and rows[i][c]:
                 f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+                rows[i] = [a - f * b if b else a for a, b in zip(rows[i], rows[r])]
         pivots.append(c)
     return rows[: len(pivots)], pivots
 

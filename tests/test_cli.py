@@ -285,7 +285,7 @@ class TestEquiv:
         data = (out / "equiv.json").read_bytes()
         assert b'"re": "3",' in data and b'"re": "27/4",' in data
         assert hashlib.sha256(data).hexdigest() == (
-            "33f2d1142179615b781649eb51f98ed6615c618c40ddbc68cba48a9c05c0b4e3"
+            "ca0ab7effa581408e73d7767e2f51bed64c56124a53dad994690ed025d44f999"
         )
 
     def test_no_tolerance_option(self, runner, tmp_path):

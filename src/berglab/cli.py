@@ -1,8 +1,9 @@
 """Batch command-line front-end.
 
 JSON problem specs in, JSON results and CSV tables out.  Exit codes:
-0 success, 1 theorem cross-check failure, 2 spec/schema violation,
-3 numerical failure.
+0 success, 1 theorem cross-check failure, 2 spec error (a field missing or
+of the wrong type, a radius <= 0, objects of different dimensions, a
+problem the construction does not support), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -36,142 +37,36 @@ from .errors import (
 from .exactnum import encode, is_exact, value_float
 from .ideals import IdealPresentation, jet_ideal
 from .jets import Functional, Jet
+from .jsonspec import integer, json_list, json_object
 from .sop import effectiveness_report, t_grid_points, xi_cse_combinatorial, xi_cse_limit
 from .suites import run_suite
 
 EXIT_CROSSCHECK = 1
-EXIT_SCHEMA = 2
+EXIT_SPEC = 2
 EXIT_NUMERICAL = 3
 
 # most points a "start:stop:step" t grid may have
 MAX_T_POINTS = 10_000
 
-_TERMS = {
-    "type": "array",
-    "items": {
-        "type": "object",
-        "required": ["alpha"],
-        "properties": {
-            "alpha": {"type": "array", "items": {"type": "integer", "minimum": 0}},
-            "re": {"type": ["number", "string"]},
-            "im": {"type": ["number", "string"]},
-        },
-    },
-}
-_JET = {
-    "type": "object",
-    "required": ["n", "terms"],
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "degree_bound": {"type": "integer", "minimum": 0},
-        "terms": _TERMS,
-    },
-}
-_DOMAIN = {"type": "object", "required": ["kind"]}
-_IDEAL = {
-    "type": "object",
-    "required": ["generators", "level"],
-    "properties": {
-        "generators": {"type": "array", "items": _JET, "minItems": 1},
-        "level": {"type": "integer", "minimum": 1},
-    },
-}
-_WEIGHT = {
-    "type": "object",
-    "required": ["a"],
-    "properties": {"a": {"type": "array", "minItems": 1}},
-}
-
-SCHEMAS = {
-    "equiv": {
-        "type": "object",
-        "required": ["domain", "F", "ideal"],
-        "properties": {"domain": _DOMAIN, "F": _JET, "ideal": _IDEAL},
-    },
-    "ladder": {
-        "type": "object",
-        "required": ["domain", "F", "generators"],
-        "properties": {
-            "domain": _DOMAIN,
-            "F": _JET,
-            "generators": {"type": "array", "items": _JET, "minItems": 1},
-            "k_range": {"type": "string"},
-        },
-    },
-    "exhaust": {
-        "type": "object",
-        "required": ["domains", "F", "ideal"],
-        "properties": {
-            "domains": {"type": "array", "items": _DOMAIN, "minItems": 1},
-            "F": _JET,
-            "ideal": _IDEAL,
-        },
-    },
-    "kernel": {
-        "type": "object",
-        "required": ["domain", "xi"],
-        "properties": {
-            "domain": _DOMAIN,
-            "xi": {"type": "object", "required": ["n", "terms"]},
-        },
-    },
-    "basis": {
-        "type": "object",
-        "required": ["domain", "degree"],
-        "properties": {"domain": _DOMAIN, "degree": {"type": "integer", "minimum": 0}},
-    },
-    "sop": {
-        "type": "object",
-        "required": ["domain", "F", "weight"],
-        "properties": {"domain": _DOMAIN, "F": _JET, "weight": _WEIGHT},
-    },
-    "cse": {
-        "type": "object",
-        "required": ["domain", "xi", "weight"],
-        "properties": {
-            "domain": _DOMAIN,
-            "xi": {"type": "object", "required": ["n", "terms"]},
-            "weight": _WEIGHT,
-            "t_grid": {"type": "string"},
-        },
-    },
-    "density": {
-        "type": "object",
-        "required": ["domain", "F", "generators"],
-        "properties": {
-            "domain": _DOMAIN,
-            "F": _JET,
-            "generators": {"type": "array", "items": _JET, "minItems": 1},
-            "k_range": {"type": "string"},
-        },
-    },
-}
-
-def _load_spec(path, command):
-    import jsonschema
-
+def _load_spec(path, *required):
+    """The spec at ``path``, a JSON object holding each ``required`` field
+    (else exit 2); the reader of each field checks it."""
     try:
         data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         click.echo(f"cannot read spec: {exc}", err=True)
-        sys.exit(EXIT_SCHEMA)
-    try:
-        jsonschema.validate(data, SCHEMAS[command])
-    except jsonschema.ValidationError as exc:
-        pointer = "/".join(str(p) for p in exc.absolute_path) or "(root)"
-        click.echo(f"spec validation failed at {pointer}: {exc.message}", err=True)
-        sys.exit(EXIT_SCHEMA)
-    return data
+        sys.exit(EXIT_SPEC)
+    return _build(lambda: json_object(data, "the spec", required))
 
 
-def _load_domain(desc, degree=None, mode=None):
+def _load_domain(desc, degree=None, mode=None, name="domain"):
     """The spec's domain (:func:`domain_from_json`).  ``--mode exact``
     refuses one without exact norms, a moment descriptor before its matrix
     is built; ``--mode float`` runs a diagonal one in float arithmetic."""
     no_exact = ValueError("--mode exact: the domain has no exact norms")
-    if mode == "exact" and desc.get("kind") in MOMENT_KINDS:
+    if mode == "exact" and json_object(desc, name).get("kind") in MOMENT_KINDS:
         raise no_exact
-    dom = domain_from_json(desc, degree)
+    dom = domain_from_json(desc, degree, name)
     if mode == "exact" and not dom.exact:
         raise no_exact
     if mode == "float":
@@ -182,7 +77,7 @@ def _load_domain(desc, degree=None, mode=None):
 def _load_diagonal(desc, command):
     """The domain of a command that needs a diagonal one: a moment-domain
     descriptor is a spec error."""
-    if desc.get("kind") in MOMENT_KINDS:
+    if json_object(desc, "domain").get("kind") in MOMENT_KINDS:
         raise ValueError(f"{command} needs a diagonal domain, not {desc['kind']!r}")
     return domain_from_json(desc)
 
@@ -221,6 +116,14 @@ def _write_outputs(out, name, result_json, csv_text=None):
         (out / f"{name}.csv").write_text(csv_text)
 
 
+def _range_text(data, key, default):
+    """The spec's range string ``data[key]``, else the option's value."""
+    text = data.get(key, default)
+    if not isinstance(text, str):
+        raise ValueError(f"{key} must be a string, not {text!r}")
+    return text
+
+
 def _parse_krange(text):
     a, b = text.split("..")
     ks = range(int(a), int(b) + 1)
@@ -242,21 +145,17 @@ def _parse_tgrid(text):
     return t_grid_points(out)
 
 
-# what the library raises for input the maths rejects: while a spec is turned
-# into objects, these are spec errors
-_SPEC_ERRORS = (ValueError, KeyError, DimensionMismatchError, ImproperIdealError)
-
-
 def _run(fn, spec_errors=()):
     """Call ``fn``, turning library errors into exit codes: ``spec_errors``,
-    a jet space past the size cap and a domain the construction does not
-    support (moment data too small included) exit 2, numerical and other
-    berglab errors exit 3."""
+    a jet space past the size cap, objects of different dimensions and a
+    domain the construction does not support (moment data too small
+    included) exit 2, numerical and other berglab errors exit 3."""
     try:
         return fn()
-    except (JetSpaceTooLargeError, UnsupportedDomainError, *spec_errors) as exc:
+    except (JetSpaceTooLargeError, UnsupportedDomainError, DimensionMismatchError,
+            *spec_errors) as exc:
         click.echo(f"spec error: {exc}", err=True)
-        sys.exit(EXIT_SCHEMA)
+        sys.exit(EXIT_SPEC)
     except (QuadratureError, SingularMatrixError) as exc:
         click.echo(f"numerical failure: {exc}", err=True)
         sys.exit(EXIT_NUMERICAL)
@@ -266,16 +165,28 @@ def _run(fn, spec_errors=()):
 
 
 def _build(fn):
-    """Turn spec data into objects: exit 2 on a spec error, 3 on a numerical
-    failure (moment quadrature)."""
-    return _run(fn, _SPEC_ERRORS)
+    """Turn spec data into objects: exit 2 on a spec error (the library
+    raises ValueError or ImproperIdealError for input the maths rejects), 3
+    on a numerical failure (moment quadrature)."""
+    return _run(fn, (ValueError, ImproperIdealError))
 
 
-def _jet_and_gens(f_json, gens_json, mode=None):
-    F = Jet.from_json(f_json)
-    gens = [Jet.from_json(g) for g in gens_json]
+def _jet_and_gens(f_json, gens_json, gens_name, mode=None):
+    """F and the presentation of its generators, a nonempty list at ``gens_name``."""
+    F = Jet.from_json(f_json, "F")
+    gens_json = json_list(gens_json, gens_name, nonempty=True)
+    gens = [Jet.from_json(g, f"{gens_name}[{i}]") for i, g in enumerate(gens_json)]
     _insist_exact(mode, F.coeffs, *(g.coeffs for g in gens))
     return F, IdealPresentation(F.n, gens)
+
+
+def _jet_and_ideal(data, mode=None):
+    """F, its generators and the level (an integer >= 1) of a spec's
+    ``ideal``, F's degree bound raised to level - 1."""
+    ideal = json_object(data["ideal"], "ideal", ("generators", "level"))
+    level = integer(ideal["level"], "ideal.level", 1)
+    F, gens = _jet_and_gens(data["F"], ideal["generators"], "ideal.generators", mode)
+    return Jet(F.n, max(F.degree_bound, level - 1), F.coeffs), gens, level
 
 
 spec_opt = click.option("--spec", "spec_path", required=True, type=click.Path())
@@ -294,11 +205,9 @@ def main():
 @mode_opt
 def equiv(spec_path, out_dir, mode):
     """Compare the projection and kernel-ratio values on one instance."""
-    data = _load_spec(spec_path, "equiv")
+    data = _load_spec(spec_path, "domain", "F", "ideal")
     domain = _build(lambda: _load_domain(data["domain"], mode=mode))
-    F, gens = _build(lambda: _jet_and_gens(data["F"], data["ideal"]["generators"], mode))
-    level = data["ideal"]["level"]
-    F = Jet(F.n, max(F.degree_bound, level - 1), F.coeffs)
+    F, gens, level = _build(lambda: _jet_and_ideal(data, mode))
 
     def compute():
         J = jet_ideal(gens, level)
@@ -331,10 +240,10 @@ def equiv(spec_path, out_dir, mode):
 @click.option("--k", "k_range", default="2..5", show_default=True)
 def ladder(spec_path, out_dir, mode, k_range):
     """Minimal L2 integrals along I + m^k for a range of k."""
-    data = _load_spec(spec_path, "ladder")
+    data = _load_spec(spec_path, "domain", "F", "generators")
     domain = _build(lambda: _load_domain(data["domain"], mode=mode))
-    F, gens = _build(lambda: _jet_and_gens(data["F"], data["generators"], mode))
-    ks = _build(lambda: _parse_krange(data.get("k_range", k_range)))
+    F, gens = _build(lambda: _jet_and_gens(data["F"], data["generators"], "generators", mode))
+    ks = _build(lambda: _parse_krange(_range_text(data, "k_range", k_range)))
     result = _run(lambda: krull_ladder(domain, F, gens, ks))
     lines = ["k,C_k,B_k,gap"]
     for row in result.rows:
@@ -367,11 +276,12 @@ def ladder(spec_path, out_dir, mode, k_range):
 @out_opt
 def exhaust(spec_path, out_dir):
     """Minimal L2 integrals along a nested family of domains."""
-    data = _load_spec(spec_path, "exhaust")
-    seq = _build(lambda: ExhaustionSequence([_load_domain(d) for d in data["domains"]]))
-    F, gens = _build(lambda: _jet_and_gens(data["F"], data["ideal"]["generators"]))
-    level = data["ideal"]["level"]
-    F = Jet(F.n, max(F.degree_bound, level - 1), F.coeffs)
+    data = _load_spec(spec_path, "domains", "F", "ideal")
+    seq = _build(lambda: ExhaustionSequence([
+        _load_domain(d, name=f"domains[{i}]")
+        for i, d in enumerate(json_list(data["domains"], "domains", nonempty=True))
+    ]))
+    F, gens, level = _build(lambda: _jet_and_ideal(data))
 
     def compute():
         J = jet_ideal(gens, level)
@@ -399,9 +309,9 @@ def exhaust(spec_path, out_dir):
 @mode_opt
 def kernel(spec_path, out_dir, mode):
     """Kernel value at the origin for a coefficient functional."""
-    data = _load_spec(spec_path, "kernel")
+    data = _load_spec(spec_path, "domain", "xi")
     domain = _build(lambda: _load_domain(data["domain"], mode=mode))
-    xi = _build(lambda: Functional.from_json(data["xi"]))
+    xi = _build(lambda: Functional.from_json(data["xi"], "xi"))
     _build(lambda: _insist_exact(mode, xi.entries))
     value = _run(lambda: kernel_at_origin(domain, xi))
     click.echo(f"K = {_fmt(value)}")
@@ -413,8 +323,8 @@ def kernel(spec_path, out_dir, mode):
 @out_opt
 def basis(spec_path, out_dir):
     """Triangular orthonormal basis up to a degree bound."""
-    data = _load_spec(spec_path, "basis")
-    d = data["degree"]
+    data = _load_spec(spec_path, "domain", "degree")
+    d = _build(lambda: integer(data["degree"], "degree", 0))
     domain = _build(lambda: _load_domain(data["domain"], degree=d))
     tb = _run(lambda: triangular_basis(domain, d))
     lines = ["alpha,coefficients"]
@@ -437,11 +347,12 @@ def basis(spec_path, out_dir):
 @out_opt
 def sop_cmd(spec_path, out_dir):
     """Effectiveness report for (domain, F, weight)."""
-    data = _load_spec(spec_path, "sop")
+    data = _load_spec(spec_path, "domain", "F", "weight")
     domain = _build(lambda: _load_diagonal(data["domain"], "sop"))
-    F = _build(lambda: Jet.from_json(data["F"]))
+    F = _build(lambda: Jet.from_json(data["F"], "F"))
     phi = _build(lambda: ToricWeight.from_json(data["weight"]))
-    rep = _run(lambda: effectiveness_report(domain, F, phi))
+    # a zero F has no jumping number (ValueError): a spec error
+    rep = _run(lambda: effectiveness_report(domain, F, phi), (ValueError,))
     click.echo(rep.text_table())
     csv_lines = ["quantity,value"]
     for key, v in rep.to_json().items():
@@ -457,11 +368,11 @@ def sop_cmd(spec_path, out_dir):
 @click.option("--t", "t_grid", default="1:10:1", show_default=True)
 def cse(spec_path, out_dir, t_grid):
     """Sublevel-kernel growth rate of a functional against a toric weight."""
-    data = _load_spec(spec_path, "cse")
+    data = _load_spec(spec_path, "domain", "xi", "weight")
     domain = _build(lambda: _load_diagonal(data["domain"], "cse"))
-    xi = _build(lambda: Functional.from_json(data["xi"]))
+    xi = _build(lambda: Functional.from_json(data["xi"], "xi"))
     phi = _build(lambda: ToricWeight.from_json(data["weight"]))
-    grid = _build(lambda: _parse_tgrid(data.get("t_grid", t_grid)))
+    grid = _build(lambda: _parse_tgrid(_range_text(data, "t_grid", t_grid)))
 
     def compute():
         res = xi_cse_limit(xi, phi, domain, grid)
@@ -486,10 +397,10 @@ def cse(spec_path, out_dir, t_grid):
 @click.option("--k", "k_range", default="2..5", show_default=True)
 def density(spec_path, out_dir, k_range):
     """Distances from F to the rescaled kernel representatives."""
-    data = _load_spec(spec_path, "density")
+    data = _load_spec(spec_path, "domain", "F", "generators")
     domain = _build(lambda: _load_diagonal(data["domain"], "density"))
-    F, gens = _build(lambda: _jet_and_gens(data["F"], data["generators"]))
-    ks = _build(lambda: _parse_krange(data.get("k_range", k_range)))
+    F, gens = _build(lambda: _jet_and_gens(data["F"], data["generators"], "generators"))
+    ks = _build(lambda: _parse_krange(_range_text(data, "k_range", k_range)))
     rows = _run(lambda: density_sequence(domain, F, gens, ks))
     lines = ["k,distance"] + [f"{k},{dist:.17g}" for k, dist in rows]
     csv_text = "\n".join(lines) + "\n"

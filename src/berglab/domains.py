@@ -21,7 +21,6 @@ All values are immutable after construction.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -33,6 +32,7 @@ from .errors import (
     UnsupportedDomainError,
 )
 from .indices import degree, indices_up_to, validate_index
+from .jsonspec import integer, json_list, json_object, number
 
 # bound on a moment matrix's quadrature error estimate, relative to
 # max(1, its largest entry)
@@ -40,6 +40,13 @@ QUAD_TOL = 1e-10
 
 # descriptor kinds that only :func:`moment_matrix` builds
 MOMENT_KINDS = ("offcenter_disc", "two_point_disc", "radial")
+
+
+def _positive(r):
+    """``r``; a radius <= 0, or NaN, raises ValueError."""
+    if not r > 0:
+        raise ValueError(f"a radius must be positive, not {r}")
+    return r
 
 
 def _as_fraction(x):
@@ -74,10 +81,11 @@ class ToricWeight:
         return {"a": [str(x) for x in self.a]}
 
     @classmethod
-    def from_json(cls, data):
-        """The weight of the exponents ``data["a"]``: numbers, or strings
-        such as "1/2", each read as a Fraction."""
-        return cls(tuple(data["a"]))
+    def from_json(cls, data, name="weight"):
+        """The weight of the exponents ``data["a"]``, a nonempty list of numbers
+        or rational strings; anything else raises ValueError naming the field."""
+        a = json_list(json_object(data, name, ("a",))["a"], f"{name}.a", nonempty=True)
+        return cls(tuple(number(x, f"{name}.a[{i}]") for i, x in enumerate(a)))
 
 
 @dataclass(frozen=True)
@@ -167,6 +175,8 @@ class DiagonalDomain:
 
     @classmethod
     def polydisc(cls, radii, exact=None):
+        """The polydisc of ``radii``; a radius <= 0 raises ValueError."""
+        radii = [_positive(r) for r in radii]
         return cls(len(radii), "polydisc", radii=radii, exact=exact)
 
     @classmethod
@@ -175,9 +185,10 @@ class DiagonalDomain:
 
     @classmethod
     def ball(cls, n, radius=1, exact=None):
+        """The ball of ``radius`` in C^n; a radius <= 0 raises ValueError."""
         if n == 1:
             return cls.polydisc([radius], exact=exact)
-        return cls(n, "ball", radius=radius, exact=exact)
+        return cls(n, "ball", radius=_positive(radius), exact=exact)
 
     def _derived(self, descriptor, **changes):
         """The domain of ``descriptor`` built on this one: every constructor
@@ -645,20 +656,6 @@ def _offcenter_disc_entry(center: complex, radius: float, a: int, b: int):
     return total
 
 
-def _harmonic_order(k) -> int:
-    """A radial harmonic's order as an int: r(theta) is 2*pi-periodic, and
-    the trapezoid rule exact, only for integer orders k >= 0."""
-    if isinstance(k, float) and k.is_integer():
-        k = int(k)
-    try:
-        order = operator.index(k)
-    except TypeError:
-        order = -1
-    if order < 0:
-        raise ValueError(f"radial harmonic order {k!r} is not a non-negative integer")
-    return order
-
-
 def _radius(base, harmonics, theta):
     """r(theta) = base + sum a_k cos(k theta) + b_k sin(k theta) on an array."""
     import numpy as np
@@ -696,28 +693,30 @@ def _radial_moments(base, harmonics, degree_bound):
     return M, float(np.max(np.abs(fine[entry] - coarse[entry]) / (a + b + 2)))
 
 
-def moment_matrix(descriptor, degree_bound) -> MomentDomain:
+def moment_matrix(descriptor, degree_bound, name="descriptor") -> MomentDomain:
     """Assemble the Hermitian moment matrix of a bounded domain descriptor.
 
     Diagonal descriptors (polydisc, ball) give diagonal matrices of the
     closed-form monomial norms; the off-center and two-point discs use a
     binomial closed form.  ``radial`` descriptors give the domain
     {|z| < r(theta)} with r(theta) = base + sum a_k cos(k theta) +
-    b_k sin(k theta) over ``harmonics`` [k, a_k, b_k] (k a non-negative
-    integer, r positive on a 4096-point grid, else ValueError).  Their
+    b_k sin(k theta) over ``harmonics`` [k, a_k, b_k] (k an integer >= 0,
+    r positive on a 4096-point grid, else ValueError).  Their
     entries are trigonometric polynomials in theta, integrated exactly up to
     rounding by one trapezoid rule (:func:`_radial_moments`); ``quad_error``
     is its difference from the rule on twice as many points, and one above
     :data:`QUAD_TOL` times max(1, the largest entry) raises QuadratureError.
+    A field of the wrong type, an off-center radius <= 0 or an empty
+    two-point disc raises ValueError naming it (``name``, its path).
     """
     import numpy as np
 
-    kind = descriptor.get("kind")
-    if kind == "polydisc":
-        radii = descriptor["radii"]
-        n = len(radii)
-    elif kind == "ball":
-        n = int(descriptor.get("n", 1))
+    descriptor = _descriptor(descriptor, name)
+    kind = descriptor["kind"]
+    if kind in ("polydisc", "ball"):
+        dom = _diagonal_from_json(descriptor, name)
+        dom.exact = False  # the moment matrix holds float norms
+        n = dom.n
     elif kind in MOMENT_KINDS:
         n = 1
     else:
@@ -731,33 +730,32 @@ def moment_matrix(descriptor, degree_bound) -> MomentDomain:
     quad_error = 0.0
 
     if kind in ("polydisc", "ball"):
-        if kind == "polydisc":
-            dom = DiagonalDomain.polydisc(descriptor["radii"], exact=False)
-        else:
-            dom = DiagonalDomain.ball(n, descriptor["radius"], exact=False)
         for i, alpha in enumerate(idx):
             M[i, i] = dom.norm_float(alpha)
     elif kind in ("offcenter_disc", "two_point_disc"):
         if kind == "two_point_disc":
             # {|z|^2 + |z-c|^2 < r}  ==  disc of center c/2, squared radius
             # (r - |c|^2/2)/2
-            c = complex(*descriptor["c"])
-            r = float(descriptor["r"])
+            c = _point(descriptor["c"], f"{name}.c")
+            r = float(number(descriptor["r"], f"{name}.r"))
             rad2 = (r - abs(c) ** 2 / 2) / 2
             if rad2 <= 0:
                 raise ValueError("two_point_disc descriptor is empty")
             center, radius = c / 2, math.sqrt(rad2)
         else:
-            center = complex(*descriptor["center"])
-            radius = float(descriptor["radius"])
+            center = _point(descriptor["center"], f"{name}.center")
+            radius = _positive(float(number(descriptor["radius"], f"{name}.radius")))
         for i in range(m):
             for j in range(m):
                 M[i, j] = _offcenter_disc_entry(center, radius, i, j)
     else:  # radial
-        base = descriptor["base"]
-        harmonics = [
-            (_harmonic_order(k), ak, bk) for k, ak, bk in descriptor.get("harmonics", [])
-        ]
+        base = float(number(descriptor["base"], f"{name}.base"))
+        harmonics = []
+        for i, h in enumerate(json_list(descriptor.get("harmonics", []), f"{name}.harmonics")):
+            where = f"{name}.harmonics[{i}]"
+            k, *ab = json_list(h, where, length=3)
+            ab = [float(number(x, f"{where}[{j}]")) for j, x in enumerate(ab, 1)]
+            harmonics.append((integer(k, f"the harmonic order {where}[0]", 0), *ab))
         # r must stay positive (NaN fails too): checked on a fine theta grid
         grid = np.arange(4096) * (2 * np.pi / 4096)
         if not _radius(base, harmonics, grid).min() > 0:
@@ -772,42 +770,68 @@ def moment_matrix(descriptor, degree_bound) -> MomentDomain:
     return MomentDomain(n, degree_bound, M, descriptor=descriptor, quad_error=quad_error)
 
 
-def _number(x):
-    """A descriptor's number: a string such as "1/2" read as a Fraction, a
-    JSON number as it is."""
-    return Fraction(x) if isinstance(x, str) else x
+# the fields that a descriptor of each kind must have
+_REQUIRED = {
+    "polydisc": ("radii",), "ball": ("radius",), "toric_weight": ("a", "base"),
+    "truncated_weight": ("a", "j", "base"), "sublevel": ("t", "weight", "base"),
+    "offcenter_disc": ("center", "radius"), "two_point_disc": ("c", "r"), "radial": ("base",),
+}
 
 
-def domain_from_json(data, degree=None):
+def _descriptor(data, name):
+    """``data``, a descriptor object of a known kind with its kind's fields."""
+    kind = json_object(data, name, ("kind",))["kind"]
+    if not isinstance(kind, str) or kind not in _REQUIRED:
+        raise ValueError(f"{name} has an unknown domain kind {kind!r}")
+    return json_object(data, name, _REQUIRED[kind])
+
+
+def _point(x, name):
+    """A descriptor's point [re, im] of the plane, as a complex."""
+    re, im = json_list(x, name, length=2)
+    return complex(float(number(re, f"{name}[0]")), float(number(im, f"{name}[1]")))
+
+
+def domain_from_json(data, degree=None, name="domain"):
     """Build the domain of a JSON descriptor, of any kind.
 
     A moment kind (:data:`MOMENT_KINDS`) gives :func:`moment_matrix` of
-    degree ``degree``, else the descriptor's ``"degree"``, else 4; every
-    other kind a :class:`DiagonalDomain`.  A descriptor's number is read by
-    :func:`_number`, so a domain whose numbers are all exact is exact, and
-    ``domain_from_json(d.to_json())`` rebuilds ``d``, exact if ``d`` is (a
-    float domain with integer radii reloads exact too).
+    degree ``degree``, else the descriptor's ``"degree"`` (an integer >= 0),
+    else 4; every other kind a :class:`DiagonalDomain`.  A number is a JSON
+    number or a rational string, so a domain whose numbers are all exact is
+    exact, and ``domain_from_json(d.to_json())`` rebuilds ``d``, exact if
+    ``d`` is (a float domain with integer radii reloads exact too).  An
+    unknown kind, a field missing or of the wrong type and a radius <= 0
+    raise ValueError naming the field (``name``, the descriptor's path).
     """
-    if data.get("kind") in MOMENT_KINDS:
-        return moment_matrix(data, degree if degree is not None else int(data.get("degree", 4)))
-    return _diagonal_from_json(data)
+    data = _descriptor(data, name)
+    if data["kind"] in MOMENT_KINDS:
+        if degree is None:
+            degree = integer(data.get("degree", 4), f"{name}.degree", 0)
+        return moment_matrix(data, degree, name)
+    return _diagonal_from_json(data, name)
 
 
-def _diagonal_from_json(data):
-    """The diagonal domain of a descriptor; the base of a weighted or
-    sublevel kind is diagonal too."""
-    kind = data.get("kind")
+def _diagonal_from_json(data, name):
+    """The diagonal domain of a descriptor (the base of a weighted or
+    sublevel kind is diagonal too): ``radii`` is a nonempty list, ``n``
+    (1 if absent) and ``j`` integers >= 1."""
+    data = _descriptor(data, name)
+    kind = data["kind"]
     if kind == "polydisc":
-        return DiagonalDomain.polydisc([_number(r) for r in data["radii"]])
+        radii = json_list(data["radii"], f"{name}.radii", nonempty=True)
+        radii = [number(r, f"{name}.radii[{i}]") for i, r in enumerate(radii)]
+        return DiagonalDomain.polydisc(radii)
     if kind == "ball":
-        return DiagonalDomain.ball(int(data.get("n", 1)), _number(data["radius"]))
+        n = integer(data.get("n", 1), f"{name}.n", 1)
+        return DiagonalDomain.ball(n, number(data["radius"], f"{name}.radius"))
+    if kind in MOMENT_KINDS:
+        raise ValueError(f"{name} must be a diagonal domain, not {kind!r}")
+    base = _diagonal_from_json(data["base"], f"{name}.base")
     if kind == "sublevel":
-        base = _diagonal_from_json(data["base"])
-        return sublevel_domain(base, ToricWeight.from_json(data["weight"]), float(data["t"]))
-    if kind in ("toric_weight", "truncated_weight"):
-        base = _diagonal_from_json(data["base"])
-        phi, c = ToricWeight.from_json(data), _number(data.get("c", 1))
-        if kind == "toric_weight":
-            return base.with_weight(phi, c)
-        return base.with_truncated_weight(truncate_weight(phi, int(data["j"])), c)
-    raise ValueError(f"unknown domain kind {kind!r}")
+        phi = ToricWeight.from_json(data["weight"], f"{name}.weight")
+        return sublevel_domain(base, phi, float(number(data["t"], f"{name}.t")))
+    phi, c = ToricWeight.from_json(data, name), number(data.get("c", 1), f"{name}.c")
+    if kind == "toric_weight":
+        return base.with_weight(phi, c)
+    return base.with_truncated_weight(truncate_weight(phi, integer(data["j"], f"{name}.j", 1)), c)

@@ -16,6 +16,7 @@ from .errors import (
 )
 from .exactnum import QQi
 from .indices import degree, order_key, validate_index
+from .jsonspec import integer, json_list, json_object, number
 
 
 def _clean_terms(terms, n):
@@ -108,12 +109,12 @@ class Jet:
         }
 
     @classmethod
-    def from_json(cls, data):
-        terms = _terms_from_json(data)
-        d = data.get("degree_bound")
-        if d is None:
-            d = max((degree(a) for a in terms), default=0)
-        return cls(data["n"], d, terms)
+    def from_json(cls, data, name="jet"):
+        """The jet of ``data`` (:func:`_terms_from_json`); ``degree_bound``, if
+        given, is an integer >= 0, else the terms' top degree."""
+        n, terms = _terms_from_json(data, name)
+        top = max((degree(a) for a in terms), default=0)
+        return cls(n, integer(data.get("degree_bound", top), f"{name}.degree_bound", 0), terms)
 
 
 class Functional:
@@ -173,8 +174,9 @@ class Functional:
         return {"n": self.n, "terms": _terms_to_json(self.entries)}
 
     @classmethod
-    def from_json(cls, data):
-        return cls(data["n"], _terms_from_json(data))
+    def from_json(cls, data, name="functional"):
+        """The functional of ``data`` (:func:`_terms_from_json`)."""
+        return cls(*_terms_from_json(data, name))
 
 
 def pair(xi: Functional, f: Jet):
@@ -221,13 +223,6 @@ def _scalar_to_json(c):
     return {"re": c.real, "im": c.imag}
 
 
-def _scalar_from_json(term):
-    re, im = term.get("re", 0), term.get("im", 0)
-    if isinstance(re, str) or isinstance(im, str):
-        return QQi(Fraction(re), Fraction(im))
-    return complex(re, im)
-
-
 def _terms_to_json(terms):
     out = []
     for alpha in sorted(terms, key=order_key):
@@ -237,5 +232,20 @@ def _terms_to_json(terms):
     return out
 
 
-def _terms_from_json(data):
-    return {tuple(t["alpha"]): _scalar_from_json(t) for t in data["terms"]}
+def _terms_from_json(data, name):
+    """``n`` (an integer >= 1) and the coefficients of a jet's or a
+    functional's object, whose ``terms`` are objects with ``alpha``, a list
+    of integers >= 0, and ``re`` and ``im``, numbers or rational strings (0
+    if absent; a string makes the coefficient an exact QQi).  Anything else
+    raises ValueError naming the field."""
+    data = json_object(data, name, ("n", "terms"))
+    n = integer(data["n"], f"{name}.n", 1)
+    terms = {}
+    for i, term in enumerate(json_list(data["terms"], f"{name}.terms")):
+        where = f"{name}.terms[{i}]"
+        alpha = json_list(json_object(term, where, ("alpha",))["alpha"], f"{where}.alpha")
+        alpha = tuple(integer(k, f"{where}.alpha[{j}]", 0) for j, k in enumerate(alpha))
+        re, im = (number(term.get(key, 0), f"{where}.{key}") for key in ("re", "im"))
+        exact = isinstance(re, Fraction) or isinstance(im, Fraction)
+        terms[alpha] = QQi(re, im) if exact else complex(re, im)
+    return n, terms

@@ -128,7 +128,7 @@ def _random_generators(rng, n, level, exact):
     raise BerglabError("failed to sample a proper ideal")
 
 
-def _random_diagonal_domain(rng, n, exact, weighted):
+def _random_diagonal_domain(rng, n, weighted):
     if n > 1 and rng.random() < 0.3 and not weighted:
         return DiagonalDomain.ball(n, radius=Fraction(rng.randint(1, 2)))
     radii = [Fraction(rng.randint(1, 2)) for _ in range(n)]
@@ -198,7 +198,7 @@ def suite_equivalence(seed=0, count=50, weighted=False) -> SuiteResult:
         else:
             n = rng.randint(1, 3)
             level = rng.randint(2, 4 if n < 3 else 3)
-            domain = _random_diagonal_domain(rng, n, exact=True, weighted=weighted)
+            domain = _random_diagonal_domain(rng, n, weighted)
             gens = _random_generators(rng, n, level, exact=True)
             J = jet_ideal(gens, level)
             F = _random_polynomial(rng, n, level - 1, exact=True)

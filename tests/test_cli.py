@@ -584,7 +584,7 @@ class TestSpecRanges:
         result = runner.invoke(main, [command, "--spec", spec])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert f"spec validation failed at {key}" in result.output
+        assert f"spec error: {key} must be a string" in result.output
 
     @pytest.mark.parametrize(
         "command, spec, args",
@@ -754,3 +754,203 @@ class TestSuite:
             assert result.exit_code == 0
             outs.append((out / "suite_density.csv").read_bytes())
         assert outs[0] == outs[1]
+
+
+DELETE = object()
+BIDISC_EQUIV = {
+    "domain": {"kind": "polydisc", "radii": [1, 1]},
+    "F": TWISTED_CUSP["F"],
+    "ideal": {"generators": TWISTED_CUSP["generators"], "level": 3},
+}
+MALFORMED_BASES = {
+    "equiv": DISC_Z_SQUARED,
+    "bidisc-equiv": BIDISC_EQUIV,
+    "ladder": DIAGONAL_SPECS["density"],
+    "exhaust": {
+        "domains": [DISC_Z_SQUARED["domain"]],
+        "F": DISC_Z_SQUARED["F"],
+        "ideal": DISC_Z_SQUARED["ideal"],
+    },
+    "kernel": {"domain": DISC_Z_SQUARED["domain"], "xi": DISC_Z},
+    "basis": {"domain": DISC_Z_SQUARED["domain"], "degree": 2},
+    "sop": DIAGONAL_SPECS["sop"],
+    "cse": DIAGONAL_SPECS["cse"],
+    "density": DIAGONAL_SPECS["density"],
+}
+BIDISC = {"kind": "polydisc", "radii": [1, 1]}
+DISC_Z1 = {"n": 2, "terms": [{"alpha": [1, 0], "re": "1", "im": "0"}]}
+
+# (base spec, path to the replaced value, the value or DELETE, message)
+MALFORMED = {
+    # fields that were read as a different problem, or ended in a traceback
+    "radii-string": ("bidisc-equiv", ("domain", "radii"), "12", "domain.radii must be a list"),
+    "radius-bool": (
+        "bidisc-equiv", ("domain", "radii"), [True, 1], "domain.radii[0] must be a finite number"
+    ),
+    "ball-n-fraction": (
+        "bidisc-equiv", ("domain",), {"kind": "ball", "n": 2.5, "radius": 1},
+        "domain.n must be an integer >= 1, not 2.5",
+    ),
+    "ball-n-string": (
+        "bidisc-equiv", ("domain",), {"kind": "ball", "n": "2", "radius": 1},
+        "domain.n must be an integer >= 1, not '2'",
+    ),
+    "toric-a-string": (
+        "bidisc-equiv", ("domain",), {"kind": "toric_weight", "a": "10", "base": BIDISC},
+        "domain.a must be a list",
+    ),
+    "ball-radius-list": (
+        "bidisc-equiv", ("domain",), {"kind": "ball", "n": 2, "radius": [1]},
+        "domain.radius must be a finite number",
+    ),
+    "xi-alpha-fraction": (
+        "kernel", ("xi", "terms", 0, "alpha"), [1.5], "xi.terms[0].alpha[0] must be an integer"
+    ),
+    # each rule of the former schema
+    "spec-not-object": ("equiv", (), [1], "the spec must be a JSON object"),
+    "no-domain": ("equiv", ("domain",), DELETE, "the spec is missing 'domain'"),
+    "no-F": ("equiv", ("F",), DELETE, "the spec is missing 'F'"),
+    "no-ideal": ("equiv", ("ideal",), DELETE, "the spec is missing 'ideal'"),
+    "domain-not-object": ("equiv", ("domain",), "polydisc", "domain must be a JSON object"),
+    "domain-no-kind": ("equiv", ("domain", "kind"), DELETE, "domain is missing 'kind'"),
+    "jet-not-object": ("equiv", ("F",), [1], "F must be a JSON object"),
+    "jet-no-n": ("equiv", ("F", "n"), DELETE, "F is missing 'n'"),
+    "jet-no-terms": ("equiv", ("F", "terms"), DELETE, "F is missing 'terms'"),
+    "jet-n-string": ("equiv", ("F", "n"), "1", "F.n must be an integer >= 1"),
+    "jet-n-bool": ("equiv", ("F", "n"), True, "F.n must be an integer >= 1"),
+    "jet-n-0": ("equiv", ("F", "n"), 0, "F.n must be an integer >= 1"),
+    "degree-bound-fraction": (
+        "equiv", ("F", "degree_bound"), 1.5, "F.degree_bound must be an integer >= 0"
+    ),
+    "degree-bound-negative": (
+        "equiv", ("F", "degree_bound"), -1, "F.degree_bound must be an integer >= 0"
+    ),
+    "degree-bound-null": (
+        "equiv", ("F", "degree_bound"), None, "F.degree_bound must be an integer >= 0"
+    ),
+    "terms-not-list": ("equiv", ("F", "terms"), {}, "F.terms must be a list"),
+    "term-not-object": ("equiv", ("F", "terms", 0), "x", "F.terms[0] must be a JSON object"),
+    "term-no-alpha": ("equiv", ("F", "terms", 0, "alpha"), DELETE, "F.terms[0] is missing 'alpha'"),
+    "alpha-not-list": ("equiv", ("F", "terms", 0, "alpha"), 1, "F.terms[0].alpha must be a list"),
+    "alpha-string": (
+        "equiv", ("F", "terms", 0, "alpha"), ["1"], "F.terms[0].alpha[0] must be an integer >= 0"
+    ),
+    "alpha-negative": (
+        "equiv", ("F", "terms", 0, "alpha"), [-1], "F.terms[0].alpha[0] must be an integer >= 0"
+    ),
+    "re-null": ("equiv", ("F", "terms", 0, "re"), None, "F.terms[0].re must be a finite number"),
+    "im-list": ("equiv", ("F", "terms", 0, "im"), [0], "F.terms[0].im must be a finite number"),
+    "re-not-rational": ("equiv", ("F", "terms", 0, "re"), "x", "F.terms[0].re 'x' is not a rational"),
+    "ideal-not-object": ("equiv", ("ideal",), [], "ideal must be a JSON object"),
+    "ideal-no-generators": (
+        "equiv", ("ideal", "generators"), DELETE, "ideal is missing 'generators'"
+    ),
+    "ideal-no-level": ("equiv", ("ideal", "level"), DELETE, "ideal is missing 'level'"),
+    "generators-not-list": ("equiv", ("ideal", "generators"), {}, "ideal.generators must be a list"),
+    "generators-empty": ("equiv", ("ideal", "generators"), [], "ideal.generators must not be empty"),
+    "generator-not-object": (
+        "equiv", ("ideal", "generators", 0), 1, "ideal.generators[0] must be a JSON object"
+    ),
+    "generator-n-fraction": (
+        "equiv", ("ideal", "generators", 0, "n"), 1.5, "ideal.generators[0].n must be an integer"
+    ),
+    "level-0": ("equiv", ("ideal", "level"), 0, "ideal.level must be an integer >= 1"),
+    "level-fraction": ("equiv", ("ideal", "level"), 1.5, "ideal.level must be an integer >= 1"),
+    "level-string": ("equiv", ("ideal", "level"), "2", "ideal.level must be an integer >= 1"),
+    "ladder-generators-empty": ("ladder", ("generators",), [], "generators must not be empty"),
+    "ladder-generators-not-list": ("ladder", ("generators",), DISC_Z, "generators must be a list"),
+    "k-range-number": ("density", ("k_range",), 5, "k_range must be a string"),
+    "t-grid-null": ("cse", ("t_grid",), None, "t_grid must be a string"),
+    "domains-empty": ("exhaust", ("domains",), [], "domains must not be empty"),
+    "domains-not-list": ("exhaust", ("domains",), BIDISC, "domains must be a list"),
+    "domains-item-not-object": ("exhaust", ("domains", 0), "disc", "domains[0] must be a JSON"),
+    "xi-not-object": ("kernel", ("xi",), [], "xi must be a JSON object"),
+    "xi-no-terms": ("kernel", ("xi", "terms"), DELETE, "xi is missing 'terms'"),
+    "basis-degree-negative": ("basis", ("degree",), -1, "degree must be an integer >= 0"),
+    "basis-degree-fraction": ("basis", ("degree",), 2.5, "degree must be an integer >= 0"),
+    "basis-degree-string": ("basis", ("degree",), "2", "degree must be an integer >= 0"),
+    "weight-not-object": ("sop", ("weight",), ["1"], "weight must be a JSON object"),
+    "weight-no-a": ("sop", ("weight", "a"), DELETE, "weight is missing 'a'"),
+    "weight-a-empty": ("sop", ("weight", "a"), [], "weight.a must not be empty"),
+    "weight-a-string": ("sop", ("weight", "a"), "1", "weight.a must be a list"),
+    "weight-a-bool": ("cse", ("weight", "a", 0), True, "weight.a[0] must be a finite number"),
+    # objects of different dimensions
+    "sop-weight-dimension": (
+        "sop", (), {"domain": BIDISC, "F": DISC_Z1, "weight": {"a": ["1"]}},
+        "weight dimension differs from domain",
+    ),
+    "equiv-F-dimension": (
+        "bidisc-equiv", ("domain",), {"kind": "polydisc", "radii": [1]}, "dimension",
+    ),
+    "cse-weight-dimension": (
+        "cse", ("weight", "a"), ["1", "1"], "weight dimension differs from domain"
+    ),
+    "kernel-xi-dimension": ("kernel", ("xi",), DISC_Z1, "has length 2, expected 1"),
+    # F = 0 has no jumping number
+    "sop-zero-F": ("sop", ("F", "terms"), [], "the zero germ has no jumping number"),
+    # radii must be positive
+    "radius-negative-string": (
+        "equiv", ("domain", "radii"), ["-2"], "a radius must be positive, not -2"
+    ),
+    "ball-radius-negative": (
+        "bidisc-equiv", ("domain",), {"kind": "ball", "n": 2, "radius": -1.5},
+        "a radius must be positive, not -1.5",
+    ),
+    "radius-0": ("equiv", ("domain", "radii"), [0], "a radius must be positive, not 0"),
+    "offcenter-radius-negative": (
+        "equiv", ("domain",), {"kind": "offcenter_disc", "center": [0.1, 0.0], "radius": -1.0},
+        "a radius must be positive, not -1.0",
+    ),
+    # a zero denominator
+    "re-zero-denominator": (
+        "equiv", ("F", "terms", 0, "re"), "1/0", "F.terms[0].re '1/0' is not a rational"
+    ),
+    "radius-zero-denominator": (
+        "equiv", ("domain", "radii"), ["1/0"], "domain.radii[0] '1/0' is not a rational"
+    ),
+}
+
+
+class TestMalformedSpec:
+    """A malformed spec is a spec error (exit 2) whose message names the
+    field, never a traceback or a run on other data."""
+
+    @pytest.mark.parametrize("base, path, value, message", MALFORMED.values(), ids=MALFORMED)
+    def test_malformed_spec_exit_2(self, runner, tmp_path, base, path, value, message):
+        command = base.split("-")[-1]
+        spec = json.loads(json.dumps(MALFORMED_BASES[base]))
+        if not path:
+            spec = value
+        else:
+            node = spec
+            for key in path[:-1]:
+                node = node[key]
+            if value is DELETE:
+                del node[path[-1]]
+            else:
+                node[path[-1]] = value
+        result = runner.invoke(main, [command, "--spec", write_spec(tmp_path, spec)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "spec error: " in result.output and message in result.output
+
+    @pytest.mark.parametrize(
+        "command, spec",
+        [
+            ("equiv", dict(DISC_Z_SQUARED, ideal=dict(DISC_Z_SQUARED["ideal"], level=2.0))),
+            ("basis", {"domain": DISC_Z_SQUARED["domain"], "degree": 2.0}),
+        ],
+        ids=["equiv-level", "basis-degree"],
+    )
+    def test_integral_float_reads_as_int(self, runner, tmp_path, command, spec):
+        # 2.0 is the integer 2, as it was to the former schema
+        result = runner.invoke(main, [command, "--spec", write_spec(tmp_path, spec)])
+        assert result.exit_code == 0, result.output
+        want = {"domain": spec["domain"]}
+        if command == "equiv":
+            want.update(F=spec["F"], ideal=DISC_Z_SQUARED["ideal"])
+        else:
+            want["degree"] = 2
+        again = runner.invoke(main, [command, "--spec", write_spec(tmp_path, want, "int.json")])
+        assert result.output == again.output

@@ -1,5 +1,5 @@
 """Import hygiene: numpy loads only for commands that use it, and scipy
-never loads.
+and jsonschema never load.
 
 Each check runs in a fresh interpreter, because this test process has long
 since imported both.
@@ -47,6 +47,19 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_cli_never_loads_jsonschema(tmp_path):
+    # the spec readers check every field themselves: no schema library
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(README_DISC))
+    loaded = "print([m for m in sys.modules if m.startswith('jsonschema')])"
+    proc = _python("-c", f"import sys, berglab.cli; {loaded}")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    proc = _python("-c", f"{RUN_CLI}{loaded}", "equiv", "--spec", str(spec))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 def test_exact_equiv_runs_without_numpy_or_scipy(tmp_path):

@@ -399,8 +399,8 @@ def _minimal_l2_exact(prob: _Problem) -> ProjectionResult:
     eta = [wk * v.conjugate() for wk, v in zip(w, x)]
     cval = Fraction(sum(map(mul, eta, x), 0).real, den * den * wden)
     slots = [idx[i] for i in finite]
-    minimizer = Jet(J.n, J.level - 1, dict(zip(slots, from_ring(x, den))))
-    eta = Functional(J.n, dict(zip(slots, from_ring(eta, den * wden))))
+    minimizer = Jet.unchecked(J.n, J.level - 1, dict(zip(slots, from_ring(x, den))))
+    eta = Functional.unchecked(J.n, dict(zip(slots, from_ring(eta, den * wden))))
     diag = prob.diagnostics("solved", len(cols), None)
     return ProjectionResult(prob.value(cval), minimizer, eta, prob.pi_power, diag)
 
@@ -456,8 +456,8 @@ def _minimal_l2_float(prob: _Problem) -> ProjectionResult:
     eta_vec = gram @ np.conj(x)
     xs = x.tolist()
     bound = max(J.level - 1, degree(idx[-1]))
-    minimizer = Jet(J.n, bound, {idx[i]: xs[i] for i in prob.finite if xs[i]})
-    eta = Functional(J.n, {a: v for a, v in zip(idx, eta_vec.tolist()) if v})
+    minimizer = Jet.unchecked(J.n, bound, {idx[i]: xs[i] for i in prob.finite})
+    eta = Functional.unchecked(J.n, dict(zip(idx, eta_vec.tolist())))
     diag = prob.diagnostics("solved", span.shape[1], cond)
     return ProjectionResult(value, minimizer, eta, 0, diag)
 
@@ -531,7 +531,7 @@ def _b_circle_exact(prob: _Problem) -> KernelRatioResult:
     val = sum(map(mul, pvals, x), 0).real
     nums = combine(x, vecs, [0] * len(idx))
     coeffs = from_ring([wden * v for v in nums], d * den)
-    maximizer = Functional(prob.J.n, dict(zip(idx, coeffs)))
+    maximizer = Functional.unchecked(prob.J.n, dict(zip(idx, coeffs)))
     diag = prob.diagnostics("solved", m - len(null), None)
     return KernelRatioResult(prob.value(Fraction(wden * val, d * den * den)), maximizer, diag)
 
@@ -566,7 +566,7 @@ def _b_circle_float(prob: _Problem) -> KernelRatioResult:
     z = np.linalg.solve(R.conj().T, np.conj(p))
     x = np.linalg.solve(R, z)
     value = float(np.vdot(z, z).real)
-    maximizer = Functional(prob.J.n, {a: c for a, c in zip(idx, (V @ x).tolist()) if c})
+    maximizer = Functional.unchecked(prob.J.n, dict(zip(idx, (V @ x).tolist())))
     return KernelRatioResult(value, maximizer, prob.diagnostics("solved", V.shape[1], None))
 
 

@@ -2,8 +2,8 @@
 
 JSON problem specs in, JSON results and CSV tables out.  Exit codes:
 0 success, 1 theorem cross-check failure, 2 spec error (a field missing or
-of the wrong type, a radius <= 0, objects of different dimensions, a
-problem the construction does not support), 3 numerical failure.
+of the wrong type, a radius <= 0, objects of different dimensions, a zero
+xi or F, a problem the construction does not support), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -171,6 +171,14 @@ def _build(fn):
     return _run(fn, (ValueError, ImproperIdealError))
 
 
+def _nonzero(obj, name):
+    """``obj``, a jet or a functional, unless it is zero: a zero xi has no
+    kernel and a zero F no density sequence, so it is a spec error."""
+    if obj.is_zero():
+        raise ValueError(f"{name} must not be zero")
+    return obj
+
+
 def _jet_and_gens(f_json, gens_json, gens_name, mode=None):
     """F and the presentation of its generators, a nonempty list at ``gens_name``."""
     F = Jet.from_json(f_json, "F")
@@ -311,7 +319,7 @@ def kernel(spec_path, out_dir, mode):
     """Kernel value at the origin for a coefficient functional."""
     data = _load_spec(spec_path, "domain", "xi")
     domain = _build(lambda: _load_domain(data["domain"], mode=mode))
-    xi = _build(lambda: Functional.from_json(data["xi"], "xi"))
+    xi = _build(lambda: _nonzero(Functional.from_json(data["xi"], "xi"), "xi"))
     _build(lambda: _insist_exact(mode, xi.entries))
     value = _run(lambda: kernel_at_origin(domain, xi))
     click.echo(f"K = {_fmt(value)}")
@@ -370,7 +378,7 @@ def cse(spec_path, out_dir, t_grid):
     """Sublevel-kernel growth rate of a functional against a toric weight."""
     data = _load_spec(spec_path, "domain", "xi", "weight")
     domain = _build(lambda: _load_diagonal(data["domain"], "cse"))
-    xi = _build(lambda: Functional.from_json(data["xi"], "xi"))
+    xi = _build(lambda: _nonzero(Functional.from_json(data["xi"], "xi"), "xi"))
     phi = _build(lambda: ToricWeight.from_json(data["weight"]))
     grid = _build(lambda: _parse_tgrid(_range_text(data, "t_grid", t_grid)))
 
@@ -400,6 +408,7 @@ def density(spec_path, out_dir, k_range):
     data = _load_spec(spec_path, "domain", "F", "generators")
     domain = _build(lambda: _load_diagonal(data["domain"], "density"))
     F, gens = _build(lambda: _jet_and_gens(data["F"], data["generators"], "generators"))
+    _build(lambda: _nonzero(F, "F"))
     ks = _build(lambda: _parse_krange(_range_text(data, "k_range", k_range)))
     rows = _run(lambda: density_sequence(domain, F, gens, ks))
     lines = ["k,distance"] + [f"{k},{dist:.17g}" for k, dist in rows]

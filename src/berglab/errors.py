@@ -52,5 +52,5 @@ class UnsupportedDomainError(BerglabError, ValueError):
 
 
 class JetSpaceTooLargeError(BerglabError, ValueError):
-    """A jet space with more indices than ``ideals.MAX_JET_INDICES`` (a spec
+    """A jet space with more indices than ``indices.MAX_JET_INDICES`` (a spec
     error)."""

@@ -13,6 +13,13 @@ own, with no rows).  The span and the annihilator are the direct sums of
 the blocks' spans and annihilators, so each block is eliminated by itself,
 dense over its own monomials only.
 
+The rows are read off the dimension's shared index layout
+(:func:`berglab.indices.layout`): each term z^alpha of a generator gives the
+positions of alpha + beta for every beta at once, by steps along the
+layout, and one pass over those positions joins the blocks and writes each
+block's dense rows.  No multi-index is built or looked up on the way, and
+the ideal's ``indices`` are the layout's own prefix.
+
 Each block holds one span and one annihilator.  Generators whose
 coefficients are all exact (int, Fraction, QQi) give an exact jet ideal,
 eliminated in cleared integers by :mod:`berglab.linalg`: a block keeps the
@@ -23,9 +30,12 @@ one singular value decomposition of each block's product rows, each row
 normalised to unit size first: the right singular vectors split the block
 into an orthonormal basis of its span and one of its annihilator.  The rank
 counts the singular values above ``FLOAT_RANK_TOL`` times the block's
-largest, so it does not change when a generator is rescaled; a one-monomial
-block needs no decomposition, as it is in the span exactly when a row
-touches it.  A float problem on an exact ideal reads the same decomposition
+largest, so it does not change when a generator is rescaled.  A
+one-monomial block needs no elimination and no decomposition, as it is in
+the span exactly when a row touches it.  An exact one keeps the first row
+that touches it, cleared to a ring integer; a float one holds the unit
+vector as its span or its annihilator, a read-only array that every such
+block shares.  A float problem on an exact ideal reads the same decomposition
 of each block's kept rows, split at their exact rank
 (:attr:`JetIdeal.float_view`).
 
@@ -40,26 +50,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import add
+from functools import cache, cached_property
 
-from .errors import ImproperIdealError, JetSpaceTooLargeError
+from .errors import ImproperIdealError
 from .exactnum import is_exact
-from .indices import degree, indices_up_to, order_key, validate_index
+# the jet-space cap lives with the layout; callers read it from here too
+from .indices import (
+    MAX_JET_INDICES,
+    check_jet_space,
+    degree,
+    indices_up_to,
+    layout,
+    order_key,
+    validate_index,
+)
 from .jets import Functional, Jet
-from .linalg import annihilates, from_ring, span_and_annihilator
+from .linalg import annihilates, from_ring, span_and_annihilator, to_ring
 
 FLOAT_RANK_TOL = 1e-10
-
-# most indices a jet space may have.  One exact level of the two-variable
-# ladder of <z1 - (2 - i) z2^2> (`berglab ladder --k k..k`, process
-# included) took 0.32 s at 210 indices and 0.30 s at 496, nearly all of it
-# interpreter start and imports, on a 2-core Linux x86-64 machine under
-# Python 3.11; before the jet space was split into blocks it took 0.70 s and
-# 3.8 s.  That ideal splits into blocks of at most 16 indices; but a moment
-# problem reads the whole jet space, and the exact time of an ideal with a
-# large block grows about as the cube of that block's size.
-MAX_JET_INDICES = 500
 
 
 def rank_split(A):
@@ -85,8 +93,7 @@ def _orthonormal_split(rows, m, rank=None):
     import numpy as np
 
     if m == 1:
-        unit, empty = np.ones((1, 1), dtype=complex), np.zeros((0, 1), dtype=complex)
-        return (unit, empty) if len(rows) else (empty, unit)
+        return _one_column(len(rows) > 0)
     A = np.array(rows, dtype=complex).reshape(-1, m)
     # unit rows: the rank does not depend on the generators' scale
     A /= np.abs(A).max(axis=1, keepdims=True)
@@ -94,6 +101,19 @@ def _orthonormal_split(rows, m, rank=None):
     if rank is None:
         rank = int((s > FLOAT_RANK_TOL * s[0]).sum()) if s.size else 0
     return vh[:rank], vh[rank:].conj()
+
+
+@cache
+def _one_column(spanned: bool):
+    """(span, annihilator) of one monomial, as :func:`_orthonormal_split`
+    gives them: the unit vector is the span when a row touches the monomial
+    (``spanned``), else the annihilator.  The arrays are read-only and
+    shared by every one-monomial block."""
+    import numpy as np
+
+    unit, empty = np.ones((1, 1), dtype=complex), np.zeros((0, 1), dtype=complex)
+    unit.flags.writeable = empty.flags.writeable = False
+    return (unit, empty) if spanned else (empty, unit)
 
 
 @dataclass
@@ -160,13 +180,22 @@ class JetIdeal:
     columns, as one elimination over all of ``indices`` would give them.  A
     float ideal holds orthonormal right singular vectors as complex arrays,
     the rest of them conjugated in ``null``.
+
+    ``columns`` holds, per block, the positions of its indices in
+    ``indices``; it is found from the indices when not given.
     """
 
     n: int
     level: int
-    indices: list
+    indices: tuple
     blocks: list
     exact: bool = True
+    columns: list = None
+
+    def __post_init__(self):
+        if self.columns is None:
+            pos = {a: i for i, a in enumerate(self.indices)}
+            self.columns = [[pos[a] for a in b.indices] for b in self.blocks]
 
     @property
     def span_dim(self) -> int:
@@ -181,12 +210,6 @@ class JetIdeal:
         return {a: k for k, b in enumerate(self.blocks) for a in b.indices}
 
     @cached_property
-    def _columns(self):
-        """Per block, the positions of its indices in ``indices``."""
-        pos = {a: i for i, a in enumerate(self.indices)}
-        return [[pos[a] for a in b.indices] for b in self.blocks]
-
-    @cached_property
     def _restrictions(self):
         return {}
 
@@ -199,10 +222,11 @@ class JetIdeal:
         J = self._restrictions.get(touched)
         if J is None:
             blocks = [self.blocks[k] for k in touched]
-            cols = sorted(c for k in touched for c in self._columns[k])
-            indices = [self.indices[c] for c in cols]
+            cols = sorted(c for k in touched for c in self.columns[k])
+            place = {c: i for i, c in enumerate(cols)}
             J = self._restrictions[touched] = JetIdeal(
-                self.n, self.level, indices, blocks, self.exact
+                self.n, self.level, tuple(self.indices[c] for c in cols), blocks, self.exact,
+                [[place[c] for c in self.columns[k]] for k in touched],
             )
         return J
 
@@ -211,7 +235,7 @@ class JetIdeal:
         the block), each placed on its block's positions in ``indices``."""
         m = len(self.indices)
         out = []
-        for b, cols in zip(self.blocks, self._columns):
+        for b, cols in zip(self.blocks, self.columns):
             for vec in part(b):
                 v = [0] * m
                 for c, x in zip(cols, vec):
@@ -226,7 +250,7 @@ class JetIdeal:
         parts = [part(b) for b in self.blocks]
         out = np.zeros((sum(map(len, parts)), len(self.indices)), dtype=complex)
         r = 0
-        for p, cols in zip(parts, self._columns):
+        for p, cols in zip(parts, self.columns):
             out[r : r + len(p), cols] = p
             r += len(p)
         return out
@@ -264,19 +288,7 @@ class JetIdeal:
             rows = [from_ring(row, 1) for row in self.rows]
         else:
             rows = self.rows.tolist()
-        return [Jet(self.n, self.level - 1, dict(zip(self.indices, row))) for row in rows]
-
-
-def check_jet_space(n: int, k: int) -> None:
-    """Refuse the jet space of degree < k in n variables, C(n + k - 1, n)
-    indices, when it has more than ``MAX_JET_INDICES`` of them: raises
-    JetSpaceTooLargeError."""
-    size = math.comb(max(n + k - 1, 0), n)
-    if size > MAX_JET_INDICES:
-        raise JetSpaceTooLargeError(
-            f"the jet space of level {k} in {n} variables has {size} indices, "
-            f"more than {MAX_JET_INDICES}"
-        )
+        return [Jet.unchecked(self.n, self.level - 1, dict(zip(self.indices, row))) for row in rows]
 
 
 def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
@@ -285,79 +297,94 @@ def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
     for float ones.
 
     Raises JetSpaceTooLargeError (before any row is built) past the size cap
-    of :func:`check_jet_space`.  No generator has a constant term, so no row
-    touches the constant slot: it is a block of its own with no rows, and
-    the ideal is proper at every level.
+    of :func:`berglab.indices.check_jet_space`.  No generator has a constant
+    term, so no row touches the constant slot: it is a block of its own with
+    no rows, and the ideal is proper at every level.
     """
     if k < 1:
         raise ValueError("ladder level k must be >= 1")
-    check_jet_space(gens.n, k)
+    lay = layout(gens.n, k - 1)
     exact = is_exact(c for g in gens.generators for c in g.coeffs.values())
-    idx = indices_up_to(gens.n, k - 1)
+    m = lay.ends[k - 1]
+    # per generator, its terms as (positions of the exponent shifted by each
+    # beta, coefficient), the longest first: the row g * z^beta at beta's
+    # position b touches the b-th position of each term that reaches that
+    # far, the first term's always
+    products = []
+    for g in gens.generators:
+        terms = [(lay.shifted(a, k), c) for a, c in g.coeffs.items()]
+        if terms:
+            terms.sort(key=lambda t: len(t[0]), reverse=True)
+            products.append(terms)
+    cols, block_of, local = _components(products, m)
+
+    # the rows of each block of several monomials, dense over its positions;
+    # of a one-monomial block only the first row, its one entry
+    rows = [[] for _ in cols]
+    firsts = {}
+    for terms in products:
+        anchor, c0 = terms[0]
+        for b, p in enumerate(anchor):
+            r = block_of[p]
+            size = len(cols[r])
+            if size == 1:
+                firsts.setdefault(r, [c0])
+                continue
+            v = [0] * size
+            for pos, c in terms:
+                if b < len(pos):
+                    v[local[pos[b]]] = c
+            rows[r].append(v)
+    if exact:
+        firsts = dict(zip(firsts, to_ring(list(firsts.values()))[0]))
+
+    idx = lay.indices[:m]
     blocks = []
-    for cols, rows in _blocks(_product_rows(gens.generators, idx), len(idx)):
-        if exact:
-            rows, null = span_and_annihilator(rows, len(cols))
+    for r, block_cols in enumerate(cols):
+        if len(block_cols) > 1:
+            split = span_and_annihilator if exact else _orthonormal_split
+            span, null = split(rows[r], len(block_cols))
+        elif exact:
+            span, null = ([firsts[r]], []) if r in firsts else ([], [[1]])
         else:
-            rows, null = _orthonormal_split(rows, len(cols))
-        blocks.append(Block([idx[c] for c in cols], rows, null, exact))
-    return JetIdeal(gens.n, k, idx, blocks, exact)
+            span, null = _one_column(r in firsts)
+        blocks.append(Block([idx[c] for c in block_cols], span, null, exact))
+    return JetIdeal(gens.n, k, idx, blocks, exact, cols)
 
 
-def _product_rows(generators, idx):
-    """The nonzero rows g * z^beta, truncated to ``idx``, for every generator
-    g and every beta in ``idx``, each as (position, coefficient) pairs: each
-    exponent of g shifted by beta and placed by its position in ``idx``
-    (exponents past the last degree of ``idx`` are cut off)."""
-    position = {a: i for i, a in enumerate(idx)}
-    rows = []
-    for g in generators:
-        terms = list(g.coeffs.items())
-        for beta in idx:
-            row = []
-            for a, c in terms:
-                i = position.get(tuple(map(add, a, beta)))
-                if i is not None:
-                    row.append((i, c))
-            if row:
-                rows.append(row)
-    return rows
-
-
-def _blocks(rows, m):
-    """The components of positions 0..m-1 when the positions of each sparse
-    row are joined (union-find), in the order of their first positions: per
-    component its positions, ascending, and its rows, dense over them."""
+def _components(products, m):
+    """The components of positions 0..m-1 when the positions that each
+    product row touches are joined, in the order of their first positions:
+    their positions, ascending, and per position its component and its
+    place in the component."""
+    # union-find in which a root is the least position of its set
     parent = list(range(m))
-
-    def find(c):
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for row in rows:
-        r = find(row[0][0])
-        for c, _ in row[1:]:
-            s = find(c)
-            if s != r:
-                parent[s] = r
-    root = [find(c) for c in range(m)]
-    members = {}
-    for c, r in enumerate(root):
-        members.setdefault(r, []).append(c)
-    local = [0] * m
-    for cols in members.values():
-        for i, c in enumerate(cols):
-            local[c] = i
-    dense = {r: [] for r in members}
-    for row in rows:
-        r = root[row[0][0]]
-        v = [0] * len(members[r])
-        for c, x in row:
-            v[local[c]] = x
-        dense[r].append(v)
-    return [(cols, dense[r]) for r, cols in members.items()]
+    for terms in products:
+        anchor = terms[0][0]
+        for pos, _ in terms[1:]:
+            for a, b in zip(anchor, pos):
+                while parent[a] != a:
+                    parent[a] = parent[parent[a]]
+                    a = parent[a]
+                while parent[b] != b:
+                    parent[b] = parent[parent[b]]
+                    b = parent[b]
+                if a < b:
+                    parent[b] = a
+                elif b < a:
+                    parent[a] = b
+    cols, block_of, local = [], [0] * m, [0] * m
+    for c in range(m):
+        # parent[c] <= c, and the positions below c already point at roots
+        r = parent[c] = parent[parent[c]]
+        if r == c:
+            block_of[c] = len(cols)
+            cols.append([c])
+        else:
+            k = block_of[c] = block_of[r]
+            local[c] = len(cols[k])
+            cols[k].append(c)
+    return cols, block_of, local
 
 
 def contains(J: JetIdeal, f: Jet) -> bool:
@@ -391,7 +418,7 @@ def annihilator(J: JetIdeal) -> list:
         vectors = [from_ring(v, 1) for v in J.null]
     else:
         vectors = J.null.tolist()
-    return [Functional(J.n, dict(zip(J.indices, v))) for v in vectors]
+    return [Functional.unchecked(J.n, dict(zip(J.indices, v))) for v in vectors]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,13 @@
 Coefficients may be Python complex numbers (float mode) or exact scalars
 (int, Fraction, :class:`~berglab.exactnum.QQi`).  All operations are pure;
 jets and functionals are treated as immutable after construction.
+
+Multi-indices are checked where they enter from outside the package: by
+the constructors ``Jet(...)`` and ``Functional(...)``, by
+:meth:`Jet.monomial` and :meth:`Functional.delta`, and by the JSON readers.
+Everything built from indices already held (truncation, scaling, sums,
+products, the routes' minimizers and maximizers, an ideal's basis and
+annihilator) goes through ``unchecked``, which checks nothing again.
 """
 
 from __future__ import annotations
@@ -28,11 +35,21 @@ def _clean_terms(terms, n):
     return out
 
 
+def _check_bound(coeffs, degree_bound):
+    for alpha in coeffs:
+        if degree(alpha) > degree_bound:
+            raise ValueError(f"coefficient at {alpha} exceeds degree bound {degree_bound}")
+
+
 class Jet:
     """Taylor coefficients of a holomorphic germ, truncated at a degree bound.
 
     Keys absent from ``coeffs`` are zero.  Coefficients are the normalized
     Taylor data c_alpha = (derivative of order alpha at 0) / alpha!.
+
+    ``Jet(n, degree_bound, coeffs)`` and :meth:`monomial` check each
+    multi-index (a tuple of n ints >= 0) and the degree bound;
+    :meth:`unchecked` checks neither.
     """
 
     __slots__ = ("n", "degree_bound", "coeffs")
@@ -41,17 +58,25 @@ class Jet:
         self.n = int(n)
         self.degree_bound = int(degree_bound)
         self.coeffs = _clean_terms(dict(coeffs), self.n)
-        for alpha in self.coeffs:
-            if degree(alpha) > self.degree_bound:
-                raise ValueError(
-                    f"coefficient at {alpha} exceeds degree bound {self.degree_bound}"
-                )
+        _check_bound(self.coeffs, self.degree_bound)
+
+    @classmethod
+    def unchecked(cls, n, degree_bound, coeffs):
+        """The jet of ``coeffs`` with its zero coefficients dropped, for
+        multi-indices the package already holds: n-tuples of ints >= 0 of
+        degree at most ``degree_bound`` (an int), none of them checked."""
+        jet = object.__new__(cls)
+        jet.n, jet.degree_bound = n, degree_bound
+        jet.coeffs = {a: c for a, c in coeffs.items() if c}
+        return jet
 
     @classmethod
     def monomial(cls, n, alpha, coeff=1, degree_bound=None):
-        alpha = validate_index(alpha, n)
-        d = degree(alpha) if degree_bound is None else degree_bound
-        return cls(n, d, {alpha: coeff})
+        n, alpha = int(n), validate_index(alpha, n)
+        d = degree(alpha) if degree_bound is None else int(degree_bound)
+        jet = cls.unchecked(n, d, {alpha: coeff})
+        _check_bound(jet.coeffs, d)
+        return jet
 
     @classmethod
     def zero(cls, n, degree_bound=0):
@@ -70,14 +95,15 @@ class Jet:
         return min(degree(a) for a in self.coeffs)
 
     def truncate(self, d: int) -> "Jet":
-        return Jet(self.n, d, {a: c for a, c in self.coeffs.items() if degree(a) <= d})
+        d = int(d)
+        return Jet.unchecked(self.n, d, {a: c for a, c in self.coeffs.items() if degree(a) <= d})
 
     def vector(self, index_list):
         """Dense coefficient list along an index enumeration."""
         return [self.coeffs.get(a, 0) for a in index_list]
 
     def scale(self, s) -> "Jet":
-        return Jet(self.n, self.degree_bound, {a: s * c for a, c in self.coeffs.items()})
+        return Jet.unchecked(self.n, self.degree_bound, {a: s * c for a, c in self.coeffs.items()})
 
     def add(self, other: "Jet") -> "Jet":
         if other.n != self.n:
@@ -85,10 +111,12 @@ class Jet:
         terms = dict(self.coeffs)
         for a, c in other.coeffs.items():
             terms[a] = terms.get(a, 0) + c
-        return Jet(self.n, max(self.degree_bound, other.degree_bound), terms)
+        return Jet.unchecked(self.n, max(self.degree_bound, other.degree_bound), terms)
 
     def to_float(self) -> "Jet":
-        return Jet(self.n, self.degree_bound, {a: complex(c) for a, c in self.coeffs.items()})
+        return Jet.unchecked(
+            self.n, self.degree_bound, {a: complex(c) for a, c in self.coeffs.items()}
+        )
 
     def __eq__(self, other):
         return (
@@ -119,13 +147,27 @@ class Jet:
 
 class Functional:
     """A finitely supported coefficient functional (an element of the
-    polynomial dual of the jet space)."""
+    polynomial dual of the jet space).
+
+    ``Functional(n, entries)`` and :meth:`delta` check each multi-index (a
+    tuple of n ints >= 0); :meth:`unchecked` does not.
+    """
 
     __slots__ = ("n", "entries")
 
     def __init__(self, n, entries):
         self.n = int(n)
         self.entries = _clean_terms(dict(entries), self.n)
+
+    @classmethod
+    def unchecked(cls, n, entries):
+        """The functional of ``entries`` with its zero entries dropped, for
+        multi-indices the package already holds (n-tuples of ints >= 0),
+        none of them checked."""
+        xi = object.__new__(cls)
+        xi.n = n
+        xi.entries = {a: c for a, c in entries.items() if c}
+        return xi
 
     @classmethod
     def delta(cls, n, alpha, coeff=1):
@@ -144,7 +186,7 @@ class Functional:
         return [self.entries.get(a, 0) for a in index_list]
 
     def scale(self, s) -> "Functional":
-        return Functional(self.n, {a: s * c for a, c in self.entries.items()})
+        return Functional.unchecked(self.n, {a: s * c for a, c in self.entries.items()})
 
     def add(self, other: "Functional") -> "Functional":
         if other.n != self.n:
@@ -152,10 +194,10 @@ class Functional:
         entries = dict(self.entries)
         for a, c in other.entries.items():
             entries[a] = entries.get(a, 0) + c
-        return Functional(self.n, entries)
+        return Functional.unchecked(self.n, entries)
 
     def to_float(self) -> "Functional":
-        return Functional(self.n, {a: complex(c) for a, c in self.entries.items()})
+        return Functional.unchecked(self.n, {a: complex(c) for a, c in self.entries.items()})
 
     def __eq__(self, other):
         return (
@@ -211,7 +253,7 @@ def jet_multiply(f: Jet, g: Jet, d: int) -> Jet:
                 continue
             key = tuple(x + y for x, y in zip(a, b))
             terms[key] = terms.get(key, 0) + ca * cb
-    return Jet(f.n, d, terms)
+    return Jet.unchecked(f.n, int(d), terms)
 
 
 def _scalar_to_json(c):

@@ -10,6 +10,7 @@ with the true one.
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -104,8 +105,6 @@ def xi_cse_limit(xi: Functional, phi: ToricWeight, D: DiagonalDomain, t_grid) ->
     grid) together with a discrete convexity certificate: consecutive
     divided-difference slopes must be nondecreasing.
     """
-    import numpy as np
-
     from .bergman import kernel_at_origin
 
     table = []
@@ -125,9 +124,7 @@ def xi_cse_limit(xi: Functional, phi: ToricWeight, D: DiagonalDomain, t_grid) ->
     second = [b - a for a, b in zip(slopes, slopes[1:])]
     min_second = min(second) if second else 0.0
     tail = table[len(table) // 2 :]
-    ts = np.array([t for t, _ in tail])
-    ls = np.array([l for _, l in tail])
-    slope = float(np.polyfit(ts, ls, 1)[0])
+    slope = statistics.linear_regression([t for t, _ in tail], [l for _, l in tail]).slope
     return CseLimitResult(slope, table, min_second, min_second >= -1e-8)
 
 

@@ -109,7 +109,7 @@ def _random_polynomial(rng, n, max_degree, exact, count=3):
 
 
 def _random_generators(rng, n, level, exact):
-    """A proper ideal presentation whose jet ideal at ``level`` is proper."""
+    """A proper ideal presentation and its jet ideal at ``level``."""
     for _ in range(60):
         gens = []
         for _ in range(rng.randint(1, 2)):
@@ -121,10 +121,9 @@ def _random_generators(rng, n, level, exact):
             continue
         try:
             pres = IdealPresentation(n, gens)
-            jet_ideal(pres, level)
+            return pres, jet_ideal(pres, level)
         except (ImproperIdealError, ValueError):
             continue
-        return pres
     raise BerglabError("failed to sample a proper ideal")
 
 
@@ -190,8 +189,7 @@ def suite_equivalence(seed=0, count=50, weighted=False) -> SuiteResult:
             domain = _random_moment_domain(rng, d)
             n = domain.n
             level = rng.randint(2, d + 1)
-            gens = _random_generators(rng, n, level, exact=False)
-            J = jet_ideal(gens, level)
+            _, J = _random_generators(rng, n, level, exact=False)
             F = _random_polynomial(rng, n, max(level - 1, 1), exact=False)
             F = Jet(n, max(F.degree_bound, level - 1), F.coeffs)
             instances.append((i, "moment", (domain, F, J)))
@@ -199,8 +197,7 @@ def suite_equivalence(seed=0, count=50, weighted=False) -> SuiteResult:
             n = rng.randint(1, 3)
             level = rng.randint(2, 4 if n < 3 else 3)
             domain = _random_diagonal_domain(rng, n, weighted)
-            gens = _random_generators(rng, n, level, exact=True)
-            J = jet_ideal(gens, level)
+            _, J = _random_generators(rng, n, level, exact=True)
             F = _random_polynomial(rng, n, level - 1, exact=True)
             F = Jet(n, max(F.degree_bound, level - 1), F.coeffs)
             instances.append((i, "diagonal", (domain, F, J)))

@@ -886,8 +886,14 @@ MALFORMED = {
         "cse", ("weight", "a"), ["1", "1"], "weight dimension differs from domain"
     ),
     "kernel-xi-dimension": ("kernel", ("xi",), DISC_Z1, "has length 2, expected 1"),
-    # F = 0 has no jumping number
+    # F = 0 has no jumping number, xi = 0 no kernel, F = 0 no density sequence
     "sop-zero-F": ("sop", ("F", "terms"), [], "the zero germ has no jumping number"),
+    "kernel-zero-xi": ("kernel", ("xi", "terms"), [], "xi must not be zero"),
+    "cse-zero-xi": ("cse", ("xi", "terms"), [], "xi must not be zero"),
+    "cse-zero-xi-coefficient": (
+        "cse", ("xi", "terms", 0, "re"), "0", "xi must not be zero"
+    ),
+    "density-zero-F": ("density", ("F", "terms"), [], "F must not be zero"),
     # radii must be positive
     "radius-negative-string": (
         "equiv", ("domain", "radii"), ["-2"], "a radius must be positive, not -2"

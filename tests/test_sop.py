@@ -126,6 +126,29 @@ class TestCseLimit:
                 [0],
             )
 
+    def test_tail_slope_matches_numpy_least_squares(self, monkeypatch):
+        # the slope is the stdlib's least-squares line through the tail;
+        # every growth rate of the convexity suite at seeds 0-19 checks it
+        # against numpy's fit of the same points
+        import numpy as np
+
+        from berglab import suites
+
+        results = []
+
+        def recording(*args):
+            results.append(xi_cse_limit(*args))
+            return results[-1]
+
+        monkeypatch.setattr(suites, "xi_cse_limit", recording)
+        for seed in range(20):
+            suites.run_suite("convexity", seed=seed)
+        assert len(results) == 295
+        for res in results:
+            tail = res.table[len(res.table) // 2 :]
+            want = float(np.polyfit([t for t, _ in tail], [l for _, l in tail], 1)[0])
+            assert abs(res.slope - want) <= 1e-12 * max(1.0, abs(want))
+
 
 class TestCorollaryMin:
     def test_one_variable(self):

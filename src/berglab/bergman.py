@@ -298,7 +298,10 @@ def _problem(domain, F: Jet, J: JetIdeal) -> _Problem:
         chol, quad_error = domain._chol, domain.quad_error
     else:
         backend = "exact" if domain.exact and J.exact and is_exact(f) else "float"
-        weights = [domain.norm(a) if backend == "exact" else domain.norm_float(a) for a in idx]
+        # idx comes from the jet ideal's layout: its norms need no index check
+        weights = [domain._norm(a) for a in idx]
+        if backend != "exact":
+            weights = [domain._as_float(w) for w in weights]
         finite = [i for i, w in enumerate(weights) if w != math.inf]
         infinite = [i for i, w in enumerate(weights) if w == math.inf]
         chol = quad_error = None

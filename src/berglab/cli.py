@@ -3,17 +3,21 @@
 JSON problem specs in, JSON results and CSV tables out.  Exit codes:
 0 success, 1 theorem cross-check failure, 2 spec error (a field missing or
 of the wrong type, a radius <= 0, objects of different dimensions, a zero
-xi or F, a problem the construction does not support), 3 numerical failure.
+xi or F, a problem the construction does not support) or usage error, 3
+numerical failure.
+
+A process runs one command, so each command imports what only it uses:
+:mod:`berglab.sop` loads for ``sop``, ``cse`` and a t grid, and
+:mod:`berglab.suites` for ``suite``.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import math
 import sys
 from pathlib import Path
-
-import click
 
 from .bergman import (
     both_routes,
@@ -38,8 +42,6 @@ from .exactnum import encode, is_exact, value_float
 from .ideals import IdealPresentation, jet_ideal
 from .jets import Functional, Jet
 from .jsonspec import integer, json_list, json_object
-from .sop import effectiveness_report, t_grid_points, xi_cse_combinatorial, xi_cse_limit
-from .suites import run_suite
 
 EXIT_CROSSCHECK = 1
 EXIT_SPEC = 2
@@ -48,14 +50,22 @@ EXIT_NUMERICAL = 3
 # most points a "start:stop:step" t grid may have
 MAX_T_POINTS = 10_000
 
+
+class _Exit(Exception):
+    """Ends a command with exit code ``code``, ``message`` going to stderr."""
+
+    def __init__(self, code, message):
+        super().__init__(message)
+        self.code = code
+
+
 def _load_spec(path, *required):
     """The spec at ``path``, a JSON object holding each ``required`` field
     (else exit 2); the reader of each field checks it."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, ValueError) as exc:
-        click.echo(f"cannot read spec: {exc}", err=True)
-        sys.exit(EXIT_SPEC)
+        raise _Exit(EXIT_SPEC, f"cannot read spec: {exc}") from None
     return _build(lambda: json_object(data, "the spec", required))
 
 
@@ -133,6 +143,8 @@ def _parse_krange(text):
 
 
 def _parse_tgrid(text):
+    from .sop import t_grid_points
+
     a, b, step = (float(x) for x in text.split(":"))
     if not (math.isfinite(a) and math.isfinite(b) and step > 0):
         raise ValueError(f"t grid {text!r} needs finite ends and a positive step")
@@ -154,14 +166,11 @@ def _run(fn, spec_errors=()):
         return fn()
     except (JetSpaceTooLargeError, UnsupportedDomainError, DimensionMismatchError,
             *spec_errors) as exc:
-        click.echo(f"spec error: {exc}", err=True)
-        sys.exit(EXIT_SPEC)
+        raise _Exit(EXIT_SPEC, f"spec error: {exc}") from None
     except (QuadratureError, SingularMatrixError) as exc:
-        click.echo(f"numerical failure: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+        raise _Exit(EXIT_NUMERICAL, f"numerical failure: {exc}") from None
     except BerglabError as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_NUMERICAL)
+        raise _Exit(EXIT_NUMERICAL, f"error: {exc}") from None
 
 
 def _build(fn):
@@ -197,20 +206,6 @@ def _jet_and_ideal(data, mode=None):
     return Jet(F.n, max(F.degree_bound, level - 1), F.coeffs), gens, level
 
 
-spec_opt = click.option("--spec", "spec_path", required=True, type=click.Path())
-out_opt = click.option("--out", "out_dir", default=None, type=click.Path())
-mode_opt = click.option("--mode", type=click.Choice(["exact", "float"]), default=None)
-
-
-@click.group()
-def main():
-    """Bergman kernels, minimal L2 integrals, and effectiveness reports."""
-
-
-@main.command()
-@spec_opt
-@out_opt
-@mode_opt
 def equiv(spec_path, out_dir, mode):
     """Compare the projection and kernel-ratio values on one instance."""
     data = _load_spec(spec_path, "domain", "F", "ideal")
@@ -223,9 +218,9 @@ def equiv(spec_path, out_dir, mode):
 
     proj, ratio = _run(compute)
     agree, gap = routes_agree(proj.value, ratio.value)
-    click.echo(f"C  = {_fmt(proj.value)}")
-    click.echo(f"B' = {_fmt(ratio.value)}")
-    click.echo(f"gap = {gap:.3e}")
+    print(f"C  = {_fmt(proj.value)}")
+    print(f"B' = {_fmt(ratio.value)}")
+    print(f"gap = {gap:.3e}")
     result = {
         "C": encode(proj.value),
         "B_circle": encode(ratio.value),
@@ -237,15 +232,9 @@ def equiv(spec_path, out_dir, mode):
     )
     _write_outputs(out_dir, "equiv", result, csv_text)
     if not agree:
-        click.echo("cross-check failed: B' != C", err=True)
-        sys.exit(EXIT_CROSSCHECK)
+        raise _Exit(EXIT_CROSSCHECK, "cross-check failed: B' != C")
 
 
-@main.command()
-@spec_opt
-@out_opt
-@mode_opt
-@click.option("--k", "k_range", default="2..5", show_default=True)
 def ladder(spec_path, out_dir, mode, k_range):
     """Minimal L2 integrals along I + m^k for a range of k."""
     data = _load_spec(spec_path, "domain", "F", "generators")
@@ -259,8 +248,8 @@ def ladder(spec_path, out_dir, mode, k_range):
             f"{row.k},{_fmt(row.c_value)},{_fmt(row.b_value)},{row.gap():.17g}"
         )
     csv_text = "\n".join(lines) + "\n"
-    click.echo(csv_text.rstrip())
-    click.echo(f"stabilized: {result.stabilized}")
+    print(csv_text.rstrip())
+    print(f"stabilized: {result.stabilized}")
     _write_outputs(
         out_dir,
         "ladder",
@@ -275,13 +264,9 @@ def ladder(spec_path, out_dir, mode, k_range):
         csv_text,
     )
     if not all(routes_agree(r.c_value, r.b_value)[0] for r in result.rows):
-        click.echo("cross-check failed: B_k != C_k at some level", err=True)
-        sys.exit(EXIT_CROSSCHECK)
+        raise _Exit(EXIT_CROSSCHECK, "cross-check failed: B_k != C_k at some level")
 
 
-@main.command()
-@spec_opt
-@out_opt
 def exhaust(spec_path, out_dir):
     """Minimal L2 integrals along a nested family of domains."""
     data = _load_spec(spec_path, "domains", "F", "ideal")
@@ -298,7 +283,7 @@ def exhaust(spec_path, out_dir):
     rows = _run(compute)
     lines = ["i,C_i"] + [f"{i},{_fmt(v)}" for i, v in rows]
     csv_text = "\n".join(lines) + "\n"
-    click.echo(csv_text.rstrip())
+    print(csv_text.rstrip())
     _write_outputs(
         out_dir,
         "exhaust",
@@ -307,14 +292,9 @@ def exhaust(spec_path, out_dir):
     )
     vals = [value_float(v) for _, v in rows]
     if any(b < a - 1e-9 * max(1.0, abs(a)) for a, b in zip(vals, vals[1:])):
-        click.echo("cross-check failed: sequence not nondecreasing", err=True)
-        sys.exit(EXIT_CROSSCHECK)
+        raise _Exit(EXIT_CROSSCHECK, "cross-check failed: sequence not nondecreasing")
 
 
-@main.command()
-@spec_opt
-@out_opt
-@mode_opt
 def kernel(spec_path, out_dir, mode):
     """Kernel value at the origin for a coefficient functional."""
     data = _load_spec(spec_path, "domain", "xi")
@@ -322,13 +302,10 @@ def kernel(spec_path, out_dir, mode):
     xi = _build(lambda: _nonzero(Functional.from_json(data["xi"], "xi"), "xi"))
     _build(lambda: _insist_exact(mode, xi.entries))
     value = _run(lambda: kernel_at_origin(domain, xi))
-    click.echo(f"K = {_fmt(value)}")
+    print(f"K = {_fmt(value)}")
     _write_outputs(out_dir, "kernel", {"K": encode(value)}, f"K\n{_fmt(value)}\n")
 
 
-@main.command()
-@spec_opt
-@out_opt
 def basis(spec_path, out_dir):
     """Triangular orthonormal basis up to a degree bound."""
     data = _load_spec(spec_path, "domain", "degree")
@@ -341,7 +318,7 @@ def basis(spec_path, out_dir):
         coeffs = ";".join(f"{v.real:.17g}{v.imag:+.17g}i" for v in col)
         lines.append(f"{''.join(map(str, alpha))},{coeffs}")
     csv_text = "\n".join(lines) + "\n"
-    click.echo(csv_text.rstrip())
+    print(csv_text.rstrip())
     _write_outputs(
         out_dir,
         "basis",
@@ -350,18 +327,17 @@ def basis(spec_path, out_dir):
     )
 
 
-@main.command(name="sop")
-@spec_opt
-@out_opt
 def sop_cmd(spec_path, out_dir):
     """Effectiveness report for (domain, F, weight)."""
+    from .sop import effectiveness_report
+
     data = _load_spec(spec_path, "domain", "F", "weight")
     domain = _build(lambda: _load_diagonal(data["domain"], "sop"))
     F = _build(lambda: Jet.from_json(data["F"], "F"))
     phi = _build(lambda: ToricWeight.from_json(data["weight"]))
     # a zero F has no jumping number (ValueError): a spec error
     rep = _run(lambda: effectiveness_report(domain, F, phi), (ValueError,))
-    click.echo(rep.text_table())
+    print(rep.text_table())
     csv_lines = ["quantity,value"]
     for key, v in rep.to_json().items():
         if key in ("diagnostics", "ideal_plus"):
@@ -370,12 +346,10 @@ def sop_cmd(spec_path, out_dir):
     _write_outputs(out_dir, "sop", rep.to_json(), "\n".join(csv_lines) + "\n")
 
 
-@main.command()
-@spec_opt
-@out_opt
-@click.option("--t", "t_grid", default="1:10:1", show_default=True)
 def cse(spec_path, out_dir, t_grid):
     """Sublevel-kernel growth rate of a functional against a toric weight."""
+    from .sop import xi_cse_combinatorial, xi_cse_limit
+
     data = _load_spec(spec_path, "domain", "xi", "weight")
     domain = _build(lambda: _load_diagonal(data["domain"], "cse"))
     xi = _build(lambda: _nonzero(Functional.from_json(data["xi"], "xi"), "xi"))
@@ -389,20 +363,15 @@ def cse(spec_path, out_dir, t_grid):
     res, gamma = _run(compute)
     lines = ["t,logK"] + [f"{t:.17g},{lk:.17g}" for t, lk in res.table]
     csv_text = "\n".join(lines) + "\n"
-    click.echo(csv_text.rstrip())
-    click.echo(f"slope = {res.slope:.12g}  combinatorial = {float(gamma):.12g}")
+    print(csv_text.rstrip())
+    print(f"slope = {res.slope:.12g}  combinatorial = {float(gamma):.12g}")
     payload = res.to_json()
     payload["combinatorial"] = encode(gamma)
     _write_outputs(out_dir, "cse", payload, csv_text)
     if not res.convex:
-        click.echo("cross-check failed: log K not convex along the grid", err=True)
-        sys.exit(EXIT_CROSSCHECK)
+        raise _Exit(EXIT_CROSSCHECK, "cross-check failed: log K not convex along the grid")
 
 
-@main.command()
-@spec_opt
-@out_opt
-@click.option("--k", "k_range", default="2..5", show_default=True)
 def density(spec_path, out_dir, k_range):
     """Distances from F to the rescaled kernel representatives."""
     data = _load_spec(spec_path, "domain", "F", "generators")
@@ -413,7 +382,7 @@ def density(spec_path, out_dir, k_range):
     rows = _run(lambda: density_sequence(domain, F, gens, ks))
     lines = ["k,distance"] + [f"{k},{dist:.17g}" for k, dist in rows]
     csv_text = "\n".join(lines) + "\n"
-    click.echo(csv_text.rstrip())
+    print(csv_text.rstrip())
     _write_outputs(
         out_dir,
         "density",
@@ -422,15 +391,12 @@ def density(spec_path, out_dir, k_range):
     )
 
 
-@main.command()
-@click.argument("name")
-@out_opt
-@click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--count", type=int, default=None)
 def suite(name, out_dir, seed, count):
     """Run a named verification suite (equivalence|sop|convexity|density)."""
+    from .suites import run_suite
+
     result = _run(lambda: run_suite(name, seed=seed, count=count), (ValueError,))
-    click.echo(result.summary())
+    print(result.summary())
     _write_outputs(
         out_dir,
         f"suite_{name}",
@@ -444,10 +410,83 @@ def suite(name, out_dir, seed, count):
         result.to_csv(),
     )
     if not result.ok:
-        for i, note in result.failures:
-            click.echo(f"  instance {i}: {note}", err=True)
-        sys.exit(EXIT_CROSSCHECK)
+        notes = (f"  instance {i}: {note}" for i, note in result.failures)
+        raise _Exit(EXIT_CROSSCHECK, "\n".join(notes))
+
+
+SPEC = ("--spec", {"dest": "spec_path", "required": True, "metavar": "PATH"})
+OUT = ("--out", {"dest": "out_dir", "metavar": "PATH"})
+MODE = ("--mode", {"choices": ("exact", "float")})
+K_RANGE = ("--k", {"dest": "k_range", "default": "2..5", "help": "default: %(default)s"})
+
+# each command, its name and its options, in the order of --help
+COMMANDS = (
+    (equiv, "equiv", (SPEC, OUT, MODE)),
+    (ladder, "ladder", (SPEC, OUT, MODE, K_RANGE)),
+    (exhaust, "exhaust", (SPEC, OUT)),
+    (kernel, "kernel", (SPEC, OUT, MODE)),
+    (basis, "basis", (SPEC, OUT)),
+    (sop_cmd, "sop", (SPEC, OUT)),
+    (cse, "cse", (SPEC, OUT, ("--t", {"dest": "t_grid", "default": "1:10:1",
+                                      "help": "default: %(default)s"}))),
+    (density, "density", (SPEC, OUT, K_RANGE)),
+    (suite, "suite", (("name", {}), OUT,
+                      ("--seed", {"type": int, "default": 0, "help": "default: %(default)s"}),
+                      ("--count", {"type": int}))),
+)
+
+
+# the options, every one of which takes a value
+VALUE_OPTIONS = {flag for _, _, options in COMMANDS for flag, _ in options if flag[0] == "-"}
+
+
+def _attach_values(argv):
+    """``argv`` with each ``--option value`` written ``--option=value``: an
+    option's value is the next argument, whatever it starts with, so
+    ``--t -inf:10:1`` is a t grid rather than an unknown option."""
+    out, args = [], iter(argv)
+    for arg in args:
+        if arg in VALUE_OPTIONS:
+            value = next(args, None)
+            if value is not None:
+                arg = f"{arg}={value}"
+        out.append(arg)
+    return out
+
+
+def _parser(prog_name):
+    parser = argparse.ArgumentParser(
+        prog=prog_name,
+        description="Bergman kernels, minimal L2 integrals, and effectiveness reports.",
+        allow_abbrev=False,
+    )
+    commands = parser.add_subparsers(metavar="COMMAND", required=True)
+    for fn, name, options in COMMANDS:
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__,
+                                  allow_abbrev=False)
+        sub.set_defaults(command=fn)
+        for flag, kwargs in options:
+            sub.add_argument(flag, **kwargs)
+    return parser
+
+
+def main(argv=None, prog_name="berglab") -> int:
+    """Run the command named in ``argv`` (default ``sys.argv[1:]``) and
+    return its exit code; a usage error is exit 2, ``--help`` exit 0."""
+    try:
+        args = vars(_parser(prog_name).parse_args(
+            _attach_values(sys.argv[1:] if argv is None else argv)))
+    except SystemExit as exc:  # argparse exits after --help or a usage error
+        return exc.code
+    command = args.pop("command")
+    try:
+        command(**args)
+    except _Exit as exc:
+        sys.stdout.flush()
+        print(exc, file=sys.stderr)
+        return exc.code
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -277,7 +277,11 @@ class DiagonalDomain:
             cached = self._norm_cache.get(alpha)
             if cached is not None:
                 return cached
-        alpha = validate_index(alpha, self.n)
+        return self._norm(validate_index(alpha, self.n))
+
+    def _norm(self, alpha):
+        """:meth:`norm` of a multi-index the package built, such as a jet
+        ideal's: unchecked."""
         cached = self._norm_cache.get(alpha)
         if cached is None:
             try:
@@ -290,7 +294,10 @@ class DiagonalDomain:
         return cached
 
     def norm_float(self, alpha):
-        v = self.norm(alpha)
+        return self._as_float(self.norm(alpha))
+
+    def _as_float(self, v):
+        """A norm as a float: in exact mode, times the implicit pi**n."""
         if v == math.inf:
             return math.inf
         if self.exact:

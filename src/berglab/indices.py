@@ -14,9 +14,10 @@ Every jet ideal in n variables reads one :class:`Layout` of that dimension
 (:func:`layout`): the multi-indices in the graded order, with, for each
 variable, the position that multiplying by it moves each index to.  The
 indices below degree k are a prefix of those below k + 1, so one layout
-serves every level; it is grown when a higher degree is asked for, never
-past ``MAX_JET_INDICES`` indices, and it is made of tuples, so the ideals
-that share it cannot change one another's indices.
+serves every level; it is grown, at least doubling its degree, when a
+higher degree is asked for, never past ``MAX_JET_INDICES`` indices, and it
+is made of tuples, so the ideals that share it cannot change one another's
+indices.
 """
 
 from __future__ import annotations
@@ -152,12 +153,25 @@ class Layout:
 _LAYOUTS = {}
 
 
+def _top_degree(n: int) -> int:
+    """The largest degree whose layout in n variables has at most
+    ``MAX_JET_INDICES`` indices."""
+    for d in range(MAX_JET_INDICES):
+        if math.comb(n + d + 1, n) > MAX_JET_INDICES:
+            return d
+    return MAX_JET_INDICES
+
+
 def layout(n: int, top: int) -> Layout:
     """The shared layout of dimension n, grown to degree ``top`` or more.
+    It grows to at least twice its old degree, short of the cap, so a
+    ladder climbing one level at a time rebuilds it O(log k) times.
     Raises JetSpaceTooLargeError, growing nothing, when the indices of
     degree <= top number more than ``MAX_JET_INDICES``."""
     lay = _LAYOUTS.get(n)
     if lay is None or lay.top < top:
         check_jet_space(n, top + 1)
+        if lay is not None:
+            top = max(top, min(2 * lay.top, _top_degree(n)))
         lay = _LAYOUTS[n] = Layout(n, top)
     return lay

@@ -1,14 +1,16 @@
 """CLI behavior: dispatch, schema validation, exit codes, determinism."""
 
 import hashlib
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
-from click.testing import CliRunner
 
-from berglab import bergman, cli
+from berglab import bergman, cli, suites
 from berglab.cli import main
 from berglab.errors import BerglabError
 from berglab.exactnum import PiValue
@@ -118,9 +120,20 @@ def reject_constant(token):
     raise ValueError(f"invalid JSON constant {token}")
 
 
-@pytest.fixture
-def runner():
-    return CliRunner()
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+
+def run_cli(args):
+    """Run ``berglab <args>`` in-process: its exit code, stdout and stderr.
+    An exception out of ``main`` fails the calling test."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(args)
+    return CliResult(code, out.getvalue(), err.getvalue())
 
 
 def write_spec(tmp_path, data, name="spec.json"):
@@ -129,27 +142,48 @@ def write_spec(tmp_path, data, name="spec.json"):
     return str(p)
 
 
+class TestUsage:
+    def test_help_exit_0(self):
+        result = run_cli(["--help"])
+        assert result.exit_code == 0, result.stderr
+        for command in ("equiv", "ladder", "exhaust", "kernel", "basis", "sop", "cse",
+                        "density", "suite"):
+            assert command in result.stdout
+
+    @pytest.mark.parametrize(
+        "args",
+        [[], ["nope"], ["equiv"], ["equiv", "--spec"], ["suite"],
+         ["suite", "equivalence", "--seed", "x"], ["equiv", "--spec", "s.json", "--mode", "fast"]],
+        ids=["no-command", "unknown-command", "no-spec", "spec-without-value", "no-suite-name",
+             "seed-not-an-integer", "unknown-mode"],
+    )
+    def test_usage_error_exit_2(self, args):
+        result = run_cli(args)
+        assert result.exit_code == 2
+        assert result.stdout == "" and "usage: berglab" in result.stderr
+
+
 class TestEquiv:
-    def test_disc_example(self, runner, tmp_path):
+    def test_disc_example(self, tmp_path):
         spec = write_spec(tmp_path, DISC_Z_SQUARED)
         out = tmp_path / "out"
-        result = runner.invoke(main, ["equiv", "--spec", spec, "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        assert f"{math.pi/2:.17g}"[:10] in result.output
+        result = run_cli(["equiv", "--spec", spec, "--out", str(out)])
+        assert result.exit_code == 0, result.stderr
+        assert f"{math.pi/2:.17g}"[:10] in result.stdout
         data = json.loads((out / "equiv.json").read_text())
         assert data["C"] == {"pi_power": 1, "rational": "1/2"}
         assert data["B_circle"] == data["C"]
 
-    def test_float_mode(self, runner, tmp_path):
+    def test_float_mode(self, tmp_path):
         spec = write_spec(tmp_path, DISC_Z_SQUARED)
-        result = runner.invoke(main, ["equiv", "--spec", spec, "--mode", "float"])
+        result = run_cli(["equiv", "--spec", spec, "--mode", "float"])
         assert result.exit_code == 0
 
-    def test_exact_mode(self, runner, tmp_path):
+    def test_exact_mode(self, tmp_path):
         spec = write_spec(tmp_path, DISC_Z_SQUARED)
-        result = runner.invoke(main, ["equiv", "--spec", spec, "--mode", "exact"])
-        assert result.exit_code == 0, result.output
-        assert "gap = 0.000e+00" in result.output
+        result = run_cli(["equiv", "--spec", spec, "--mode", "exact"])
+        assert result.exit_code == 0, result.stderr
+        assert "gap = 0.000e+00" in result.stdout
 
     @pytest.mark.parametrize(
         "domain",
@@ -159,11 +193,11 @@ class TestEquiv:
         ],
         ids=["float-radius", "offcenter-disc"],
     )
-    def test_exact_mode_without_exact_norms_exit_2(self, runner, tmp_path, domain):
+    def test_exact_mode_without_exact_norms_exit_2(self, tmp_path, domain):
         spec = write_spec(tmp_path, dict(DISC_Z_SQUARED, domain=domain))
-        result = runner.invoke(main, ["equiv", "--spec", spec, "--mode", "exact"])
-        assert result.exit_code == 2, result.output
-        assert "spec error" in result.output
+        result = run_cli(["equiv", "--spec", spec, "--mode", "exact"])
+        assert result.exit_code == 2, result.stderr
+        assert "spec error" in result.stderr
 
     @pytest.mark.parametrize(
         "command, spec",
@@ -186,22 +220,22 @@ class TestEquiv:
         ],
         ids=["equiv-F", "ladder-generator", "kernel-xi"],
     )
-    def test_exact_mode_non_exact_coefficient_exit_2(self, runner, tmp_path, command, spec):
+    def test_exact_mode_non_exact_coefficient_exit_2(self, tmp_path, command, spec):
         # a JSON number is a float coefficient: --mode exact refuses it
-        result = runner.invoke(main, [command, "--spec", write_spec(tmp_path, spec)])
-        assert result.exit_code == 0, result.output
-        result = runner.invoke(
-            main, [command, "--spec", write_spec(tmp_path, spec), "--mode", "exact"]
+        result = run_cli([command, "--spec", write_spec(tmp_path, spec)])
+        assert result.exit_code == 0, result.stderr
+        result = run_cli(
+            [command, "--spec", write_spec(tmp_path, spec), "--mode", "exact"]
         )
-        assert result.exit_code == 2, result.output
-        assert "spec error: --mode exact: a coefficient is not exact" in result.output
+        assert result.exit_code == 2, result.stderr
+        assert "spec error: --mode exact: a coefficient is not exact" in result.stderr
 
-    def test_missing_field_exit_2(self, runner, tmp_path):
+    def test_missing_field_exit_2(self, tmp_path):
         bad = {"domain": {"kind": "polydisc", "radii": [1]}}
         spec = write_spec(tmp_path, bad)
-        result = runner.invoke(main, ["equiv", "--spec", spec])
+        result = run_cli(["equiv", "--spec", spec])
         assert result.exit_code == 2
-        assert "F" in result.output
+        assert "F" in result.stderr
 
     @pytest.mark.parametrize(
         "command, path, value",
@@ -248,7 +282,7 @@ class TestEquiv:
             "cse-weight-on-ball",
         ],
     )
-    def test_rejected_spec_exit_2(self, runner, tmp_path, command, path, value):
+    def test_rejected_spec_exit_2(self, tmp_path, command, path, value):
         bad = json.loads(json.dumps(DISC_Z_SQUARED))
         if command == "exhaust":
             bad["domains"] = [bad.pop("domain")]
@@ -264,41 +298,41 @@ class TestEquiv:
             node = node[key]
         node[path[-1]] = value
         spec = write_spec(tmp_path, bad)
-        result = runner.invoke(main, [command, "--spec", spec])
-        assert result.exit_code == 2, result.output
-        assert "spec error" in result.output
+        result = run_cli([command, "--spec", spec])
+        assert result.exit_code == 2, result.stderr
+        assert "spec error" in result.stderr
 
-    def test_malformed_json_exit_2(self, runner, tmp_path):
+    def test_malformed_json_exit_2(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text("{not json")
-        result = runner.invoke(main, ["equiv", "--spec", str(p)])
+        result = run_cli(["equiv", "--spec", str(p)])
         assert result.exit_code == 2
 
-    def test_gaussian_json_bytes(self, runner, tmp_path):
+    def test_gaussian_json_bytes(self, tmp_path):
         # a real entry of an exact result is written {"re": "a", "im": "0"}
         # whether it is a Fraction or a QQi: these are the bytes written
         # when every entry of a Gaussian result was a QQi
         spec = write_spec(tmp_path, GAUSSIAN_BIDISC)
         out = tmp_path / "out"
-        result = runner.invoke(main, ["equiv", "--spec", spec, "--out", str(out)])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["equiv", "--spec", spec, "--out", str(out)])
+        assert result.exit_code == 0, result.stderr
         data = (out / "equiv.json").read_bytes()
         assert b'"re": "3",' in data and b'"re": "27/4",' in data
         assert hashlib.sha256(data).hexdigest() == (
             "ca0ab7effa581408e73d7767e2f51bed64c56124a53dad994690ed025d44f999"
         )
 
-    def test_no_tolerance_option(self, runner, tmp_path):
+    def test_no_tolerance_option(self, tmp_path):
         spec = write_spec(tmp_path, DISC_Z_SQUARED)
-        result = runner.invoke(main, ["equiv", "--spec", spec, "--tol", "1e-8"])
+        result = run_cli(["equiv", "--spec", spec, "--tol", "1e-8"])
         assert result.exit_code == 2
 
-    def test_both_routes_infinite_gap_0(self, runner, tmp_path):
+    def test_both_routes_infinite_gap_0(self, tmp_path):
         spec = write_spec(tmp_path, WEIGHTED_DISC_INFINITE)
         out = tmp_path / "out"
-        result = runner.invoke(main, ["equiv", "--spec", spec, "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        assert "gap = 0.000e+00" in result.output
+        result = run_cli(["equiv", "--spec", spec, "--out", str(out)])
+        assert result.exit_code == 0, result.stderr
+        assert "gap = 0.000e+00" in result.stdout
         assert "gap,0\n" in (out / "equiv.csv").read_text()
         data = json.loads((out / "equiv.json").read_text(), parse_constant=reject_constant)
         assert data["gap"] == 0
@@ -320,29 +354,29 @@ def off_by_pi_e12(real_kernel_ratio):
 class TestCrossCheck:
     """An exact C != B is a cross-check failure, however small the gap."""
 
-    def test_equiv_exact_mismatch_exit_1(self, runner, tmp_path, monkeypatch):
+    def test_equiv_exact_mismatch_exit_1(self, tmp_path, monkeypatch):
         monkeypatch.setattr(bergman, "_kernel_ratio", off_by_pi_e12(bergman._kernel_ratio))
         spec = write_spec(tmp_path, DISC_Z_SQUARED)
-        result = runner.invoke(main, ["equiv", "--spec", spec])
-        assert result.exit_code == 1, result.output
-        assert "cross-check failed" in result.output
+        result = run_cli(["equiv", "--spec", spec])
+        assert result.exit_code == 1, result.stderr
+        assert "cross-check failed" in result.stderr
 
-    def test_ladder_exact_mismatch_exit_1(self, runner, tmp_path, monkeypatch):
+    def test_ladder_exact_mismatch_exit_1(self, tmp_path, monkeypatch):
         monkeypatch.setattr(bergman, "_kernel_ratio", off_by_pi_e12(bergman._kernel_ratio))
         spec = write_spec(tmp_path, TWISTED_CUSP)
-        result = runner.invoke(main, ["ladder", "--spec", spec, "--k", "2..5"])
-        assert result.exit_code == 1, result.output
-        assert "cross-check failed" in result.output
+        result = run_cli(["ladder", "--spec", spec, "--k", "2..5"])
+        assert result.exit_code == 1, result.stderr
+        assert "cross-check failed" in result.stderr
 
 
 class TestLadder:
-    def test_twisted_cusp_csv(self, runner, tmp_path):
+    def test_twisted_cusp_csv(self, tmp_path):
         spec = write_spec(tmp_path, TWISTED_CUSP)
         out = tmp_path / "out"
-        result = runner.invoke(
-            main, ["ladder", "--spec", spec, "--k", "2..5", "--out", str(out)]
+        result = run_cli(
+            ["ladder", "--spec", spec, "--k", "2..5", "--out", str(out)]
         )
-        assert result.exit_code == 0, result.output
+        assert result.exit_code == 0, result.stderr
         lines = (out / "ladder.csv").read_text().strip().splitlines()
         assert lines[0] == "k,C_k,B_k,gap"
         assert lines[1].startswith("2,0,0,")
@@ -352,25 +386,24 @@ class TestLadder:
         assert data["stabilized"] is True
         assert data["limit"] == {"pi_power": 2, "rational": "1/5"}
 
-    def test_both_routes_infinite_gap_0(self, runner, tmp_path):
+    def test_both_routes_infinite_gap_0(self, tmp_path):
         data = dict(WEIGHTED_DISC_INFINITE)
         data["generators"] = data.pop("ideal")["generators"]
         spec = write_spec(tmp_path, data)
-        result = runner.invoke(main, ["ladder", "--spec", spec, "--k", "2..3"])
-        assert result.exit_code == 0, result.output
-        rows = result.output.strip().splitlines()[1:3]
+        result = run_cli(["ladder", "--spec", spec, "--k", "2..3"])
+        assert result.exit_code == 0, result.stderr
+        rows = result.stdout.strip().splitlines()[1:3]
         assert [row.split(",") for row in rows] == [
             ["2", "inf", "inf", "0"],
             ["3", "inf", "inf", "0"],
         ]
 
-    def test_deterministic_csv_bytes(self, runner, tmp_path):
+    def test_deterministic_csv_bytes(self, tmp_path):
         spec = write_spec(tmp_path, TWISTED_CUSP)
         outs = []
         for d in ("a", "b"):
             out = tmp_path / d
-            result = runner.invoke(
-                main,
+            result = run_cli(
                 ["ladder", "--spec", spec, "--k", "2..5", "--out", str(out)],
             )
             assert result.exit_code == 0
@@ -379,7 +412,7 @@ class TestLadder:
 
 
 class TestKernelBasis:
-    def test_kernel_value(self, runner, tmp_path):
+    def test_kernel_value(self, tmp_path):
         spec = write_spec(
             tmp_path,
             {
@@ -393,22 +426,22 @@ class TestKernelBasis:
                 },
             },
         )
-        result = runner.invoke(main, ["kernel", "--spec", spec])
+        result = run_cli(["kernel", "--spec", spec])
         assert result.exit_code == 0
-        assert float(result.output.split("=")[1]) == pytest.approx(3 / math.pi)
+        assert float(result.stdout.split("=")[1]) == pytest.approx(3 / math.pi)
 
-    def test_basis(self, runner, tmp_path):
+    def test_basis(self, tmp_path):
         spec = write_spec(
             tmp_path,
             {"domain": {"kind": "polydisc", "radii": [1]}, "degree": 2},
         )
-        result = runner.invoke(main, ["basis", "--spec", spec])
+        result = run_cli(["basis", "--spec", spec])
         assert result.exit_code == 0
-        assert "alpha,coefficients" in result.output
+        assert "alpha,coefficients" in result.stdout
 
 
 class TestSopCse:
-    def test_sop_report(self, runner, tmp_path):
+    def test_sop_report(self, tmp_path):
         spec = write_spec(
             tmp_path,
             {
@@ -418,13 +451,13 @@ class TestSopCse:
             },
         )
         out = tmp_path / "out"
-        result = runner.invoke(main, ["sop", "--spec", spec, "--out", str(out)])
-        assert result.exit_code == 0, result.output
+        result = run_cli(["sop", "--spec", spec, "--out", str(out)])
+        assert result.exit_code == 0, result.stderr
         data = json.loads((out / "sop.json").read_text())
         assert data["sharp"] is True
         assert data["p_max"] == "2"
 
-    def test_cse(self, runner, tmp_path):
+    def test_cse(self, tmp_path):
         spec = write_spec(
             tmp_path,
             {
@@ -433,11 +466,11 @@ class TestSopCse:
                 "weight": {"a": ["1"]},
             },
         )
-        result = runner.invoke(main, ["cse", "--spec", spec, "--t", "1:8:1"])
-        assert result.exit_code == 0, result.output
-        assert "slope = 2" in result.output
+        result = run_cli(["cse", "--spec", spec, "--t", "1:8:1"])
+        assert result.exit_code == 0, result.stderr
+        assert "slope = 2" in result.stdout
 
-    def test_cse_underflow_exit_3(self, runner, tmp_path):
+    def test_cse_underflow_exit_3(self, tmp_path):
         # ||z1 z2||^2 on {log|z1|^2 + log|z2|^2 < -t} is about e^-2t: 0.0 at t = 400
         spec = write_spec(
             tmp_path,
@@ -447,12 +480,11 @@ class TestSopCse:
                 "weight": {"a": ["1", "1"]},
             },
         )
-        result = runner.invoke(main, ["cse", "--spec", spec, "--t", "100:400:100"])
-        assert result.exit_code == 3, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert "numerical failure" in result.output
+        result = run_cli(["cse", "--spec", spec, "--t", "100:400:100"])
+        assert result.exit_code == 3, result.stderr
+        assert "numerical failure" in result.stderr
 
-    def test_cse_overflow_exit_3(self, runner, tmp_path):
+    def test_cse_overflow_exit_3(self, tmp_path):
         # ||z1^600||^2 on the sublevel sets of the radius-2 bidisc is about
         # 2^1202: past the float range
         spec = write_spec(
@@ -463,14 +495,13 @@ class TestSopCse:
                 "weight": {"a": ["1", "1"]},
             },
         )
-        result = runner.invoke(main, ["cse", "--spec", spec])
-        assert result.exit_code == 3, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert "numerical failure" in result.output
+        result = run_cli(["cse", "--spec", spec])
+        assert result.exit_code == 3, result.stderr
+        assert "numerical failure" in result.stderr
 
 
 class TestExhaustDensity:
-    def test_exhaust(self, runner, tmp_path):
+    def test_exhaust(self, tmp_path):
         spec = write_spec(
             tmp_path,
             {
@@ -488,14 +519,14 @@ class TestExhaustDensity:
                 },
             },
         )
-        result = runner.invoke(main, ["exhaust", "--spec", spec])
-        assert result.exit_code == 0, result.output
-        lines = result.output.strip().splitlines()
+        result = run_cli(["exhaust", "--spec", spec])
+        assert result.exit_code == 0, result.stderr
+        lines = result.stdout.strip().splitlines()
         vals = [float(line.split(",")[1]) for line in lines[1:4]]
         assert vals == sorted(vals)
         assert vals[-1] == pytest.approx(math.pi / 2, rel=1e-12)
 
-    def test_density(self, runner, tmp_path):
+    def test_density(self, tmp_path):
         spec = write_spec(
             tmp_path,
             {
@@ -506,9 +537,9 @@ class TestExhaustDensity:
                 ],
             },
         )
-        result = runner.invoke(main, ["density", "--spec", spec, "--k", "2..4"])
-        assert result.exit_code == 0, result.output
-        for line in result.output.strip().splitlines()[1:]:
+        result = run_cli(["density", "--spec", spec, "--k", "2..4"])
+        assert result.exit_code == 0, result.stderr
+        for line in result.stdout.strip().splitlines()[1:]:
             assert float(line.split(",")[1]) <= 1e-10
 
 
@@ -553,23 +584,21 @@ class TestSpecRanges:
             "cse-step-underflows",
         ],
     )
-    def test_bad_range_exit_2(self, runner, tmp_path, command, option, value):
+    def test_bad_range_exit_2(self, tmp_path, command, option, value):
         spec = write_spec(tmp_path, DIAGONAL_SPECS[command])
-        result = runner.invoke(main, [command, "--spec", spec, option, value])
-        assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert "spec error" in result.output
+        result = run_cli([command, "--spec", spec, option, value])
+        assert result.exit_code == 2, result.stderr
+        assert "spec error" in result.stderr
 
     @pytest.mark.parametrize(
         "command, key, value",
         [("ladder", "k_range", "5..2"), ("density", "k_range", "5..2"), ("cse", "t_grid", "1:3:1")],
     )
-    def test_bad_range_in_spec_exit_2(self, runner, tmp_path, command, key, value):
+    def test_bad_range_in_spec_exit_2(self, tmp_path, command, key, value):
         spec = write_spec(tmp_path, dict(DIAGONAL_SPECS[command], **{key: value}))
-        result = runner.invoke(main, [command, "--spec", spec])
-        assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert "spec error" in result.output
+        result = run_cli([command, "--spec", spec])
+        assert result.exit_code == 2, result.stderr
+        assert "spec error" in result.stderr
 
     @pytest.mark.parametrize(
         "command, key, value",
@@ -579,12 +608,11 @@ class TestSpecRanges:
             ("cse", "t_grid", [1, 2, 3, 4]),
         ],
     )
-    def test_range_given_as_list_exit_2(self, runner, tmp_path, command, key, value):
+    def test_range_given_as_list_exit_2(self, tmp_path, command, key, value):
         spec = write_spec(tmp_path, dict(DIAGONAL_SPECS[command], **{key: value}))
-        result = runner.invoke(main, [command, "--spec", spec])
-        assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert f"spec error: {key} must be a string" in result.output
+        result = run_cli([command, "--spec", spec])
+        assert result.exit_code == 2, result.stderr
+        assert f"spec error: {key} must be a string" in result.stderr
 
     @pytest.mark.parametrize(
         "command, spec, args",
@@ -612,11 +640,10 @@ class TestSpecRanges:
         ],
         ids=["ladder-k-100000", "equiv-level-100000", "sop-degree-400", "basis-degree-300"],
     )
-    def test_jet_space_past_cap_exit_2(self, runner, tmp_path, command, spec, args):
-        result = runner.invoke(main, [command, "--spec", write_spec(tmp_path, spec), *args])
-        assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert "spec error: the jet space of level" in result.output
+    def test_jet_space_past_cap_exit_2(self, tmp_path, command, spec, args):
+        result = run_cli([command, "--spec", write_spec(tmp_path, spec), *args])
+        assert result.exit_code == 2, result.stderr
+        assert "spec error: the jet space of level" in result.stderr
 
     def test_t_grid_point_cap(self):
         assert len(cli._parse_tgrid(f"0:{cli.MAX_T_POINTS - 1}:1")) == cli.MAX_T_POINTS
@@ -624,13 +651,12 @@ class TestSpecRanges:
             cli._parse_tgrid(f"0:{cli.MAX_T_POINTS}:1")
 
     @pytest.mark.parametrize("command", ["sop", "cse", "density"])
-    def test_moment_domain_exit_2(self, runner, tmp_path, command):
+    def test_moment_domain_exit_2(self, tmp_path, command):
         domain = {"kind": "offcenter_disc", "center": [0.2, 0.1], "radius": 0.9}
         spec = write_spec(tmp_path, dict(DIAGONAL_SPECS[command], domain=domain))
-        result = runner.invoke(main, [command, "--spec", spec])
-        assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert f"spec error: {command} needs a diagonal domain" in result.output
+        result = run_cli([command, "--spec", spec])
+        assert result.exit_code == 2, result.stderr
+        assert f"spec error: {command} needs a diagonal domain" in result.stderr
 
 
     OFFCENTER = {"kind": "offcenter_disc", "center": [0.1, 0.0], "radius": 1.0}
@@ -669,12 +695,11 @@ class TestSpecRanges:
         ],
         ids=["equiv-level-7", "ladder-k-8", "equiv-degree-12", "basis-degree-12", "kernel-z6"],
     )
-    def test_past_moment_data_exit_2(self, runner, tmp_path, command, spec, args):
+    def test_past_moment_data_exit_2(self, tmp_path, command, spec, args):
         # the off-center disc's moment matrix has degree 4 unless set
-        result = runner.invoke(main, [command, "--spec", write_spec(tmp_path, spec), *args])
-        assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert "spec error: " in result.output
+        result = run_cli([command, "--spec", write_spec(tmp_path, spec), *args])
+        assert result.exit_code == 2, result.stderr
+        assert "spec error: " in result.stderr
 
     @pytest.mark.parametrize(
         "command, spec",
@@ -715,40 +740,38 @@ class TestSpecRanges:
         ],
         ids=["truncated-over-truncated", "sublevel-exhaustion-decreasing"],
     )
-    def test_cut_spec_error_exit_2(self, runner, tmp_path, command, spec):
-        result = runner.invoke(main, [command, "--spec", write_spec(tmp_path, spec)])
-        assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert "spec error: " in result.output
+    def test_cut_spec_error_exit_2(self, tmp_path, command, spec):
+        result = run_cli([command, "--spec", write_spec(tmp_path, spec)])
+        assert result.exit_code == 2, result.stderr
+        assert "spec error: " in result.stderr
 
 
 class TestSuite:
-    def test_equivalence_suite(self, runner):
-        result = runner.invoke(
-            main, ["suite", "equivalence", "--seed", "7", "--count", "10"]
+    def test_equivalence_suite(self):
+        result = run_cli(
+            ["suite", "equivalence", "--seed", "7", "--count", "10"]
         )
-        assert result.exit_code == 0, result.output
-        assert "10/10 PASS" in result.output
+        assert result.exit_code == 0, result.stderr
+        assert "10/10 PASS" in result.stdout
 
-    def test_unknown_suite_exit_2(self, runner):
-        result = runner.invoke(main, ["suite", "nope"])
+    def test_unknown_suite_exit_2(self):
+        result = run_cli(["suite", "nope"])
         assert result.exit_code == 2
 
-    def test_library_error_exit_3(self, runner, monkeypatch):
+    def test_library_error_exit_3(self, monkeypatch):
         def failing(name, seed=0, count=None):
             raise BerglabError("injected")
 
-        monkeypatch.setattr(cli, "run_suite", failing)
-        result = runner.invoke(main, ["suite", "equivalence"])
+        monkeypatch.setattr(suites, "run_suite", failing)
+        result = run_cli(["suite", "equivalence"])
         assert result.exit_code == 3
-        assert "error: injected" in result.output
+        assert "error: injected" in result.stderr
 
-    def test_suite_deterministic(self, runner, tmp_path):
+    def test_suite_deterministic(self, tmp_path):
         outs = []
         for d in ("a", "b"):
             out = tmp_path / d
-            result = runner.invoke(
-                main,
+            result = run_cli(
                 ["suite", "density", "--seed", "3", "--count", "4", "--out", str(out)],
             )
             assert result.exit_code == 0
@@ -922,7 +945,7 @@ class TestMalformedSpec:
     field, never a traceback or a run on other data."""
 
     @pytest.mark.parametrize("base, path, value, message", MALFORMED.values(), ids=MALFORMED)
-    def test_malformed_spec_exit_2(self, runner, tmp_path, base, path, value, message):
+    def test_malformed_spec_exit_2(self, tmp_path, base, path, value, message):
         command = base.split("-")[-1]
         spec = json.loads(json.dumps(MALFORMED_BASES[base]))
         if not path:
@@ -935,11 +958,10 @@ class TestMalformedSpec:
                 del node[path[-1]]
             else:
                 node[path[-1]] = value
-        result = runner.invoke(main, [command, "--spec", write_spec(tmp_path, spec)])
-        assert result.exit_code == 2, result.output
-        assert isinstance(result.exception, SystemExit)
-        assert "Traceback" not in result.output
-        assert "spec error: " in result.output and message in result.output
+        result = run_cli([command, "--spec", write_spec(tmp_path, spec)])
+        assert result.exit_code == 2, result.stderr
+        assert "Traceback" not in result.stdout + result.stderr
+        assert "spec error: " in result.stderr and message in result.stderr
 
     @pytest.mark.parametrize(
         "command, spec",
@@ -949,14 +971,14 @@ class TestMalformedSpec:
         ],
         ids=["equiv-level", "basis-degree"],
     )
-    def test_integral_float_reads_as_int(self, runner, tmp_path, command, spec):
+    def test_integral_float_reads_as_int(self, tmp_path, command, spec):
         # 2.0 is the integer 2, as it was to the former schema
-        result = runner.invoke(main, [command, "--spec", write_spec(tmp_path, spec)])
-        assert result.exit_code == 0, result.output
+        result = run_cli([command, "--spec", write_spec(tmp_path, spec)])
+        assert result.exit_code == 0, result.stderr
         want = {"domain": spec["domain"]}
         if command == "equiv":
             want.update(F=spec["F"], ideal=DISC_Z_SQUARED["ideal"])
         else:
             want["degree"] = 2
-        again = runner.invoke(main, [command, "--spec", write_spec(tmp_path, want, "int.json")])
-        assert result.output == again.output
+        again = run_cli([command, "--spec", write_spec(tmp_path, want, "int.json")])
+        assert (result.stdout, result.stderr) == (again.stdout, again.stderr)

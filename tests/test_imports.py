@@ -1,8 +1,11 @@
-"""Import hygiene: numpy loads only for commands that use it (not for a
-growth rate on a diagonal domain), and scipy and jsonschema never load.
+"""Import hygiene: ``import berglab`` loads no submodule, and a CLI process
+loads only what its command uses.  numpy loads only for commands that use
+it (not for a growth rate on a diagonal domain), :mod:`berglab.sop` and
+:mod:`berglab.suites` only for the commands that read them, and scipy,
+jsonschema and click never load.
 
 Each check runs in a fresh interpreter, because this test process has long
-since imported both.
+since imported all of them.
 """
 
 import json
@@ -22,11 +25,14 @@ README_DISC = {
     },
 }
 
-# run the CLI in-process, then report which heavy modules it loaded
+# run the CLI in-process, stopping on a nonzero exit code, then report which
+# heavy modules it loaded
 RUN_CLI = """
 import json, sys
 from berglab.cli import main
-main(sys.argv[1:], standalone_mode=False)
+code = main(sys.argv[1:])
+if code:
+    sys.exit(code)
 print(json.dumps(sorted(m for m in ("numpy", "scipy") if m in sys.modules)))
 """
 
@@ -47,6 +53,76 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def _imported(stderr):
+    """The modules ``python -X importtime`` reports importing."""
+    return {
+        line.rsplit("|", 1)[1].strip()
+        for line in stderr.splitlines()
+        if line.startswith("import time:") and line.count("|") == 2
+    }
+
+
+def test_cli_import_loads_no_click():
+    proc = _python("-c", "import sys, berglab.cli; print('click' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
+def test_equiv_process_loads_neither_click_nor_sop_nor_suites(tmp_path):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(README_DISC))
+    proc = _python("-X", "importtime", "-m", "berglab.cli", "equiv", "--spec", str(spec))
+    assert proc.returncode == 0, proc.stderr
+    assert "B' = " in proc.stdout
+    imported = _imported(proc.stderr)
+    assert "berglab.bergman" in imported
+    assert not imported & {"click", "berglab.sop", "berglab.suites"}
+
+
+def test_package_import_loads_no_submodule():
+    proc = _python(
+        "-c",
+        "import sys, berglab; print([m for m in sys.modules if m.startswith('berglab.')])",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# every public name resolves and is bound on first lookup, ``import *`` binds
+# them all, an unknown name is an AttributeError, and a submodule still
+# imports by name
+PACKAGE_NAMES = """
+import berglab
+names = berglab.__all__
+assert len(names) == len(set(names)) > 60
+for name in names:
+    value = getattr(berglab, name)
+    assert vars(berglab)[name] is value, name
+    assert getattr(berglab, name) is value, name
+star = {}
+exec("from berglab import *", star)
+assert all(star[name] is getattr(berglab, name) for name in names)
+try:
+    berglab.no_such_name
+except AttributeError:
+    pass
+else:
+    raise AssertionError("berglab.no_such_name resolved")
+from berglab import bergman, cli, suites
+from berglab.bergman import minimal_l2
+assert berglab.minimal_l2 is minimal_l2 and suites.run_suite is berglab.run_suite
+assert set(names) | {"__version__", "bergman", "cli"} <= set(dir(berglab))
+assert berglab.__version__ == "0.1.0"
+print("ok")
+"""
+
+
+def test_package_names_resolve_lazily():
+    proc = _python("-c", PACKAGE_NAMES)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "ok"
 
 
 def test_cli_never_loads_jsonschema(tmp_path):

@@ -5,9 +5,12 @@ checked."""
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from berglab import indices
+from berglab import bergman, domains, indices
+from berglab.bergman import krull_ladder
+from berglab.domains import DiagonalDomain
 from berglab.errors import DimensionMismatchError, JetSpaceTooLargeError
 from berglab.exactnum import QQi
 from berglab.ideals import IdealPresentation, annihilator, jet_ideal
@@ -55,6 +58,36 @@ class TestLayout:
             layout(2, 40)
         assert layout(2, 3) is before
         assert len(layout(2, 30).indices) == 496 <= MAX_JET_INDICES
+
+    def test_a_ladder_builds_logarithmically_many_layouts(self, monkeypatch):
+        built = []
+
+        class Counted(Layout):
+            def __init__(self, n, top):
+                built.append(top)
+                super().__init__(n, top)
+
+        monkeypatch.setattr(indices, "_LAYOUTS", {})
+        monkeypatch.setattr(indices, "Layout", Counted)
+        g = Jet(2, 2, {(1, 0): 1, (0, 2): QQi(-2, 1)})
+        F = Jet(2, 1, {(1, 0): 1, (0, 1): QQi(Fraction(1, 2), -1)})
+        disc = DiagonalDomain.polydisc([1, 2], exact=False)
+        krull_ladder(disc, F, IdealPresentation(2, [g]), range(2, 32))
+        # each growth at least doubles the degree, and the last stops at the cap
+        assert built == [1, 2, 4, 8, 16, 30]
+
+    def test_growth_stops_at_the_cap(self, monkeypatch):
+        monkeypatch.setattr(indices, "_LAYOUTS", {})
+        assert layout(2, 16).top == 16
+        # twice 16 is past the cap: a request that fits grows to the cap
+        assert layout(2, 17).top == 30
+        with pytest.raises(JetSpaceTooLargeError):
+            layout(2, 31)
+        assert layout(2, 1).top == 30
+        assert layout(4, 5).top == 5 and layout(4, 6).top == 8
+        assert len(layout(4, 8).indices) == 495 <= MAX_JET_INDICES
+        with pytest.raises(JetSpaceTooLargeError):
+            layout(4, 9)
 
     def test_indices_cannot_be_changed_through_an_ideal(self):
         J = jet_ideal(IdealPresentation(2, [Jet(2, 2, {(2, 0): 1})]), 4)
@@ -198,3 +231,26 @@ def test_from_json_still_checks_indices(cls):
         read([1.5])
     with pytest.raises(ValueError, match=r"xi.terms\[0\].alpha\[0\] must be an integer >= 0, not '1'"):
         read(["1"])
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_routes_read_norms_without_checking_indices(exact, monkeypatch):
+    # the problem's indices come from the jet ideal's layout: no index check,
+    # and the same weights as the checked norm
+    g = Jet(2, 2, {(1, 0): 1, (0, 2): QQi(-2, 1)})
+    J = jet_ideal(IdealPresentation(2, [g]), 6)
+    F = Jet(2, 5, {(1, 0): 1, (0, 1): QQi(Fraction(1, 2), -1), (2, 3): 3})
+    checked = []
+    check = domains.validate_index
+    monkeypatch.setattr(domains, "validate_index", lambda a, n: checked.append(a) or check(a, n))
+    dom = DiagonalDomain.polydisc([1, Fraction(3, 2)], exact=exact)
+    prob = bergman._problem(dom, F, J)
+    assert checked == []
+    assert prob.backend == ("exact" if exact else "float")
+    reference = DiagonalDomain.polydisc([1, Fraction(3, 2)], exact=exact)
+    if exact:
+        assert prob.weights == [reference.norm(a) for a in prob.indices]
+    else:
+        want = np.asarray([reference.norm_float(a) for a in prob.indices])
+        assert _same_array(prob.weights, want)
+    assert checked  # the public norm still checks

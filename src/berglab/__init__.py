@@ -20,7 +20,6 @@ _EXPORTS = {
         "b_circle",
         "density_sequence",
         "exhaustion_limit",
-        "extremal_functional",
         "kernel_at_origin",
         "krull_ladder",
         "minimal_l2",
@@ -36,9 +35,7 @@ _EXPORTS = {
         "TruncatedWeight",
         "domain_from_json",
         "moment_matrix",
-        "monomial_norm",
         "sublevel_domain",
-        "truncate_weight",
         "weighted_integral",
     ),
     "errors": (
@@ -61,13 +58,12 @@ _EXPORTS = {
         "annihilator",
         "contains",
         "jet_ideal",
-        "jumping_numbers",
         "monomial_jet_ideal",
         "multiplier_ideal",
         "multiplier_ideal_plus",
         "next_jump",
     ),
-    "indices": ("compare", "degree", "indices_of_degree", "indices_up_to", "sort_indices"),
+    "indices": ("degree", "indices_of_degree", "indices_up_to"),
     "jets": ("Functional", "Jet", "jet_multiply", "pair"),
     "sop": (
         "CseLimitResult",

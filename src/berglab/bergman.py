@@ -58,14 +58,13 @@ from typing import TYPE_CHECKING
 
 from .domains import DiagonalDomain, ExhaustionSequence, MomentDomain
 from .errors import (
-    BerglabError,
     DimensionMismatchError,
+    NotInComplementError,
     SingularMatrixError,
-    UnboundedFunctionalError,
     UnsupportedDomainError,
     ZeroFunctionalError,
 )
-from .exactnum import PiValue, QQi, abs2_s, conj_s, encode, is_exact, value_float
+from .exactnum import PiValue, QQi, abs2_s, encode, is_exact, value_float
 from .ideals import (
     FLOAT_RANK_TOL,
     IdealPresentation,
@@ -90,8 +89,11 @@ if TYPE_CHECKING:
 def riesz_representative(domain, xi: Functional) -> Jet:
     """The jet T with <f, T> = (xi . f)(o) for every f in the working space.
 
-    In exact mode on diagonal domains the returned coefficients are the
-    rational parts; the true representative carries an extra pi**(-n).
+    On a diagonal domain that space is A^2(D, e^(-phi)), whose functions
+    vanish on the monomials that are not square-integrable: T lives on the
+    integrable slots of xi's support.  In exact mode the returned
+    coefficients are the rational parts; the true representative carries an
+    extra pi**(-n).
     """
     if xi.is_zero():
         raise ZeroFunctionalError("the zero functional has the zero representative")
@@ -111,20 +113,18 @@ def riesz_representative(domain, xi: Functional) -> Jet:
     coeffs = {}
     for alpha, c in xi.entries.items():
         nrm = domain.norm(alpha) if exact else domain.norm_float(alpha)
-        if nrm == math.inf:
-            raise UnboundedFunctionalError(
-                f"functional touches {alpha}, whose weighted norm is infinite"
-            )
-        coeffs[alpha] = conj_s(c if exact else complex(c)) / nrm
-    d = xi.order()
-    return Jet(domain.n, d, coeffs)
+        if nrm != math.inf:
+            coeffs[alpha] = (c if exact else complex(c)).conjugate() / nrm
+    return Jet(domain.n, xi.order(), coeffs)
 
 
 def kernel_at_origin(domain, xi: Functional):
     """K_xi = (xi . T)(o), T the Riesz representative of xi: the squared norm
-    of T.  A PiValue with pi power -n in exact mode, a float otherwise."""
+    of T.  On a diagonal domain that is the sum of |xi_alpha|^2 / ||z^alpha||^2
+    over the integrable slots, 0 when there are none.  A PiValue with pi
+    power -n in exact mode, a float otherwise."""
     T = riesz_representative(domain, xi)
-    if is_exact(T.coeffs.values()):
+    if domain.exact and is_exact(xi.entries.values()):
         k = pair(xi, T)
         return PiValue(Fraction(k.re if isinstance(k, QQi) else k), -domain.n)
     # float path: the representative was built from complex(xi)
@@ -326,17 +326,14 @@ class ProjectionResult:
 
     value: object  # PiValue in exact mode, float otherwise; may be infinite
     minimizer: Jet = None
-    eta: Functional = None
+    eta: Functional = None  # T(eta) = minimizer; exact entries carry pi**eta_pi_power
     eta_pi_power: int = 0
     diagnostics: dict = field(default_factory=dict)
-
-    def value_float(self) -> float:
-        return value_float(self.value)
 
     def to_json(self):
         return {
             "value": encode(self.value),
-            "value_float": self.value_float(),
+            "value_float": value_float(self.value),
             "minimizer": self.minimizer.to_json() if self.minimizer else None,
             "eta": self.eta.to_json() if self.eta else None,
             "eta_pi_power": self.eta_pi_power,
@@ -465,13 +462,6 @@ def _minimal_l2_float(prob: _Problem) -> ProjectionResult:
     return ProjectionResult(value, minimizer, eta, 0, diag)
 
 
-def extremal_functional(domain, F: Jet, J: JetIdeal) -> Functional:
-    """The finitely supported eta with T(eta) = minimizer, realizing the
-    minimal L2 value as a kernel ratio.  Exact-mode entries carry an
-    implicit pi**(domain.n)."""
-    return minimal_l2(domain, F, J).eta
-
-
 # ---------------------------------------------------------------------------
 # the kernel-ratio supremum
 
@@ -483,9 +473,6 @@ class KernelRatioResult:
     value: object
     maximizer: Functional = None
     diagnostics: dict = field(default_factory=dict)
-
-    def value_float(self) -> float:
-        return value_float(self.value)
 
 
 def b_circle(domain, F: Jet, J: JetIdeal) -> KernelRatioResult:
@@ -707,13 +694,15 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
     F must lie in the orthogonal complement of the ideal subspace at every
     requested level: |<F, s>| at most 1e-9 ||F|| ||s|| for each spanning
     vector s, a rule that neither rescaling the domain nor a generator
-    changes.  The phase is chosen so <F, G_k> >= 0.
+    changes.  An F of infinite norm, one that is not orthogonal to the span
+    and one that falls into the ideal raise NotInComplementError.  The phase
+    is chosen so <F, G_k> >= 0.
     """
     if F.is_zero():
         raise ZeroFunctionalError("density sequence needs a nonzero F")
     normF = _norm_float(domain, F)
     if not math.isfinite(normF):
-        raise UnboundedFunctionalError("F has infinite norm on the domain")
+        raise NotInComplementError("F has infinite norm on the domain")
     k_range = list(k_range)
     check_jet_space(gens.n, max(k_range, default=1))
     out = []
@@ -726,12 +715,12 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
         for s in J.basis_jets():
             ip = _inner_float(domain, F, s)
             if abs(ip) > 1e-9 * normF * math.sqrt(_inner_float(domain, s, s).real):
-                raise BerglabError(
+                raise NotInComplementError(
                     f"F is not in the orthogonal complement at level {k}"
                 )
         bc = b_circle(domain, Fk, J)
         if bc.diagnostics["outcome"] == "contained":
-            raise BerglabError(
+            raise NotInComplementError(
                 f"F falls into the ideal at ladder level {k}; start the range "
                 "above ord(F)"
             )

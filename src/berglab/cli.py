@@ -3,8 +3,8 @@
 JSON problem specs in, JSON results and CSV tables out.  Exit codes:
 0 success, 1 theorem cross-check failure, 2 spec error (a field missing or
 of the wrong type, a radius <= 0, objects of different dimensions, a zero
-xi or F, a problem the construction does not support) or usage error, 3
-numerical failure.
+xi or F, a density F outside the ideal's orthogonal complement, a problem
+the construction does not support) or usage error, 3 numerical failure.
 
 A process runs one command, so each command imports what only it uses:
 :mod:`berglab.sop` loads for ``sop``, ``cse`` and a t grid, and
@@ -34,6 +34,7 @@ from .errors import (
     DimensionMismatchError,
     ImproperIdealError,
     JetSpaceTooLargeError,
+    NotInComplementError,
     QuadratureError,
     SingularMatrixError,
     UnsupportedDomainError,
@@ -379,7 +380,8 @@ def density(spec_path, out_dir, k_range):
     F, gens = _build(lambda: _jet_and_gens(data["F"], data["generators"], "generators"))
     _build(lambda: _nonzero(F, "F"))
     ks = _build(lambda: _parse_krange(_range_text(data, "k_range", k_range)))
-    rows = _run(lambda: density_sequence(domain, F, gens, ks))
+    # an F outside the ideal's orthogonal complement is a spec error
+    rows = _run(lambda: density_sequence(domain, F, gens, ks), (NotInComplementError,))
     lines = ["k,distance"] + [f"{k},{dist:.17g}" for k, dist in rows]
     csv_text = "\n".join(lines) + "\n"
     print(csv_text.rstrip())

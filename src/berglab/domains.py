@@ -399,12 +399,6 @@ class DiagonalDomain:
         return f"DiagonalDomain({self.descriptor}, exact={self.exact})"
 
 
-def monomial_norm(domain: DiagonalDomain, alpha):
-    """Squared L2 norm of z^alpha on the domain (exact-mode values carry an
-    implicit pi**n factor)."""
-    return domain.norm(alpha)
-
-
 def sublevel_domain(domain: DiagonalDomain, phi: ToricWeight, t) -> DiagonalDomain:
     """The intersection {phi < -t} with a polydisc, keeping its weight and
     its cut.  A one-variable phi shrinks a radius; a two-variable phi, in
@@ -552,11 +546,6 @@ def _truncated_norm_2d(domain: DiagonalDomain, alpha):
     return _finite(4 * math.pi**2 * val)
 
 
-def truncate_weight(psi: ToricWeight, j: int) -> TruncatedWeight:
-    """Descriptor for the capped weight max(psi, -j)."""
-    return TruncatedWeight(psi, int(j))
-
-
 def weighted_integral(domain: DiagonalDomain, F, phi: ToricWeight, c):
     """Integral of |F|^2 * exp(-c*phi) over the domain, for a polynomial jet
     F.  Returns a PiValue in exact mode, a float otherwise; math.inf if any
@@ -597,9 +586,6 @@ class ExhaustionSequence:
     def __iter__(self):
         return iter(self.domains)
 
-    def __len__(self):
-        return len(self.domains)
-
 
 # ---------------------------------------------------------------------------
 # moment matrices
@@ -633,12 +619,6 @@ class MomentDomain:
             raise SingularMatrixError("moment matrix is not positive definite") from exc
         self.exact = False
         self.pi_power = 0
-
-    def inner(self, fvec, gvec):
-        """<f, g> for dense coefficient vectors along ``indices``."""
-        import numpy as np
-
-        return np.asarray(fvec) @ self.matrix @ np.conj(np.asarray(gvec))
 
     def __repr__(self):
         return f"MomentDomain(n={self.n}, d={self.degree_bound}, {self.descriptor})"
@@ -841,4 +821,4 @@ def _diagonal_from_json(data, name):
     phi, c = ToricWeight.from_json(data, name), number(data.get("c", 1), f"{name}.c")
     if kind == "toric_weight":
         return base.with_weight(phi, c)
-    return base.with_truncated_weight(truncate_weight(phi, integer(data["j"], f"{name}.j", 1)), c)
+    return base.with_truncated_weight(TruncatedWeight(phi, integer(data["j"], f"{name}.j", 1)), c)

@@ -22,7 +22,9 @@ class ImproperIdealError(BerglabError):
 
 
 class UnboundedFunctionalError(BerglabError):
-    """A functional touches an index whose weighted monomial norm is infinite."""
+    """A kernel that is not finite and positive: :func:`berglab.sop.xi_cse_limit`
+    raises it for a functional that lives only on monomials that are not
+    square-integrable, whose kernel is 0."""
 
 
 class SingularMatrixError(BerglabError):
@@ -43,6 +45,12 @@ class DivergentIntegralError(BerglabError):
 
 class NotNestedError(BerglabError, ValueError):
     """An exhaustion sequence whose domains are not nested (a spec error)."""
+
+
+class NotInComplementError(BerglabError, ValueError):
+    """A density target F that is not in the orthogonal complement of the
+    ideal: of infinite norm, not orthogonal to the ideal's span, or inside
+    the ideal at a requested level (a spec error)."""
 
 
 class UnsupportedDomainError(BerglabError, ValueError):

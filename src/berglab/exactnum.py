@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
-__all__ = ["QQi", "PiValue", "conj_s", "abs2_s", "value_float", "encode"]
+__all__ = ["QQi", "PiValue", "abs2_s", "value_float", "encode"]
 
 
 class QQi:
@@ -102,10 +102,8 @@ class QQi:
     def abs2(self) -> Fraction:
         return self.re * self.re + self.im * self.im
 
-    def to_complex(self) -> complex:
+    def __complex__(self):
         return complex(float(self.re), float(self.im))
-
-    __complex__ = to_complex
 
     def __repr__(self):
         return f"QQi({self.re}, {self.im})"
@@ -114,13 +112,6 @@ class QQi:
 def is_exact(scalars) -> bool:
     """Whether every scalar is exact: an int, a Fraction or a QQi."""
     return all(isinstance(x, (int, Fraction, QQi)) for x in scalars)
-
-
-def conj_s(x):
-    """Conjugate a scalar of any supported type."""
-    if isinstance(x, (QQi, complex)):
-        return x.conjugate()
-    return x
 
 
 def abs2_s(x):
@@ -149,26 +140,6 @@ class PiValue:
         if self.is_infinite():
             return math.inf
         return float(self.coeff) * math.pi**self.pi_power
-
-    def __mul__(self, other):
-        if isinstance(other, PiValue):
-            return PiValue(self.coeff * other.coeff, self.pi_power + other.pi_power)
-        return PiValue(self.coeff * Fraction(other), self.pi_power)
-
-    def __truediv__(self, other):
-        if isinstance(other, PiValue):
-            return PiValue(self.coeff / other.coeff, self.pi_power - other.pi_power)
-        return PiValue(self.coeff / Fraction(other), self.pi_power)
-
-    def __add__(self, other):
-        if not isinstance(other, PiValue) or other.pi_power != self.pi_power:
-            raise ValueError("can only add PiValues sharing a pi power")
-        return PiValue(self.coeff + other.coeff, self.pi_power)
-
-    def __sub__(self, other):
-        if not isinstance(other, PiValue) or other.pi_power != self.pi_power:
-            raise ValueError("can only subtract PiValues sharing a pi power")
-        return PiValue(self.coeff - other.coeff, self.pi_power)
 
     def __repr__(self):
         if self.pi_power == 0:

@@ -59,7 +59,6 @@ from .indices import (
     MAX_JET_INDICES,
     check_jet_space,
     degree,
-    indices_up_to,
     layout,
     order_key,
     validate_index,
@@ -481,19 +480,6 @@ def multiplier_ideal(phi, c) -> MonomialIdeal:
         raise ValueError("weight scale c must be non-negative")
     gen = tuple(_min_exponent(c * a) for a in phi.a)
     return MonomialIdeal(phi.n, (gen,))
-
-
-def jumping_numbers(phi, degree_bound: int):
-    """Sorted distinct values min_j (beta_j+1)/a_j over |beta| <= d."""
-    if degree_bound < 0:
-        raise ValueError("degree bound must be non-negative")
-    active = phi.active()
-    if not active:
-        raise ValueError("toric weight has no active coordinate")
-    vals = set()
-    for beta in indices_up_to(phi.n, degree_bound):
-        vals.add(min(Fraction(beta[j] + 1) / phi.a[j] for j in active))
-    return sorted(vals)
 
 
 def next_jump(phi, c) -> Fraction:

@@ -23,8 +23,6 @@ indices.
 from __future__ import annotations
 
 import math
-from typing import Iterable
-
 from .errors import DimensionMismatchError, JetSpaceTooLargeError
 
 MultiIndex = tuple  # tuple[int, ...]
@@ -60,20 +58,6 @@ def order_key(alpha: MultiIndex):
     return (sum(alpha), tuple(reversed(alpha)))
 
 
-def compare(alpha: MultiIndex, beta: MultiIndex) -> int:
-    """Return -1, 0 or 1 as alpha precedes, equals or follows beta."""
-    if len(alpha) != len(beta):
-        raise DimensionMismatchError(
-            f"cannot compare indices of lengths {len(alpha)} and {len(beta)}"
-        )
-    ka, kb = order_key(alpha), order_key(beta)
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
 def indices_of_degree(n: int, d: int) -> list:
     """All indices with |alpha| = d, in the graded order."""
     if n == 1:
@@ -92,10 +76,6 @@ def indices_up_to(n: int, d: int) -> list:
     for k in range(d + 1):
         out.extend(indices_of_degree(n, k))
     return out
-
-
-def sort_indices(indices: Iterable[MultiIndex]) -> list:
-    return sorted(indices, key=order_key)
 
 
 def check_jet_space(n: int, k: int) -> None:

@@ -14,7 +14,7 @@ import statistics
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .bergman import both_routes, extremal_functional, routes_agree
+from .bergman import both_routes, minimal_l2, routes_agree
 from .domains import DiagonalDomain, ToricWeight, sublevel_domain, weighted_integral
 from .errors import (
     BerglabError,
@@ -158,7 +158,7 @@ def verify_corollary_min(F: Jet, phi: ToricWeight, degree_bound: int) -> Minimiz
     J = _plus_jet_ideal(iplus, F)
     domain = DiagonalDomain.polydisc([1] * F.n)
     Fw = Jet(F.n, J.level - 1, F.coeffs)
-    eta = extremal_functional(domain, Fw, J)
+    eta = minimal_l2(domain, Fw, J).eta
     if not eta.is_zero():
         candidates.append(("extremal_eta", eta))
     attained = None

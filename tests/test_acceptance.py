@@ -26,7 +26,7 @@ from berglab.domains import (
     DiagonalDomain,
     ExhaustionSequence,
     ToricWeight,
-    truncate_weight,
+    TruncatedWeight,
 )
 from berglab.exactnum import PiValue, value_float
 from berglab.ideals import IdealPresentation, jet_ideal
@@ -233,7 +233,7 @@ def test_criterion_9_weighted_equivalence():
     b = b_circle(wdisc, F, J).value
     golden = c == PiValue(Fraction(1), 1) and b == c
     target = value_float(c)
-    tdom = DiagonalDomain.disc(1).with_truncated_weight(truncate_weight(psi, 40), 1)
+    tdom = DiagonalDomain.disc(1).with_truncated_weight(TruncatedWeight(psi, 40), 1)
     err = abs(value_float(minimal_l2(tdom, F, J).value) - target)
     ok = suite.ok and golden and err <= 1e-6
     check(

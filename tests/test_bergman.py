@@ -16,7 +16,6 @@ from berglab.bergman import (
     b_circle,
     density_sequence,
     exhaustion_limit,
-    extremal_functional,
     kernel_at_origin,
     krull_ladder,
     minimal_l2,
@@ -29,17 +28,16 @@ from berglab.domains import (
     ExhaustionSequence,
     ToricWeight,
     moment_matrix,
+    TruncatedWeight,
     sublevel_domain,
-    truncate_weight,
 )
 from berglab.errors import (
     BerglabError,
     DimensionMismatchError,
     QuadratureError,
-    UnboundedFunctionalError,
     ZeroFunctionalError,
 )
-from berglab.exactnum import PiValue, QQi, abs2_s, conj_s, value_float
+from berglab.exactnum import PiValue, QQi, abs2_s, value_float
 from berglab.ideals import IdealPresentation, annihilator, jet_ideal
 from berglab.indices import degree, indices_up_to, order_key
 from berglab.jets import Functional, Jet, jet_multiply, pair
@@ -129,14 +127,33 @@ class TestRiesz:
         for i, alpha in enumerate(dom.indices):
             e = np.zeros(len(dom.indices), dtype=complex)
             e[i] = 1
-            got = dom.inner(e, tv)
+            got = e @ dom.matrix @ np.conj(tv)
             want = complex(xi.entries.get(alpha, 0))
             assert got == pytest.approx(want, abs=1e-10)
 
-    def test_unbounded_support_rejected(self):
+    def test_non_integrable_slots_add_nothing(self):
+        # on the unit disc weighted by |z|^-2 the constant is not
+        # square-integrable: T and K sum over the integrable slots only
         wdisc = DiagonalDomain.disc(1).with_weight(ToricWeight((1,)), 1)
-        with pytest.raises(UnboundedFunctionalError):
-            riesz_representative(wdisc, Functional.delta(1, (0,)))
+        delta0 = Functional.delta(1, (0,))
+        assert riesz_representative(wdisc, delta0).is_zero()
+        assert kernel_at_origin(wdisc, delta0) == PiValue(0, -1)
+        assert kernel_at_origin(wdisc, delta0.add(Functional.delta(1, (1,)))) == PiValue(1, -1)
+
+    def test_kernel_of_a_maximizer_on_a_non_integrable_slot(self):
+        # F = z1 against <z1 - z2> at level 2 on the bidisc weighted by
+        # |z1|^-2: b_circle's maximizer is proportional to delta_z1 + delta_z2,
+        # and z2 is not square-integrable.  B = pi^2 = |xi(F)|^2 / K_xi
+        bidisc = DiagonalDomain.polydisc([1, 1]).with_weight(ToricWeight((1, 0)), 1)
+        J = jet_ideal(IdealPresentation(2, [Jet(2, 1, {(1, 0): 1, (0, 1): -1})]), 2)
+        F = Jet(2, 1, {(1, 0): 1})
+        res = b_circle(bidisc, F, J)
+        assert res.value == PiValue(1, 2)
+        xi = res.maximizer.entries
+        assert set(xi) == {(1, 0), (0, 1)} and xi[(1, 0)] == xi[(0, 1)]
+        assert not bidisc.finite((0, 1))
+        K = kernel_at_origin(bidisc, res.maximizer)
+        assert PiValue(abs2_s(pair(res.maximizer, F)) / K.coeff, -K.pi_power) == res.value
 
     def test_zero_rejected(self):
         with pytest.raises(ZeroFunctionalError):
@@ -452,7 +469,7 @@ class TestProjectionConditions:
                 for z in null_space(cons, len(P))
             ] if infinite else [[row[i] for i in finite] for row in P]
             for d in directions:
-                assert sum((conj_s(x[i]) * v * w[i] for i, v in zip(finite, d)), start=0) == 0
+                assert sum((x[i].conjugate() * v * w[i] for i, v in zip(finite, d)), start=0) == 0
             cval = sum((abs2_s(x[i]) * w[i] for i in finite), start=Fraction(0))
             assert res.value == PiValue(cval, n)
         assert solved >= 8
@@ -517,22 +534,20 @@ class TestExtremalFunctional:
     def test_disc_golden(self):
         disc = DiagonalDomain.disc(1)
         J = jet_ideal(IdealPresentation(1, [Jet.monomial(1, (2,))]), 2)
-        eta = extremal_functional(disc, Jet(1, 1, {(1,): 1}), J)
+        eta = minimal_l2(disc, Jet(1, 1, {(1,): 1}), J).eta
         # reduced entry 1/2 with implicit pi: eta_1 = pi/2
         assert eta.entries == {(1,): Fraction(1, 2)}
 
     def test_bidisc_golden(self):
         bidisc = DiagonalDomain.polydisc([1, 1])
         J = jet_ideal(IdealPresentation(2, [Jet.monomial(2, (1, 0))]), 3)
-        eta = extremal_functional(
-            bidisc, Jet(2, 2, {(1, 0): 1, (0, 1): 1}), J
-        )
+        eta = minimal_l2(bidisc, Jet(2, 2, {(1, 0): 1, (0, 1): 1}), J).eta
         assert eta.entries == {(0, 1): Fraction(1, 2)}  # pi^2/2
 
     def test_contained_gives_delta0(self):
         disc = DiagonalDomain.disc(1)
         J = jet_ideal(IdealPresentation(1, [Jet.monomial(1, (2,))]), 2)
-        eta = extremal_functional(disc, Jet(1, 2, {(2,): 1}), J)
+        eta = minimal_l2(disc, Jet(1, 2, {(2,): 1}), J).eta
         assert eta == Functional.delta(1, (0,))
 
     def test_postconditions(self):
@@ -866,11 +881,14 @@ class TestLadder:
             F = Jet(2, 1, {(1, 0): 1 / lam})
             return krull_ladder(dom, F, IdealPresentation(2, [g]), range(2, 10))
 
+        def scaled(v):
+            return PiValue(v.coeff * lam**4, v.pi_power)
+
         lam = Fraction(1, 1000)
         unit, small = ladder(Fraction(1)), ladder(lam)
-        assert [r.c_value * lam**4 for r in unit.rows] == [r.c_value for r in small.rows]
+        assert [scaled(r.c_value) for r in unit.rows] == [r.c_value for r in small.rows]
         assert not unit.stabilized and not small.stabilized
-        assert unit.limit_estimate * lam**4 == small.limit_estimate
+        assert scaled(unit.limit_estimate) == small.limit_estimate
 
     def test_disc_constant(self):
         disc = DiagonalDomain.disc(1)
@@ -1048,7 +1066,7 @@ class TestWeightedVariants:
         errs = []
         for j in (10, 20, 40):
             dom = DiagonalDomain.disc(1).with_truncated_weight(
-                truncate_weight(psi, j), 1
+                TruncatedWeight(psi, j), 1
             )
             v = value_float(minimal_l2(dom, F, J).value)
             errs.append(abs(v - target))

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from berglab.bergman import ROUTES_RTOL, both_routes, routes_agree
 from berglab.domains import DiagonalDomain, ToricWeight
-from berglab.exactnum import PiValue, QQi, abs2_s, conj_s
+from berglab.exactnum import PiValue, QQi, abs2_s
 from berglab.ideals import IdealPresentation, jet_ideal
 from berglab.indices import indices_up_to
 from berglab.jets import Jet, jet_multiply
@@ -50,7 +50,7 @@ def exact_oracle(domain, F, gens, level):
     f = F.truncate(level - 1).vector(idx)
     support = [[i for i in finite if v[i]] for v in N]
     K = [
-        [sum((t[i] * conj_s(s[i]) / w[i] for i in sup), Fraction(0)) for s, sup in zip(N, support)]
+        [sum((t[i] * s[i].conjugate() / w[i] for i in sup), Fraction(0)) for s, sup in zip(N, support)]
         + [sum((t[i] * f[i] for i in range(len(idx)) if f[i]), Fraction(0))]
         for t in N
     ]
@@ -61,7 +61,7 @@ def exact_oracle(domain, F, gens, level):
     for row, c in zip(red, pivots):
         mu[c] = row[-1]
     x = {
-        idx[i]: sum((conj_s(v[i]) * m for v, m in zip(N, mu) if v[i]), Fraction(0)) / w[i]
+        idx[i]: sum((v[i].conjugate() * m for v, m in zip(N, mu) if v[i]), Fraction(0)) / w[i]
         for i in finite
     }
     C = sum((abs2_s(v) * domain.norm(a) for a, v in x.items()), Fraction(0))

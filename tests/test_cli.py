@@ -59,6 +59,13 @@ WEIGHTED_DISC_INFINITE = {
 }
 
 
+# the terms 1, z and z^2, the unit disc, and the unit disc weighted by |z|^-2,
+# on which the constant is not square-integrable
+ONE, Z, Z_SQUARED = ({"alpha": [k], "re": "1", "im": "0"} for k in range(3))
+DISC = {"kind": "polydisc", "radii": [1]}
+WEIGHTED_DISC = {"kind": "toric_weight", "a": ["1"], "base": DISC}
+
+
 # the two-variable ideal <z1 - (2 - i) z2^2> on the polydisc of radii (1, 2)
 EXACT_2D_LADDER = {
     "domain": {"kind": "polydisc", "radii": [1, 2]},
@@ -345,7 +352,7 @@ def off_by_pi_e12(real_kernel_ratio):
 
     def kernel_ratio(prob):
         res = real_kernel_ratio(prob)
-        res.value = res.value + PiValue(Fraction(1, 10**12), res.value.pi_power)
+        res.value = PiValue(res.value.coeff + Fraction(1, 10**12), res.value.pi_power)
         return res
 
     return kernel_ratio
@@ -429,6 +436,22 @@ class TestKernelBasis:
         result = run_cli(["kernel", "--spec", spec])
         assert result.exit_code == 0
         assert float(result.stdout.split("=")[1]) == pytest.approx(3 / math.pi)
+
+    def test_kernel_sums_the_integrable_slots(self, tmp_path):
+        # on the disc weighted by |z|^-2 the constant is not square-integrable:
+        # K(delta_0 + delta_1) = 1 / ||z||^2 = 1 / pi
+        spec = write_spec(tmp_path, {"domain": WEIGHTED_DISC, "xi": {"n": 1, "terms": [ONE, Z]}})
+        result = run_cli(["kernel", "--spec", spec])
+        assert result.exit_code == 0, result.stderr
+        assert result.stdout == f"K = {1 / math.pi:.17g}\n"
+
+    def test_cse_refuses_a_zero_kernel(self, tmp_path):
+        # delta_0 lives only on a non-integrable slot there: K = 0 has no log
+        xi = {"n": 1, "terms": [ONE]}
+        spec = write_spec(tmp_path, {"domain": WEIGHTED_DISC, "xi": xi, "weight": {"a": ["1"]}})
+        result = run_cli(["cse", "--spec", spec])
+        assert result.exit_code == 3
+        assert "kernel not finite and positive" in result.stderr
 
     def test_basis(self, tmp_path):
         spec = write_spec(
@@ -541,6 +564,27 @@ class TestExhaustDensity:
         assert result.exit_code == 0, result.stderr
         for line in result.stdout.strip().splitlines()[1:]:
             assert float(line.split(",")[1]) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "domain, F, k_range, message",
+        [
+            (DISC, [Z, Z_SQUARED], "3..3", "F is not in the orthogonal complement at level 3"),
+            (DISC, [Z], "1..3",
+             "F falls into the ideal at ladder level 1; start the range above ord(F)"),
+            (WEIGHTED_DISC, [ONE], "2..3", "F has infinite norm on the domain"),
+        ],
+        ids=["z-plus-z-squared", "below-ord-F", "infinite-norm"],
+    )
+    def test_density_rejections_exit_2(self, tmp_path, domain, F, k_range, message):
+        # each is an F outside the orthogonal complement of <z^2>: a spec error
+        spec = write_spec(tmp_path, {
+            "domain": domain,
+            "F": {"n": 1, "terms": F},
+            "generators": [{"n": 1, "terms": [Z_SQUARED]}],
+        })
+        result = run_cli(["density", "--spec", spec, "--k", k_range])
+        assert result.exit_code == 2
+        assert result.stdout == "" and result.stderr == f"spec error: {message}\n"
 
 
 DISC_Z = {"n": 1, "terms": [{"alpha": [1], "re": "1", "im": "0"}]}

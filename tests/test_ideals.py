@@ -17,7 +17,6 @@ from berglab.ideals import (
     annihilator,
     contains,
     jet_ideal,
-    jumping_numbers,
     monomial_jet_ideal,
     multiplier_ideal,
     multiplier_ideal_plus,
@@ -257,18 +256,6 @@ class TestMultiplierIdeals:
 
     def test_scale_zero_is_unit(self):
         assert multiplier_ideal(ToricWeight((1,)), 0).is_unit()
-
-    def test_jumping_numbers_1d(self):
-        phi = ToricWeight((1,))
-        assert jumping_numbers(phi, 3) == [1, 2, 3, 4]
-
-    def test_jumping_numbers_weighted(self):
-        # min((b1+1)/1, (b2+1)/2) over |b| <= 3
-        phi = ToricWeight((1, 2))
-        vals = jumping_numbers(phi, 3)
-        assert vals[0] == Fraction(1, 2)
-        assert Fraction(1) in vals
-        assert all(v <= 2 for v in vals)
 
     def test_next_jump(self):
         phi = ToricWeight((1, 2))

@@ -143,7 +143,7 @@ class TestCseLimit:
         monkeypatch.setattr(suites, "xi_cse_limit", recording)
         for seed in range(20):
             suites.run_suite("convexity", seed=seed)
-        assert len(results) == 295
+        assert len(results) == 240  # one grid per instance
         for res in results:
             tail = res.table[len(res.table) // 2 :]
             want = float(np.polyfit([t for t, _ in tail], [l for _, l in tail], 1)[0])

@@ -4,7 +4,10 @@ instance is recorded as that instance's failure."""
 import pytest
 
 from berglab import suites
-from berglab.suites import SUITES, run_suite
+from berglab.bergman import b_circle, kernel_at_origin
+from berglab.exactnum import PiValue, abs2_s
+from berglab.jets import pair
+from berglab.suites import SUITES, equivalence_instances, run_suite
 
 
 def test_unexpected_exception_is_one_failure(monkeypatch):
@@ -31,3 +34,23 @@ def test_suite_passes_at_seeds_0_to_19(name):
         if not result.ok:
             failed[seed] = result.failures
     assert not failed
+
+
+def test_b_circle_is_the_kernel_ratio_of_its_maximizer():
+    # one K_xi: on every solved exact instance of the equivalence suites at
+    # seeds 0-19 (40 instances each, weighted and unweighted), B equals
+    # |xi(F)|^2 / K_xi for b_circle's maximizer xi, with K_xi from
+    # kernel_at_origin, also where xi touches a non-integrable slot
+    solved = touching = 0
+    for weighted in (False, True):
+        for seed in range(20):
+            for _, _, (dom, F, J) in equivalence_instances(seed, 40, weighted):
+                res = b_circle(dom, F, J)
+                if (res.diagnostics["backend"], res.diagnostics["outcome"]) != ("exact", "solved"):
+                    continue
+                xi = res.maximizer
+                K = kernel_at_origin(dom, xi)
+                assert PiValue(abs2_s(pair(xi, F)) / K.coeff, -K.pi_power) == res.value
+                solved += 1
+                touching += not all(dom.finite(a) for a in xi.entries)
+    assert (solved, touching) == (583, 24)

@@ -64,7 +64,7 @@ from .errors import (
     UnsupportedDomainError,
     ZeroFunctionalError,
 )
-from .exactnum import PiValue, QQi, abs2_s, encode, is_exact, value_float
+from .exactnum import PiValue, abs2_s, encode, is_exact, value_float
 from .ideals import (
     FLOAT_RANK_TOL,
     IdealPresentation,
@@ -126,7 +126,7 @@ def kernel_at_origin(domain, xi: Functional):
     T = riesz_representative(domain, xi)
     if domain.exact and is_exact(xi.entries.values()):
         k = pair(xi, T)
-        return PiValue(Fraction(k.re if isinstance(k, QQi) else k), -domain.n)
+        return PiValue(Fraction(k.real), -domain.n)
     # float path: the representative was built from complex(xi)
     return float(pair(xi.to_float(), T).real)
 

@@ -38,6 +38,7 @@ from .errors import (
     QuadratureError,
     SingularMatrixError,
     UnsupportedDomainError,
+    ZeroKernelError,
 )
 from .exactnum import encode, is_exact, value_float
 from .ideals import IdealPresentation, jet_ideal
@@ -361,7 +362,7 @@ def cse(spec_path, out_dir, t_grid):
         res = xi_cse_limit(xi, phi, domain, grid)
         return res, xi_cse_combinatorial(xi, phi)
 
-    res, gamma = _run(compute)
+    res, gamma = _run(compute, (ZeroKernelError,))
     lines = ["t,logK"] + [f"{t:.17g},{lk:.17g}" for t, lk in res.table]
     csv_text = "\n".join(lines) + "\n"
     print(csv_text.rstrip())

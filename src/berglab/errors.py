@@ -22,9 +22,9 @@ class ImproperIdealError(BerglabError):
 
 
 class UnboundedFunctionalError(BerglabError):
-    """A kernel that is not finite and positive: :func:`berglab.sop.xi_cse_limit`
-    raises it for a functional that lives only on monomials that are not
-    square-integrable, whose kernel is 0."""
+    """A kernel that is not finite and positive at a point of a t grid, where
+    the functional has an integrable slot: :func:`berglab.sop.xi_cse_limit`
+    raises it when a float kernel leaves the float range."""
 
 
 class SingularMatrixError(BerglabError):
@@ -57,6 +57,10 @@ class UnsupportedDomainError(BerglabError, ValueError):
     """A domain that the requested construction does not support, such as a
     toric weight on a ball of dimension >= 2, a second cut, or a problem
     past a moment matrix's degree (a spec error)."""
+
+
+class ZeroKernelError(BerglabError, ValueError):
+    """A functional with no square-integrable slot, whose kernel is 0 (a spec error)."""
 
 
 class JetSpaceTooLargeError(BerglabError, ValueError):

@@ -1,7 +1,11 @@
 """Exact scalars: Gaussian rationals and rational multiples of pi powers.
 
+One exact complex type: a :class:`QQi` has int or Fraction parts, and with
+int parts it is a Gaussian integer, the ring of :mod:`berglab.linalg`.  It
+has ``real``, ``imag`` and ``conjugate()`` as int, Fraction and complex do.
+
 Exact-mode computations on diagonal (Reinhardt) domains factor pi^n out of
-every monomial norm, run the linear algebra over Gaussian rationals, and
+every monomial norm, run the linear algebra over Gaussian integers, and
 reattach the pi power at the reporting boundary as a :class:`PiValue`.
 """
 
@@ -16,97 +20,103 @@ __all__ = ["QQi", "PiValue", "abs2_s", "value_float", "encode"]
 
 
 class QQi:
-    """A complex number with rational real and imaginary parts."""
+    """real + imag*i.  ``QQi(real, imag)`` keeps an int part and turns any
+    other into a Fraction; an arithmetic result is built unchecked.  The
+    other operand is an int, a Fraction or a QQi, on either side; a float
+    or a complex raises TypeError.  ``//`` is exact division."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("real", "imag")
 
-    def __init__(self, re=0, im=0):
-        self.re = Fraction(re)
-        self.im = Fraction(im)
+    def __init__(self, real=0, imag=0):
+        self.real = real if type(real) is int else Fraction(real)
+        self.imag = imag if type(imag) is int else Fraction(imag)
 
-    @staticmethod
-    def coerce(x):
-        if isinstance(x, QQi):
-            return x
-        if isinstance(x, Rational):
-            return QQi(x)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = QQi.coerce(other)
-        if o is NotImplemented:
+    def __add__(self, o):
+        if type(o) not in _OPERANDS and not isinstance(o, Rational):
             return NotImplemented
-        return QQi(self.re + o.re, self.im + o.im)
+        return _qqi(self.real + o.real, self.imag + o.imag)
+
+    def __sub__(self, o):
+        if type(o) not in _OPERANDS and not isinstance(o, Rational):
+            return NotImplemented
+        return _qqi(self.real - o.real, self.imag - o.imag)
+
+    def __mul__(self, o):
+        if type(o) not in _OPERANDS and not isinstance(o, Rational):
+            return NotImplemented
+        a, b, c, d = self.real, self.imag, o.real, o.imag
+        return _qqi(a * c - b * d, a * d + b * c)
 
     __radd__ = __add__
-
-    def __sub__(self, other):
-        o = QQi.coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QQi(self.re - o.re, self.im - o.im)
-
-    def __rsub__(self, other):
-        o = QQi.coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QQi(o.re - self.re, o.im - self.im)
-
-    def __mul__(self, other):
-        o = QQi.coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return QQi(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
-
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = QQi.coerce(other)
-        if o is NotImplemented:
+    def __truediv__(self, o):
+        if type(o) not in _OPERANDS and not isinstance(o, Rational):
             return NotImplemented
-        d = o.re * o.re + o.im * o.im
-        if d == 0:
+        a, b, c, d = self.real, self.imag, o.real, o.imag
+        n = c * c + d * d
+        if not n:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return QQi(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        return _qqi(Fraction(a * c + b * d, n), Fraction(b * c - a * d, n))
 
-    def __rtruediv__(self, other):
-        o = QQi.coerce(other)
-        if o is NotImplemented:
+    def __floordiv__(self, o):
+        if type(o) not in _OPERANDS and not isinstance(o, Rational):
             return NotImplemented
-        return o / self
+        c, d = o.real, o.imag
+        if not d:
+            return _qqi(self.real // c, self.imag // c)
+        a, b, n = self.real, self.imag, c * c + d * d
+        return _qqi((a * c + b * d) // n, (b * c - a * d) // n)
+
+    def __rsub__(self, o):
+        if type(o) not in _OPERANDS and not isinstance(o, Rational):
+            return NotImplemented
+        return _qqi(o - self.real, -self.imag)
+
+    def __rtruediv__(self, o):
+        if type(o) not in _OPERANDS and not isinstance(o, Rational):
+            return NotImplemented
+        return _qqi(o, 0) / self
+
+    def __rfloordiv__(self, o):
+        if type(o) not in _OPERANDS and not isinstance(o, Rational):
+            return NotImplemented
+        return _qqi(o, 0) // self
 
     def __neg__(self):
-        return QQi(-self.re, -self.im)
+        return _qqi(-self.real, -self.imag)
 
-    def __eq__(self, other):
-        o = QQi.coerce(other)
-        if o is NotImplemented:
+    def __eq__(self, o):
+        if type(o) not in _OPERANDS and not isinstance(o, Rational):
             return NotImplemented
-        return self.re == o.re and self.im == o.im
+        return self.real == o.real and self.imag == o.imag
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to a rational's hash when the imaginary part is 0
+        return hash((self.real, self.imag) if self.imag else self.real)
 
     def __bool__(self):
-        return self.re != 0 or self.im != 0
-
-    def __abs__(self):
-        return math.sqrt(float(self.re) ** 2 + float(self.im) ** 2)
+        return bool(self.real or self.imag)
 
     def conjugate(self):
-        return QQi(self.re, -self.im)
-
-    def abs2(self) -> Fraction:
-        return self.re * self.re + self.im * self.im
+        return _qqi(self.real, -self.imag)
 
     def __complex__(self):
-        return complex(float(self.re), float(self.im))
+        return complex(float(self.real), float(self.imag))
 
     def __repr__(self):
-        return f"QQi({self.re}, {self.im})"
+        return f"QQi({self.real}, {self.imag})"
+
+
+_OPERANDS = frozenset((int, Fraction, QQi))
+
+
+def _qqi(real, imag):
+    """The QQi real + imag*i of int or Fraction parts, unchecked."""
+    z = object.__new__(QQi)
+    z.real = real
+    z.imag = imag
+    return z
 
 
 def is_exact(scalars) -> bool:
@@ -115,12 +125,8 @@ def is_exact(scalars) -> bool:
 
 
 def abs2_s(x):
-    """|x|^2, exact for rational-backed scalars."""
-    if isinstance(x, QQi):
-        return x.abs2()
-    if isinstance(x, complex):
-        return x.real * x.real + x.imag * x.imag
-    return x * x
+    """|x|^2 of a number with ``real`` and ``imag``, exact for an exact x."""
+    return x.real * x.real + x.imag * x.imag
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .errors import (
     SupportBoundError,
     ZeroFunctionalError,
 )
-from .exactnum import QQi
+from .exactnum import QQi, is_exact
 from .indices import degree, order_key, validate_index
 from .jsonspec import integer, json_list, json_object, number
 
@@ -257,10 +257,9 @@ def jet_multiply(f: Jet, g: Jet, d: int) -> Jet:
 
 
 def _scalar_to_json(c):
-    if isinstance(c, QQi):
-        return {"re": str(c.re), "im": str(c.im)}
-    if isinstance(c, Fraction):
-        return {"re": str(c), "im": "0"}
+    """An exact scalar's parts as rational strings, any other's as numbers."""
+    if is_exact((c,)):
+        return {"re": str(c.real), "im": str(c.imag)}
     c = complex(c)
     return {"re": c.real, "im": c.imag}
 

@@ -5,14 +5,11 @@ Matrices are lists of row lists.  Every scalar decision is an exact zero
 test; floating-point problems run through numpy in :mod:`berglab.bergman`
 and :mod:`berglab.ideals` instead.
 
-One ring.  An exact row is cleared once: multiplied by the least common
-multiple of its denominators, an entry with a nonzero imaginary part becomes
-a :class:`_GaussInt` and any other entry an int.  A ``_GaussInt`` takes int
-operands on either side of ``+``, ``-``, ``*`` and exact ``//``, and has
-``real``, ``imag`` and ``conjugate()`` as an int does, so an int is a
-Gaussian integer with imaginary part 0 and the two mix freely: no code below
-asks which ring a row is in, and each result entry is typed by itself on the
-way out.
+One ring.  An exact row is cleared once, times the least common multiple of
+its denominators: an entry with a nonzero imaginary part becomes a
+:class:`~berglab.exactnum.QQi` with int parts, any other an int.  The two
+mix under ``+``, ``-``, ``*`` and exact ``//``, so no code below asks which
+ring a row is in, and each result entry is typed by itself on the way out.
 
 One kernel.  The forward pass is Bareiss's fraction-free elimination
 (E. H. Bareiss, Math. Comp. 22 (1968) 565-578): every entry stays an integer
@@ -53,74 +50,22 @@ from .exactnum import QQi
 
 _REAL, _IMAG = attrgetter("real"), attrgetter("imag")
 
-class _GaussInt:
-    """A Gaussian integer real + imag*i; the other operand of an arithmetic
-    operation may be a Gaussian integer or an int, on either side.  numpy
-    reads it as a complex through ``__complex__``."""
-
-    __slots__ = ("real", "imag")
-
-    def __init__(self, real, imag=0):
-        self.real = real
-        self.imag = imag
-
-    def __add__(self, o):
-        return _GaussInt(self.real + o.real, self.imag + o.imag)
-
-    def __sub__(self, o):
-        return _GaussInt(self.real - o.real, self.imag - o.imag)
-
-    def __mul__(self, o):
-        a, b, c, d = self.real, self.imag, o.real, o.imag
-        return _GaussInt(a * c - b * d, a * d + b * c)
-
-    def __floordiv__(self, o):
-        # exact division: o divides self
-        c, d = o.real, o.imag
-        if not d:
-            return _GaussInt(self.real // c, self.imag // c)
-        a, b, n = self.real, self.imag, c * c + d * d
-        return _GaussInt((a * c + b * d) // n, (b * c - a * d) // n)
-
-    def __radd__(self, o):
-        return _GaussInt(o + self.real, self.imag)
-
-    def __rsub__(self, o):
-        return _GaussInt(o - self.real, -self.imag)
-
-    def __rmul__(self, o):
-        return _GaussInt(o * self.real, o * self.imag)
-
-    def __rfloordiv__(self, o):
-        return _GaussInt(o) // self
-
-    def __neg__(self):
-        return _GaussInt(-self.real, -self.imag)
-
-    def __bool__(self):
-        return bool(self.real or self.imag)
-
-    def conjugate(self):
-        return _GaussInt(self.real, -self.imag)
-
-    def __complex__(self):
-        return complex(self.real, self.imag)
-
 
 def _clear(row):
-    """(ring row, d): an exact row (ints, Fractions, QQi or Gaussian
-    integers) times d, the least common multiple of its denominators; an
-    entry whose imaginary part is 0 becomes an int."""
-    if not any(isinstance(x, (QQi, _GaussInt)) for x in row):
+    """(ring row, d): an exact row times d, the least common multiple of the
+    denominators of its parts; an entry whose imaginary part is 0 becomes an
+    int and any other a QQi with int parts."""
+    if not any(type(x) is QQi for x in row):
+        # all real, as most rows are: on exact-ladder rows this takes less than
+        # half the time of the loop below
         d = math.lcm(*(x.denominator for x in row))
         return [x.numerator * (d // x.denominator) for x in row], d
-    # an int or a Fraction has real part itself and imaginary part 0
-    parts = [(x.re, x.im) if isinstance(x, QQi) else (x.real, x.imag) for x in row]
-    d = math.lcm(*(p.denominator for pair in parts for p in pair))
+    d = math.lcm(*(p.denominator for x in row for p in (x.real, x.imag)))
     out = []
-    for re, im in parts:
+    for x in row:
+        re, im = x.real, x.imag
         re = re.numerator * (d // re.denominator)
-        out.append(_GaussInt(re, im.numerator * (d // im.denominator)) if im else re)
+        out.append(QQi(re, im.numerator * (d // im.denominator)) if im else re)
     return out, d
 
 
@@ -245,14 +190,11 @@ def span_and_annihilator(rows, ncols):
     annihilator = []
     for j, x in zip(free, _back_substitute(U, pivots, free)):
         # the entries on column j and on the pivot columns left of it
-        x = [D] + [-s for s in x]
-        if D.imag:
-            c = D.conjugate()
-            x = [s * c for s in x]
+        x, _ = _int_denominator([D] + [-s for s in x], D)
         g = math.gcd(*map(_REAL, x), *map(_IMAG, x))
         if x[0].real < 0:
             g = -g
-        x = [_GaussInt(s.real // g, s.imag // g) if s.imag else s.real // g for s in x]
+        x = [QQi(s.real // g, s.imag // g) if s.imag else s.real // g for s in x]
         v = [0] * ncols
         v[j] = x[0]
         for c, s in zip(pivots, x[1:]):

@@ -21,6 +21,7 @@ from .errors import (
     DivergentIntegralError,
     UnboundedFunctionalError,
     ZeroFunctionalError,
+    ZeroKernelError,
 )
 from .exactnum import PiValue, encode, value_float
 from .ideals import (
@@ -103,10 +104,13 @@ def xi_cse_limit(xi: Functional, phi: ToricWeight, D: DiagonalDomain, t_grid) ->
 
     Returns the least-squares slope of the tail (the later half of the
     grid) together with a discrete convexity certificate: consecutive
-    divided-difference slopes must be nondecreasing.
+    divided-difference slopes must be nondecreasing.  A xi with no slot
+    integrable on D raises ZeroKernelError: K is then 0 at every t.
     """
     from .bergman import kernel_at_origin
 
+    if not any(D.finite(alpha) for alpha in xi.entries):
+        raise ZeroKernelError("xi has no square-integrable slot on the domain, so K = 0")
     table = []
     for t in t_grid_points(t_grid):
         sub = sublevel_domain(D, phi, t)

@@ -330,5 +330,9 @@ def run_suite(name, seed=0, count=None) -> SuiteResult:
         raise ValueError(f"unknown suite {name!r}")
     kwargs = {"seed": seed}
     if count is not None:
+        # fewer than the fixed part (sop's 2 golden instances) cannot run as asked
+        least = 2 if name == "sop" else 1
+        if count < least:
+            raise ValueError(f"suite {name} needs a count of at least {least}")
         kwargs["count"] = count
     return SUITES[name](**kwargs)

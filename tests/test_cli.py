@@ -446,12 +446,13 @@ class TestKernelBasis:
         assert result.stdout == f"K = {1 / math.pi:.17g}\n"
 
     def test_cse_refuses_a_zero_kernel(self, tmp_path):
-        # delta_0 lives only on a non-integrable slot there: K = 0 has no log
+        # delta_0 lives only on a non-integrable slot there: K = 0 has no
+        # log, and the maths rejects the input, so it is a spec error
         xi = {"n": 1, "terms": [ONE]}
         spec = write_spec(tmp_path, {"domain": WEIGHTED_DISC, "xi": xi, "weight": {"a": ["1"]}})
         result = run_cli(["cse", "--spec", spec])
-        assert result.exit_code == 3
-        assert "kernel not finite and positive" in result.stderr
+        assert result.exit_code == 2
+        assert "spec error: xi has no square-integrable slot" in result.stderr
 
     def test_basis(self, tmp_path):
         spec = write_spec(
@@ -801,6 +802,16 @@ class TestSuite:
     def test_unknown_suite_exit_2(self):
         result = run_cli(["suite", "nope"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "name,count", [("equivalence", "-5"), ("equivalence", "0"), ("sop", "-3"), ("sop", "1")]
+    )
+    def test_count_below_the_fixed_part_exit_2(self, name, count):
+        # such a run checks less than it would report, so it must not PASS
+        result = run_cli(["suite", name, "--count", count])
+        assert result.exit_code == 2, result.stdout
+        assert "PASS" not in result.stdout
+        assert f"spec error: suite {name} needs a count of at least" in result.stderr
 
     def test_library_error_exit_3(self, monkeypatch):
         def failing(name, seed=0, count=None):

@@ -9,7 +9,12 @@ from scipy.integrate import quad
 
 from berglab.bergman import b_circle, minimal_l2
 from berglab.domains import DiagonalDomain, ToricWeight
-from berglab.errors import BerglabError, DivergentIntegralError, ZeroFunctionalError
+from berglab.errors import (
+    BerglabError,
+    DivergentIntegralError,
+    ZeroFunctionalError,
+    ZeroKernelError,
+)
 from berglab.exactnum import PiValue, QQi, abs2_s, value_float
 from berglab.ideals import MonomialIdeal, monomial_jet_ideal
 from berglab.indices import indices_up_to
@@ -125,6 +130,18 @@ class TestCseLimit:
                 DiagonalDomain.disc(1, exact=False),
                 [0],
             )
+
+    @pytest.mark.parametrize("a", [1, 2])
+    def test_zero_kernel_is_a_spec_error(self, a):
+        # delta_0 against |z|^(-2a) is not square-integrable on the disc nor
+        # on any sublevel set of it; delta_a is, so adding it gives a kernel
+        dom = DiagonalDomain.disc(1).with_weight(ToricWeight((a,)))
+        phi = ToricWeight((1,))
+        with pytest.raises(ZeroKernelError) as info:
+            xi_cse_limit(Functional.delta(1, (0,)), phi, dom, [1, 2, 3, 4])
+        assert isinstance(info.value, ValueError)
+        xi = Functional(1, {(0,): 1, (a,): 1})
+        assert xi_cse_limit(xi, phi, dom, [1, 2, 3, 4]).table[0][1] > -math.inf
 
     def test_tail_slope_matches_numpy_least_squares(self, monkeypatch):
         # the slope is the stdlib's least-squares line through the tail;

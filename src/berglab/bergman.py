@@ -21,10 +21,10 @@ splits along the jet ideal's blocks (:class:`berglab.ideals.Block`), and a
 block that F does not touch adds 0 to C and to B.  The record therefore
 holds the jet ideal restricted to the blocks that F touches
 (:meth:`JetIdeal.restrict`), with weights and slots for their indices only;
-the other blocks are never assembled or solved.  A moment domain's Gram
-matrix is dense, so there the record holds the whole jet ideal.  Each route
-then does its own solve, once, on its own system over the record's jet
-ideal ``J``:
+the other blocks are never eliminated, assembled or solved.  A moment
+domain's Gram matrix is dense, so there the record holds the whole jet
+ideal.  Each route then does its own solve, once, on its own system over
+the record's jet ideal ``J``:
 
 * in exact mode the projection solves its normal equations on the
   independent product rows g * z^beta that the blocks' eliminations kept
@@ -250,19 +250,20 @@ class _Problem:
         """How a result was obtained, under one key set for every result: the
         route gives its outcome (solved, contained, infeasible or unbounded),
         its own system's size and its condition estimate, or None.  The
-        sizes of the whole problem (indices, span and annihilator, blocks)
-        come with those of the part that was solved (solved indices, finite
-        and infinite slots)."""
-        ideal = self.ideal
+        sizes of the whole problem (indices, blocks), which need no
+        elimination, come with those of the part that was solved (solved
+        indices, the span and annihilator of ``J``, finite and infinite
+        slots)."""
+        ideal, J = self.ideal, self.J
         return {
             "backend": self.backend,
             "outcome": outcome,
             "indices": len(self.indices if self.backend == "moment" else ideal.indices),
-            "span_dim": ideal.span_dim,
-            "annihilator_dim": len(ideal.indices) - ideal.span_dim,
             "blocks": len(ideal.blocks),
             "largest_block": ideal.largest_block,
             "solved_indices": len(self.indices),
+            "solved_span_dim": J.span_dim,
+            "solved_annihilator_dim": len(J.indices) - J.span_dim,
             "finite_slots": len(self.finite),
             "infinite_slots": len(self.infinite),
             "system_dim": system_dim,
@@ -711,8 +712,10 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
         Fk = Jet(F.n, max(F.degree_bound, k - 1), F.coeffs)
         # validate F against the complement: it must be orthogonal to the
         # span, up to 1e-9 of the Cauchy-Schwarz bound ||F|| ||s||, with ||s||
-        # over the integrable slots that the pairing sums
-        for s in J.basis_jets():
+        # over the integrable slots that the pairing sums.  A span vector on
+        # a block that F does not touch pairs to exactly 0 with F, so only
+        # F's blocks are read.
+        for s in J.restrict(Fk.truncate(k - 1).coeffs).basis_jets():
             ip = _inner_float(domain, F, s)
             if abs(ip) > 1e-9 * normF * math.sqrt(_inner_float(domain, s, s).real):
                 raise NotInComplementError(

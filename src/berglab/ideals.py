@@ -11,7 +11,8 @@ monomials that one row touches, and the jet space splits into components,
 each with its own rows (a monomial that no row touches is a block of its
 own, with no rows).  The span and the annihilator are the direct sums of
 the blocks' spans and annihilators, so each block is eliminated by itself,
-dense over its own monomials only.
+dense over its own monomials only, when its span or annihilator is first
+read: a caller that reads a few blocks pays for those only.
 
 The rows are read off the dimension's shared index layout
 (:func:`berglab.indices.layout`): each term z^alpha of a generator gives the
@@ -42,7 +43,10 @@ of each block's kept rows, split at their exact rank
 On a diagonal domain distinct monomials are orthogonal, so the blocks that
 a jet F does not touch add nothing to F's minimal integral or kernel ratio:
 :meth:`JetIdeal.restrict` gives the jet ideal on the blocks F touches,
-which is all that :mod:`berglab.bergman` solves on there.
+which is all that :mod:`berglab.bergman` solves on there, and all that is
+eliminated for it.  Membership (:func:`contains`) reads only the blocks
+that the jet touches too.  The rest are eliminated, once, by a reader of
+the whole ideal (:class:`JetIdeal`).
 """
 
 from __future__ import annotations
@@ -102,6 +106,19 @@ def _orthonormal_split(rows, m, rank=None):
     return vh[:rank], vh[rank:].conj()
 
 
+def _eliminate(rows, m, exact):
+    """(span, annihilator) of one block's product rows of length m: by
+    :func:`_orthonormal_split` for float rows, by
+    :func:`berglab.linalg.span_and_annihilator` for exact ones.  An exact
+    one-column block is in the span exactly when a row touches it, and then
+    keeps the first such row, cleared to a ring integer."""
+    if not exact:
+        return _orthonormal_split(rows, m)
+    if m == 1:
+        return (to_ring(rows[:1])[0], []) if rows else ([], [[1]])
+    return span_and_annihilator(rows, m)
+
+
 @cache
 def _one_column(spanned: bool):
     """(span, annihilator) of one monomial, as :func:`_orthonormal_split`
@@ -140,14 +157,27 @@ class IdealPresentation:
 @dataclass(eq=False)
 class Block:
     """One component of a jet ideal: the multi-indices ``indices`` (in the
-    graded order) that the product rows join, and the span (``rows``) and
-    annihilator (``null``) of the rows that touch them, as vectors over
-    ``indices`` of the kinds :class:`JetIdeal` holds."""
+    graded order) that the product rows join, and the product rows that
+    touch them, ``products``, dense over ``indices`` (of a one-monomial
+    block, the first one is enough).  The span (``rows``) and annihilator
+    (``null``) of those rows, vectors over ``indices`` of the kinds
+    :class:`JetIdeal` holds, are eliminated when either is first read."""
 
     indices: list
-    rows: object
-    null: object
+    products: list
     exact: bool
+
+    @cached_property
+    def _split(self):
+        return _eliminate(self.products, len(self.indices), self.exact)
+
+    @property
+    def rows(self):
+        return self._split[0]
+
+    @property
+    def null(self):
+        return self._split[1]
 
     @cached_property
     def float_view(self):
@@ -182,6 +212,13 @@ class JetIdeal:
 
     ``columns`` holds, per block, the positions of its indices in
     ``indices``; it is found from the indices when not given.
+
+    A block is eliminated when its vectors are first read: a restriction
+    eliminates the blocks it holds when it is read, and the whole ideal's
+    ``rows``, ``null``, ``float_view``, ``span_dim`` and
+    :meth:`basis_jets`, and :func:`annihilator`, eliminate every block not
+    yet eliminated.  ``indices``, ``blocks`` and ``largest_block`` need no
+    elimination.
     """
 
     n: int
@@ -212,12 +249,19 @@ class JetIdeal:
     def _restrictions(self):
         return {}
 
+    def _touched(self, support):
+        """The positions in ``blocks``, ascending, of the blocks that meet
+        ``support``, multi-indices (one outside ``indices`` meets none)."""
+        block_of = self._block_of
+        return tuple(sorted({block_of[a] for a in support if a in block_of}))
+
     def restrict(self, support) -> "JetIdeal":
-        """The jet ideal on the blocks that meet ``support``, multi-indices of
-        degree < level: its span and annihilator are the parts of this
-        ideal's that live on those blocks.  One restriction per set of
-        blocks is built, so that its assembled vectors are shared."""
-        touched = tuple(sorted({self._block_of[a] for a in support}))
+        """The jet ideal on the blocks that meet ``support``: its span and
+        annihilator are the parts of this ideal's that live on those
+        blocks, which it shares, so that it eliminates only them.  One
+        restriction per set of blocks is built, so that its assembled
+        vectors are shared."""
+        touched = self._touched(support)
         J = self._restrictions.get(touched)
         if J is None:
             blocks = [self.blocks[k] for k in touched]
@@ -293,7 +337,8 @@ class JetIdeal:
 def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
     """Span of {truncate(g * z^beta) : |beta| < k} and its annihilator, block
     by block: in ring integers for exact generators, by orthonormal bases
-    for float ones.
+    for float ones.  The product rows are built and split into blocks here;
+    each block is eliminated when it is first read (:class:`Block`).
 
     Raises JetSpaceTooLargeError (before any row is built) past the size cap
     of :func:`berglab.indices.check_jet_space`.  No generator has a constant
@@ -320,34 +365,24 @@ def jet_ideal(gens: IdealPresentation, k: int) -> JetIdeal:
     # the rows of each block of several monomials, dense over its positions;
     # of a one-monomial block only the first row, its one entry
     rows = [[] for _ in cols]
-    firsts = {}
     for terms in products:
         anchor, c0 = terms[0]
         for b, p in enumerate(anchor):
             r = block_of[p]
             size = len(cols[r])
             if size == 1:
-                firsts.setdefault(r, [c0])
+                if not rows[r]:
+                    rows[r].append([c0])
                 continue
             v = [0] * size
             for pos, c in terms:
                 if b < len(pos):
                     v[local[pos[b]]] = c
             rows[r].append(v)
-    if exact:
-        firsts = dict(zip(firsts, to_ring(list(firsts.values()))[0]))
 
     idx = lay.indices[:m]
-    blocks = []
-    for r, block_cols in enumerate(cols):
-        if len(block_cols) > 1:
-            split = span_and_annihilator if exact else _orthonormal_split
-            span, null = split(rows[r], len(block_cols))
-        elif exact:
-            span, null = ([firsts[r]], []) if r in firsts else ([], [[1]])
-        else:
-            span, null = _one_column(r in firsts)
-        blocks.append(Block([idx[c] for c in block_cols], span, null, exact))
+    blocks = [Block([idx[c] for c in block_cols], block_rows, exact)
+              for block_cols, block_rows in zip(cols, rows)]
     return JetIdeal(gens.n, k, idx, blocks, exact, cols)
 
 
@@ -395,15 +430,23 @@ def contains(J: JetIdeal, f: Jet) -> bool:
     :attr:`JetIdeal.float_view` are at most ``FLOAT_RANK_TOL`` times its
     largest coefficient: they are the coordinates of f's distance from the
     span.  An ideal with no annihilator contains every jet.
+
+    Only the blocks that f's support touches are read, each by itself: f
+    is 0 off them, so its pairings with the other blocks' annihilator
+    vectors are exactly 0.
     """
-    vec = f.truncate(J.level - 1).vector(J.indices)
-    if J.exact and is_exact(vec):
-        return annihilates(J.null, vec)
+    f = f.truncate(J.level - 1)
+    blocks = [J.blocks[k] for k in J._touched(f.coeffs)]
+    if not blocks:
+        return True
+    vecs = [f.vector(b.indices) for b in blocks]
+    if J.exact and is_exact(x for vec in vecs for x in vec):
+        return all(annihilates(b.null, vec) for b, vec in zip(blocks, vecs))
     import numpy as np
 
-    v = np.array(vec, dtype=complex)
-    r = J.float_view[1] @ v
-    return not r.size or bool(abs(r).max() <= FLOAT_RANK_TOL * abs(v).max())
+    vs = [np.array(vec, dtype=complex) for vec in vecs]
+    r = np.concatenate([b.float_view[1] @ v for b, v in zip(blocks, vs)])
+    return not r.size or bool(abs(r).max() <= FLOAT_RANK_TOL * abs(np.concatenate(vs)).max())
 
 
 def annihilator(J: JetIdeal) -> list:

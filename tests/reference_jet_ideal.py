@@ -4,16 +4,17 @@
 Every product row g * z^beta is built as sparse (position, coefficient)
 pairs, by adding exponents and looking each sum up in a position dict built
 for the call; the rows are then joined into blocks by union-find and copied
-into dense rows over each block's positions.  Every block, a one-monomial
-one included, goes through the same split as the package's larger blocks.
+into dense rows over each block's positions.  Each block holds all of its
+rows, and is eliminated by the package's per-block elimination when it is
+first read; ``test_layout`` checks that elimination, one-monomial blocks
+included, against a direct call of the split on those rows.
 """
 
 from operator import add
 
 from berglab.exactnum import is_exact
-from berglab.ideals import Block, JetIdeal, _orthonormal_split
+from berglab.ideals import Block, JetIdeal
 from berglab.indices import indices_up_to
-from berglab.linalg import span_and_annihilator
 
 
 def product_rows(generators, idx):
@@ -74,14 +75,11 @@ def blocks(rows, m):
 
 def reference_jet_ideal(gens, k):
     """The jet ideal of ``gens`` at level k, from :func:`product_rows` and
-    :func:`blocks`, each block split by
-    :func:`berglab.linalg.span_and_annihilator` (exact generators) or by the
-    unit-row SVD (float ones)."""
+    :func:`blocks`: each block with all of its dense rows."""
     exact = is_exact(c for g in gens.generators for c in g.coeffs.values())
     idx = indices_up_to(gens.n, k - 1)
-    out = []
-    for cols, rows in blocks(product_rows(gens.generators, idx), len(idx)):
-        split = span_and_annihilator if exact else _orthonormal_split
-        span, null = split(rows, len(cols))
-        out.append(Block([idx[c] for c in cols], span, null, exact))
+    out = [
+        Block([idx[c] for c in cols], rows, exact)
+        for cols, rows in blocks(product_rows(gens.generators, idx), len(idx))
+    ]
     return JetIdeal(gens.n, k, idx, out, exact)

@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from berglab.bergman import ROUTES_RTOL, both_routes, routes_agree
+from berglab import ideals
+from berglab.bergman import ROUTES_RTOL, both_routes, density_sequence, krull_ladder, routes_agree
 from berglab.domains import DiagonalDomain, ToricWeight
 from berglab.exactnum import PiValue, QQi, abs2_s
 from berglab.ideals import IdealPresentation, jet_ideal
@@ -247,3 +248,81 @@ class TestBlockStructure:
         for row in product_rows(gens, level, J.indices):
             assert len({where[a] for a, x in zip(J.indices, row) if x}) == 1
         assert J.span_dim + sum(len(b.null) for b in J.blocks) == len(J.indices)
+
+
+def _ladder_value(steps, k):
+    """The value of a ladder whose rungs change at the keys of ``steps``."""
+    return steps[max(s for s in steps if s <= k)]
+
+
+class TestLazyElimination:
+    """A block is eliminated when first read: the routes read F's blocks,
+    and a reader of the whole ideal the rest, once."""
+
+    CI_F = Jet(2, 30, {(1, 0): 1, (0, 1): QQi(Fraction(1, 2), -1)})
+
+    @pytest.fixture
+    def eliminations(self, monkeypatch):
+        calls = []
+        eliminate = ideals._eliminate
+
+        def counted(rows, m, exact):
+            calls.append(m)
+            return eliminate(rows, m, exact)
+
+        monkeypatch.setattr(ideals, "_eliminate", counted)
+        return calls
+
+    def test_routes_then_whole_reads_on_the_ci_ideal(self, eliminations):
+        J = jet_ideal(IdealPresentation(2, [CI_GENERATOR]), 31)
+        assert eliminations == []
+        c, b = both_routes(DiagonalDomain.polydisc([1, 2]), self.CI_F, J)
+        # F touches {z1, z2^2}, spanned by the generator itself, and {z2}
+        assert sorted(eliminations) == [1, 2] and c.value == b.value
+        sizes = {k: c.diagnostics[k] for k in (
+            "indices", "blocks", "largest_block", "solved_indices", "solved_span_dim",
+            "solved_annihilator_dim",
+        )}
+        assert sizes == {
+            "indices": 496, "blocks": 61, "largest_block": 16, "solved_indices": 3,
+            "solved_span_dim": 1, "solved_annihilator_dim": 2,
+        }
+        assert b.diagnostics == c.diagnostics | {"system_dim": b.diagnostics["system_dim"]}
+        J.rows
+        assert len(eliminations) == 61
+        J.null, J.float_view, J.span_dim, J.basis_jets(), ideals.annihilator(J)
+        assert ideals.contains(J, CI_GENERATOR) and not ideals.contains(J, self.CI_F)
+        assert len(eliminations) == 61
+
+    def test_membership_and_density_read_only_the_jets_blocks(self, eliminations):
+        gens = IdealPresentation(2, [CI_GENERATOR])
+        J = jet_ideal(gens, 31)
+        # g and z2 g: two blocks of two monomials each, both read
+        member = CI_GENERATOR.add(jet_multiply(CI_GENERATOR, Jet.monomial(2, (0, 1)), 30))
+        assert ideals.contains(J, member)
+        assert eliminations == [2, 2]
+        # F is outside the span on the block of g; the block of z2 is its other
+        assert not ideals.contains(J, self.CI_F)
+        assert eliminations in ([2, 2], [2, 2, 1])
+        # membership assembles and keeps no restriction of the ideal
+        assert not J._restrictions
+        # z2 is a block of its own, with no rows: orthogonal to the span
+        F = Jet(2, 1, {(0, 1): 1})
+        eliminations.clear()
+        ((k, distance),) = density_sequence(DiagonalDomain.polydisc([1, 2]), F, gens, [31])
+        assert eliminations == [1] and (k, distance) == (31, 0.0)
+
+    @pytest.mark.parametrize("F, steps", [
+        (CI_F, {2: Fraction(10), 3: Fraction(1950, 163)}),
+        (Jet(2, 11, {(3, 1): 1, (0, 5): 2, (2, 9): 1}),
+         {2: Fraction(0), 6: Fraction(8192, 19523), 8: Fraction(24265490432, 10185559083),
+          14: Fraction(45530813893348488249344, 19097437317079467537261)}),
+    ], ids=["ci", "three-terms"])
+    def test_ci_ladder_values(self, F, steps):
+        # every rung k = 2..31 on the bidisc of radii (1, 2), with the values
+        # that eliminating every block of each level gave
+        gens = IdealPresentation(2, [CI_GENERATOR])
+        lad = krull_ladder(DiagonalDomain.polydisc([1, 2]), F, gens, range(2, 32))
+        assert [r.k for r in lad.rows] == list(range(2, 32))
+        for r in lad.rows:
+            assert r.c_value == r.b_value == PiValue(_ladder_value(steps, r.k), 2)

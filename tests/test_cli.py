@@ -318,7 +318,8 @@ class TestEquiv:
     def test_gaussian_json_bytes(self, tmp_path):
         # a real entry of an exact result is written {"re": "a", "im": "0"}
         # whether it is a Fraction or a QQi: these are the bytes written
-        # when every entry of a Gaussian result was a QQi
+        # when every entry of a Gaussian result was a QQi, with the
+        # diagnostics' span and annihilator sizes those of the solved system
         spec = write_spec(tmp_path, GAUSSIAN_BIDISC)
         out = tmp_path / "out"
         result = run_cli(["equiv", "--spec", spec, "--out", str(out)])
@@ -326,7 +327,7 @@ class TestEquiv:
         data = (out / "equiv.json").read_bytes()
         assert b'"re": "3",' in data and b'"re": "27/4",' in data
         assert hashlib.sha256(data).hexdigest() == (
-            "ca0ab7effa581408e73d7767e2f51bed64c56124a53dad994690ed025d44f999"
+            "d2459b27f3053adf25e36469b71b6f5ed472a0fc287fd84c5a50fe2c80628b15"
         )
 
     def test_no_tolerance_option(self, tmp_path):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from berglab import bergman, domains, indices
+from berglab import bergman, domains, ideals, indices
 from berglab.bergman import krull_ladder
 from berglab.domains import DiagonalDomain
 from berglab.errors import DimensionMismatchError, JetSpaceTooLargeError
@@ -16,6 +16,7 @@ from berglab.exactnum import QQi
 from berglab.ideals import IdealPresentation, annihilator, jet_ideal
 from berglab.indices import MAX_JET_INDICES, Layout, indices_up_to, layout
 from berglab.jets import Functional, Jet
+from berglab.linalg import span_and_annihilator
 from reference_jet_ideal import reference_jet_ideal
 
 
@@ -166,6 +167,53 @@ def test_restriction_matches_reference():
         J, R = jet_ideal(pres, 6), reference_jet_ideal(pres, 6)
         support = rng.sample(list(J.indices), 3)
         assert_same_ideal(J.restrict(support), R.restrict(support))
+
+
+@pytest.mark.parametrize("kind", ["int", "qqi", "float"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_lazy_blocks_match_eager_elimination(n, kind, monkeypatch):
+    # a block is eliminated when first read, through a restriction or
+    # through the whole ideal, once, and gives what one eager split of the
+    # reference's rows for that block gives (a one-monomial block included,
+    # which the package does not split)
+    eliminated = []
+    eliminate = ideals._eliminate
+
+    def counted(rows, m, exact):
+        eliminated.append(id(rows))
+        return eliminate(rows, m, exact)
+
+    monkeypatch.setattr(ideals, "_eliminate", counted)
+    rng = random.Random(f"lazy-{n}-{kind}")
+    left, joined = 0, 0  # blocks a restriction left unread; blocks of several monomials
+    for level in range(1, 9):
+        pres = _presentation(rng, n, level, kind)
+        R = reference_jet_ideal(pres, level)
+        split = span_and_annihilator if R.exact else ideals._orthonormal_split
+        eager = [split(b.products, len(b.indices)) for b in R.blocks]
+        for whole_first in (False, True):
+            J = jet_ideal(pres, level)
+            eliminated.clear()
+            support = rng.sample(list(J.indices), min(3, len(J.indices)))
+            if whole_first:
+                J.null, J.float_view
+            S = J.restrict(support)
+            S.rows, S.null, S.float_view
+            if not whole_first:
+                # membership of a jet on the same support reads the same blocks
+                ideals.contains(J, Jet(n, level, {a: 1 for a in support}))
+                assert sorted(eliminated) == sorted(id(b.products) for b in S.blocks)
+                left += len(J.blocks) - len(S.blocks)
+                J.rows, J.float_view
+            assert sorted(eliminated) == sorted(id(b.products) for b in J.blocks)
+            assert [b.indices for b in J.blocks] == [b.indices for b in R.blocks]
+            for b, (span, null) in zip(J.blocks, eager):
+                if J.exact:
+                    assert _ring(b.rows) == _ring(span) and _ring(b.null) == _ring(null)
+                else:
+                    assert _same_array(b.rows, span) and _same_array(b.null, null)
+            joined += sum(len(b.indices) > 1 for b in J.blocks)
+    assert left and joined
 
 
 def test_layout_cleared_between_calls_gives_the_same_ideal():

@@ -51,10 +51,8 @@ every backend and outcome.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
-from typing import TYPE_CHECKING
 
 from .domains import DiagonalDomain, ExhaustionSequence, MomentDomain
 from .errors import (
@@ -77,10 +75,6 @@ from .ideals import (
 from .indices import degree, indices_up_to
 from .jets import Functional, Jet, pair
 from .linalg import combine, from_ring, hermitian_gram, solve, to_ring
-
-if TYPE_CHECKING:
-    import numpy as np
-
 
 # ---------------------------------------------------------------------------
 # Riesz representatives and kernels
@@ -135,7 +129,6 @@ def kernel_at_origin(domain, xi: Functional):
 # triangular orthonormal basis
 
 
-@dataclass
 class TriangularBasis:
     """Orthonormal basis sigma_alpha with triangular coefficient structure.
 
@@ -146,12 +139,10 @@ class TriangularBasis:
     ``included[j]``.
     """
 
-    domain: object
-    degree_bound: int
-    indices: list
-    included: list
-    coeff_matrix: np.ndarray
-    functionals: list
+    def __init__(self, domain, degree_bound: int, indices: list, included: list, coeff_matrix,
+                 functionals: list):
+        self.domain, self.degree_bound, self.indices = domain, degree_bound, indices
+        self.included, self.coeff_matrix, self.functionals = included, coeff_matrix, functionals
 
     def sigma(self, j) -> Jet:
         col = self.coeff_matrix[:, j]
@@ -214,7 +205,6 @@ def triangular_basis(domain, degree_bound: int) -> TriangularBasis:
 # the problem record
 
 
-@dataclass
 class _Problem:
     """One checked (domain, F, J) and the inputs both routes read.
 
@@ -229,18 +219,13 @@ class _Problem:
     split the slots by weight; ``f`` is F's vector.
     """
 
-    backend: str
-    ideal: JetIdeal
-    J: JetIdeal
-    contained: bool
-    pi_power: int
-    indices: list
-    weights: object
-    finite: list
-    infinite: list
-    f: object
-    chol: object
-    quad_error: object
+    def __init__(self, backend: str, ideal: JetIdeal, J: JetIdeal, contained: bool,
+                 pi_power: int, indices: list, weights, finite: list, infinite: list, f, chol,
+                 quad_error):
+        self.backend, self.ideal, self.J, self.contained = backend, ideal, J, contained
+        self.pi_power, self.indices, self.weights = pi_power, indices, weights
+        self.finite, self.infinite, self.f = finite, infinite, f
+        self.chol, self.quad_error = chol, quad_error
 
     def value(self, v):
         """``v`` as a result value: a PiValue in exact mode, a float otherwise."""
@@ -321,15 +306,16 @@ def _problem(domain, F: Jet, J: JetIdeal) -> _Problem:
 # minimal L2 integrals
 
 
-@dataclass
 class ProjectionResult:
-    """Outcome of a minimal L2 computation."""
+    """Outcome of a minimal L2 computation: ``value`` is a PiValue in exact
+    mode, a float otherwise, and may be infinite; T(``eta``) = ``minimizer``,
+    and exact entries of ``eta`` carry pi**``eta_pi_power``."""
 
-    value: object  # PiValue in exact mode, float otherwise; may be infinite
-    minimizer: Jet = None
-    eta: Functional = None  # T(eta) = minimizer; exact entries carry pi**eta_pi_power
-    eta_pi_power: int = 0
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(self, value, minimizer: Jet = None, eta: Functional = None,
+                 eta_pi_power: int = 0, diagnostics: dict = None):
+        self.value, self.minimizer, self.eta = value, minimizer, eta
+        self.eta_pi_power = eta_pi_power
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     def to_json(self):
         return {
@@ -467,13 +453,12 @@ def _minimal_l2_float(prob: _Problem) -> ProjectionResult:
 # the kernel-ratio supremum
 
 
-@dataclass
 class KernelRatioResult:
     """Value and maximizer of the kernel-ratio supremum over the annihilator."""
 
-    value: object
-    maximizer: Functional = None
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(self, value, maximizer: Functional = None, diagnostics: dict = None):
+        self.value, self.maximizer = value, maximizer
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
 
 def b_circle(domain, F: Jet, J: JetIdeal) -> KernelRatioResult:
@@ -598,21 +583,17 @@ def routes_agree(c, b):
 STABILIZATION_RTOL = 1e-10
 
 
-@dataclass
 class LadderRow:
-    k: int
-    c_value: object
-    b_value: object
+    def __init__(self, k: int, c_value, b_value):
+        self.k, self.c_value, self.b_value = k, c_value, b_value
 
     def gap(self) -> float:
         return routes_agree(self.c_value, self.b_value)[1]
 
 
-@dataclass
 class LadderResult:
-    rows: list
-    limit_estimate: object = None
-    stabilized: bool = False
+    def __init__(self, rows: list, limit_estimate=None, stabilized: bool = False):
+        self.rows, self.limit_estimate, self.stabilized = rows, limit_estimate, stabilized
 
     def __iter__(self):
         return iter(self.rows)

@@ -16,8 +16,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
-from pathlib import Path
 
 from .bergman import (
     both_routes,
@@ -65,7 +65,8 @@ def _load_spec(path, *required):
     """The spec at ``path``, a JSON object holding each ``required`` field
     (else exit 2); the reader of each field checks it."""
     try:
-        data = json.loads(Path(path).read_text())
+        with open(path) as fh:
+            data = json.load(fh)
     except (OSError, ValueError) as exc:
         raise _Exit(EXIT_SPEC, f"cannot read spec: {exc}") from None
     return _build(lambda: json_object(data, "the spec", required))
@@ -121,11 +122,13 @@ def _fmt(v) -> str:
 def _write_outputs(out, name, result_json, csv_text=None):
     if out is None:
         return
-    out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{name}.json").write_text(json.dumps(_json_safe(result_json), indent=2) + "\n")
+    out = out or os.curdir  # --out "" is the working directory
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, f"{name}.json"), "w") as fh:
+        fh.write(json.dumps(_json_safe(result_json), indent=2) + "\n")
     if csv_text is not None:
-        (out / f"{name}.csv").write_text(csv_text)
+        with open(os.path.join(out, f"{name}.csv"), "w") as fh:
+            fh.write(csv_text)
 
 
 def _range_text(data, key, default):

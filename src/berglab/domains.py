@@ -21,7 +21,6 @@ All values are immutable after construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -55,19 +54,25 @@ def _as_fraction(x):
     return Fraction(x)
 
 
-@dataclass(frozen=True)
 class ToricWeight:
-    """The diagonal plurisubharmonic weight  sum_j 2*a_j*log|z_j|."""
+    """The diagonal plurisubharmonic weight  sum_j 2*a_j*log|z_j|.  Two are
+    equal when their exponents are."""
 
-    a: tuple
-
-    def __post_init__(self):
-        a = tuple(Fraction(x) for x in self.a)
+    def __init__(self, a: tuple):
+        a = tuple(Fraction(x) for x in a)
         if any(x < 0 for x in a):
             raise ValueError("toric weight exponents must be non-negative")
         if not any(x > 0 for x in a):
             raise ValueError("toric weight needs at least one positive exponent")
-        object.__setattr__(self, "a", a)
+        self.a = a
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.a == other.a
+
+    def __hash__(self):
+        return hash((self.a,))
 
     @property
     def n(self) -> int:
@@ -88,28 +93,43 @@ class ToricWeight:
         return cls(tuple(number(x, f"{name}.a[{i}]") for i, x in enumerate(a)))
 
 
-@dataclass(frozen=True)
 class TruncatedWeight:
-    """The capped weight max(psi, -j) for a toric psi."""
+    """The capped weight max(psi, -j) for a toric psi.  Two are equal when
+    their psi and j are."""
 
-    psi: ToricWeight
-    j: int
-
-    def __post_init__(self):
-        if self.j < 1:
+    def __init__(self, psi: ToricWeight, j: int):
+        if j < 1:
             raise ValueError("truncation level j must be >= 1")
+        self.psi, self.j = psi, j
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.psi, self.j) == (other.psi, other.j)
+
+    def __hash__(self):
+        return hash((self.psi, self.j))
 
 
-@dataclass(frozen=True)
 class Cut:
     """A domain's one cut: the "truncated" weight exp(-scale*max(psi,
     -level)), its exponents folded into the domain's, or the "sublevel" set
-    {psi < -level} of a two-variable psi."""
+    {psi < -level} of a two-variable psi.  Two are equal when all four
+    fields are."""
 
-    kind: str
-    psi: ToricWeight
-    level: object
-    scale: Fraction = None
+    def __init__(self, kind: str, psi: ToricWeight, level, scale: Fraction = None):
+        self.kind, self.psi, self.level, self.scale = kind, psi, level, scale
+
+    def _fields(self):
+        return self.kind, self.psi, self.level, self.scale
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
 
 class DiagonalDomain:
@@ -571,17 +591,15 @@ def weighted_integral(domain: DiagonalDomain, F, phi: ToricWeight, c):
     return total
 
 
-@dataclass
 class ExhaustionSequence:
     """A nested family D_1 <= D_2 <= ... of domains containing the origin."""
 
-    domains: list
-
-    def __post_init__(self):
-        for prev, nxt in zip(self.domains, self.domains[1:]):
+    def __init__(self, domains: list):
+        for prev, nxt in zip(domains, domains[1:]):
             diagonal = isinstance(prev, DiagonalDomain) and isinstance(nxt, DiagonalDomain)
             if not (diagonal and prev.is_subset_of(nxt)):
                 raise NotNestedError("exhaustion sequence is not nested")
+        self.domains = domains
 
     def __iter__(self):
         return iter(self.domains)

@@ -12,7 +12,6 @@ reattach the pi power at the reporting boundary as a :class:`PiValue`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 
@@ -129,15 +128,23 @@ def abs2_s(x):
     return x.real * x.real + x.imag * x.imag
 
 
-@dataclass(frozen=True)
 class PiValue:
     """A non-negative quantity of the form coeff * pi**pi_power.
 
-    ``coeff`` is a Fraction, or ``math.inf`` for divergent integrals.
+    ``coeff`` is a Fraction, or ``math.inf`` for divergent integrals.  Two
+    are equal when their coefficients and powers are.
     """
 
-    coeff: object
-    pi_power: int = 0
+    def __init__(self, coeff, pi_power: int = 0):
+        self.coeff, self.pi_power = coeff, pi_power
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.coeff, self.pi_power) == (other.coeff, other.pi_power)
+
+    def __hash__(self):
+        return hash((self.coeff, self.pi_power))
 
     def is_infinite(self) -> bool:
         return self.coeff == math.inf

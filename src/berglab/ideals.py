@@ -52,7 +52,6 @@ the whole ideal (:class:`JetIdeal`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 
@@ -132,29 +131,25 @@ def _one_column(spanned: bool):
     return (unit, empty) if spanned else (empty, unit)
 
 
-@dataclass
 class IdealPresentation:
     """A proper ideal given by finitely many polynomial generators."""
 
-    n: int
-    generators: list
-
-    def __post_init__(self):
-        if not self.generators:
+    def __init__(self, n: int, generators: list):
+        if not generators:
             raise ValueError("an ideal presentation needs at least one generator")
-        if all(g.is_zero() for g in self.generators):
+        if all(g.is_zero() for g in generators):
             raise ValueError("all generators are zero")
-        for g in self.generators:
-            if g.n != self.n:
+        for g in generators:
+            if g.n != n:
                 raise ValueError("generator dimension differs from the presentation")
-            const = g.coefficient((0,) * self.n)
+            const = g.coefficient((0,) * n)
             if bool(const):
                 raise ImproperIdealError(
                     "a generator with nonzero constant term is a unit germ"
                 )
+        self.n, self.generators = n, generators
 
 
-@dataclass(eq=False)
 class Block:
     """One component of a jet ideal: the multi-indices ``indices`` (in the
     graded order) that the product rows join, and the product rows that
@@ -163,9 +158,8 @@ class Block:
     (``null``) of those rows, vectors over ``indices`` of the kinds
     :class:`JetIdeal` holds, are eliminated when either is first read."""
 
-    indices: list
-    products: list
-    exact: bool
+    def __init__(self, indices: list, products: list, exact: bool):
+        self.indices, self.products, self.exact = indices, products, exact
 
     @cached_property
     def _split(self):
@@ -189,7 +183,6 @@ class Block:
         return _orthonormal_split(self.rows, len(self.indices), len(self.rows))
 
 
-@dataclass(eq=False)
 class JetIdeal:
     """The linear span of (I + m^k) / m^k inside the jet space of degree < k.
 
@@ -221,17 +214,14 @@ class JetIdeal:
     elimination.
     """
 
-    n: int
-    level: int
-    indices: tuple
-    blocks: list
-    exact: bool = True
-    columns: list = None
-
-    def __post_init__(self):
-        if self.columns is None:
-            pos = {a: i for i, a in enumerate(self.indices)}
-            self.columns = [[pos[a] for a in b.indices] for b in self.blocks]
+    def __init__(self, n: int, level: int, indices: tuple, blocks: list, exact: bool = True,
+                 columns: list = None):
+        if columns is None:
+            pos = {a: i for i, a in enumerate(indices)}
+            columns = [[pos[a] for a in b.indices] for b in blocks]
+        self.n, self.level, self.indices, self.blocks = n, level, indices, blocks
+        self.exact, self.columns = exact, columns
+        self._restrictions = {}  # the last restriction built, by its blocks
 
     @property
     def span_dim(self) -> int:
@@ -245,10 +235,6 @@ class JetIdeal:
     def _block_of(self):
         return {a: k for k, b in enumerate(self.blocks) for a in b.indices}
 
-    @cached_property
-    def _restrictions(self):
-        return {}
-
     def _touched(self, support):
         """The positions in ``blocks``, ascending, of the blocks that meet
         ``support``, multi-indices (one outside ``indices`` meets none)."""
@@ -258,19 +244,21 @@ class JetIdeal:
     def restrict(self, support) -> "JetIdeal":
         """The jet ideal on the blocks that meet ``support``: its span and
         annihilator are the parts of this ideal's that live on those
-        blocks, which it shares, so that it eliminates only them.  One
-        restriction per set of blocks is built, so that its assembled
-        vectors are shared."""
+        blocks, which it shares, so that it eliminates only them.  The last
+        restriction built is kept, so that the two routes, called one after
+        the other on the same F, share its assembled vectors; an ideal holds
+        at most one."""
         touched = self._touched(support)
         J = self._restrictions.get(touched)
         if J is None:
             blocks = [self.blocks[k] for k in touched]
             cols = sorted(c for k in touched for c in self.columns[k])
             place = {c: i for i, c in enumerate(cols)}
-            J = self._restrictions[touched] = JetIdeal(
+            J = JetIdeal(
                 self.n, self.level, tuple(self.indices[c] for c in cols), blocks, self.exact,
                 [[place[c] for c in self.columns[k]] for k in touched],
             )
+            self._restrictions = {touched: J}
         return J
 
     def _dense(self, part):
@@ -467,19 +455,22 @@ def annihilator(J: JetIdeal) -> list:
 # toric multiplier ideals
 
 
-@dataclass(frozen=True)
 class MonomialIdeal:
-    """A monomial ideal given by its minimal generating exponents."""
+    """A monomial ideal given by its minimal generating exponents
+    (``generators``, an antichain of multi-indices; empty = zero ideal).
+    Two are equal when their dimensions and minimal generators are."""
 
-    n: int
-    generators: tuple  # antichain of multi-indices; empty = zero ideal
+    def __init__(self, n: int, generators: tuple):
+        gens = tuple(sorted((validate_index(g, n) for g in generators), key=order_key))
+        self.n, self.generators = n, _minimalize(gens)
 
-    def __post_init__(self):
-        gens = tuple(
-            sorted((validate_index(g, self.n) for g in self.generators), key=order_key)
-        )
-        gens = _minimalize(gens)
-        object.__setattr__(self, "generators", gens)
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.generators) == (other.n, other.generators)
+
+    def __hash__(self):
+        return hash((self.n, self.generators))
 
     def contains_exponent(self, beta) -> bool:
         beta = validate_index(beta, self.n)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bergman import both_routes, minimal_l2, routes_agree
@@ -70,14 +69,13 @@ def xi_cse_combinatorial(xi: Functional, phi: ToricWeight) -> Fraction:
     return max(_monomial_gamma(beta, phi) for beta in xi.entries)
 
 
-@dataclass
 class CseLimitResult:
-    """Tail growth rate of log K over sublevel domains."""
+    """Tail growth rate of log K over sublevel domains; ``table`` holds the
+    (t, log K) pairs."""
 
-    slope: float
-    table: list  # (t, log K)
-    min_second_difference: float
-    convex: bool
+    def __init__(self, slope: float, table: list, min_second_difference: float, convex: bool):
+        self.slope, self.table, self.convex = slope, table, convex
+        self.min_second_difference = min_second_difference
 
     def to_json(self):
         return {
@@ -132,15 +130,14 @@ def xi_cse_limit(xi: Functional, phi: ToricWeight, D: DiagonalDomain, t_grid) ->
     return CseLimitResult(slope, table, min_second, min_second >= -1e-8)
 
 
-@dataclass
 class MinimizationReport:
     """Check that the jumping number is the least gamma over functionals
-    pairing nontrivially with F."""
+    pairing nontrivially with F; ``family`` holds (label, gamma,
+    pairs_with_F) triples."""
 
-    closed_form: Fraction
-    family: list  # (label, gamma, pairs_with_F)
-    attained: Fraction
-    all_above: bool
+    def __init__(self, closed_form: Fraction, family: list, attained: Fraction, all_above: bool):
+        self.closed_form, self.family, self.attained = closed_form, family, attained
+        self.all_above = all_above
 
     @property
     def consistent(self) -> bool:
@@ -180,20 +177,21 @@ def verify_corollary_min(F: Jet, phi: ToricWeight, degree_bound: int) -> Minimiz
     return MinimizationReport(c0, family, attained, all_above)
 
 
-@dataclass
 class EffectivenessReport:
     """Guaranteed versus true membership exponents for (D, F, phi)."""
 
-    integral: object  # A; PiValue in exact mode
-    jump: Fraction  # the jumping number of F
-    ideal_plus: MonomialIdeal
-    c_value: object  # minimal L2 against the just-beyond ideal
-    b_value: object  # same quantity through the kernel-ratio route
-    ratio: object  # R = A / C
-    p_max: object  # guaranteed exponent bound R/(R-1)
-    p_star: Fraction  # true membership threshold
-    sharp: bool
-    diagnostics: dict = field(default_factory=dict)
+    def __init__(self, integral, jump: Fraction, ideal_plus: MonomialIdeal, c_value, b_value,
+                 ratio, p_max, p_star: Fraction, sharp: bool, diagnostics: dict = None):
+        self.integral = integral  # A; PiValue in exact mode
+        self.jump = jump  # the jumping number of F
+        self.ideal_plus = ideal_plus
+        self.c_value = c_value  # minimal L2 against the just-beyond ideal
+        self.b_value = b_value  # same quantity through the kernel-ratio route
+        self.ratio = ratio  # R = A / C
+        self.p_max = p_max  # guaranteed exponent bound R/(R-1)
+        self.p_star = p_star  # true membership threshold
+        self.sharp = sharp
+        self.diagnostics = {} if diagnostics is None else diagnostics
 
     def to_json(self):
         return {

@@ -13,7 +13,6 @@ import math
 import os
 import random
 import traceback
-from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bergman import both_routes, density_sequence, routes_agree
@@ -36,14 +35,12 @@ def worker_count() -> int:
     return 1
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    total: int
-    passed: int
-    max_gap: float
-    failures: list = field(default_factory=list)
-    rows: list = field(default_factory=list)  # per-instance CSV rows
+    def __init__(self, name: str, total: int, passed: int, max_gap: float, failures: list = None,
+                 rows: list = None):
+        self.name, self.total, self.passed, self.max_gap = name, total, passed, max_gap
+        self.failures = [] if failures is None else failures
+        self.rows = [] if rows is None else rows  # per-instance CSV rows
 
     @property
     def ok(self) -> bool:

@@ -11,6 +11,7 @@ product rows.
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from berglab import ideals
-from berglab.bergman import ROUTES_RTOL, both_routes, density_sequence, krull_ladder, routes_agree
+from berglab.bergman import (
+    ROUTES_RTOL,
+    b_circle,
+    both_routes,
+    density_sequence,
+    krull_ladder,
+    minimal_l2,
+    routes_agree,
+)
 from berglab.domains import DiagonalDomain, ToricWeight
 from berglab.exactnum import PiValue, QQi, abs2_s
 from berglab.ideals import IdealPresentation, jet_ideal
@@ -311,6 +320,29 @@ class TestLazyElimination:
         eliminations.clear()
         ((k, distance),) = density_sequence(DiagonalDomain.polydisc([1, 2]), F, gens, [31])
         assert eliminations == [1] and (k, distance) == (31, 0.0)
+
+    def test_only_the_last_restriction_is_held(self):
+        # 100 float F of 20 terms each on one ideal: it keeps one restriction,
+        # not one per F, which held about 52 MB over these calls
+        J = jet_ideal(IdealPresentation(2, [CI_GENERATOR]), 31)
+        domain = DiagonalDomain.polydisc([1, 2], exact=False)
+        rng, idx = random.Random(0), indices_up_to(2, 30)
+        tracemalloc.start()
+        try:
+            for _ in range(100):
+                coeffs = {a: complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                          for a in rng.sample(idx, 20)}
+                F = Jet(2, 30, coeffs)
+                minimal_l2(domain, F, J)
+                assert len(J._restrictions) == 1
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert held < 16e6
+        # the kernel-ratio route on the same F reads the restriction kept
+        (kept,) = J._restrictions.values()
+        b_circle(domain, F, J)
+        assert list(J._restrictions.values()) == [kept] and J.restrict(coeffs) is kept
 
     @pytest.mark.parametrize("F, steps", [
         (CI_F, {2: Fraction(10), 3: Fraction(1950, 163)}),

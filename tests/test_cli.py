@@ -181,6 +181,17 @@ class TestEquiv:
         assert data["C"] == {"pi_power": 1, "rational": "1/2"}
         assert data["B_circle"] == data["C"]
 
+    @pytest.mark.parametrize("out", ["", "new/nested/"], ids=["empty", "missing-parents"])
+    def test_out_directory(self, tmp_path, monkeypatch, out):
+        # --out "" writes to the working directory; a missing one is made with its parents
+        spec = write_spec(tmp_path, DISC_Z_SQUARED)
+        monkeypatch.chdir(tmp_path)
+        result = run_cli(["equiv", "--spec", spec, "--out", out])
+        assert result.exit_code == 0, result.stderr
+        data = json.loads((tmp_path / out / "equiv.json").read_text())
+        assert data["C"] == {"pi_power": 1, "rational": "1/2"}
+        assert (tmp_path / out / "equiv.csv").read_text().startswith("quantity,value\nC,")
+
     def test_float_mode(self, tmp_path):
         spec = write_spec(tmp_path, DISC_Z_SQUARED)
         result = run_cli(["equiv", "--spec", spec, "--mode", "float"])

@@ -13,6 +13,7 @@ from scipy.integrate import dblquad, quad
 
 from berglab.bergman import kernel_at_origin
 from berglab.domains import (
+    Cut,
     DiagonalDomain,
     ExhaustionSequence,
     MomentDomain,
@@ -470,6 +471,49 @@ class TestCuts:
         rep = effectiveness_report(sub, Jet(2, 2, {(1, 1): 1}), ToricWeight((Fraction(1, 2),) * 2))
         want = sublevel_oracle((1, 1.5), (1, 2), 1.0, (1, 1), e=(0.5, 0.5))
         assert value_float(rep.integral) == pytest.approx(want, rel=1e-12, abs=0)
+
+
+class TestValueTypes:
+    """Weights and cuts are values: equal fields give equal objects with one
+    hash, a different field or another class an unequal one."""
+
+    def test_toric_weight(self):
+        w = ToricWeight((1, Fraction(1, 2)))
+        assert w == ToricWeight((Fraction(1), Fraction(1, 2))) and w.a == (1, Fraction(1, 2))
+        assert hash(w) == hash(ToricWeight(("1", "1/2")))
+        assert w != ToricWeight((1, 1)) and w != ToricWeight((1, Fraction(1, 2), 0))
+        assert w != w.a and w.__eq__(w.a) is NotImplemented
+        with pytest.raises(ValueError, match="non-negative"):
+            ToricWeight((1, -1))
+        with pytest.raises(ValueError, match="positive exponent"):
+            ToricWeight((0, 0))
+
+    def test_truncated_weight(self):
+        psi = ToricWeight((1, 1))
+        tw = TruncatedWeight(psi, 2)
+        assert tw == TruncatedWeight(ToricWeight((1, 1)), 2)
+        assert hash(tw) == hash(TruncatedWeight(ToricWeight((1, 1)), 2))
+        assert tw != TruncatedWeight(psi, 3) and tw != TruncatedWeight(ToricWeight((1, 2)), 2)
+        assert tw != psi and tw != (psi, 2)
+        with pytest.raises(ValueError, match="j must be >= 1"):
+            TruncatedWeight(psi, 0)
+
+    def test_cut(self):
+        psi = ToricWeight((1, 2))
+        cut = Cut("sublevel", psi, 1.0)
+        assert cut == Cut("sublevel", ToricWeight((1, 2)), 1.0, None)
+        assert hash(cut) == hash(Cut("sublevel", ToricWeight((1, 2)), 1.0))
+        assert len({cut, Cut("sublevel", psi, 1.0), Cut("truncated", psi, 1, 1)}) == 2
+        for other in (
+            Cut("truncated", psi, 1.0), Cut("sublevel", ToricWeight((1, 1)), 1.0),
+            Cut("sublevel", psi, 2.0), Cut("sublevel", psi, 1.0, Fraction(1, 2)),
+            ("sublevel", psi, 1.0, None), psi,
+        ):
+            assert cut != other
+        # a domain's cut is compared by value: two builds of one sublevel set nest
+        base = DiagonalDomain.polydisc([1, 1])
+        a, b = sublevel_domain(base, psi, 1.0), sublevel_domain(base, ToricWeight((1, 2)), 1.0)
+        assert a.cut == b.cut and a.cut is not b.cut and a.is_subset_of(b)
 
 
 class TestOverflow:

@@ -223,6 +223,16 @@ class TestMonomialIdeal:
         M = MonomialIdeal(2, ((2, 0), (2, 1), (0, 3)))
         assert M.generators == ((2, 0), (0, 3))
 
+    def test_value_semantics(self):
+        # equal after minimalizing: equal and one hash, whatever generators were given
+        M = MonomialIdeal(2, ((0, 3), (2, 1), (2, 0)))
+        assert M.generators == ((2, 0), (0, 3))
+        assert M == MonomialIdeal(2, ((2, 0), (0, 3))) == MonomialIdeal(2, [(0, 4), (2, 0), (0, 3)])
+        assert hash(M) == hash(MonomialIdeal(2, ((2, 0), (0, 3))))
+        assert M != MonomialIdeal(2, ((2, 0), (0, 2))) and M != MonomialIdeal(3, ())
+        assert MonomialIdeal(2, ()) != MonomialIdeal(3, ())
+        assert M != M.generators and M.__eq__((2, M.generators)) is NotImplemented
+
     def test_membership(self):
         M = MonomialIdeal(2, ((2, 0), (0, 3)))
         assert M.contains_exponent((2, 5))

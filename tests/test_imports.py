@@ -2,7 +2,8 @@
 loads only what its command uses.  numpy loads only for commands that use
 it (not for a growth rate on a diagonal domain), :mod:`berglab.sop` and
 :mod:`berglab.suites` only for the commands that read them, and scipy,
-jsonschema and click never load.
+jsonschema and click never load.  The records are plain classes, so the
+CLI loads neither :mod:`dataclasses` nor the :mod:`inspect` it imports.
 
 Each check runs in a fresh interpreter, because this test process has long
 since imported all of them.
@@ -55,6 +56,15 @@ def test_cli_import_loads_neither_numpy_nor_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_dataclasses_inspect_typing_or_pathlib():
+    # -S: a site .pth file may load typing and pathlib before berglab does
+    heavy = ("dataclasses", "inspect", "typing", "pathlib")
+    loaded = f"print([m for m in {heavy} if m in sys.modules])"
+    proc = _python("-S", "-c", f"import sys, berglab.cli; {loaded}")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def _imported(stderr):
     """The modules ``python -X importtime`` reports importing."""
     return {
@@ -78,7 +88,7 @@ def test_equiv_process_loads_neither_click_nor_sop_nor_suites(tmp_path):
     assert "B' = " in proc.stdout
     imported = _imported(proc.stderr)
     assert "berglab.bergman" in imported
-    assert not imported & {"click", "berglab.sop", "berglab.suites"}
+    assert not imported & {"click", "berglab.sop", "berglab.suites", "dataclasses"}
 
 
 def test_package_import_loads_no_submodule():

@@ -204,6 +204,15 @@ class TestExactScalars:
         w = PiValue(math.inf, 1)
         assert w.is_infinite() and w.to_float() == math.inf
 
+    def test_pivalue_is_a_value(self):
+        # equal fields: equal and one hash; a different field or another class: unequal
+        v = PiValue(Fraction(1, 2), 1)
+        assert v == PiValue(Fraction(1, 2), 1) and hash(v) == hash(PiValue(Fraction(1, 2), 1))
+        assert len({v, PiValue(Fraction(1, 2), 1), PiValue(math.inf, 1)}) == 2
+        assert v != PiValue(Fraction(1, 3), 1) and v != PiValue(Fraction(1, 2))
+        assert PiValue(3) == PiValue(3, 0) and v.__eq__((Fraction(1, 2), 1)) is NotImplemented
+        assert v != (Fraction(1, 2), 1) and PiValue(Fraction(1, 2)) != Fraction(1, 2)
+
 
 ring_ints = st.one_of(
     st.integers(-60, 60), st.builds(QQi, st.integers(-60, 60), st.integers(-60, 60))

@@ -18,10 +18,14 @@ once for a caller that wants both values.
 
 On a diagonal domain distinct monomials are orthogonal, so the problem
 splits along the jet ideal's blocks (:class:`berglab.ideals.Block`), and a
-block that F does not touch adds 0 to C and to B.  The record therefore
-holds the jet ideal restricted to the blocks that F touches
-(:meth:`JetIdeal.restrict`), with weights and slots for their indices only;
-the other blocks are never eliminated, assembled or solved.  A moment
+block that F does not touch adds 0 to C and to B.  So does a block on which
+F's part lies in the span: the minimizer is 0 there, and every annihilator
+vector there pairs to 0 with F.  The record therefore holds the jet ideal
+restricted to the blocks on which F lies outside the span
+(:func:`berglab.ideals.outside_blocks`, :meth:`JetIdeal.restrict`), with
+weights and slots for their indices only, and F is contained when none is
+left; the blocks F does not touch are never eliminated, and the blocks
+inside the span are not assembled or solved.  A moment
 domain's Gram matrix is dense, so there the record holds the whole jet
 ideal.  Each route then does its own solve, once, on its own system over
 the record's jet ideal ``J``:
@@ -68,8 +72,8 @@ from .ideals import (
     IdealPresentation,
     JetIdeal,
     check_jet_space,
-    contains,
     jet_ideal,
+    outside_blocks,
     rank_split,
 )
 from .indices import degree, indices_up_to
@@ -211,8 +215,9 @@ class _Problem:
     ``backend`` is "exact" (Fraction / QQi lists), "float" (numpy, diagonal
     domain) or "moment" (numpy).  ``ideal`` is the jet ideal as given and
     ``J`` the one the routes solve on: on a diagonal domain the restriction
-    of ``ideal`` to the blocks that F touches (:meth:`JetIdeal.restrict`),
-    on a moment domain ``ideal`` itself.  ``indices`` are the working
+    of ``ideal`` to the blocks on which F lies outside the span
+    (:meth:`JetIdeal.restrict`), none when F is contained, on a moment
+    domain ``ideal`` itself.  ``indices`` are the working
     monomials, ``J``'s on a diagonal domain, and ``weights`` their squared
     norms (inf where not square-integrable), or on a moment domain the
     moment matrix, with ``chol`` its Cholesky factor.  ``finite``/``infinite``
@@ -262,9 +267,11 @@ def _problem(domain, F: Jet, J: JetIdeal) -> _Problem:
     assemble the inputs both routes read.
 
     On a diagonal domain distinct monomials are orthogonal, so the problem
-    splits with the jet ideal's blocks, and a block that F does not touch
-    adds 0 to both routes: only the blocks F touches are assembled, and
-    each route solves once on all of them."""
+    splits with the jet ideal's blocks, and a block that F does not touch,
+    or on which F's part lies in the span, adds 0 to both routes: only the
+    blocks on which F lies outside the span (:func:`outside_blocks`) are
+    assembled, and each route solves once on all of them.  F is contained
+    when no block is left."""
     if not (domain.n == F.n == J.n):
         raise DimensionMismatchError("domain, jet and ideal dimensions differ")
     if F.degree_bound < J.level - 1:
@@ -276,14 +283,16 @@ def _problem(domain, F: Jet, J: JetIdeal) -> _Problem:
     if moment and J.level > domain.degree_bound + 1:
         raise UnsupportedDomainError("jet-ideal level exceeds the moment degree bound + 1")
     F = F.truncate(J.level - 1)
-    system = J if moment else J.restrict(F.coeffs)
+    outside = outside_blocks(J, F)
+    system = J if moment else J.restrict(blocks=outside)
     idx = domain.indices if moment else system.indices
     f = F.vector(idx)
     if moment:
         backend, weights, finite, infinite = "moment", domain.matrix, list(range(len(idx))), []
         chol, quad_error = domain._chol, domain.quad_error
     else:
-        backend = "exact" if domain.exact and J.exact and is_exact(f) else "float"
+        exact = domain.exact and J.exact and is_exact(F.coeffs.values())
+        backend = "exact" if exact else "float"
         # idx comes from the jet ideal's layout: its norms need no index check
         weights = [domain._norm(a) for a in idx]
         if backend != "exact":
@@ -297,7 +306,7 @@ def _problem(domain, F: Jet, J: JetIdeal) -> _Problem:
 
         f, weights = np.array(f, dtype=complex), np.asarray(weights)
     return _Problem(
-        backend, J, system, contains(system, F), pi_power, idx, weights, finite, infinite, f,
+        backend, J, system, not outside, pi_power, idx, weights, finite, infinite, f,
         chol, quad_error,
     )
 

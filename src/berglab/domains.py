@@ -712,7 +712,10 @@ def moment_matrix(descriptor, degree_bound, name="descriptor") -> MomentDomain:
     is its difference from the rule on twice as many points, and one above
     :data:`QUAD_TOL` times max(1, the largest entry) raises QuadratureError.
     A field of the wrong type, an off-center radius <= 0 or an empty
-    two-point disc raises ValueError naming it (``name``, its path).
+    two-point disc raises ValueError naming it (``name``, its path), and so
+    does a domain that misses the origin, where the germs live: an
+    off-center disc with |center| >= radius, a two-point disc with
+    |c|^2 >= r.  A radial domain always holds the origin, as r > 0.
     """
     import numpy as np
 
@@ -746,10 +749,20 @@ def moment_matrix(descriptor, degree_bound, name="descriptor") -> MomentDomain:
             rad2 = (r - abs(c) ** 2 / 2) / 2
             if rad2 <= 0:
                 raise ValueError("two_point_disc descriptor is empty")
+            # the origin is in the domain iff 0 + |c|^2 < r
+            if not abs(c) ** 2 < r:
+                raise ValueError(
+                    f"{name}.r must exceed |c|^2 = {abs(c) ** 2!r}, or the domain misses the origin"
+                )
             center, radius = c / 2, math.sqrt(rad2)
         else:
             center = _point(descriptor["center"], f"{name}.center")
             radius = _positive(float(number(descriptor["radius"], f"{name}.radius")))
+            if not abs(center) < radius:
+                raise ValueError(
+                    f"{name}.center must lie within the radius {radius!r} of the origin, "
+                    "or the disc misses it"
+                )
         for i in range(m):
             for j in range(m):
                 M[i, j] = _offcenter_disc_entry(center, radius, i, j)

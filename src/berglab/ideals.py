@@ -41,12 +41,14 @@ of each block's kept rows, split at their exact rank
 (:attr:`JetIdeal.float_view`).
 
 On a diagonal domain distinct monomials are orthogonal, so the blocks that
-a jet F does not touch add nothing to F's minimal integral or kernel ratio:
-:meth:`JetIdeal.restrict` gives the jet ideal on the blocks F touches,
-which is all that :mod:`berglab.bergman` solves on there, and all that is
-eliminated for it.  Membership (:func:`contains`) reads only the blocks
-that the jet touches too.  The rest are eliminated, once, by a reader of
-the whole ideal (:class:`JetIdeal`).
+a jet F does not touch add nothing to F's minimal integral or kernel ratio,
+and nor do the blocks on which F's part already lies in the span.
+:func:`outside_blocks` reads only the blocks F touches and names those on
+which F lies outside the span, and :meth:`JetIdeal.restrict` gives the jet
+ideal on them, which is all that :mod:`berglab.bergman` solves on there;
+membership (:func:`contains`) is that no block is left.  Only F's blocks
+are eliminated for it; the rest are eliminated, once, by a reader of the
+whole ideal (:class:`JetIdeal`).
 """
 
 from __future__ import annotations
@@ -241,24 +243,25 @@ class JetIdeal:
         block_of = self._block_of
         return tuple(sorted({block_of[a] for a in support if a in block_of}))
 
-    def restrict(self, support) -> "JetIdeal":
-        """The jet ideal on the blocks that meet ``support``: its span and
-        annihilator are the parts of this ideal's that live on those
-        blocks, which it shares, so that it eliminates only them.  The last
-        restriction built is kept, so that the two routes, called one after
-        the other on the same F, share its assembled vectors; an ideal holds
-        at most one."""
-        touched = self._touched(support)
-        J = self._restrictions.get(touched)
+    def restrict(self, support=(), blocks=None) -> "JetIdeal":
+        """The jet ideal on the blocks at the positions ``blocks`` in
+        ``self.blocks`` (ascending), by default on those that meet
+        ``support``: its span and annihilator are the parts of this ideal's
+        that live on those blocks, which it shares, so that it eliminates
+        only them.  The last restriction built is kept, so that the two
+        routes, called one after the other on the same F, share its
+        assembled vectors; an ideal holds at most one."""
+        kept = self._touched(support) if blocks is None else tuple(blocks)
+        J = self._restrictions.get(kept)
         if J is None:
-            blocks = [self.blocks[k] for k in touched]
-            cols = sorted(c for k in touched for c in self.columns[k])
+            cols = sorted(c for k in kept for c in self.columns[k])
             place = {c: i for i, c in enumerate(cols)}
             J = JetIdeal(
-                self.n, self.level, tuple(self.indices[c] for c in cols), blocks, self.exact,
-                [[place[c] for c in self.columns[k]] for k in touched],
+                self.n, self.level, tuple(self.indices[c] for c in cols),
+                [self.blocks[k] for k in kept], self.exact,
+                [[place[c] for c in self.columns[k]] for k in kept],
             )
-            self._restrictions = {touched: J}
+            self._restrictions = {kept: J}
         return J
 
     def _dense(self, part):
@@ -409,32 +412,39 @@ def _components(products, m):
     return cols, block_of, local
 
 
-def contains(J: JetIdeal, f: Jet) -> bool:
-    """Membership of f in I + m^k, decided on the degree < k jet.
+def outside_blocks(J: JetIdeal, f: Jet) -> tuple:
+    """The positions in ``J.blocks``, ascending, of the blocks on which f's
+    degree < k jet lies outside the span: the blocks that f touches whose
+    annihilator does not pair to zero with f's part on them.
 
-    Exact ideals and exact jets are decided exactly, in integers: f is a
-    member when it pairs to zero with the integer annihilator.  Otherwise f
-    is a member when its pairings with the orthonormal annihilator of
-    :attr:`JetIdeal.float_view` are at most ``FLOAT_RANK_TOL`` times its
-    largest coefficient: they are the coordinates of f's distance from the
-    span.  An ideal with no annihilator contains every jet.
-
-    Only the blocks that f's support touches are read, each by itself: f
-    is 0 off them, so its pairings with the other blocks' annihilator
-    vectors are exactly 0.
+    Exact ideals and exact jets are decided exactly, in integers.
+    Otherwise a block is outside when one of f's pairings with its
+    orthonormal annihilator (:attr:`Block.float_view`) exceeds
+    ``FLOAT_RANK_TOL`` times f's largest coefficient: they are the
+    coordinates of f's distance from the block's span.  A block that f
+    does not touch pairs to exactly 0 with it, and is not read.
     """
     f = f.truncate(J.level - 1)
-    blocks = [J.blocks[k] for k in J._touched(f.coeffs)]
-    if not blocks:
-        return True
-    vecs = [f.vector(b.indices) for b in blocks]
+    touched = J._touched(f.coeffs)
+    vecs = [f.vector(J.blocks[k].indices) for k in touched]
     if J.exact and is_exact(x for vec in vecs for x in vec):
-        return all(annihilates(b.null, vec) for b, vec in zip(blocks, vecs))
+        return tuple(k for k, vec in zip(touched, vecs) if not annihilates(J.blocks[k].null, vec))
     import numpy as np
 
     vs = [np.array(vec, dtype=complex) for vec in vecs]
-    r = np.concatenate([b.float_view[1] @ v for b, v in zip(blocks, vs)])
-    return not r.size or bool(abs(r).max() <= FLOAT_RANK_TOL * abs(np.concatenate(vs)).max())
+    tol = FLOAT_RANK_TOL * max((abs(v).max() for v in vs), default=0.0)
+    return tuple(
+        k for k, v in zip(touched, vs)
+        if not bool((abs(J.blocks[k].float_view[1] @ v) <= tol).all())
+    )
+
+
+def contains(J: JetIdeal, f: Jet) -> bool:
+    """Membership of f in I + m^k, decided on the degree < k jet: f is a
+    member when no block lies outside (:func:`outside_blocks`), so an ideal
+    with no annihilator contains every jet.  Only the blocks that f's
+    support touches are read, each by itself."""
+    return not outside_blocks(J, f)
 
 
 def annihilator(J: JetIdeal) -> list:

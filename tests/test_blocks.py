@@ -1,12 +1,13 @@
 """The block split of jet ideals, and both routes against an unsplit oracle.
 
 Both routes read the same blocks and solve on the same ones, so C = B
-cannot see a wrong split.  The oracles here solve each instance over the
-whole jet space, with no split: exactly, as the least-norm problem
-min sum w_a |x_a|^2 over x = F mod the span, with x = 0 where w_a is
-infinite, through the reference null space and normal equations of
-:mod:`reference_linalg`; in float, as weighted numpy least squares over the
-product rows.
+cannot see a wrong split, nor a wrong verdict on which of F's blocks lie
+outside the span (the only ones solved).  The oracles here solve each
+instance over the whole jet space, with no split: exactly, as the
+least-norm problem min sum w_a |x_a|^2 over x = F mod the span, with
+x = 0 where w_a is infinite, through the reference null space and normal
+equations of :mod:`reference_linalg`; in float, as weighted numpy least
+squares over the product rows.
 """
 
 import math
@@ -178,6 +179,63 @@ class TestUnsplitOracle:
             assert any(d["outcome"] in ("infeasible", "unbounded") for d in seen)
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    @pytest.mark.parametrize("kind", ["polydisc", "ball", "weighted"])
+    def test_blocks_inside_the_span_match_unsplit_oracle(self, kind, exact):
+        # F holds multiples of product rows besides its terms: Gaussian
+        # coefficients half the time in exact mode, and on the weighted
+        # domains non-integrable slots, with infeasible and unbounded
+        # outcomes among instances whose skipped blocks hold some of F
+        rng = random.Random(f"inside-{kind}-{exact}")
+        seen = []
+        for _ in range(30):
+            instance = _instance_with_span_part(rng, kind, exact)
+            diag = (_check_exact if exact else _check_float)(*instance)
+            seen.append((diag, _touched_indices(*instance[2:], instance[1])))
+        skipped = [d for d, touched in seen if d["solved_indices"] < touched]
+        assert any(d["outcome"] == "solved" for d in skipped)
+        assert any(d["outcome"] == "contained" and d["solved_indices"] == 0 for d, _ in seen)
+        if kind == "weighted":
+            assert any(d["outcome"] == "infeasible" for d in skipped)
+            assert any(d["infinite_slots"] and d["outcome"] == "solved" for d in skipped)
+
+    @settings(max_examples=60, deadline=None)
+    @given(presentations(), st.data())
+    def test_outside_blocks_match_the_reference(self, presentation, data):
+        # F is a combination of product rows plus a few terms; a block is
+        # outside exactly when F's part there raises the rank of the block's
+        # product rows, and the routes on the blocks outside give the
+        # unsplit oracle's value and minimizer, on a plain and on a weighted
+        # bidisc or tridisc
+        n, level, gens = presentation
+        try:
+            J = jet_ideal(IdealPresentation(n, gens), level)
+        except ValueError:  # every generator drawn zero
+            return
+        idx = list(J.indices)
+        coefficient = st.builds(QQi, st.integers(-2, 2), st.integers(-2, 2))
+        F = Jet(n, level - 1, data.draw(
+            st.dictionaries(st.sampled_from(idx), coefficient, max_size=2)))
+        for g, beta, c in data.draw(st.lists(st.tuples(
+                st.sampled_from(gens), st.sampled_from(idx), coefficient), max_size=3)):
+            F = F.add(jet_multiply(g, Jet.monomial(n, beta), level - 1).scale(c))
+        rows = product_rows(gens, level, idx)
+        want = []
+        for k, b in enumerate(J.blocks):
+            cols = [idx.index(a) for a in b.indices]
+            block_rows = [[row[c] for c in cols] for row in rows if any(row[c] for c in cols)]
+            part = F.vector(b.indices)
+            rank = len(gauss_jordan(block_rows, len(cols))[1])
+            if any(part) and len(gauss_jordan(block_rows + [part], len(cols))[1]) > rank:
+                want.append(k)
+        assert ideals.outside_blocks(J, F) == tuple(want)
+        assert ideals.contains(J, F) == (not want)
+        domain = DiagonalDomain.polydisc([1, 2, Fraction(1, 2)][:n])
+        if data.draw(st.booleans()):
+            domain = domain.with_weight(ToricWeight((1,) + (0,) * (n - 1)), 1)
+        diag = _check_exact(domain, F, gens, level)
+        assert diag["solved_indices"] == sum(len(J.blocks[k].indices) for k in want)
+
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     def test_block_of_F_inside_the_span(self, exact):
         # <z1 - c z2^2> at level 3: z1^2 is a block of its own, all of it in
         # the span, and F touches it beside two blocks with annihilators
@@ -189,7 +247,8 @@ class TestUnsplitOracle:
         block = next(b for b in J.blocks if (2, 0) in b.indices)
         assert block.indices == [(2, 0)] and len(block.rows) == 1 and len(block.null) == 0
         diag = (_check_exact if exact else _check_float)(domain, F, [g], 3)
-        assert diag["outcome"] == "solved" and diag["solved_indices"] == 4
+        # the routes solve on the two blocks outside the span only
+        assert diag["outcome"] == "solved" and diag["solved_indices"] == 3
 
     @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
     def test_non_integrable_slots_in_F_block(self, exact):
@@ -204,6 +263,26 @@ class TestUnsplitOracle:
         assert diag["outcome"] == "solved" and diag["infinite_slots"] == 1
         # z2 is a block of its own, outside the span, and not integrable
         assert check(domain, F.add(Jet(2, 1, {(0, 1): 1})), [g], 3)["outcome"] == "infeasible"
+
+
+def _instance_with_span_part(rng, kind, exact):
+    """An instance of :func:`_instance` whose F also holds a multiple of a
+    few product rows g * z^beta: on the blocks that only those touch, F
+    lies in the span, and the routes skip them."""
+    domain, F, gens, level = _instance(rng, kind, exact)
+    idx = indices_up_to(domain.n, level - 1)
+    for _ in range(rng.randint(1, 3)):
+        row = jet_multiply(rng.choice(gens), Jet.monomial(domain.n, rng.choice(idx)), level - 1)
+        F = F.add(row.scale(_coeff(rng, exact)))
+    return domain, F, gens, level
+
+
+def _touched_indices(gens, level, F):
+    """The number of indices in the blocks that F's degree < level jet
+    touches."""
+    J = jet_ideal(IdealPresentation(gens[0].n, gens), level)
+    support = F.truncate(level - 1).coeffs
+    return sum(len(b.indices) for b in J.blocks if any(a in support for a in b.indices))
 
 
 CI_GENERATOR = Jet(2, 2, {(1, 0): 1, (0, 2): QQi(-2, 1)})
@@ -257,6 +336,87 @@ class TestBlockStructure:
         for row in product_rows(gens, level, J.indices):
             assert len({where[a] for a, x in zip(J.indices, row) if x}) == 1
         assert J.span_dim + sum(len(b.null) for b in J.blocks) == len(J.indices)
+
+
+# an m-primary ideal: every block of degree >= 3 lies in the span
+M_PRIMARY = [
+    Jet(2, 2, {(2, 0): 1, (0, 2): -2, (1, 1): QQi(1, 1)}),
+    Jet(2, 3, {(3, 0): 3, (1, 2): 1, (0, 3): -1}),
+]
+M_PRIMARY_F = Jet(2, 30, {
+    (0, 0): 1, (1, 0): 2, (0, 1): QQi(0, 1), (1, 1): 3, (2, 3): 1, (7, 9): 1, (20, 10): 2,
+})
+
+
+class TestSolveOutsideTheSpan:
+    """The routes solve only on F's blocks outside the span: on an
+    m-primary ideal F's high-degree blocks are skipped."""
+
+    domain = DiagonalDomain.polydisc([1, 2])
+
+    def test_m_primary_ladder(self):
+        gens = IdealPresentation(2, M_PRIMARY)
+        lad = krull_ladder(self.domain, M_PRIMARY_F, gens, range(2, 32))
+        assert [r.k for r in lad.rows] == list(range(2, 32))
+        steps = {2: Fraction(20), 3: Fraction(3760, 71)}
+        for r in lad.rows:
+            assert r.c_value == r.b_value == PiValue(_ladder_value(steps, r.k), 2)
+
+    @pytest.mark.parametrize("level", [2, 3, 4, 5, 6])
+    def test_m_primary_rungs_match_unsplit_oracle(self, level):
+        diag = _check_exact(self.domain, M_PRIMARY_F, M_PRIMARY, level)
+        assert diag["outcome"] == "solved"
+
+    def test_m_primary_solves_few_of_Fs_blocks(self):
+        # the generators are homogeneous, so each degree >= 2 is a block,
+        # and a monomial of lower degree one of its own; F touches degrees
+        # 0, 1, 2, 5, 16 and 30, 60 indices, and lies outside the span on
+        # degrees 0, 1 and 2 only
+        J = jet_ideal(IdealPresentation(2, M_PRIMARY), 31)
+        assert _touched_indices(M_PRIMARY, 31, M_PRIMARY_F) == 60
+        outside = ideals.outside_blocks(J, M_PRIMARY_F)
+        assert [len(J.blocks[k].indices) for k in outside] == [1, 1, 1, 3]
+        c, b = both_routes(self.domain, M_PRIMARY_F, J)
+        sizes = {k: c.diagnostics[k] for k in (
+            "indices", "blocks", "solved_indices", "solved_span_dim", "solved_annihilator_dim",
+            "finite_slots", "system_dim",
+        )}
+        assert sizes == {
+            "indices": 496, "blocks": 32, "solved_indices": 6, "solved_span_dim": 1,
+            "solved_annihilator_dim": 5, "finite_slots": 6, "system_dim": 1,
+        }
+        assert b.diagnostics["system_dim"] == 5
+        assert c.value == b.value == PiValue(Fraction(3760, 71), 2)
+        # the minimizer lives on the solved blocks
+        assert all(sum(a) <= 2 for a in c.minimizer.coeffs)
+
+    def test_float_verdict_is_against_Fs_largest_coefficient(self):
+        # <z^2> at level 3: 1, z and z^2 are blocks of their own, and 1 and
+        # z lie outside the span.  A pairing of 1e-12 is outside beside a
+        # coefficient of 1e-12 and inside beside one of 1, so membership
+        # does not change when F is rescaled, and the routes skip z there
+        J = jet_ideal(IdealPresentation(1, [Jet(1, 2, {(2,): 1.0})]), 3)
+        assert ideals.outside_blocks(J, Jet(1, 2, {(1,): 1e-12})) == (1,)
+        assert ideals.contains(J, Jet(1, 2, {(1,): 1e-12, (2,): 1.0}))
+        F = Jet(1, 2, {(0,): 1.0, (1,): 1e-12, (2,): 5.0})
+        assert ideals.outside_blocks(J, F) == (0,)
+        c, b = both_routes(DiagonalDomain.polydisc([1], exact=False), F, J)
+        for res in (c, b):
+            assert res.value == pytest.approx(math.pi, rel=1e-15)
+        assert c.diagnostics["solved_indices"] == 1
+
+    def test_contained_reports_no_block(self):
+        # F on the span's blocks only: contained, with nothing solved
+        J = jet_ideal(IdealPresentation(2, M_PRIMARY), 31)
+        F = Jet(2, 30, {(2, 3): 1, (7, 9): 1, (20, 10): 2})
+        c, b = both_routes(self.domain, F, J)
+        assert c.value == b.value == PiValue(Fraction(0), 2)
+        for res in (c, b):
+            assert res.diagnostics["outcome"] == "contained"
+            assert res.diagnostics["backend"] == "exact"
+            assert res.diagnostics["solved_indices"] == res.diagnostics["finite_slots"] == 0
+        float_c, _ = both_routes(DiagonalDomain.polydisc([1, 2], exact=False), F, J)
+        assert float_c.diagnostics["backend"] == "float" and float_c.value == 0.0
 
 
 def _ladder_value(steps, k):
@@ -339,10 +499,12 @@ class TestLazyElimination:
         finally:
             tracemalloc.stop()
         assert held < 16e6
-        # the kernel-ratio route on the same F reads the restriction kept
+        # the kernel-ratio route on the same F reads the restriction kept:
+        # the one on F's blocks outside the span
         (kept,) = J._restrictions.values()
         b_circle(domain, F, J)
-        assert list(J._restrictions.values()) == [kept] and J.restrict(coeffs) is kept
+        outside = ideals.outside_blocks(J, F)
+        assert list(J._restrictions.values()) == [kept] and J.restrict(blocks=outside) is kept
 
     @pytest.mark.parametrize("F, steps", [
         (CI_F, {2: Fraction(10), 3: Fraction(1950, 163)}),

@@ -330,7 +330,8 @@ class TestEquiv:
         # a real entry of an exact result is written {"re": "a", "im": "0"}
         # whether it is a Fraction or a QQi: these are the bytes written
         # when every entry of a Gaussian result was a QQi, with the
-        # diagnostics' span and annihilator sizes those of the solved system
+        # diagnostics' sizes those of the solved system, on F's blocks
+        # outside the span
         spec = write_spec(tmp_path, GAUSSIAN_BIDISC)
         out = tmp_path / "out"
         result = run_cli(["equiv", "--spec", spec, "--out", str(out)])
@@ -338,7 +339,7 @@ class TestEquiv:
         data = (out / "equiv.json").read_bytes()
         assert b'"re": "3",' in data and b'"re": "27/4",' in data
         assert hashlib.sha256(data).hexdigest() == (
-            "d2459b27f3053adf25e36469b71b6f5ed472a0fc287fd84c5a50fe2c80628b15"
+            "fbcaea7f50219b6dbfe04ee47a4b2d607d3cbf2ab10f88c9a5ceaca7f0047533"
         )
 
     def test_no_tolerance_option(self, tmp_path):
@@ -996,6 +997,27 @@ MALFORMED = {
     "offcenter-radius-negative": (
         "equiv", ("domain",), {"kind": "offcenter_disc", "center": [0.1, 0.0], "radius": -1.0},
         "a radius must be positive, not -1.0",
+    ),
+    # a moment domain that misses the origin, where the germs live
+    "offcenter-misses-origin": (
+        "equiv", ("domain",), {"kind": "offcenter_disc", "center": [2, 0], "radius": 1},
+        "domain.center must lie within the radius 1.0 of the origin",
+    ),
+    "offcenter-origin-on-boundary": (
+        "equiv", ("domain",), {"kind": "offcenter_disc", "center": [0, -1], "radius": 1},
+        "domain.center must lie within the radius 1.0 of the origin",
+    ),
+    "offcenter-misses-origin-basis": (
+        "basis", ("domain",), {"kind": "offcenter_disc", "center": [2, 0], "radius": 1},
+        "domain.center must lie within the radius 1.0 of the origin",
+    ),
+    "two-point-misses-origin": (
+        "equiv", ("domain",), {"kind": "two_point_disc", "c": [2, 0], "r": 3},
+        "domain.r must exceed |c|^2 = 4.0",
+    ),
+    "two-point-misses-origin-basis": (
+        "basis", ("domain",), {"kind": "two_point_disc", "c": [0, 1], "r": 1},
+        "domain.r must exceed |c|^2 = 1.0",
     ),
     # a zero denominator
     "re-zero-denominator": (

@@ -667,6 +667,31 @@ class TestMomentMatrices:
         )
         assert np.allclose(dom.matrix, ref.matrix, rtol=1e-12)
 
+    @pytest.mark.parametrize(
+        "desc, field",
+        [
+            ({"kind": "offcenter_disc", "center": [2, 0], "radius": 1}, "domain.center"),
+            ({"kind": "offcenter_disc", "center": [0.6, 0.8], "radius": 1}, "domain.center"),
+            ({"kind": "two_point_disc", "c": [2, 0], "r": 3}, "domain.r"),
+            ({"kind": "two_point_disc", "c": [0.6, -0.8], "r": 1}, "domain.r"),
+        ],
+        ids=["offcenter-outside", "offcenter-on-boundary", "two-point-outside",
+             "two-point-on-boundary"],
+    )
+    def test_domain_must_hold_the_origin(self, desc, field):
+        # the germs live at 0: a disc that misses it, or has it on its
+        # boundary, is refused, naming the field
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            moment_matrix(desc, 2, name="domain")
+
+    def test_domain_just_holding_the_origin_is_accepted(self):
+        near = moment_matrix({"kind": "offcenter_disc", "center": [0.99, 0], "radius": 1}, 2)
+        ref = moment_matrix(
+            {"kind": "two_point_disc", "c": [1.98, 0], "r": 2 + 1.98**2 / 2}, 2
+        )
+        assert np.allclose(near.matrix, ref.matrix, rtol=1e-12)
+        moment_matrix({"kind": "two_point_disc", "c": [1, 0], "r": 1.01}, 2)
+
     def test_radial_oracle(self):
         desc = {"kind": "radial", "base": 1.0, "harmonics": [[2, 0.1, 0.0]]}
         dom = moment_matrix(desc, 2)

@@ -13,8 +13,12 @@ to exercise; it is asserted by the test suites, never assumed by the code.
 Both routes start from one problem record, built by :func:`_problem`: it
 checks (domain, F, J), decides containment and exact vs float once, and
 assembles the inputs both routes read (the working indices, the weights,
-the finite slots and F's vector).  :func:`both_routes` builds the record
-once for a caller that wants both values.
+the finite slots and F's vector).  In exact mode the record holds them
+cleared to ring integers, each by :func:`berglab.linalg.to_ring` once: F's
+vector, the finite slots' weights, which the projection reads, and their
+reciprocals, the kernel weights that the kernel ratio reads.
+:func:`both_routes` builds the record once for a caller that wants both
+values.
 
 On a diagonal domain distinct monomials are orthogonal, so the problem
 splits along the jet ideal's blocks (:class:`berglab.ideals.Block`), and a
@@ -40,9 +44,11 @@ the record's jet ideal ``J``:
 
 Exact diagonal problems stay in cleared integers (Python ints, and Gaussian
 integers where an entry is complex) through :mod:`berglab.linalg` from the
-jet ideal to the result, and build one QQi per complex output entry and one
-Fraction per real one; every other problem (moment domains, float diagonal
-domains, float or complex data) runs through numpy.  In exact mode the
+record to the result, and build one QQi per complex output entry and one
+Fraction per real one (the norms, too, are built from ints, one Fraction
+each: :class:`berglab.domains.DiagonalDomain`); every other problem (moment
+domains, float diagonal domains, float or complex data) runs through
+numpy.  In exact mode the
 routes share no solve and no spanning set, so a wrong annihilator shows up
 as C != B.  A float view's span and annihilator come from one singular
 value decomposition per block, so the routes share that input, and the
@@ -56,6 +62,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 
 from .domains import DiagonalDomain, ExhaustionSequence, MomentDomain
@@ -221,7 +228,13 @@ class _Problem:
     monomials, ``J``'s on a diagonal domain, and ``weights`` their squared
     norms (inf where not square-integrable), or on a moment domain the
     moment matrix, with ``chol`` its Cholesky factor.  ``finite``/``infinite``
-    split the slots by weight; ``f`` is F's vector.
+    split the slots by weight.  ``f`` is F's vector.  For the exact backend
+    the record holds the routes' inputs cleared by :func:`to_ring`, each
+    once: ``f`` in ring integers over the int ``f_den``, the finite slots'
+    weights (:attr:`cleared_weights`) and their reciprocals, the kernel
+    weights (:attr:`cleared_kernel_weights`); a route that is not run does
+    not clear its weights.  ``sizes`` are the whole problem's sizes that
+    every diagnostics dict reports, found once.
     """
 
     def __init__(self, backend: str, ideal: JetIdeal, J: JetIdeal, contained: bool,
@@ -229,8 +242,32 @@ class _Problem:
                  quad_error):
         self.backend, self.ideal, self.J, self.contained = backend, ideal, J, contained
         self.pi_power, self.indices, self.weights = pi_power, indices, weights
-        self.finite, self.infinite, self.f = finite, infinite, f
+        self.finite, self.infinite = finite, infinite
         self.chol, self.quad_error = chol, quad_error
+        if backend == "exact":
+            (self.f,), (self.f_den,) = to_ring([f])
+        else:
+            self.f = f
+        self.sizes = {
+            "indices": len(indices if backend == "moment" else ideal.indices),
+            "blocks": len(ideal.blocks),
+            "largest_block": ideal.largest_block,
+        }
+
+    @cached_property
+    def cleared_weights(self):
+        """(ring integers, int denominator) of the finite slots' weights, in
+        exact mode: cleared when the projection first reads them."""
+        (w,), (den,) = to_ring([[self.weights[i] for i in self.finite]])
+        return w, den
+
+    @cached_property
+    def cleared_kernel_weights(self):
+        """(ring integers, int denominator) of the kernel weights, the
+        reciprocals of the finite slots' weights, in exact mode: cleared
+        when the kernel ratio first reads them."""
+        (k,), (den,) = to_ring([[1 / self.weights[i] for i in self.finite]])
+        return k, den
 
     def value(self, v):
         """``v`` as a result value: a PiValue in exact mode, a float otherwise."""
@@ -244,13 +281,11 @@ class _Problem:
         elimination, come with those of the part that was solved (solved
         indices, the span and annihilator of ``J``, finite and infinite
         slots)."""
-        ideal, J = self.ideal, self.J
+        J = self.J
         return {
             "backend": self.backend,
             "outcome": outcome,
-            "indices": len(self.indices if self.backend == "moment" else ideal.indices),
-            "blocks": len(ideal.blocks),
-            "largest_block": ideal.largest_block,
+            **self.sizes,
             "solved_indices": len(self.indices),
             "solved_span_dim": J.span_dim,
             "solved_annihilator_dim": len(J.indices) - J.span_dim,
@@ -283,7 +318,8 @@ def _problem(domain, F: Jet, J: JetIdeal) -> _Problem:
     if moment and J.level > domain.degree_bound + 1:
         raise UnsupportedDomainError("jet-ideal level exceeds the moment degree bound + 1")
     F = F.truncate(J.level - 1)
-    outside = outside_blocks(J, F)
+    exact = J.exact and is_exact(F.coeffs.values())
+    outside = outside_blocks(J, F, exact)
     system = J if moment else J.restrict(blocks=outside)
     idx = domain.indices if moment else system.indices
     f = F.vector(idx)
@@ -291,14 +327,14 @@ def _problem(domain, F: Jet, J: JetIdeal) -> _Problem:
         backend, weights, finite, infinite = "moment", domain.matrix, list(range(len(idx))), []
         chol, quad_error = domain._chol, domain.quad_error
     else:
-        exact = domain.exact and J.exact and is_exact(F.coeffs.values())
-        backend = "exact" if exact else "float"
+        backend = "exact" if domain.exact and exact else "float"
         # idx comes from the jet ideal's layout: its norms need no index check
         weights = [domain._norm(a) for a in idx]
         if backend != "exact":
             weights = [domain._as_float(w) for w in weights]
-        finite = [i for i, w in enumerate(weights) if w != math.inf]
-        infinite = [i for i, w in enumerate(weights) if w == math.inf]
+        finite, infinite = [], []
+        for i, w in enumerate(weights):
+            (infinite if w == math.inf else finite).append(i)
         chol = quad_error = None
     pi_power = domain.pi_power if backend == "exact" else 0
     if backend != "exact":
@@ -356,12 +392,12 @@ def _project(prob: _Problem) -> ProjectionResult:
 
 
 def _minimal_l2_exact(prob: _Problem) -> ProjectionResult:
-    J, idx, norms, finite, infinite = prob.J, prob.indices, prob.weights, prob.finite, prob.infinite
+    J, idx, finite, infinite = prob.J, prob.indices, prob.finite, prob.infinite
     # the span is taken on the independent product rows g * z^beta that the
     # elimination kept: the projection does not depend on the spanning set.
     # Everything below stays in ring integers, x = num / den.
     rows = J.rows
-    (f, w), (den, wden) = to_ring([prob.f, [norms[i] for i in finite]])
+    f, den, (w, wden) = prob.f, prob.f_den, prob.cleared_weights
 
     # the competitor (f + sum_r u_r rows_r) / den must vanish on the
     # non-integrable slots: u = u0 + (homogeneous solutions)
@@ -488,13 +524,14 @@ def _kernel_ratio(prob: _Problem) -> KernelRatioResult:
 
 
 def _b_circle_exact(prob: _Problem) -> KernelRatioResult:
-    idx, norms, finite = prob.indices, prob.weights, prob.finite
+    idx, finite = prob.indices, prob.finite
     # the annihilator V, each vector scaled to integers: the value p^T x and
     # the maximizer V x of A x = conj(p), A = V^H W V, do not change under
     # V -> V S.  With F's vector scaled by den, p scales by den, the value by
-    # den^2 and the maximizer by den; W's common denominator wden scales A.
+    # den^2 and the maximizer by den; W (the kernel weights 1/w) has the
+    # common denominator wden, which scales A.
     vecs = prob.J.null
-    (f, w), (den, wden) = to_ring([prob.f, [1 / norms[i] for i in finite]])
+    f, den, (w, wden) = prob.f, prob.f_den, prob.cleared_kernel_weights
     support = [i for i, c in enumerate(f) if c]
     pvals = [sum((v[i] * f[i] for i in support), 0) for v in vecs]
 

@@ -6,11 +6,12 @@ Two families are supported:
   diagonal toric weights, sublevel sets, truncated weights).  Monomials are
   orthogonal, so the domain is fully described by its monomial norms.  In
   exact mode the norms are rational multiples of pi**n and the pi power is
-  factored out.  Norms are closed forms: a polydisc norm is a product of
-  cached per-coordinate factors (a one-variable truncated weight changes
-  only its active coordinate's factor), and a two-variable cut of a bidisc
-  integrates powers of |z| in u = log|z| with :func:`_int_pow`, the part
-  below the cut curve by :func:`_below_curve`.
+  factored out: a norm's numerator and denominator are products of ints,
+  and it is one Fraction.  Norms are closed forms: a polydisc norm is a
+  product of per-coordinate factors, cached in float mode (a one-variable
+  truncated weight changes only its active coordinate's factor), and a
+  two-variable cut of a bidisc integrates powers of |z| in u = log|z| with
+  :func:`_int_pow`, the part below the cut curve by :func:`_below_curve`.
 * :class:`MomentDomain` -- a finite Hermitian positive-definite moment
   matrix of monomial inner products for general bounded domains, assembled
   from closed forms or an exact trapezoid rule.
@@ -37,6 +38,11 @@ from .jsonspec import integer, json_list, json_object, number
 # max(1, its largest entry)
 QUAD_TOL = 1e-10
 
+# the slack of a float radius in :meth:`DiagonalDomain.is_subset_of`,
+# relative to the outer radius: a few units in its last place, so that radii
+# that agree up to rounding nest both ways
+NESTING_RTOL = 1e-15
+
 # descriptor kinds that only :func:`moment_matrix` builds
 MOMENT_KINDS = ("offcenter_disc", "two_point_disc", "radial")
 
@@ -48,10 +54,15 @@ def _positive(r):
     return r
 
 
+def _fraction(x):
+    """``x`` as a Fraction: a Fraction is returned as it is."""
+    return x if type(x) is Fraction else Fraction(x)
+
+
 def _as_fraction(x):
     if isinstance(x, float) and not x.is_integer():
         raise ValueError(f"{x!r} is not exactly representable; pass a Fraction")
-    return Fraction(x)
+    return _fraction(x)
 
 
 class ToricWeight:
@@ -139,10 +150,12 @@ class DiagonalDomain:
     attached density prod_j |z_j|^(-2 e_j) (the toric weight with its scale
     already folded in).  ``cut`` is the domain's one :class:`Cut`, if any: a
     truncated weight or a two-variable sublevel set of a polydisc (a
-    one-variable sublevel set is a smaller radius, not a cut).  Polydisc
-    norms, truncated ones with one active coordinate included, are products
-    of per-coordinate factors cached by exponent.  Every derived domain is
-    built by :meth:`_derived`.
+    one-variable sublevel set is a smaller radius, not a cut).  An exact
+    domain holds its radii and exponents as Fractions, and its norms are
+    built from ints, one Fraction each.  Float polydisc norms, truncated
+    ones with one active coordinate included, are products of per-coordinate
+    factors cached by exponent.  Every derived domain is built by
+    :meth:`_derived`.
     """
 
     def __init__(
@@ -174,21 +187,12 @@ class DiagonalDomain:
         else:
             raise ValueError(f"unknown diagonal domain kind {kind!r}")
         if weight_exponents is None:
-            weight_exponents = (Fraction(0),) * self.n
+            weight_exponents = (0,) * self.n
         self.weight_exponents = tuple(weight_exponents)
-        if exact is None:
-            exact = self._exactness_possible()
-        self.exact = bool(exact)
-        if self.exact:
-            # normalize stored data to Fractions so arithmetic stays exact
-            if self.radii is not None:
-                self.radii = tuple(_as_fraction(r) for r in self.radii)
-            if self.radius is not None:
-                self.radius = _as_fraction(self.radius)
-            self.weight_exponents = tuple(Fraction(e) for e in self.weight_exponents)
+        self.exact = self._make_exact(exact)
         self.descriptor = descriptor or self._default_descriptor()
         self._norm_cache = {}
-        # polydisc norms: per coordinate, the factor of each exponent
+        # float polydisc norms: per coordinate, the factor of each exponent
         self._factors = [{} for _ in range(self.n)]
 
     # -- constructors ---------------------------------------------------
@@ -263,20 +267,43 @@ class DiagonalDomain:
 
     # -- norms ----------------------------------------------------------
 
-    def _exactness_possible(self) -> bool:
-        if self.cut is not None:
+    def _make_exact(self, exact) -> bool:
+        """Whether the domain is exact: ``exact``, or when it is None whether
+        its norms are rational multiples of pi**n (no cut, every radius and
+        exponent rational, a ball unweighted and a fractional exponent only
+        on a radius 1).  An exact domain's radii and exponents become
+        Fractions here, each converted once, and a polydisc keeps per
+        coordinate the ints (p, q, a, b) of r = p/q and e = a/b.  When
+        ``exact`` is True, a domain whose norms are not rational multiples
+        of pi**n, or whose radius is a non-integer float, raises
+        ValueError."""
+        if exact is False or (exact is None and self.cut is not None):
             return False
         sizes = self.radii if self.radii is not None else (self.radius,)
         try:
-            sizes = [_as_fraction(r) for r in sizes]
-            exps = [Fraction(e) for e in self.weight_exponents]
+            sizes = tuple(map(_as_fraction, sizes))
+            exps = tuple(map(_fraction, self.weight_exponents))
         except (ValueError, TypeError):
+            if exact:
+                raise
             return False
         if self.kind == "ball":
-            return not any(exps)
-        for r, e in zip(sizes, exps):
-            if e != 0 and e.denominator != 1 and r != 1:
-                return False
+            rational = not any(exps)
+        else:
+            rational = all(e.denominator == 1 or r == 1 for r, e in zip(sizes, exps))
+        if self.cut is not None or not rational:
+            if exact:
+                raise ValueError("this domain's norms are not rational multiples of pi**n")
+            return False
+        self.weight_exponents = exps
+        if self.kind == "ball":
+            self.radius = sizes[0]
+        else:
+            self.radii = sizes
+            self._coords = tuple(
+                (r.numerator, r.denominator, e.numerator, e.denominator)
+                for r, e in zip(sizes, exps)
+            )
         return True
 
     @property
@@ -308,7 +335,7 @@ class DiagonalDomain:
                 cached = self._compute_norm(alpha)
             except OverflowError:
                 raise QuadratureError(f"the norm of z^{alpha} overflows a float") from None
-            if cached == 0:
+            if not cached:
                 raise QuadratureError(f"the norm of z^{alpha} underflows to 0")
             self._norm_cache[alpha] = cached
         return cached
@@ -331,9 +358,25 @@ class DiagonalDomain:
             if self.cut.kind == "sublevel":
                 return _sublevel_norm_2d(self, alpha)
             return _truncated_norm_2d(self, alpha)
-        # polydisc: the product of the coordinates' factors, with a factor pi
-        # per coordinate (factored out in exact mode)
-        out = Fraction(1) if self.exact else math.pi**self.n
+        # polydisc: the product of the coordinates' factors 2 * (the integral
+        # of s^(2x-1) over [0, r]) = r^(2x) / x, x = k - e + 1 for e the
+        # weight exponent, with a factor pi per coordinate (factored out in
+        # exact mode); math.inf when some x <= 0
+        if self.exact:
+            # with r = p/q and e = a/b, x = X/b for the int X below
+            num = den = 1
+            for (p, q, a, b), k in zip(self._coords, alpha):
+                x = (k + 1) * b - a
+                if x <= 0:
+                    return math.inf
+                if b == 1:
+                    num *= p ** (2 * x)
+                    den *= q ** (2 * x) * x
+                else:  # a fractional exponent: r = 1, and the factor is b/X
+                    num *= b
+                    den *= x
+            return Fraction(num, den)
+        out = math.pi**self.n
         for j, k in enumerate(alpha):
             t = self._factors[j].get(k)
             if t is None:
@@ -341,14 +384,13 @@ class DiagonalDomain:
             if t == math.inf:
                 return math.inf
             out *= t
-        return out if self.exact else _finite(out)
+        return _finite(out)
 
     def _polydisc_factor(self, j, k):
-        """Coordinate j's factor 2 * (the integral of s^(2x-1) over [0, r]) =
-        r^(2x) / x, x = k - e + 1 for e its weight exponent; math.inf when
-        x <= 0.  On the active coordinate m of a one-variable truncated
-        weight, the density is capped at e^(c*j) below rho = e^(-j/(2a_m)),
-        leaving the base weight's exponent x + c*a_m there."""
+        """Coordinate j's float factor r^(2x) / x, math.inf when x <= 0.  On
+        the active coordinate m of a one-variable truncated weight, the
+        density is capped at e^(c*j) below rho = e^(-j/(2a_m)), leaving the
+        base weight's exponent x + c*a_m there."""
         r, x = self.radii[j], k - self.weight_exponents[j] + 1
         cut = self.cut
         if cut is not None and cut.psi.a[j] > 0:
@@ -362,12 +404,7 @@ class DiagonalDomain:
             return 2 * val
         if x <= 0:
             return math.inf
-        if not self.exact:
-            return float(r) ** (2 * float(x)) / float(x)
-        if x.denominator == 1:
-            return Fraction(r) ** (2 * int(x)) / x
-        # exactness check guaranteed r == 1 here
-        return 1 / Fraction(x)
+        return float(r) ** (2 * float(x)) / float(x)
 
     def _ball_norm(self, alpha):
         d = degree(alpha)
@@ -376,7 +413,8 @@ class DiagonalDomain:
             fact *= math.factorial(k)
         denom = math.factorial(d + self.n)
         if self.exact:
-            return Fraction(fact, denom) * Fraction(self.radius) ** (2 * (d + self.n))
+            t = 2 * (d + self.n)
+            return Fraction(fact * self.radius.numerator**t, denom * self.radius.denominator**t)
         # int / int first: alpha! alone can pass the float range
         return _finite(
             math.pi**self.n * (fact / denom) * float(self.radius) ** (2 * (d + self.n))
@@ -387,21 +425,29 @@ class DiagonalDomain:
     def is_subset_of(self, other: "DiagonalDomain") -> bool:
         """Inclusion certified from the descriptors (same family, same
         weight, radii nondecreasing, and the same cut, but for sublevel sets
-        {psi < -t} of one psi, which nest by t)."""
+        {psi < -t} of one psi, which nest by t).  Two exact domains are
+        compared exactly; otherwise the weights and radii as floats, a
+        radius with a slack of :data:`NESTING_RTOL` relative to the outer
+        one, so that the verdict does not change when every radius is
+        rescaled."""
         if self.n != other.n or self.kind != other.kind:
             return False
-        we_a = [float(e) for e in self.weight_exponents]
-        we_b = [float(e) for e in other.weight_exponents]
         a, b = self.cut, other.cut
         nested = a == b or (
             a is not None and b is not None and a.kind == b.kind == "sublevel"
             and a.psi == b.psi and a.level >= b.level
         )
-        if we_a != we_b or not nested:
+        if not nested:
             return False
         if self.kind == "polydisc":
-            return all(float(r) <= float(s) + 1e-15 for r, s in zip(self.radii, other.radii))
-        return float(self.radius) <= float(other.radius) + 1e-15
+            pairs = list(zip(self.radii, other.radii))
+        else:
+            pairs = [(self.radius, other.radius)]
+        if self.exact and other.exact:
+            return self.weight_exponents == other.weight_exponents and all(r <= s for r, s in pairs)
+        same_weight = [float(e) for e in self.weight_exponents] == [
+            float(e) for e in other.weight_exponents]
+        return same_weight and all(float(r) <= float(s) * (1 + NESTING_RTOL) for r, s in pairs)
 
     def _default_descriptor(self):
         """The JSON descriptor that :func:`domain_from_json` reads back: an

@@ -412,22 +412,22 @@ def _components(products, m):
     return cols, block_of, local
 
 
-def outside_blocks(J: JetIdeal, f: Jet) -> tuple:
+def outside_blocks(J: JetIdeal, f: Jet, exact: bool) -> tuple:
     """The positions in ``J.blocks``, ascending, of the blocks on which f's
     degree < k jet lies outside the span: the blocks that f touches whose
-    annihilator does not pair to zero with f's part on them.
+    annihilator does not pair to zero with f's part on them.  Only f's
+    terms on ``J.indices`` are read.
 
-    Exact ideals and exact jets are decided exactly, in integers.
-    Otherwise a block is outside when one of f's pairings with its
-    orthonormal annihilator (:attr:`Block.float_view`) exceeds
-    ``FLOAT_RANK_TOL`` times f's largest coefficient: they are the
+    ``exact`` says whether J and those terms are exact: then the verdict is
+    exact, in integers.  Otherwise a block is outside when one of f's
+    pairings with its orthonormal annihilator (:attr:`Block.float_view`)
+    exceeds ``FLOAT_RANK_TOL`` times f's largest coefficient: they are the
     coordinates of f's distance from the block's span.  A block that f
     does not touch pairs to exactly 0 with it, and is not read.
     """
-    f = f.truncate(J.level - 1)
     touched = J._touched(f.coeffs)
     vecs = [f.vector(J.blocks[k].indices) for k in touched]
-    if J.exact and is_exact(x for vec in vecs for x in vec):
+    if exact:
         return tuple(k for k, vec in zip(touched, vecs) if not annihilates(J.blocks[k].null, vec))
     import numpy as np
 
@@ -444,7 +444,8 @@ def contains(J: JetIdeal, f: Jet) -> bool:
     member when no block lies outside (:func:`outside_blocks`), so an ideal
     with no annihilator contains every jet.  Only the blocks that f's
     support touches are read, each by itself."""
-    return not outside_blocks(J, f)
+    f = f.truncate(J.level - 1)
+    return not outside_blocks(J, f, J.exact and is_exact(f.coeffs.values()))
 
 
 def annihilator(J: JetIdeal) -> list:

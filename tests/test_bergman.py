@@ -11,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from berglab import bergman
 from berglab.bergman import (
     ROUTES_RTOL,
     b_circle,
@@ -41,6 +42,7 @@ from berglab.exactnum import PiValue, QQi, abs2_s, value_float
 from berglab.ideals import IdealPresentation, annihilator, jet_ideal
 from berglab.indices import degree, indices_up_to, order_key
 from berglab.jets import Functional, Jet, jet_multiply, pair
+from berglab.linalg import to_ring
 from reference_linalg import gauss_jordan, null_space
 
 
@@ -636,6 +638,44 @@ class TestProblemRecord:
         assert type(c.value) is float and c.value == 0.0
         assert type(b.value) is float and b.value == 0.0
         assert c.eta_pi_power == 0
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: DiagonalDomain.polydisc([Fraction(1, 2), Fraction(3, 2)]),
+            lambda: DiagonalDomain.ball(2, Fraction(3, 2)),
+            lambda: DiagonalDomain.polydisc([1, Fraction(2, 3)]).with_weight(
+                ToricWeight((Fraction(3, 2), 1)), 1),
+        ],
+        ids=["polydisc", "ball", "weighted"],
+    )
+    def test_exact_record_holds_cleared_inputs(self, make):
+        # F's vector, the finite weights and their reciprocals, each as
+        # to_ring clears the Fraction / QQi vector: the same ring integers,
+        # of the same types, over the same denominators
+        g = Jet(2, 2, {(1, 0): 1, (0, 2): QQi(-2, 1)})
+        J = jet_ideal(IdealPresentation(2, [g]), 5)
+        F = Jet(2, 4, {(0, 0): QQi(1, 2), (1, 0): 1, (0, 1): QQi(Fraction(1, 2), -1),
+                       (2, 1): Fraction(3, 4), (1, 3): QQi(0, 5)})
+        domain = make()
+        prob = bergman._problem(domain, F, J)
+        assert prob.backend == "exact" and not prob.contained
+        norms = [domain.norm(a) for a in prob.indices]
+        assert [i for i, w in enumerate(norms) if w != math.inf] == prob.finite
+        w = [norms[i] for i in prob.finite]
+        want = to_ring([F.vector(prob.indices), w, [1 / x for x in w]])
+        (w, w_den), (k, k_den) = prob.cleared_weights, prob.cleared_kernel_weights
+        got = [prob.f, w, k], [prob.f_den, w_den, k_den]
+
+        def typed(rows):
+            return [[(type(x), x.real, x.imag) for x in row] for row in rows]
+
+        assert typed(got[0]) == typed(want[0]) and got[1] == want[1]
+        assert any(type(x) is QQi for x in prob.f)
+        if domain.weight_exponents[0]:
+            assert prob.infinite
+        # and both routes read them: C = B
+        assert minimal_l2(domain, F, J).value == b_circle(domain, F, J).value
 
     def test_domain_dimension_checked(self):
         # on a moment domain a jet of another dimension used to read as zero

@@ -227,7 +227,7 @@ class TestUnsplitOracle:
             rank = len(gauss_jordan(block_rows, len(cols))[1])
             if any(part) and len(gauss_jordan(block_rows + [part], len(cols))[1]) > rank:
                 want.append(k)
-        assert ideals.outside_blocks(J, F) == tuple(want)
+        assert ideals.outside_blocks(J, F, J.exact) == tuple(want)
         assert ideals.contains(J, F) == (not want)
         domain = DiagonalDomain.polydisc([1, 2, Fraction(1, 2)][:n])
         if data.draw(st.booleans()):
@@ -374,7 +374,7 @@ class TestSolveOutsideTheSpan:
         # degrees 0, 1 and 2 only
         J = jet_ideal(IdealPresentation(2, M_PRIMARY), 31)
         assert _touched_indices(M_PRIMARY, 31, M_PRIMARY_F) == 60
-        outside = ideals.outside_blocks(J, M_PRIMARY_F)
+        outside = ideals.outside_blocks(J, M_PRIMARY_F, True)
         assert [len(J.blocks[k].indices) for k in outside] == [1, 1, 1, 3]
         c, b = both_routes(self.domain, M_PRIMARY_F, J)
         sizes = {k: c.diagnostics[k] for k in (
@@ -396,10 +396,10 @@ class TestSolveOutsideTheSpan:
         # coefficient of 1e-12 and inside beside one of 1, so membership
         # does not change when F is rescaled, and the routes skip z there
         J = jet_ideal(IdealPresentation(1, [Jet(1, 2, {(2,): 1.0})]), 3)
-        assert ideals.outside_blocks(J, Jet(1, 2, {(1,): 1e-12})) == (1,)
+        assert ideals.outside_blocks(J, Jet(1, 2, {(1,): 1e-12}), False) == (1,)
         assert ideals.contains(J, Jet(1, 2, {(1,): 1e-12, (2,): 1.0}))
         F = Jet(1, 2, {(0,): 1.0, (1,): 1e-12, (2,): 5.0})
-        assert ideals.outside_blocks(J, F) == (0,)
+        assert ideals.outside_blocks(J, F, False) == (0,)
         c, b = both_routes(DiagonalDomain.polydisc([1], exact=False), F, J)
         for res in (c, b):
             assert res.value == pytest.approx(math.pi, rel=1e-15)
@@ -503,7 +503,7 @@ class TestLazyElimination:
         # the one on F's blocks outside the span
         (kept,) = J._restrictions.values()
         b_circle(domain, F, J)
-        outside = ideals.outside_blocks(J, F)
+        outside = ideals.outside_blocks(J, F, False)
         assert list(J._restrictions.values()) == [kept] and J.restrict(blocks=outside) is kept
 
     @pytest.mark.parametrize("F, steps", [

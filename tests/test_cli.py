@@ -269,6 +269,14 @@ class TestEquiv:
                 [{"kind": "polydisc", "radii": [1]}, {"kind": "polydisc", "radii": ["1/2"]}],
             ),
             (
+                "exhaust",
+                ("domains",),
+                [
+                    {"kind": "polydisc", "radii": ["100000000000000000001/100000000000000000000"]},
+                    {"kind": "polydisc", "radii": ["1"]},
+                ],
+            ),
+            (
                 "basis",
                 ("domain",),
                 {"kind": "radial", "base": 1.0, "harmonics": [[1, 1.5, 0]]},
@@ -293,6 +301,7 @@ class TestEquiv:
             "unit-generator",
             "no-radii",
             "exhaust-not-nested",
+            "exhaust-not-nested-by-1e-20",
             "radial-nonpositive",
             "radial-fractional-order",
             "radial-negative-order",

@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad, quad
 
 from berglab.bergman import kernel_at_origin
@@ -95,6 +97,91 @@ class TestPolydiscNorms:
             disc.norm((-1,))
         with pytest.raises(BerglabError):
             disc.norm((1, 0))
+
+
+def _closed_form_polydisc(coords, alpha, exact):
+    """pi^n (factored out in exact mode) times the factor r^(2x) / x of each
+    coordinate (r, e), x = k + 1 - e, in coordinate order; math.inf when
+    some x <= 0.  Exact: in Fraction arithmetic, the power of a radius 1
+    being 1.  Float: float(r) ** (2 * float(x)) / float(x)."""
+    want = Fraction(1) if exact else math.pi ** len(alpha)
+    for (r, e), k in zip(coords, alpha):
+        x = k + 1 - e
+        if x <= 0:
+            return math.inf
+        if exact:
+            want *= (1 if r == 1 else r ** int(2 * x)) / x
+        else:
+            want *= float(r) ** (2 * float(x)) / float(x)
+    return want
+
+
+def _closed_form_ball(n, r, alpha, exact):
+    """alpha! r^(2(|alpha| + n)) / (|alpha| + n)!, times pi^n in float mode,
+    the factorial quotient taken first."""
+    d, fact = sum(alpha), math.prod(math.factorial(k) for k in alpha)
+    if exact:
+        return Fraction(fact, math.factorial(d + n)) * r ** (2 * (d + n))
+    return math.pi**n * (fact / math.factorial(d + n)) * float(r) ** (2 * (d + n))
+
+
+_RATIONAL_RADII = st.builds(Fraction, st.integers(1, 5), st.integers(1, 5))
+
+
+class TestNormClosedForms:
+    """Norms against their closed forms: exact ones ``==``, float ones
+    bitwise equal to the formula evaluated in the order written above."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_polydisc(self, data):
+        # per coordinate a radius p/q (p, q <= 5) with an integer exponent,
+        # or radius 1 with a half-integer one; an exponent >= k + 1 makes
+        # the slot non-integrable
+        n = data.draw(st.integers(1, 3))
+        coords = [
+            data.draw(st.one_of(
+                st.tuples(_RATIONAL_RADII, st.integers(0, 3).map(Fraction)),
+                st.tuples(st.just(Fraction(1)), st.integers(0, 7).map(lambda h: Fraction(h, 2))),
+            ))
+            for _ in range(n)
+        ]
+        alpha = tuple(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+        radii, exps = [r for r, _ in coords], tuple(e for _, e in coords)
+        for exact in (True, False):
+            # an unweighted domain takes the default exponents
+            dom = DiagonalDomain(
+                n, "polydisc", radii=radii, weight_exponents=exps if any(exps) else None,
+                exact=None if exact else False,
+            )
+            assert dom.exact is exact
+            got, want = dom.norm(alpha), _closed_form_polydisc(coords, alpha, exact)
+            assert got == want and type(got) is type(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4), _RATIONAL_RADII, st.data())
+    def test_ball(self, n, r, data):
+        alpha = tuple(data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n)))
+        for exact in (True, False):
+            got = DiagonalDomain.ball(n, r, exact=exact).norm(alpha)
+            want = _closed_form_ball(n, r, alpha, exact)
+            assert got == want and type(got) is type(want)
+
+    def test_exact_only_where_the_norms_are_rational(self):
+        # r^(2x) / x is rational for a half-integer x only on a radius 1:
+        # an exact domain with one elsewhere is refused, not given 1/x
+        half = (Fraction(1, 2),)
+        unit = DiagonalDomain(1, "polydisc", radii=[1], weight_exponents=half, exact=True)
+        assert unit.norm((0,)) == 2
+        assert not DiagonalDomain(1, "polydisc", radii=[2], weight_exponents=half).exact
+        with pytest.raises(ValueError, match="not rational multiples of pi"):
+            DiagonalDomain(1, "polydisc", radii=[2], weight_exponents=half, exact=True)
+
+    def test_non_integrable_slot(self):
+        dom = DiagonalDomain(2, "polydisc", radii=[1, Fraction(2, 3)],
+                             weight_exponents=(Fraction(3, 2), 1))
+        assert dom.norm((0, 3)) == math.inf and dom.norm((1, 0)) == math.inf
+        assert dom.norm((1, 1)) == Fraction(2) * Fraction(2, 3) ** 2
 
 
 class TestBallNorms:
@@ -765,6 +852,46 @@ class TestStructure:
         ExhaustionSequence([d1, d2])
         with pytest.raises(BerglabError):
             ExhaustionSequence([d2, d1])
+
+    def test_exact_nesting_is_exact(self):
+        # a radius 10^-20 past 1 is not inside radius 1, nor an exponent
+        # 10^-20 past another, though both agree as floats
+        unit, wider = DiagonalDomain.disc(1), DiagonalDomain.disc(1 + Fraction(1, 10**20))
+        assert unit.is_subset_of(wider) and not wider.is_subset_of(unit)
+        with pytest.raises(NotNestedError):
+            ExhaustionSequence([wider, unit])
+        a, b = ToricWeight((1,)), ToricWeight((1 + Fraction(1, 10**20),))
+        assert not unit.with_weight(a).is_subset_of(unit.with_weight(b))
+        ball = DiagonalDomain.ball(2, 1)
+        assert ball.is_subset_of(DiagonalDomain.ball(2, 1 + Fraction(1, 10**20)))
+        assert not DiagonalDomain.ball(2, 1 + Fraction(1, 10**20)).is_subset_of(ball)
+
+    def test_float_nesting_is_relative(self):
+        small = DiagonalDomain.disc(1e-16, exact=False)
+        large = DiagonalDomain.disc(3e-16, exact=False)
+        assert small.is_subset_of(large) and not large.is_subset_of(small)
+        # radii that agree up to rounding nest both ways, at any scale
+        for s in (1.0, 1e-20, 1e20):
+            a = DiagonalDomain.disc(s, exact=False)
+            b = DiagonalDomain.disc(s * (1 + 2**-52), exact=False)
+            assert a.is_subset_of(b) and b.is_subset_of(a)
+        # an exact domain and a float one are compared as floats
+        half = DiagonalDomain.disc(0.5, exact=False)
+        assert DiagonalDomain.disc(Fraction(1, 2)).is_subset_of(half)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_exhaustion_rescaled_by_1e_20(self, exact):
+        # the nesting verdict on discs of radii (1/2, 3/4, 1) and their
+        # reverse does not change when every radius is scaled by 10^-20
+        radii = [Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+        for scale in (Fraction(1), Fraction(1, 10**20)):
+            make = [
+                DiagonalDomain.disc(r * scale if exact else float(r * scale), exact=exact)
+                for r in radii
+            ]
+            ExhaustionSequence(make)
+            with pytest.raises(NotNestedError):
+                ExhaustionSequence(make[::-1])
 
     @pytest.mark.parametrize(
         "make",

@@ -40,6 +40,7 @@ _EXPORTS = {
     ),
     "errors": (
         "BerglabError",
+        "CrossCheckError",
         "DimensionMismatchError",
         "DivergentIntegralError",
         "ImproperIdealError",

@@ -1,10 +1,13 @@
 """Batch command-line front-end.
 
-JSON problem specs in, JSON results and CSV tables out.  Exit codes:
-0 success, 1 theorem cross-check failure, 2 spec error (a field missing or
-of the wrong type, a radius <= 0, objects of different dimensions, a zero
-xi or F, a density F outside the ideal's orthogonal complement, a problem
-the construction does not support) or usage error, 3 numerical failure.
+JSON problem specs in, JSON results and CSV tables out.  Each command is
+straight-line code, and :func:`main` alone maps the type of an error to the
+exit code: 0 success, 1 a :class:`CrossCheckError` (two sides of the
+identity disagree), 2 a ``ValueError`` (a spec error: a field missing or of
+the wrong type, a radius <= 0, objects of different dimensions, a zero xi
+or F, a density F outside the ideal's orthogonal complement, a problem the
+construction does not support) or a usage error, 3 a numerical failure or
+any other :class:`BerglabError`.
 
 A process runs one command, so each command imports what only it uses:
 :mod:`berglab.sop` loads for ``sop``, ``cse`` and a t grid, and
@@ -29,18 +32,8 @@ from .bergman import (
     triangular_basis,
 )
 from .domains import MOMENT_KINDS, ExhaustionSequence, ToricWeight, domain_from_json
-from .errors import (
-    BerglabError,
-    DimensionMismatchError,
-    ImproperIdealError,
-    JetSpaceTooLargeError,
-    NotInComplementError,
-    QuadratureError,
-    SingularMatrixError,
-    UnsupportedDomainError,
-    ZeroKernelError,
-)
-from .exactnum import encode, is_exact, value_float
+from .errors import BerglabError, CrossCheckError, QuadratureError, SingularMatrixError
+from .exactnum import PiValue, encode, is_exact, value_float
 from .ideals import IdealPresentation, jet_ideal
 from .jets import Functional, Jet
 from .jsonspec import integer, json_list, json_object
@@ -53,23 +46,16 @@ EXIT_NUMERICAL = 3
 MAX_T_POINTS = 10_000
 
 
-class _Exit(Exception):
-    """Ends a command with exit code ``code``, ``message`` going to stderr."""
-
-    def __init__(self, code, message):
-        super().__init__(message)
-        self.code = code
-
-
 def _load_spec(path, *required):
-    """The spec at ``path``, a JSON object holding each ``required`` field
-    (else exit 2); the reader of each field checks it."""
+    """The spec at ``path``, a JSON object holding each ``required`` field;
+    the reader of each field checks it.  A file that cannot be read or
+    parsed raises ValueError."""
     try:
         with open(path) as fh:
             data = json.load(fh)
     except (OSError, ValueError) as exc:
-        raise _Exit(EXIT_SPEC, f"cannot read spec: {exc}") from None
-    return _build(lambda: json_object(data, "the spec", required))
+        raise ValueError(f"cannot read spec: {exc}") from None
+    return json_object(data, "the spec", required)
 
 
 def _load_domain(desc, degree=None, mode=None, name="domain"):
@@ -162,27 +148,14 @@ def _parse_tgrid(text):
     return t_grid_points(out)
 
 
-def _run(fn, spec_errors=()):
-    """Call ``fn``, turning library errors into exit codes: ``spec_errors``,
-    a jet space past the size cap, objects of different dimensions and a
-    domain the construction does not support (moment data too small
-    included) exit 2, numerical and other berglab errors exit 3."""
-    try:
-        return fn()
-    except (JetSpaceTooLargeError, UnsupportedDomainError, DimensionMismatchError,
-            *spec_errors) as exc:
-        raise _Exit(EXIT_SPEC, f"spec error: {exc}") from None
-    except (QuadratureError, SingularMatrixError) as exc:
-        raise _Exit(EXIT_NUMERICAL, f"numerical failure: {exc}") from None
-    except BerglabError as exc:
-        raise _Exit(EXIT_NUMERICAL, f"error: {exc}") from None
-
-
-def _build(fn):
-    """Turn spec data into objects: exit 2 on a spec error (the library
-    raises ValueError or ImproperIdealError for input the maths rejects), 3
-    on a numerical failure (moment quadrature)."""
-    return _run(fn, (ValueError, ImproperIdealError))
+def _decreases(a, b) -> bool:
+    """Whether the value ``b`` after ``a`` is a decrease: two exact values
+    compare exactly, floats relative to |a| with no absolute floor, and an
+    infinite ``a`` before a finite ``b`` is one."""
+    if isinstance(a, PiValue) and isinstance(b, PiValue) and a.pi_power == b.pi_power:
+        return b.coeff < a.coeff
+    a, b = value_float(a), value_float(b)
+    return b < a and (math.isinf(a) or a - b > 1e-9 * abs(a))
 
 
 def _nonzero(obj, name):
@@ -214,14 +187,9 @@ def _jet_and_ideal(data, mode=None):
 def equiv(spec_path, out_dir, mode):
     """Compare the projection and kernel-ratio values on one instance."""
     data = _load_spec(spec_path, "domain", "F", "ideal")
-    domain = _build(lambda: _load_domain(data["domain"], mode=mode))
-    F, gens, level = _build(lambda: _jet_and_ideal(data, mode))
-
-    def compute():
-        J = jet_ideal(gens, level)
-        return both_routes(domain, F, J)
-
-    proj, ratio = _run(compute)
+    domain = _load_domain(data["domain"], mode=mode)
+    F, gens, level = _jet_and_ideal(data, mode)
+    proj, ratio = both_routes(domain, F, jet_ideal(gens, level))
     agree, gap = routes_agree(proj.value, ratio.value)
     print(f"C  = {_fmt(proj.value)}")
     print(f"B' = {_fmt(ratio.value)}")
@@ -237,16 +205,16 @@ def equiv(spec_path, out_dir, mode):
     )
     _write_outputs(out_dir, "equiv", result, csv_text)
     if not agree:
-        raise _Exit(EXIT_CROSSCHECK, "cross-check failed: B' != C")
+        raise CrossCheckError("cross-check failed: B' != C")
 
 
 def ladder(spec_path, out_dir, mode, k_range):
     """Minimal L2 integrals along I + m^k for a range of k."""
     data = _load_spec(spec_path, "domain", "F", "generators")
-    domain = _build(lambda: _load_domain(data["domain"], mode=mode))
-    F, gens = _build(lambda: _jet_and_gens(data["F"], data["generators"], "generators", mode))
-    ks = _build(lambda: _parse_krange(_range_text(data, "k_range", k_range)))
-    result = _run(lambda: krull_ladder(domain, F, gens, ks))
+    domain = _load_domain(data["domain"], mode=mode)
+    F, gens = _jet_and_gens(data["F"], data["generators"], "generators", mode)
+    ks = _parse_krange(_range_text(data, "k_range", k_range))
+    result = krull_ladder(domain, F, gens, ks)
     lines = ["k,C_k,B_k,gap"]
     for row in result.rows:
         lines.append(
@@ -269,23 +237,18 @@ def ladder(spec_path, out_dir, mode, k_range):
         csv_text,
     )
     if not all(routes_agree(r.c_value, r.b_value)[0] for r in result.rows):
-        raise _Exit(EXIT_CROSSCHECK, "cross-check failed: B_k != C_k at some level")
+        raise CrossCheckError("cross-check failed: B_k != C_k at some level")
 
 
 def exhaust(spec_path, out_dir):
     """Minimal L2 integrals along a nested family of domains."""
     data = _load_spec(spec_path, "domains", "F", "ideal")
-    seq = _build(lambda: ExhaustionSequence([
+    seq = ExhaustionSequence([
         _load_domain(d, name=f"domains[{i}]")
         for i, d in enumerate(json_list(data["domains"], "domains", nonempty=True))
-    ]))
-    F, gens, level = _build(lambda: _jet_and_ideal(data))
-
-    def compute():
-        J = jet_ideal(gens, level)
-        return exhaustion_limit(seq, F, J)
-
-    rows = _run(compute)
+    ])
+    F, gens, level = _jet_and_ideal(data)
+    rows = exhaustion_limit(seq, F, jet_ideal(gens, level))
     lines = ["i,C_i"] + [f"{i},{_fmt(v)}" for i, v in rows]
     csv_text = "\n".join(lines) + "\n"
     print(csv_text.rstrip())
@@ -295,18 +258,18 @@ def exhaust(spec_path, out_dir):
         {"rows": [{"i": i, "C": encode(v)} for i, v in rows]},
         csv_text,
     )
-    vals = [value_float(v) for _, v in rows]
-    if any(b < a - 1e-9 * max(1.0, abs(a)) for a, b in zip(vals, vals[1:])):
-        raise _Exit(EXIT_CROSSCHECK, "cross-check failed: sequence not nondecreasing")
+    vals = [v for _, v in rows]
+    if any(_decreases(a, b) for a, b in zip(vals, vals[1:])):
+        raise CrossCheckError("cross-check failed: sequence not nondecreasing")
 
 
 def kernel(spec_path, out_dir, mode):
     """Kernel value at the origin for a coefficient functional."""
     data = _load_spec(spec_path, "domain", "xi")
-    domain = _build(lambda: _load_domain(data["domain"], mode=mode))
-    xi = _build(lambda: _nonzero(Functional.from_json(data["xi"], "xi"), "xi"))
-    _build(lambda: _insist_exact(mode, xi.entries))
-    value = _run(lambda: kernel_at_origin(domain, xi))
+    domain = _load_domain(data["domain"], mode=mode)
+    xi = _nonzero(Functional.from_json(data["xi"], "xi"), "xi")
+    _insist_exact(mode, xi.entries)
+    value = kernel_at_origin(domain, xi)
     print(f"K = {_fmt(value)}")
     _write_outputs(out_dir, "kernel", {"K": encode(value)}, f"K\n{_fmt(value)}\n")
 
@@ -314,9 +277,9 @@ def kernel(spec_path, out_dir, mode):
 def basis(spec_path, out_dir):
     """Triangular orthonormal basis up to a degree bound."""
     data = _load_spec(spec_path, "domain", "degree")
-    d = _build(lambda: integer(data["degree"], "degree", 0))
-    domain = _build(lambda: _load_domain(data["domain"], degree=d))
-    tb = _run(lambda: triangular_basis(domain, d))
+    d = integer(data["degree"], "degree", 0)
+    domain = _load_domain(data["domain"], degree=d)
+    tb = triangular_basis(domain, d)
     lines = ["alpha,coefficients"]
     for j, alpha in enumerate(tb.included):
         col = tb.coeff_matrix[:, j]
@@ -337,11 +300,10 @@ def sop_cmd(spec_path, out_dir):
     from .sop import effectiveness_report
 
     data = _load_spec(spec_path, "domain", "F", "weight")
-    domain = _build(lambda: _load_diagonal(data["domain"], "sop"))
-    F = _build(lambda: Jet.from_json(data["F"], "F"))
-    phi = _build(lambda: ToricWeight.from_json(data["weight"]))
-    # a zero F has no jumping number (ValueError): a spec error
-    rep = _run(lambda: effectiveness_report(domain, F, phi), (ValueError,))
+    domain = _load_diagonal(data["domain"], "sop")
+    F = Jet.from_json(data["F"], "F")
+    phi = ToricWeight.from_json(data["weight"])
+    rep = effectiveness_report(domain, F, phi)
     print(rep.text_table())
     csv_lines = ["quantity,value"]
     for key, v in rep.to_json().items():
@@ -356,16 +318,12 @@ def cse(spec_path, out_dir, t_grid):
     from .sop import xi_cse_combinatorial, xi_cse_limit
 
     data = _load_spec(spec_path, "domain", "xi", "weight")
-    domain = _build(lambda: _load_diagonal(data["domain"], "cse"))
-    xi = _build(lambda: _nonzero(Functional.from_json(data["xi"], "xi"), "xi"))
-    phi = _build(lambda: ToricWeight.from_json(data["weight"]))
-    grid = _build(lambda: _parse_tgrid(_range_text(data, "t_grid", t_grid)))
-
-    def compute():
-        res = xi_cse_limit(xi, phi, domain, grid)
-        return res, xi_cse_combinatorial(xi, phi)
-
-    res, gamma = _run(compute, (ZeroKernelError,))
+    domain = _load_diagonal(data["domain"], "cse")
+    xi = _nonzero(Functional.from_json(data["xi"], "xi"), "xi")
+    phi = ToricWeight.from_json(data["weight"])
+    grid = _parse_tgrid(_range_text(data, "t_grid", t_grid))
+    res = xi_cse_limit(xi, phi, domain, grid)
+    gamma = xi_cse_combinatorial(xi, phi)
     lines = ["t,logK"] + [f"{t:.17g},{lk:.17g}" for t, lk in res.table]
     csv_text = "\n".join(lines) + "\n"
     print(csv_text.rstrip())
@@ -374,18 +332,17 @@ def cse(spec_path, out_dir, t_grid):
     payload["combinatorial"] = encode(gamma)
     _write_outputs(out_dir, "cse", payload, csv_text)
     if not res.convex:
-        raise _Exit(EXIT_CROSSCHECK, "cross-check failed: log K not convex along the grid")
+        raise CrossCheckError("cross-check failed: log K not convex along the grid")
 
 
 def density(spec_path, out_dir, k_range):
     """Distances from F to the rescaled kernel representatives."""
     data = _load_spec(spec_path, "domain", "F", "generators")
-    domain = _build(lambda: _load_diagonal(data["domain"], "density"))
-    F, gens = _build(lambda: _jet_and_gens(data["F"], data["generators"], "generators"))
-    _build(lambda: _nonzero(F, "F"))
-    ks = _build(lambda: _parse_krange(_range_text(data, "k_range", k_range)))
-    # an F outside the ideal's orthogonal complement is a spec error
-    rows = _run(lambda: density_sequence(domain, F, gens, ks), (NotInComplementError,))
+    domain = _load_diagonal(data["domain"], "density")
+    F, gens = _jet_and_gens(data["F"], data["generators"], "generators")
+    _nonzero(F, "F")
+    ks = _parse_krange(_range_text(data, "k_range", k_range))
+    rows = density_sequence(domain, F, gens, ks)
     lines = ["k,distance"] + [f"{k},{dist:.17g}" for k, dist in rows]
     csv_text = "\n".join(lines) + "\n"
     print(csv_text.rstrip())
@@ -401,7 +358,7 @@ def suite(name, out_dir, seed, count):
     """Run a named verification suite (equivalence|sop|convexity|density)."""
     from .suites import run_suite
 
-    result = _run(lambda: run_suite(name, seed=seed, count=count), (ValueError,))
+    result = run_suite(name, seed=seed, count=count)
     print(result.summary())
     _write_outputs(
         out_dir,
@@ -417,7 +374,7 @@ def suite(name, out_dir, seed, count):
     )
     if not result.ok:
         notes = (f"  instance {i}: {note}" for i, note in result.failures)
-        raise _Exit(EXIT_CROSSCHECK, "\n".join(notes))
+        raise CrossCheckError("\n".join(notes))
 
 
 SPEC = ("--spec", {"dest": "spec_path", "required": True, "metavar": "PATH"})
@@ -478,7 +435,9 @@ def _parser(prog_name):
 
 def main(argv=None, prog_name="berglab") -> int:
     """Run the command named in ``argv`` (default ``sys.argv[1:]``) and
-    return its exit code; a usage error is exit 2, ``--help`` exit 0."""
+    return its exit code; a usage error is exit 2, ``--help`` exit 0.  The
+    type of the error that ends a command picks its code and the prefix of
+    its message on stderr."""
     try:
         args = vars(_parser(prog_name).parse_args(
             _attach_values(sys.argv[1:] if argv is None else argv)))
@@ -487,11 +446,18 @@ def main(argv=None, prog_name="berglab") -> int:
     command = args.pop("command")
     try:
         command(**args)
-    except _Exit as exc:
-        sys.stdout.flush()
-        print(exc, file=sys.stderr)
-        return exc.code
-    return 0
+        return 0
+    except CrossCheckError as exc:
+        code, message = EXIT_CROSSCHECK, str(exc)
+    except ValueError as exc:  # the berglab spec errors are ValueErrors too
+        code, message = EXIT_SPEC, f"spec error: {exc}"
+    except (QuadratureError, SingularMatrixError) as exc:
+        code, message = EXIT_NUMERICAL, f"numerical failure: {exc}"
+    except BerglabError as exc:
+        code, message = EXIT_NUMERICAL, f"error: {exc}"
+    sys.stdout.flush()
+    print(message, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -7,8 +7,8 @@ Two families are supported:
   orthogonal, so the domain is fully described by its monomial norms.  In
   exact mode the norms are rational multiples of pi**n and the pi power is
   factored out: a norm's numerator and denominator are products of ints,
-  and it is one Fraction.  Norms are closed forms: a polydisc norm is a
-  product of per-coordinate factors, cached in float mode (a one-variable
+  and it is one Fraction.  Norms are closed forms, cached per multi-index:
+  a polydisc norm is a product of per-coordinate factors (a one-variable
   truncated weight changes only its active coordinate's factor), and a
   two-variable cut of a bidisc integrates powers of |z| in u = log|z| with
   :func:`_int_pow`, the part below the cut curve by :func:`_below_curve`.
@@ -154,8 +154,8 @@ class DiagonalDomain:
     domain holds its radii and exponents as Fractions, and its norms are
     built from ints, one Fraction each.  Float polydisc norms, truncated
     ones with one active coordinate included, are products of per-coordinate
-    factors cached by exponent.  Every derived domain is built by
-    :meth:`_derived`.
+    factors.  Each norm is computed once and cached by multi-index.  Every
+    derived domain is built by :meth:`_derived`.
     """
 
     def __init__(
@@ -192,8 +192,6 @@ class DiagonalDomain:
         self.exact = self._make_exact(exact)
         self.descriptor = descriptor or self._default_descriptor()
         self._norm_cache = {}
-        # float polydisc norms: per coordinate, the factor of each exponent
-        self._factors = [{} for _ in range(self.n)]
 
     # -- constructors ---------------------------------------------------
 
@@ -378,9 +376,7 @@ class DiagonalDomain:
             return Fraction(num, den)
         out = math.pi**self.n
         for j, k in enumerate(alpha):
-            t = self._factors[j].get(k)
-            if t is None:
-                t = self._factors[j][k] = self._polydisc_factor(j, k)
+            t = self._polydisc_factor(j, k)
             if t == math.inf:
                 return math.inf
             out *= t
@@ -614,27 +610,23 @@ def _truncated_norm_2d(domain: DiagonalDomain, alpha):
 
 def weighted_integral(domain: DiagonalDomain, F, phi: ToricWeight, c):
     """Integral of |F|^2 * exp(-c*phi) over the domain, for a polynomial jet
-    F.  Returns a PiValue in exact mode, a float otherwise; math.inf if any
-    contributing monomial diverges."""
-    from .exactnum import PiValue, abs2_s
+    F.  Returns a PiValue when the weighted domain is exact and so is every
+    coefficient of F, a float otherwise; math.inf if any contributing
+    monomial diverges."""
+    from .exactnum import PiValue, abs2_s, is_exact
 
     if c < 0:
         raise ValueError("weight scale c must be non-negative")
     dom = domain.with_weight(phi, c) if c != 0 else domain
-    if dom.exact:
-        total = Fraction(0)
-    else:
-        total = 0.0
+    exact = dom.exact and is_exact(F.coeffs.values())
+    norm = dom.norm if exact else dom.norm_float
+    total = Fraction(0) if exact else 0.0
     for alpha, coeff in F.coeffs.items():
-        nrm = dom.norm(alpha)
+        nrm = norm(alpha)
         if nrm == math.inf:
-            return (
-                PiValue(math.inf, dom.pi_power) if dom.exact else math.inf
-            )
+            return PiValue(math.inf, dom.pi_power) if exact else math.inf
         total = total + abs2_s(coeff) * nrm
-    if dom.exact:
-        return PiValue(total, dom.pi_power)
-    return total
+    return PiValue(total, dom.pi_power) if exact else total
 
 
 class ExhaustionSequence:

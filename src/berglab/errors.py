@@ -1,12 +1,28 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+The type of an error says whose fault it is, and :func:`berglab.cli.main`
+maps it to an exit code.  A spec error is any ``ValueError``: input the
+maths rejects.  The berglab spec errors subclass it: objects of different
+dimensions, an improper ideal, domains that are not nested, a density F
+outside the complement, an unsupported domain, a functional whose kernel is
+0 and a jet space past the size cap.  :class:`CrossCheckError` is a
+disagreement between two sides of the identity, :class:`QuadratureError`
+and :class:`SingularMatrixError` are numerical failures, and any other
+:class:`BerglabError` is an error of the computation.
+"""
 
 
 class BerglabError(Exception):
     """Base class for all berglab-specific errors."""
 
 
-class DimensionMismatchError(BerglabError):
-    """Two objects live in different ambient dimensions."""
+class CrossCheckError(BerglabError):
+    """Two values that the theory says are equal are not, such as the
+    minimal L2 integral C and the kernel ratio B of one problem."""
+
+
+class DimensionMismatchError(BerglabError, ValueError):
+    """Two objects live in different ambient dimensions (a spec error)."""
 
 
 class ZeroFunctionalError(BerglabError):
@@ -17,8 +33,9 @@ class SupportBoundError(BerglabError):
     """A functional's support reaches past a jet's degree bound."""
 
 
-class ImproperIdealError(BerglabError):
-    """The jet-ideal span fills the whole jet space (the ideal is not proper)."""
+class ImproperIdealError(BerglabError, ValueError):
+    """The jet-ideal span fills the whole jet space (the ideal is not
+    proper; a spec error)."""
 
 
 class UnboundedFunctionalError(BerglabError):

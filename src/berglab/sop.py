@@ -17,6 +17,7 @@ from .bergman import both_routes, minimal_l2, routes_agree
 from .domains import DiagonalDomain, ToricWeight, sublevel_domain, weighted_integral
 from .errors import (
     BerglabError,
+    CrossCheckError,
     DivergentIntegralError,
     UnboundedFunctionalError,
     ZeroFunctionalError,
@@ -241,7 +242,8 @@ def effectiveness_report(D: DiagonalDomain, F: Jet, phi: ToricWeight) -> Effecti
     """Assemble the effectiveness quantities: the weighted integral A, the
     minimal L2 value C against the just-beyond multiplier ideal, the ratio
     R = A/C, the guaranteed exponent p_max with p/(p-1) > R, and the true
-    threshold p* from an exact membership sweep."""
+    threshold p* from an exact membership sweep.  Routes that disagree on C
+    raise CrossCheckError."""
     A = weighted_integral(D, F, phi, 1)
     if value_float(A) == math.inf:
         raise DivergentIntegralError(
@@ -255,7 +257,7 @@ def effectiveness_report(D: DiagonalDomain, F: Jet, phi: ToricWeight) -> Effecti
     cv, bv = proj.value, bc.value
     agree, gap = routes_agree(cv, bv)
     if not agree:
-        raise BerglabError(f"kernel-ratio route disagrees: {cv} vs {bv}")
+        raise CrossCheckError(f"cross-check failed: kernel-ratio route disagrees: {cv} vs {bv}")
     exact = isinstance(A, PiValue) and isinstance(cv, PiValue)
     if exact and A.pi_power == cv.pi_power:
         R = Fraction(A.coeff) / Fraction(cv.coeff)

@@ -21,7 +21,7 @@ from .domains import (
     ToricWeight,
     moment_matrix,
 )
-from .errors import BerglabError, DivergentIntegralError, ImproperIdealError
+from .errors import BerglabError, DivergentIntegralError
 from .exactnum import PiValue, value_float
 from .ideals import IdealPresentation, jet_ideal
 from .indices import indices_up_to
@@ -119,7 +119,7 @@ def _random_generators(rng, n, level, exact):
         try:
             pres = IdealPresentation(n, gens)
             return pres, jet_ideal(pres, level)
-        except (ImproperIdealError, ValueError):
+        except ValueError:  # an improper ideal included
             continue
     raise BerglabError("failed to sample a proper ideal")
 

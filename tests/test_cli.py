@@ -10,9 +10,9 @@ from fractions import Fraction
 
 import pytest
 
-from berglab import bergman, cli, suites
+from berglab import bergman, cli, sop, suites
 from berglab.cli import main
-from berglab.errors import BerglabError
+from berglab.errors import BerglabError, CrossCheckError, QuadratureError
 from berglab.exactnum import PiValue
 
 DISC_Z_SQUARED = {
@@ -1080,3 +1080,139 @@ class TestMalformedSpec:
             want["degree"] = 2
         again = run_cli([command, "--spec", write_spec(tmp_path, want, "int.json")])
         assert (result.stdout, result.stderr) == (again.stdout, again.stderr)
+
+
+# each command, a spec it runs on, its other arguments, and the module and
+# name of the library call it makes
+LIBRARY_CALLS = {
+    "equiv": (DISC_Z_SQUARED, [], cli, "both_routes"),
+    "ladder": (TWISTED_CUSP, ["--k", "2..3"], cli, "krull_ladder"),
+    "exhaust": (MALFORMED_BASES["exhaust"], [], cli, "exhaustion_limit"),
+    "kernel": (MALFORMED_BASES["kernel"], [], cli, "kernel_at_origin"),
+    "basis": (MALFORMED_BASES["basis"], [], cli, "triangular_basis"),
+    "sop": (DIAGONAL_SPECS["sop"], [], sop, "effectiveness_report"),
+    "cse": (DIAGONAL_SPECS["cse"], [], sop, "xi_cse_limit"),
+    "density": (DIAGONAL_SPECS["density"], [], cli, "density_sequence"),
+    "suite": (None, ["equivalence"], suites, "run_suite"),
+}
+
+
+def command_args(tmp_path, command):
+    spec, args = LIBRARY_CALLS[command][:2]
+    if spec is None:
+        return [command, *args]
+    return [command, "--spec", write_spec(tmp_path, spec), *args]
+
+
+class TestExitCodes:
+    """The type of the error that ends a command picks its exit code and the
+    prefix of its message, whichever command raised it."""
+
+    @pytest.mark.parametrize("command", LIBRARY_CALLS)
+    @pytest.mark.parametrize(
+        "error, code, prefix",
+        [
+            (ValueError, 2, "spec error: "),
+            (QuadratureError, 3, "numerical failure: "),
+            (BerglabError, 3, "error: "),
+            (CrossCheckError, 1, ""),
+        ],
+        ids=["value-error", "quadrature", "berglab", "cross-check"],
+    )
+    def test_error_type_picks_the_code(self, tmp_path, monkeypatch, command, error, code, prefix):
+        def failing(*args, **kwargs):
+            raise error("injected")
+
+        module, name = LIBRARY_CALLS[command][2:]
+        monkeypatch.setattr(module, name, failing)
+        result = run_cli(command_args(tmp_path, command))
+        assert result.exit_code == code
+        assert result.stdout == "" and result.stderr == f"{prefix}injected\n"
+
+    @pytest.mark.parametrize(
+        "spec, args",
+        [
+            (DIAGONAL_SPECS["cse"], ["--t", "-1:5:1"]),
+            (dict(DIAGONAL_SPECS["cse"], t_grid="-1:5:1"), []),
+        ],
+        ids=["option", "spec"],
+    )
+    def test_cse_negative_t_exit_2(self, tmp_path, spec, args):
+        result = run_cli(["cse", "--spec", write_spec(tmp_path, spec), *args])
+        assert result.exit_code == 2
+        assert "Traceback" not in result.stderr
+        assert result.stderr == "spec error: sublevel parameter t must be non-negative\n"
+
+    def test_unreadable_spec_exit_2(self, tmp_path):
+        result = run_cli(["equiv", "--spec", str(tmp_path / "missing.json")])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("spec error: cannot read spec: ")
+
+    def test_sop_route_disagreement_exit_1(self, tmp_path, monkeypatch):
+        real_both_routes = sop.both_routes
+
+        def both_routes(*args):
+            proj, ratio = real_both_routes(*args)
+            ratio.value = PiValue(ratio.value.coeff + Fraction(1, 10**12), ratio.value.pi_power)
+            return proj, ratio
+
+        monkeypatch.setattr(sop, "both_routes", both_routes)
+        result = run_cli(command_args(tmp_path, "sop"))
+        assert result.exit_code == 1, result.stderr
+        assert result.stderr.startswith("cross-check failed: kernel-ratio route disagrees")
+
+
+class TestExhaustCrossCheck:
+    """exhaust's nondecreasing check: exact values exactly, floats relative
+    to the earlier value with no absolute floor."""
+
+    def run_rows(self, tmp_path, monkeypatch, rows):
+        monkeypatch.setattr(cli, "exhaustion_limit", lambda seq, F, J: rows)
+        return run_cli(command_args(tmp_path, "exhaust"))
+
+    @pytest.mark.parametrize("s", [1.0, 1e-12, 1e-300])
+    def test_float_decrease_at_any_scale_exit_1(self, tmp_path, monkeypatch, s):
+        result = self.run_rows(tmp_path, monkeypatch, [(1, 2 * s), (2, s)])
+        assert result.exit_code == 1
+        assert result.stderr == "cross-check failed: sequence not nondecreasing\n"
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1, PiValue(1 + Fraction(1, 10**30), 1)), (2, PiValue(Fraction(1), 1))],
+            [(1, math.inf), (2, 1.0)],
+            [(1, PiValue(math.inf, 1)), (2, PiValue(Fraction(1), 1))],
+        ],
+        ids=["exact-1e-30", "float-inf-then-finite", "exact-inf-then-finite"],
+    )
+    def test_decrease_exit_1(self, tmp_path, monkeypatch, rows):
+        result = self.run_rows(tmp_path, monkeypatch, rows)
+        assert result.exit_code == 1, result.stdout
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [(1, 1e-300), (2, 1e-300 * (1 - 1e-12))],
+            [(1, PiValue(Fraction(1), 1)), (2, PiValue(1 + Fraction(1, 10**30), 1))],
+            [(1, 1.0), (2, math.inf), (3, math.inf)],
+        ],
+        ids=["float-within-rounding", "exact-increase", "float-to-inf"],
+    )
+    def test_nondecreasing_exit_0(self, tmp_path, monkeypatch, rows):
+        result = self.run_rows(tmp_path, monkeypatch, rows)
+        assert result.exit_code == 0, result.stderr
+
+
+class TestSopIntegral:
+    @pytest.mark.parametrize(
+        "re, integral",
+        [(0.1, 0.031415926535897934), ("1/10", {"pi_power": 1, "rational": "1/100"})],
+        ids=["float", "exact"],
+    )
+    def test_integral_exact_only_for_exact_coefficients(self, tmp_path, re, integral):
+        F = {"n": 1, "terms": [{"alpha": [1], "re": re}]}
+        spec = write_spec(tmp_path, dict(DIAGONAL_SPECS["sop"], F=F))
+        out = tmp_path / "out"
+        result = run_cli(["sop", "--spec", spec, "--out", str(out)])
+        assert result.exit_code == 0, result.stderr
+        assert json.loads((out / "sop.json").read_text())["integral"] == integral

@@ -263,6 +263,17 @@ class TestWeightedNorms:
         v2 = weighted_integral(disc, Jet(1, 0, {(0,): 1}), ToricWeight((1,)), 1)
         assert value_float(v2) == math.inf
 
+    def test_weighted_integral_exact_only_for_exact_coefficients(self):
+        # |0.1 z|^2 |z|^-2 over the unit disc: a float coefficient gives a
+        # float, not a PiValue holding the float's binary expansion
+        disc, phi = DiagonalDomain.disc(1), ToricWeight((1,))
+        v = weighted_integral(disc, Jet(1, 1, {(1,): 0.1}), phi, 1)
+        assert type(v) is float and v == pytest.approx(math.pi / 100, rel=1e-15)
+        v = weighted_integral(disc, Jet(1, 1, {(1,): Fraction(1, 10)}), phi, 1)
+        assert v == PiValue(Fraction(1, 100), 1)
+        v = weighted_integral(disc, Jet(1, 0, {(0,): 0.1}), phi, 1)
+        assert v == math.inf and type(v) is float
+
 
 class TestSublevel:
     def test_one_variable_shrinks_radius(self):

@@ -331,7 +331,7 @@ def _problem(domain, F: Jet, J: JetIdeal) -> _Problem:
         # idx comes from the jet ideal's layout: its norms need no index check
         weights = [domain._norm(a) for a in idx]
         if backend != "exact":
-            weights = [domain._as_float(w) for w in weights]
+            weights = [domain._as_float(w, a) for w, a in zip(weights, idx)]
         finite, infinite = [], []
         for i, w in enumerate(weights):
             (infinite if w == math.inf else finite).append(i)

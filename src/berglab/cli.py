@@ -1,13 +1,15 @@
 """Batch command-line front-end.
 
 JSON problem specs in, JSON results and CSV tables out.  Each command is
-straight-line code, and :func:`main` alone maps the type of an error to the
-exit code: 0 success, 1 a :class:`CrossCheckError` (two sides of the
-identity disagree), 2 a ``ValueError`` (a spec error: a field missing or of
-the wrong type, a radius <= 0, objects of different dimensions, a zero xi
-or F, a density F outside the ideal's orthogonal complement, a problem the
-construction does not support) or a usage error, 3 a numerical failure or
-any other :class:`BerglabError`.
+straight-line code that returns its stdout text, JSON payload, CSV table
+and failed cross-check, if any.  :func:`main` alone prints and writes them
+and picks the exit code: 0 success, 1 a failed cross-check or a
+:class:`CrossCheckError` (two sides of the identity disagree), 2 a
+``ValueError`` (a spec error: a field missing or of the wrong type, a
+radius <= 0, objects of different dimensions, a zero xi or F, a density F
+outside the ideal's orthogonal complement, a problem the construction does
+not support) or a usage error, 3 a numerical failure or any other
+:class:`BerglabError`.
 
 A process runs one command, so each command imports what only it uses:
 :mod:`berglab.sop` loads for ``sop``, ``cse`` and a t grid, and
@@ -105,16 +107,22 @@ def _fmt(v) -> str:
     return "inf" if math.isinf(f) else f"{f:.17g}"
 
 
-def _write_outputs(out, name, result_json, csv_text=None):
+def _csv(header, rows):
+    """A CSV text: the ``header`` line, then a line of each row's cells."""
+    lines = [header] + [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write_outputs(out, name, payload, table):
+    """``<name>.json`` (``payload``) and ``<name>.csv`` (``table``) under
+    the directory ``out``, made if missing; none when ``out`` is None."""
     if out is None:
         return
     out = out or os.curdir  # --out "" is the working directory
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, f"{name}.json"), "w") as fh:
-        fh.write(json.dumps(_json_safe(result_json), indent=2) + "\n")
-    if csv_text is not None:
-        with open(os.path.join(out, f"{name}.csv"), "w") as fh:
-            fh.write(csv_text)
+    for ext, text in (("json", json.dumps(_json_safe(payload), indent=2) + "\n"), ("csv", table)):
+        with open(os.path.join(out, f"{name}.{ext}"), "w") as fh:
+            fh.write(text)
 
 
 def _range_text(data, key, default):
@@ -126,8 +134,11 @@ def _range_text(data, key, default):
 
 
 def _parse_krange(text):
-    a, b = text.split("..")
-    ks = range(int(a), int(b) + 1)
+    try:
+        a, b = (int(x) for x in text.split(".."))
+    except ValueError:  # not two parts, or a part not an integer
+        raise ValueError(f"k range {text!r} must be 'a..b' with integers a <= b") from None
+    ks = range(a, b + 1)
     if not ks or ks[0] < 1:
         raise ValueError(f"k range {text!r} must be a nonempty range of levels >= 1")
     return ks
@@ -136,7 +147,10 @@ def _parse_krange(text):
 def _parse_tgrid(text):
     from .sop import t_grid_points
 
-    a, b, step = (float(x) for x in text.split(":"))
+    try:
+        a, b, step = (float(x) for x in text.split(":"))
+    except ValueError:  # not three parts, or a part not a number
+        raise ValueError(f"t grid {text!r} must be 'start:stop:step' with numbers") from None
     if not (math.isfinite(a) and math.isfinite(b) and step > 0):
         raise ValueError(f"t grid {text!r} needs finite ends and a positive step")
     if (b - a) / step >= MAX_T_POINTS:
@@ -184,63 +198,46 @@ def _jet_and_ideal(data, mode=None):
     return Jet(F.n, max(F.degree_bound, level - 1), F.coeffs), gens, level
 
 
-def equiv(spec_path, out_dir, mode):
+def equiv(spec_path, mode):
     """Compare the projection and kernel-ratio values on one instance."""
     data = _load_spec(spec_path, "domain", "F", "ideal")
     domain = _load_domain(data["domain"], mode=mode)
     F, gens, level = _jet_and_ideal(data, mode)
     proj, ratio = both_routes(domain, F, jet_ideal(gens, level))
     agree, gap = routes_agree(proj.value, ratio.value)
-    print(f"C  = {_fmt(proj.value)}")
-    print(f"B' = {_fmt(ratio.value)}")
-    print(f"gap = {gap:.3e}")
-    result = {
+    c, b = _fmt(proj.value), _fmt(ratio.value)
+    payload = {
         "C": encode(proj.value),
         "B_circle": encode(ratio.value),
         "gap": gap,
         "projection": proj.to_json(),
     }
-    csv_text = "quantity,value\nC,{}\nB_circle,{}\ngap,{:.17g}\n".format(
-        _fmt(proj.value), _fmt(ratio.value), gap
-    )
-    _write_outputs(out_dir, "equiv", result, csv_text)
-    if not agree:
-        raise CrossCheckError("cross-check failed: B' != C")
+    table = _csv("quantity,value", [("C", c), ("B_circle", b), ("gap", f"{gap:.17g}")])
+    return (f"C  = {c}\nB' = {b}\ngap = {gap:.3e}", payload, table,
+            None if agree else "cross-check failed: B' != C")
 
 
-def ladder(spec_path, out_dir, mode, k_range):
+def ladder(spec_path, mode, k_range):
     """Minimal L2 integrals along I + m^k for a range of k."""
     data = _load_spec(spec_path, "domain", "F", "generators")
     domain = _load_domain(data["domain"], mode=mode)
     F, gens = _jet_and_gens(data["F"], data["generators"], "generators", mode)
     ks = _parse_krange(_range_text(data, "k_range", k_range))
     result = krull_ladder(domain, F, gens, ks)
-    lines = ["k,C_k,B_k,gap"]
-    for row in result.rows:
-        lines.append(
-            f"{row.k},{_fmt(row.c_value)},{_fmt(row.b_value)},{row.gap():.17g}"
-        )
-    csv_text = "\n".join(lines) + "\n"
-    print(csv_text.rstrip())
-    print(f"stabilized: {result.stabilized}")
-    _write_outputs(
-        out_dir,
-        "ladder",
-        {
-            "rows": [
-                {"k": r.k, "C": encode(r.c_value), "B": encode(r.b_value)}
-                for r in result.rows
-            ],
-            "stabilized": result.stabilized,
-            "limit": encode(result.limit_estimate),
-        },
-        csv_text,
-    )
-    if not all(routes_agree(r.c_value, r.b_value)[0] for r in result.rows):
-        raise CrossCheckError("cross-check failed: B_k != C_k at some level")
+    table = _csv("k,C_k,B_k,gap", (
+        (r.k, _fmt(r.c_value), _fmt(r.b_value), f"{r.gap():.17g}") for r in result.rows
+    ))
+    payload = {
+        "rows": [{"k": r.k, "C": encode(r.c_value), "B": encode(r.b_value)} for r in result.rows],
+        "stabilized": result.stabilized,
+        "limit": encode(result.limit_estimate),
+    }
+    agree = all(routes_agree(r.c_value, r.b_value)[0] for r in result.rows)
+    return (table + f"stabilized: {result.stabilized}", payload, table,
+            None if agree else "cross-check failed: B_k != C_k at some level")
 
 
-def exhaust(spec_path, out_dir):
+def exhaust(spec_path):
     """Minimal L2 integrals along a nested family of domains."""
     data = _load_spec(spec_path, "domains", "F", "ideal")
     seq = ExhaustionSequence([
@@ -249,53 +246,38 @@ def exhaust(spec_path, out_dir):
     ])
     F, gens, level = _jet_and_ideal(data)
     rows = exhaustion_limit(seq, F, jet_ideal(gens, level))
-    lines = ["i,C_i"] + [f"{i},{_fmt(v)}" for i, v in rows]
-    csv_text = "\n".join(lines) + "\n"
-    print(csv_text.rstrip())
-    _write_outputs(
-        out_dir,
-        "exhaust",
-        {"rows": [{"i": i, "C": encode(v)} for i, v in rows]},
-        csv_text,
-    )
+    table = _csv("i,C_i", ((i, _fmt(v)) for i, v in rows))
     vals = [v for _, v in rows]
-    if any(_decreases(a, b) for a, b in zip(vals, vals[1:])):
-        raise CrossCheckError("cross-check failed: sequence not nondecreasing")
+    decreases = any(_decreases(a, b) for a, b in zip(vals, vals[1:]))
+    return (table.rstrip(), {"rows": [{"i": i, "C": encode(v)} for i, v in rows]}, table,
+            "cross-check failed: sequence not nondecreasing" if decreases else None)
 
 
-def kernel(spec_path, out_dir, mode):
+def kernel(spec_path, mode):
     """Kernel value at the origin for a coefficient functional."""
     data = _load_spec(spec_path, "domain", "xi")
     domain = _load_domain(data["domain"], mode=mode)
     xi = _nonzero(Functional.from_json(data["xi"], "xi"), "xi")
     _insist_exact(mode, xi.entries)
     value = kernel_at_origin(domain, xi)
-    print(f"K = {_fmt(value)}")
-    _write_outputs(out_dir, "kernel", {"K": encode(value)}, f"K\n{_fmt(value)}\n")
+    return f"K = {_fmt(value)}", {"K": encode(value)}, _csv("K", [(_fmt(value),)]), None
 
 
-def basis(spec_path, out_dir):
+def basis(spec_path):
     """Triangular orthonormal basis up to a degree bound."""
     data = _load_spec(spec_path, "domain", "degree")
     d = integer(data["degree"], "degree", 0)
     domain = _load_domain(data["domain"], degree=d)
     tb = triangular_basis(domain, d)
-    lines = ["alpha,coefficients"]
-    for j, alpha in enumerate(tb.included):
-        col = tb.coeff_matrix[:, j]
-        coeffs = ";".join(f"{v.real:.17g}{v.imag:+.17g}i" for v in col)
-        lines.append(f"{''.join(map(str, alpha))},{coeffs}")
-    csv_text = "\n".join(lines) + "\n"
-    print(csv_text.rstrip())
-    _write_outputs(
-        out_dir,
-        "basis",
-        {"included": [list(a) for a in tb.included]},
-        csv_text,
-    )
+    table = _csv("alpha,coefficients", (
+        ("".join(map(str, alpha)),
+         ";".join(f"{v.real:.17g}{v.imag:+.17g}i" for v in tb.coeff_matrix[:, j]))
+        for j, alpha in enumerate(tb.included)
+    ))
+    return table.rstrip(), {"included": [list(a) for a in tb.included]}, table, None
 
 
-def sop_cmd(spec_path, out_dir):
+def sop_cmd(spec_path):
     """Effectiveness report for (domain, F, weight)."""
     from .sop import effectiveness_report
 
@@ -304,16 +286,15 @@ def sop_cmd(spec_path, out_dir):
     F = Jet.from_json(data["F"], "F")
     phi = ToricWeight.from_json(data["weight"])
     rep = effectiveness_report(domain, F, phi)
-    print(rep.text_table())
-    csv_lines = ["quantity,value"]
-    for key, v in rep.to_json().items():
-        if key in ("diagnostics", "ideal_plus"):
-            continue
-        csv_lines.append(f"{key},{json.dumps(v) if isinstance(v, dict) else v}")
-    _write_outputs(out_dir, "sop", rep.to_json(), "\n".join(csv_lines) + "\n")
+    payload = rep.to_json()
+    table = _csv("quantity,value", (
+        (key, json.dumps(v) if isinstance(v, dict) else v)
+        for key, v in payload.items() if key not in ("diagnostics", "ideal_plus")
+    ))
+    return rep.text_table(), payload, table, None
 
 
-def cse(spec_path, out_dir, t_grid):
+def cse(spec_path, t_grid):
     """Sublevel-kernel growth rate of a functional against a toric weight."""
     from .sop import xi_cse_combinatorial, xi_cse_limit
 
@@ -324,18 +305,15 @@ def cse(spec_path, out_dir, t_grid):
     grid = _parse_tgrid(_range_text(data, "t_grid", t_grid))
     res = xi_cse_limit(xi, phi, domain, grid)
     gamma = xi_cse_combinatorial(xi, phi)
-    lines = ["t,logK"] + [f"{t:.17g},{lk:.17g}" for t, lk in res.table]
-    csv_text = "\n".join(lines) + "\n"
-    print(csv_text.rstrip())
-    print(f"slope = {res.slope:.12g}  combinatorial = {float(gamma):.12g}")
+    table = _csv("t,logK", ((f"{t:.17g}", f"{lk:.17g}") for t, lk in res.table))
     payload = res.to_json()
     payload["combinatorial"] = encode(gamma)
-    _write_outputs(out_dir, "cse", payload, csv_text)
-    if not res.convex:
-        raise CrossCheckError("cross-check failed: log K not convex along the grid")
+    return (table + f"slope = {res.slope:.12g}  combinatorial = {float(gamma):.12g}",
+            payload, table,
+            None if res.convex else "cross-check failed: log K not convex along the grid")
 
 
-def density(spec_path, out_dir, k_range):
+def density(spec_path, k_range):
     """Distances from F to the rescaled kernel representatives."""
     data = _load_spec(spec_path, "domain", "F", "generators")
     domain = _load_diagonal(data["domain"], "density")
@@ -343,38 +321,25 @@ def density(spec_path, out_dir, k_range):
     _nonzero(F, "F")
     ks = _parse_krange(_range_text(data, "k_range", k_range))
     rows = density_sequence(domain, F, gens, ks)
-    lines = ["k,distance"] + [f"{k},{dist:.17g}" for k, dist in rows]
-    csv_text = "\n".join(lines) + "\n"
-    print(csv_text.rstrip())
-    _write_outputs(
-        out_dir,
-        "density",
-        {"rows": [{"k": k, "distance": d} for k, d in rows]},
-        csv_text,
-    )
+    table = _csv("k,distance", ((k, f"{dist:.17g}") for k, dist in rows))
+    return table.rstrip(), {"rows": [{"k": k, "distance": d} for k, d in rows]}, table, None
 
 
-def suite(name, out_dir, seed, count):
+def suite(name, seed, count):
     """Run a named verification suite (equivalence|sop|convexity|density)."""
     from .suites import run_suite
 
     result = run_suite(name, seed=seed, count=count)
-    print(result.summary())
-    _write_outputs(
-        out_dir,
-        f"suite_{name}",
-        {
-            "name": result.name,
-            "total": result.total,
-            "passed": result.passed,
-            "max_gap": result.max_gap,
-            "failures": result.failures,
-        },
-        result.to_csv(),
-    )
-    if not result.ok:
-        notes = (f"  instance {i}: {note}" for i, note in result.failures)
-        raise CrossCheckError("\n".join(notes))
+    payload = {
+        "name": result.name,
+        "total": result.total,
+        "passed": result.passed,
+        "max_gap": result.max_gap,
+        "failures": result.failures,
+    }
+    notes = "\n".join(f"  instance {i}: {note}" for i, note in result.failures)
+    return (result.summary(), payload, _csv("instance,ok,gap,note", result.rows),
+            None if result.ok else notes)
 
 
 SPEC = ("--spec", {"dest": "spec_path", "required": True, "metavar": "PATH"})
@@ -427,7 +392,7 @@ def _parser(prog_name):
     for fn, name, options in COMMANDS:
         sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__,
                                   allow_abbrev=False)
-        sub.set_defaults(command=fn)
+        sub.set_defaults(command=fn, stem=name)
         for flag, kwargs in options:
             sub.add_argument(flag, **kwargs)
     return parser
@@ -436,16 +401,25 @@ def _parser(prog_name):
 def main(argv=None, prog_name="berglab") -> int:
     """Run the command named in ``argv`` (default ``sys.argv[1:]``) and
     return its exit code; a usage error is exit 2, ``--help`` exit 0.  The
-    type of the error that ends a command picks its code and the prefix of
-    its message on stderr."""
+    command returns its stdout text, JSON payload, CSV table and failed
+    cross-check (or None); this prints the text, writes ``<stem>.json`` and
+    ``<stem>.csv`` under ``--out`` and then turns the failure into exit 1.
+    The type of the error that ends a command picks its code and the prefix
+    of its message on stderr."""
     try:
         args = vars(_parser(prog_name).parse_args(
             _attach_values(sys.argv[1:] if argv is None else argv)))
     except SystemExit as exc:  # argparse exits after --help or a usage error
         return exc.code
-    command = args.pop("command")
+    command, stem, out = args.pop("command"), args.pop("stem"), args.pop("out_dir")
+    if "name" in args:  # a suite writes suite_<name>.*
+        stem = f"{stem}_{args['name']}"
     try:
-        command(**args)
+        text, payload, table, failure = command(**args)
+        print(text)
+        _write_outputs(out, stem, payload, table)
+        if failure is not None:
+            raise CrossCheckError(failure)
         return 0
     except CrossCheckError as exc:
         code, message = EXIT_CROSSCHECK, str(exc)

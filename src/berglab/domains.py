@@ -329,25 +329,19 @@ class DiagonalDomain:
         ideal's: unchecked."""
         cached = self._norm_cache.get(alpha)
         if cached is None:
-            try:
-                cached = self._compute_norm(alpha)
-            except OverflowError:
-                raise QuadratureError(f"the norm of z^{alpha} overflows a float") from None
-            if not cached:
-                raise QuadratureError(f"the norm of z^{alpha} underflows to 0")
+            cached = _in_float_range(alpha, lambda: self._compute_norm(alpha))
             self._norm_cache[alpha] = cached
         return cached
 
     def norm_float(self, alpha):
-        return self._as_float(self.norm(alpha))
+        return self._as_float(self.norm(alpha), alpha)
 
-    def _as_float(self, v):
-        """A norm as a float: in exact mode, times the implicit pi**n."""
-        if v == math.inf:
-            return math.inf
-        if self.exact:
-            return float(v) * math.pi**self.n
-        return v
+    def _as_float(self, v, alpha):
+        """The norm ``v`` of z^alpha as a float: in exact mode, times the
+        implicit pi**n, raising QuadratureError as :meth:`norm` does."""
+        if not self.exact or v == math.inf:
+            return v
+        return _in_float_range(alpha, lambda: _finite(float(v) * math.pi**self.n))
 
     def _compute_norm(self, alpha):
         if self.kind == "ball":
@@ -538,6 +532,18 @@ def _below_curve(p, q, log_r1, log_r2, log_k, s, log_c=0.0):
     val = _int_pow(q, -math.inf, min(u_star, log_r2), log_c + (p + 1) * log_r1)
     if u_star < log_r2:
         val += _int_pow(q - s * (p + 1), u_star, log_r2, log_c + (p + 1) * log_k)
+    return val
+
+
+def _in_float_range(alpha, compute):
+    """``compute()``, a norm of z^alpha, positive unless it underflowed to
+    0: an overflow (an OverflowError) or an underflow raises QuadratureError."""
+    try:
+        val = compute()
+    except OverflowError:
+        raise QuadratureError(f"the norm of z^{alpha} overflows a float") from None
+    if not val:
+        raise QuadratureError(f"the norm of z^{alpha} underflows to 0")
     return val
 
 

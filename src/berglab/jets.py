@@ -277,8 +277,9 @@ def _terms_from_json(data, name):
     """``n`` (an integer >= 1) and the coefficients of a jet's or a
     functional's object, whose ``terms`` are objects with ``alpha``, a list
     of integers >= 0, and ``re`` and ``im``, numbers or rational strings (0
-    if absent; a string makes the coefficient an exact QQi).  Anything else
-    raises ValueError naming the field."""
+    if absent; a string makes the coefficient an exact QQi, so a term may
+    not pair one with a JSON float).  Anything else raises ValueError naming
+    the field."""
     data = json_object(data, name, ("n", "terms"))
     n = integer(data["n"], f"{name}.n", 1)
     terms = {}
@@ -288,5 +289,10 @@ def _terms_from_json(data, name):
         alpha = tuple(integer(k, f"{where}.alpha[{j}]", 0) for j, k in enumerate(alpha))
         re, im = (number(term.get(key, 0), f"{where}.{key}") for key in ("re", "im"))
         exact = isinstance(re, Fraction) or isinstance(im, Fraction)
+        if exact and (isinstance(re, float) or isinstance(im, float)):
+            raise ValueError(
+                f"{where} mixes a JSON float with a rational string; "
+                "write both parts as strings or both as numbers"
+            )
         terms[alpha] = QQi(re, im) if exact else complex(re, im)
     return n, terms

@@ -969,6 +969,11 @@ MALFORMED = {
     "basis-degree-negative": ("basis", ("degree",), -1, "degree must be an integer >= 0"),
     "basis-degree-fraction": ("basis", ("degree",), 2.5, "degree must be an integer >= 0"),
     "basis-degree-string": ("basis", ("degree",), "2", "degree must be an integer >= 0"),
+    # 0.1 read as exact would carry its binary rounding error
+    "term-float-and-string": (
+        "sop", ("F", "terms", 0), {"alpha": [1], "re": 0.1, "im": "0"},
+        "F.terms[0] mixes a JSON float with a rational string",
+    ),
     "weight-not-object": ("sop", ("weight",), ["1"], "weight must be a JSON object"),
     "weight-no-a": ("sop", ("weight", "a"), DELETE, "weight is missing 'a'"),
     "weight-a-empty": ("sop", ("weight", "a"), [], "weight.a must not be empty"),
@@ -1216,3 +1221,163 @@ class TestSopIntegral:
         result = run_cli(["sop", "--spec", spec, "--out", str(out)])
         assert result.exit_code == 0, result.stderr
         assert json.loads((out / "sop.json").read_text())["integral"] == integral
+
+
+# the name of each command's --out files, and its CSV header line
+OUT_STEMS = {"sop": "sop", "suite": "suite_equivalence"}
+CSV_HEADERS = {
+    "equiv": "quantity,value",
+    "ladder": "k,C_k,B_k,gap",
+    "exhaust": "i,C_i",
+    "kernel": "K",
+    "basis": "alpha,coefficients",
+    "sop": "quantity,value",
+    "cse": "t,logK",
+    "density": "k,distance",
+    "suite": "instance,ok,gap,note",
+}
+# the start of the stdout of a command that does not print its CSV table
+STDOUT_STARTS = {
+    "equiv": "C  = ",
+    "kernel": "K = ",
+    "sop": "A (weighted integral)  ",
+    "suite": "suite equivalence: ",
+}
+
+# two nested discs, so that exhaust has a step to judge
+EXHAUST_TWO_DISCS = dict(
+    MALFORMED_BASES["exhaust"],
+    domains=[{"kind": "polydisc", "radii": ["1/2"]}, DISC_Z_SQUARED["domain"]],
+)
+
+
+def assert_outputs(result, out, command):
+    """Both --out files, named for the command, a CSV with the command's
+    header, and the command's table (or text) on stdout."""
+    stem = OUT_STEMS.get(command, command)
+    assert sorted(p.name for p in out.iterdir()) == [f"{stem}.csv", f"{stem}.json"]
+    json.loads((out / f"{stem}.json").read_text())
+    table = (out / f"{stem}.csv").read_text()
+    assert table.splitlines()[0] == CSV_HEADERS[command]
+    assert result.stdout.startswith(STDOUT_STARTS.get(command, table))
+
+
+class TestOutputs:
+    """``main`` alone prints a command's text and writes its files, also
+    when the cross-check fails (exit 1)."""
+
+    @pytest.mark.parametrize("command", LIBRARY_CALLS)
+    def test_out_files(self, tmp_path, command):
+        out = tmp_path / "out"
+        result = run_cli(command_args(tmp_path, command) + ["--out", str(out)])
+        assert result.exit_code == 0, result.stderr
+        assert result.stderr == ""
+        assert_outputs(result, out, command)
+
+    @pytest.mark.parametrize("command", LIBRARY_CALLS)
+    def test_no_out_no_files(self, tmp_path, monkeypatch, command):
+        args = command_args(tmp_path, command)
+        monkeypatch.chdir(tmp_path)
+        before = sorted(tmp_path.iterdir())
+        result = run_cli(args)
+        assert result.exit_code == 0, result.stderr
+        assert sorted(tmp_path.iterdir()) == before
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            ("equiv", "cross-check failed: B' != C"),
+            ("ladder", "cross-check failed: B_k != C_k at some level"),
+            ("exhaust", "cross-check failed: sequence not nondecreasing"),
+            ("cse", "cross-check failed: log K not convex along the grid"),
+            ("suite", "  instance 1: gap 1.000e+00\n  instance 2: error: injected"),
+        ],
+    )
+    def test_failed_cross_check_writes_both_files(self, tmp_path, monkeypatch, command, message):
+        if command in ("equiv", "ladder"):
+            monkeypatch.setattr(cli, "routes_agree", lambda a, b: (False, 1.0))
+        elif command == "exhaust":
+            monkeypatch.setattr(cli, "_decreases", lambda a, b: True)
+        elif command == "cse":
+            real_limit = sop.xi_cse_limit
+
+            def not_convex(*args):
+                res = real_limit(*args)
+                return sop.CseLimitResult(res.slope, res.table, -1.0, False)
+
+            monkeypatch.setattr(sop, "xi_cse_limit", not_convex)
+        else:
+            rows = [(0, 1, "0", ""), (1, 0, "1", ""), (2, 0, "inf", "error: injected")]
+            failures = [(1, "gap 1.000e+00"), (2, "error: injected")]
+            result = suites.SuiteResult("equivalence", 3, 1, 0.0, failures, rows)
+            monkeypatch.setattr(suites, "run_suite", lambda name, seed, count: result)
+        if command == "exhaust":
+            args = ["exhaust", "--spec", write_spec(tmp_path, EXHAUST_TWO_DISCS)]
+        else:
+            args = command_args(tmp_path, command)
+        out = tmp_path / "out"
+        result = run_cli(args + ["--out", str(out)])
+        assert result.exit_code == 1
+        assert result.stderr == message + "\n"
+        assert_outputs(result, out, command)
+        if command == "suite":
+            assert result.stdout == "suite equivalence: 1/3 FAIL, max gap 0.000e+00\n"
+            assert (out / "suite_equivalence.csv").read_text() == (
+                "instance,ok,gap,note\n0,1,0,\n1,0,1,\n2,0,inf,error: injected\n"
+            )
+
+
+# a spec whose domain is exact but whose norms pass the float range: each
+# overflows, or underflows to 0, once multiplied by pi
+def _kernel_spec(radius, k):
+    return {"domain": {"kind": "polydisc", "radii": [radius]},
+            "xi": {"n": 1, "terms": [{"alpha": [k], "re": 1}]}}
+
+
+def _equiv_spec(radius):
+    return {"domain": {"kind": "polydisc", "radii": [radius]},
+            "F": {"n": 1, "terms": [{"alpha": [0], "re": 1}]},
+            "ideal": {"generators": [{"n": 1, "terms": [{"alpha": [2], "re": 1}]}], "level": 2}}
+
+
+class TestNormsPastTheFloatRange:
+    @pytest.mark.parametrize(
+        "command, spec, message",
+        [
+            ("kernel", _kernel_spec(1e308, 5), "the norm of z^(5,) overflows a float"),
+            ("kernel", _kernel_spec(1e154, 0), "the norm of z^(0,) overflows a float"),
+            ("equiv", _equiv_spec("1e154"), "the norm of z^(0,) overflows a float"),
+            ("kernel", _kernel_spec("1e-200", 0), "the norm of z^(0,) underflows to 0"),
+            ("equiv", _equiv_spec("1e-200"), "the norm of z^(0,) underflows to 0"),
+        ],
+        ids=["kernel-1e308", "kernel-1e154", "equiv-1e154", "kernel-1e-200", "equiv-1e-200"],
+    )
+    def test_exit_3(self, tmp_path, command, spec, message):
+        # not K = 0 or C = B' = inf, as if the slot were not square-integrable
+        result = run_cli([command, "--spec", write_spec(tmp_path, spec)])
+        assert result.exit_code == 3
+        assert (result.stdout, result.stderr) == ("", f"numerical failure: {message}\n")
+
+
+class TestRangeShape:
+    """A range of the wrong shape is a spec error that quotes it."""
+
+    @pytest.mark.parametrize(
+        "command, option, key, value, message",
+        [
+            ("ladder", "--k", "k_range", "1..2..3", "k range '1..2..3' must be 'a..b' with integers a <= b"),
+            ("ladder", "--k", "k_range", "a..3", "k range 'a..3' must be 'a..b' with integers a <= b"),
+            ("cse", "--t", "t_grid", "1:2", "t grid '1:2' must be 'start:stop:step' with numbers"),
+        ],
+        ids=["three-parts", "not-an-integer", "two-parts"],
+    )
+    @pytest.mark.parametrize("where", ["option", "spec"])
+    def test_exit_2(self, tmp_path, command, option, key, value, message, where):
+        spec = DIAGONAL_SPECS[command]
+        if where == "option":
+            args = [command, "--spec", write_spec(tmp_path, spec), option, value]
+        else:
+            args = [command, "--spec", write_spec(tmp_path, dict(spec, **{key: value}))]
+        result = run_cli(args)
+        assert result.exit_code == 2
+        assert result.stderr == f"spec error: {message}\n"

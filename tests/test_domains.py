@@ -641,6 +641,23 @@ class TestOverflow:
         with pytest.raises(QuadratureError):
             DiagonalDomain.ball(2, 2, exact=False).norm((600, 0))
 
+    @pytest.mark.parametrize(
+        "radius, alpha, message",
+        [
+            (10**308, (5,), "overflows a float"),
+            (10**154, (0,), "overflows a float"),  # 10^308 fits; pi * 10^308 does not
+            (Fraction(1, 10**200), (0,), "underflows to 0"),
+        ],
+        ids=["past-the-range", "pi-times-past-the-range", "below-the-range"],
+    )
+    def test_exact_norm_as_float(self, radius, alpha, message):
+        # the exact norm is a positive Fraction; its float times pi is not
+        dom = DiagonalDomain.polydisc([radius])
+        assert dom.exact and 0 < dom.norm(alpha) < math.inf
+        with pytest.raises(QuadratureError) as err:
+            dom.norm_float(alpha)
+        assert str(err.value) == f"the norm of z^{alpha} {message}"
+
 
 class TestBallFactorials:
     """alpha! past the float range while the ball norm pi^n alpha! /

@@ -145,6 +145,28 @@ class TestJet:
         assert g == f and is_exact(g.coeffs.values())
         assert eta == xi and is_exact(eta.entries.values())
 
+    @pytest.mark.parametrize(
+        "term, want",
+        [
+            ({"re": 1, "im": "1/2"}, QQi(1, Fraction(1, 2))),
+            ({"re": "1/3"}, QQi(Fraction(1, 3))),
+            ({"re": 0.5, "im": -1}, 0.5 - 1j),
+            ({"re": 2}, 2 + 0j),
+        ],
+        ids=["int-and-string", "string", "float-and-int", "int"],
+    )
+    def test_term_type(self, term, want):
+        # a string part makes the term exact, numbers alone make it complex
+        f = Jet.from_json({"n": 1, "terms": [dict(term, alpha=[1])]})
+        c = f.coefficient((1,))
+        assert c == want and type(c) is type(want)
+
+    @pytest.mark.parametrize("term", [{"re": 0.1, "im": "0"}, {"re": "1/2", "im": 1.0}])
+    def test_float_and_string_term_refused(self, term):
+        # 0.1 is a binary fraction; read as exact it would carry its rounding error
+        with pytest.raises(ValueError, match=r"F\.terms\[1\] mixes a JSON float with a rational string"):
+            Jet.from_json({"n": 1, "terms": [{"alpha": [0], "re": "1"}, dict(term, alpha=[1])]}, "F")
+
     def test_complex_coefficients_round_trip(self):
         f = Jet(1, 2, {(1,): 1 + 2j, (2,): -0.5 + 0j})
         g = Jet.from_json(json.loads(json.dumps(f.to_json())))

@@ -10,13 +10,14 @@ The two central computations deliberately take different routes:
 That the two values agree is the equivalence theorem this package is built
 to exercise; it is asserted by the test suites, never assumed by the code.
 
-Both routes start from one problem record, built by :func:`_problem`: it
-checks (domain, F, J), decides containment and exact vs float once, and
-assembles the inputs both routes read (the working indices, the weights,
-the finite slots and F's vector).  In exact mode the record holds them
-cleared to ring integers, each by :func:`berglab.linalg.to_ring` once: F's
-vector, the finite slots' weights, which the projection reads, and their
-reciprocals, the kernel weights that the kernel ratio reads.
+Both routes start from one problem record, a :class:`_Problem` built from
+(domain, F, J) alone: it checks them, decides containment and exact vs
+float once, and assembles the inputs both routes read (the working
+indices, the weights, the finite slots and F's vector).  In exact mode the
+record holds them cleared to ring integers, each once: F's vector and the
+finite slots' weights, which the projection reads, by
+:func:`berglab.linalg.to_ring`, and their reciprocals, the kernel weights
+that the kernel ratio reads, from the weights' own ints.
 :func:`both_routes` builds the record once for a caller that wants both
 values.
 
@@ -73,7 +74,7 @@ from .errors import (
     UnsupportedDomainError,
     ZeroFunctionalError,
 )
-from .exactnum import PiValue, abs2_s, encode, is_exact, value_float
+from .exactnum import PiValue, encode, is_exact, value_float
 from .ideals import (
     FLOAT_RANK_TOL,
     IdealPresentation,
@@ -219,40 +220,78 @@ def triangular_basis(domain, degree_bound: int) -> TriangularBasis:
 class _Problem:
     """One checked (domain, F, J) and the inputs both routes read.
 
+    The constructor checks (domain, F, J), decides containment and exact vs
+    float, and assembles those inputs.  On a diagonal domain distinct
+    monomials are orthogonal, so the problem splits with the jet ideal's
+    blocks, and a block that F does not touch, or on which F's part lies in
+    the span, adds 0 to both routes: only the blocks on which F lies outside
+    the span (:func:`outside_blocks`) are assembled, and each route solves
+    once on all of them.  F is ``contained`` when no block is left.
+
     ``backend`` is "exact" (Fraction / QQi lists), "float" (numpy, diagonal
-    domain) or "moment" (numpy).  ``ideal`` is the jet ideal as given and
-    ``J`` the one the routes solve on: on a diagonal domain the restriction
-    of ``ideal`` to the blocks on which F lies outside the span
-    (:meth:`JetIdeal.restrict`), none when F is contained, on a moment
-    domain ``ideal`` itself.  ``indices`` are the working
-    monomials, ``J``'s on a diagonal domain, and ``weights`` their squared
-    norms (inf where not square-integrable), or on a moment domain the
-    moment matrix, with ``chol`` its Cholesky factor.  ``finite``/``infinite``
-    split the slots by weight.  ``f`` is F's vector.  For the exact backend
-    the record holds the routes' inputs cleared by :func:`to_ring`, each
-    once: ``f`` in ring integers over the int ``f_den``, the finite slots'
-    weights (:attr:`cleared_weights`) and their reciprocals, the kernel
-    weights (:attr:`cleared_kernel_weights`); a route that is not run does
-    not clear its weights.  ``sizes`` are the whole problem's sizes that
-    every diagnostics dict reports, found once.
+    domain) or "moment" (numpy).  ``J`` is the jet ideal the routes solve
+    on: on a diagonal domain the restriction of the given one to the blocks
+    on which F lies outside the span (:meth:`JetIdeal.restrict`), none when
+    F is contained, on a moment domain the given one.  ``indices`` are the
+    working monomials, ``J``'s on a diagonal domain, and ``weights`` their
+    squared norms (inf where not square-integrable), or on a moment domain
+    the moment matrix, with ``chol`` its Cholesky factor.
+    ``finite``/``infinite`` split the slots by weight.  ``f`` is F's vector.
+    For the exact backend the record holds the routes' inputs cleared to
+    ring integers, each once: ``f`` by :func:`to_ring`, over the int
+    ``f_den``, the finite slots' weights (:attr:`cleared_weights`) and their
+    reciprocals, the kernel weights (:attr:`cleared_kernel_weights`); a
+    route that is not run does not clear its weights.  ``sizes`` are the
+    whole problem's sizes that every diagnostics dict reports, found once.
     """
 
-    def __init__(self, backend: str, ideal: JetIdeal, J: JetIdeal, contained: bool,
-                 pi_power: int, indices: list, weights, finite: list, infinite: list, f, chol,
-                 quad_error):
-        self.backend, self.ideal, self.J, self.contained = backend, ideal, J, contained
-        self.pi_power, self.indices, self.weights = pi_power, indices, weights
-        self.finite, self.infinite = finite, infinite
-        self.chol, self.quad_error = chol, quad_error
-        if backend == "exact":
+    def __init__(self, domain, F: Jet, J: JetIdeal):
+        if not (domain.n == F.n == J.n):
+            raise DimensionMismatchError("domain, jet and ideal dimensions differ")
+        if F.degree_bound < J.level - 1:
+            raise ValueError(
+                "F must be given at least to degree level-1 (higher terms are "
+                "absorbed by the maximal-ideal power)"
+            )
+        moment = isinstance(domain, MomentDomain)
+        if moment and J.level > domain.degree_bound + 1:
+            raise UnsupportedDomainError("jet-ideal level exceeds the moment degree bound + 1")
+        F = F.truncate(J.level - 1)
+        exact = J.exact and is_exact(F.coeffs.values())
+        outside = outside_blocks(J, F, exact)
+        self.contained = not outside
+        self.sizes = {
+            "indices": len(domain.indices if moment else J.indices),
+            "blocks": len(J.blocks),
+            "largest_block": J.largest_block,
+        }
+        self.J = J if moment else J.restrict(blocks=outside)
+        self.indices = idx = domain.indices if moment else self.J.indices
+        f = F.vector(idx)
+        self.chol = self.quad_error = None
+        if moment:
+            self.backend, weights = "moment", domain.matrix
+            self.finite, self.infinite = list(range(len(idx))), []
+            self.chol, self.quad_error = domain._chol, domain.quad_error
+        else:
+            self.backend = "exact" if domain.exact and exact else "float"
+            # idx comes from the jet ideal's layout: its norms need no index check
+            weights = [domain._norm(a) for a in idx]
+            if self.backend != "exact":
+                weights = [domain._as_float(w, a) for w, a in zip(weights, idx)]
+            self.finite, self.infinite = [], []
+            for i, w in enumerate(weights):
+                # an exact norm is a Fraction: only a non-integrable slot holds a float
+                inf = isinstance(w, float) and w == math.inf
+                (self.infinite if inf else self.finite).append(i)
+        if self.backend == "exact":
+            self.pi_power, self.weights = domain.pi_power, weights
             (self.f,), (self.f_den,) = to_ring([f])
         else:
-            self.f = f
-        self.sizes = {
-            "indices": len(indices if backend == "moment" else ideal.indices),
-            "blocks": len(ideal.blocks),
-            "largest_block": ideal.largest_block,
-        }
+            import numpy as np
+
+            self.pi_power, self.weights = 0, np.asarray(weights)
+            self.f = np.array(f, dtype=complex)
 
     @cached_property
     def cleared_weights(self):
@@ -264,10 +303,12 @@ class _Problem:
     @cached_property
     def cleared_kernel_weights(self):
         """(ring integers, int denominator) of the kernel weights, the
-        reciprocals of the finite slots' weights, in exact mode: cleared
-        when the kernel ratio first reads them."""
-        (k,), (den,) = to_ring([[1 / self.weights[i] for i in self.finite]])
-        return k, den
+        reciprocals q/p of the finite slots' reduced weights p/q, in exact
+        mode: q * (den // p) over den = lcm(p), the ints :func:`to_ring`
+        gives, cleared when the kernel ratio first reads them."""
+        ws = [self.weights[i] for i in self.finite]
+        den = math.lcm(*(w.numerator for w in ws))
+        return [w.denominator * (den // w.numerator) for w in ws], den
 
     def value(self, v):
         """``v`` as a result value: a PiValue in exact mode, a float otherwise."""
@@ -295,56 +336,6 @@ class _Problem:
             "condition": condition,
             "quad_error": self.quad_error,
         }
-
-
-def _problem(domain, F: Jet, J: JetIdeal) -> _Problem:
-    """Check (domain, F, J), decide containment and exact vs float, and
-    assemble the inputs both routes read.
-
-    On a diagonal domain distinct monomials are orthogonal, so the problem
-    splits with the jet ideal's blocks, and a block that F does not touch,
-    or on which F's part lies in the span, adds 0 to both routes: only the
-    blocks on which F lies outside the span (:func:`outside_blocks`) are
-    assembled, and each route solves once on all of them.  F is contained
-    when no block is left."""
-    if not (domain.n == F.n == J.n):
-        raise DimensionMismatchError("domain, jet and ideal dimensions differ")
-    if F.degree_bound < J.level - 1:
-        raise ValueError(
-            "F must be given at least to degree level-1 (higher terms are "
-            "absorbed by the maximal-ideal power)"
-        )
-    moment = isinstance(domain, MomentDomain)
-    if moment and J.level > domain.degree_bound + 1:
-        raise UnsupportedDomainError("jet-ideal level exceeds the moment degree bound + 1")
-    F = F.truncate(J.level - 1)
-    exact = J.exact and is_exact(F.coeffs.values())
-    outside = outside_blocks(J, F, exact)
-    system = J if moment else J.restrict(blocks=outside)
-    idx = domain.indices if moment else system.indices
-    f = F.vector(idx)
-    if moment:
-        backend, weights, finite, infinite = "moment", domain.matrix, list(range(len(idx))), []
-        chol, quad_error = domain._chol, domain.quad_error
-    else:
-        backend = "exact" if domain.exact and exact else "float"
-        # idx comes from the jet ideal's layout: its norms need no index check
-        weights = [domain._norm(a) for a in idx]
-        if backend != "exact":
-            weights = [domain._as_float(w, a) for w, a in zip(weights, idx)]
-        finite, infinite = [], []
-        for i, w in enumerate(weights):
-            (infinite if w == math.inf else finite).append(i)
-        chol = quad_error = None
-    pi_power = domain.pi_power if backend == "exact" else 0
-    if backend != "exact":
-        import numpy as np
-
-        f, weights = np.array(f, dtype=complex), np.asarray(weights)
-    return _Problem(
-        backend, J, system, not outside, pi_power, idx, weights, finite, infinite, f,
-        chol, quad_error,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +368,7 @@ def minimal_l2(domain, F: Jet, J: JetIdeal) -> ProjectionResult:
     """Least squared norm over holomorphic functions agreeing with F modulo
     the ideal; the minimizer is the projection of F's low-order jet onto the
     orthogonal complement of the ideal's subspace."""
-    return _project(_problem(domain, F, J))
+    return _project(_Problem(domain, F, J))
 
 
 def _project(prob: _Problem) -> ProjectionResult:
@@ -510,7 +501,7 @@ def b_circle(domain, F: Jet, J: JetIdeal) -> KernelRatioResult:
     """Supremum of |(xi.F)(o)|^2 / K_xi over finitely supported xi
     annihilating the ideal, computed as a closed-form quadratic maximum
     over the annihilator basis."""
-    return _kernel_ratio(_problem(domain, F, J))
+    return _kernel_ratio(_Problem(domain, F, J))
 
 
 def _kernel_ratio(prob: _Problem) -> KernelRatioResult:
@@ -595,7 +586,7 @@ def _b_circle_float(prob: _Problem) -> KernelRatioResult:
 def both_routes(domain, F: Jet, J: JetIdeal):
     """(minimal_l2, b_circle) of one (domain, F, J), from one problem record:
     the routes share its input assembly, and each does its own solve."""
-    prob = _problem(domain, F, J)
+    prob = _Problem(domain, F, J)
     return _project(prob), _kernel_ratio(prob)
 
 
@@ -703,18 +694,6 @@ def _inner_float(domain: DiagonalDomain, f: Jet, g: Jet) -> complex:
     return total
 
 
-def _norm_float(domain: DiagonalDomain, f: Jet) -> float:
-    total = 0.0
-    for a, cf in f.coeffs.items():
-        nrm = domain.norm_float(a)
-        if nrm == math.inf:
-            if abs(complex(cf)) > 0:
-                return math.inf
-            continue
-        total += abs2_s(complex(cf)) * nrm
-    return math.sqrt(total)
-
-
 def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_range):
     """Distances ||F - G_k|| for the rescaled, rephased representatives
     G_k = e^{i theta} (||F||/||g_k||) T(xi_k), xi_k the ladder maximizer.
@@ -728,9 +707,14 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
     """
     if F.is_zero():
         raise ZeroFunctionalError("density sequence needs a nonzero F")
-    normF = _norm_float(domain, F)
-    if not math.isfinite(normF):
+    if not all(map(domain.finite, F.coeffs)):
         raise NotInComplementError("F has infinite norm on the domain")
+
+    def norm(f):
+        # the integrable slots are the ones _inner_float sums
+        return math.sqrt(_inner_float(domain, f, f).real)
+
+    normF = norm(F)
     k_range = list(k_range)
     check_jet_space(gens.n, max(k_range, default=1))
     out = []
@@ -744,7 +728,7 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
         # F's blocks are read.
         for s in J.restrict(Fk.truncate(k - 1).coeffs).basis_jets():
             ip = _inner_float(domain, F, s)
-            if abs(ip) > 1e-9 * normF * math.sqrt(_inner_float(domain, s, s).real):
+            if abs(ip) > 1e-9 * normF * norm(s):
                 raise NotInComplementError(
                     f"F is not in the orthogonal complement at level {k}"
                 )
@@ -756,12 +740,12 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
             )
         # float entries: the representative is taken with float norms
         g = riesz_representative(domain, bc.maximizer.to_float())
-        norm_g = _norm_float(domain, g)
+        norm_g = norm(g)
         ip = _inner_float(domain, F, g)
         # <F, G_k> = e^{-i theta} (||F||/||g||) <F, g>; theta kills the phase.
         # The distance is taken from the coefficients of F - G_k: expanding
         # the square cancels to ~1e-8 when G_k = F.
         phase = ip / abs(ip) if ip else 1
         G = g.scale(phase * normF / norm_g)
-        out.append((k, _norm_float(domain, F.to_float().add(G.scale(-1)))))
+        out.append((k, norm(F.to_float().add(G.scale(-1)))))
     return out

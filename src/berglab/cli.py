@@ -75,12 +75,12 @@ def _load_domain(desc, degree=None, mode=None, name="domain"):
     return dom
 
 
-def _load_diagonal(desc, command):
-    """The domain of a command that needs a diagonal one: a moment-domain
-    descriptor is a spec error."""
-    if json_object(desc, "domain").get("kind") in MOMENT_KINDS:
-        raise ValueError(f"{command} needs a diagonal domain, not {desc['kind']!r}")
-    return domain_from_json(desc)
+def _load_diagonal(desc, command, name="domain"):
+    """The domain ``name`` of a command that needs a diagonal one: a
+    moment-domain descriptor is a spec error, before its matrix is built."""
+    if json_object(desc, name).get("kind") in MOMENT_KINDS:
+        raise ValueError(f"{command} needs a diagonal {name}, not {desc['kind']!r}")
+    return domain_from_json(desc, name=name)
 
 
 def _insist_exact(mode, *coeffs):
@@ -240,8 +240,10 @@ def ladder(spec_path, mode, k_range):
 def exhaust(spec_path):
     """Minimal L2 integrals along a nested family of domains."""
     data = _load_spec(spec_path, "domains", "F", "ideal")
+    # nesting is certified on diagonal domains only: a moment domain is
+    # refused before any matrix is built
     seq = ExhaustionSequence([
-        _load_domain(d, name=f"domains[{i}]")
+        _load_diagonal(d, "exhaust", f"domains[{i}]")
         for i, d in enumerate(json_list(data["domains"], "domains", nonempty=True))
     ])
     F, gens, level = _jet_and_ideal(data)

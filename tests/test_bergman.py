@@ -4,6 +4,7 @@ Independent oracles: weighted least squares through numpy's lstsq on
 Cholesky-scaled coordinates, never the package's own solvers.
 """
 
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -658,7 +659,7 @@ class TestProblemRecord:
         F = Jet(2, 4, {(0, 0): QQi(1, 2), (1, 0): 1, (0, 1): QQi(Fraction(1, 2), -1),
                        (2, 1): Fraction(3, 4), (1, 3): QQi(0, 5)})
         domain = make()
-        prob = bergman._problem(domain, F, J)
+        prob = bergman._Problem(domain, F, J)
         assert prob.backend == "exact" and not prob.contained
         norms = [domain.norm(a) for a in prob.indices]
         assert [i for i, w in enumerate(norms) if w != math.inf] == prob.finite
@@ -684,6 +685,24 @@ class TestProblemRecord:
         for route in (minimal_l2, b_circle):
             with pytest.raises(DimensionMismatchError):
                 route(mom, Jet(1, 1, {(1,): 1}), J)
+
+    def test_record_built_from_domain_f_and_ideal_alone(self):
+        # one constructor, of (domain, F, J): no function hands it fields in
+        # order, and the record keeps the jet ideal the routes solve on and
+        # the given one's sizes, not the given one
+        assert list(inspect.signature(bergman._Problem).parameters) == ["domain", "F", "J"]
+        assert not hasattr(bergman, "_problem")
+        J = jet_ideal(IdealPresentation(2, [Jet(2, 2, {(1, 0): 1, (0, 2): -2})]), 4)
+        F = Jet(2, 3, {(0, 1): 1, (1, 1): 3})
+        mom = moment_matrix({"kind": "polydisc", "radii": [1.0, 1.0]}, 3)
+        sizes = {"indices": len(J.indices), "blocks": len(J.blocks),
+                 "largest_block": J.largest_block}
+        for domain in (DiagonalDomain.polydisc([1, 2]),
+                       DiagonalDomain.polydisc([1, 2], exact=False), mom):
+            prob = bergman._Problem(domain, F, J)
+            assert not hasattr(prob, "ideal")
+            assert prob.sizes == sizes and not prob.contained
+            assert (prob.J is J) == (domain is mom)
 
     def test_integral_float_generator_gives_float_ideal(self):
         J = jet_ideal(IdealPresentation(1, [Jet(1, 2, {(2,): 2.0})]), 3)

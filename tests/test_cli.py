@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from berglab import bergman, cli, sop, suites
+from berglab import bergman, cli, domains, sop, suites
 from berglab.cli import main
 from berglab.errors import BerglabError, CrossCheckError, QuadratureError
 from berglab.exactnum import PiValue
@@ -724,6 +724,21 @@ class TestSpecRanges:
         result = run_cli([command, "--spec", spec])
         assert result.exit_code == 2, result.stderr
         assert f"spec error: {command} needs a diagonal domain" in result.stderr
+
+    def test_exhaust_moment_domain_exit_2(self, tmp_path, monkeypatch):
+        # two nested off-center discs: exhaust certifies nesting on diagonal
+        # domains only, so it names the first moment descriptor, not a
+        # nesting failure, and builds no moment matrix
+        built = []
+        monkeypatch.setattr(domains, "moment_matrix", lambda *a: built.append(a))
+        discs = [{"kind": "offcenter_disc", "center": [0.1, 0], "radius": r} for r in (0.5, 0.9)]
+        spec = {"domains": discs, "F": DISC_Z, "ideal": DISC_Z_SQUARED["ideal"]}
+        result = run_cli(["exhaust", "--spec", write_spec(tmp_path, spec)])
+        assert result.exit_code == 2, result.stderr
+        assert result.stderr == (
+            "spec error: exhaust needs a diagonal domains[0], not 'offcenter_disc'\n"
+        )
+        assert built == []
 
 
     OFFCENTER = {"kind": "offcenter_disc", "center": [0.1, 0.0], "radius": 1.0}

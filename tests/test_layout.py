@@ -292,7 +292,7 @@ def test_routes_read_norms_without_checking_indices(exact, monkeypatch):
     check = domains.validate_index
     monkeypatch.setattr(domains, "validate_index", lambda a, n: checked.append(a) or check(a, n))
     dom = DiagonalDomain.polydisc([1, Fraction(3, 2)], exact=exact)
-    prob = bergman._problem(dom, F, J)
+    prob = bergman._Problem(dom, F, J)
     assert checked == []
     assert prob.backend == ("exact" if exact else "float")
     reference = DiagonalDomain.polydisc([1, Fraction(3, 2)], exact=exact)

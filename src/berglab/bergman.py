@@ -17,9 +17,9 @@ indices, the weights, the finite slots and F's vector).  In exact mode the
 record holds them cleared to ring integers, each once: F's vector and the
 finite slots' weights, which the projection reads, by
 :func:`berglab.linalg.to_ring`, and their reciprocals, the kernel weights
-that the kernel ratio reads, from the weights' own ints.
-:func:`both_routes` builds the record once for a caller that wants both
-values.
+that the kernel ratio reads, from the weights' own ints.  J keeps the last
+record built on it (:func:`_record`), so the routes, called one after the
+other on the same domain and F objects, read one record.
 
 On a diagonal domain distinct monomials are orthogonal, so the problem
 splits along the jet ideal's blocks (:class:`berglab.ideals.Block`), and a
@@ -62,6 +62,7 @@ every backend and outcome.
 from __future__ import annotations
 
 import math
+import weakref
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
@@ -70,6 +71,7 @@ from .domains import DiagonalDomain, ExhaustionSequence, MomentDomain
 from .errors import (
     DimensionMismatchError,
     NotInComplementError,
+    QuadratureError,
     SingularMatrixError,
     UnsupportedDomainError,
     ZeroFunctionalError,
@@ -232,8 +234,9 @@ class _Problem:
     domain) or "moment" (numpy).  ``J`` is the jet ideal the routes solve
     on: on a diagonal domain the restriction of the given one to the blocks
     on which F lies outside the span (:meth:`JetIdeal.restrict`), none when
-    F is contained, on a moment domain the given one.  ``indices`` are the
-    working monomials, ``J``'s on a diagonal domain, and ``weights`` their
+    F is contained, on a moment domain the given one, held weakly, as that
+    ideal holds the record in its slot (:func:`_record`).  ``indices`` are
+    the working monomials, ``J``'s on a diagonal domain, and ``weights`` their
     squared norms (inf where not square-integrable), or on a moment domain
     the moment matrix, with ``chol`` its Cholesky factor.
     ``finite``/``infinite`` split the slots by weight.  ``f`` is F's vector.
@@ -265,8 +268,8 @@ class _Problem:
             "blocks": len(J.blocks),
             "largest_block": J.largest_block,
         }
-        self.J = J if moment else J.restrict(blocks=outside)
-        self.indices = idx = domain.indices if moment else self.J.indices
+        self._J = weakref.ref(J) if moment else J.restrict(blocks=outside)
+        self.indices = idx = domain.indices if moment else self._J.indices
         f = F.vector(idx)
         self.chol = self.quad_error = None
         if moment:
@@ -292,6 +295,10 @@ class _Problem:
 
             self.pi_power, self.weights = 0, np.asarray(weights)
             self.f = np.array(f, dtype=complex)
+
+    @property
+    def J(self):
+        return self._J() if self.backend == "moment" else self._J
 
     @cached_property
     def cleared_weights(self):
@@ -338,6 +345,16 @@ class _Problem:
         }
 
 
+def _record(domain, F: Jet, J: JetIdeal) -> _Problem:
+    """The problem record of (domain, F, J): the one in ``J``'s slot when it
+    was built from these ``domain`` and ``F`` objects, else a new one, which
+    replaces it there."""
+    slot = J._record
+    if slot is None or slot[0] is not domain or slot[1] is not F:
+        slot = J._record = (domain, F, _Problem(domain, F, J))
+    return slot[2]
+
+
 # ---------------------------------------------------------------------------
 # minimal L2 integrals
 
@@ -368,7 +385,7 @@ def minimal_l2(domain, F: Jet, J: JetIdeal) -> ProjectionResult:
     """Least squared norm over holomorphic functions agreeing with F modulo
     the ideal; the minimizer is the projection of F's low-order jet onto the
     orthogonal complement of the ideal's subspace."""
-    return _project(_Problem(domain, F, J))
+    return _project(_record(domain, F, J))
 
 
 def _project(prob: _Problem) -> ProjectionResult:
@@ -438,6 +455,11 @@ def _columns(rows, m):
     return out
 
 
+def _weigh(w, a):
+    """w @ a for a matrix ``w``, and diag(w) @ a, unformed, for a vector."""
+    return w @ a if w.ndim == 2 else (w * a.T).T
+
+
 def _minimal_l2_float(prob: _Problem) -> ProjectionResult:
     import numpy as np
 
@@ -451,9 +473,9 @@ def _minimal_l2_float(prob: _Problem) -> ProjectionResult:
         # x^T M conj(x) = ||L^T x||^2 for the Cholesky factor M = L L^H
         gram, root = prob.weights, prob.chol.T
     else:
-        norms = np.zeros(m)  # 0 on the non-integrable slots
-        norms[prob.finite] = prob.weights[prob.finite]
-        gram = np.diag(norms)
+        # M = diag(the norms, 0 on the non-integrable slots), kept a vector
+        gram = np.zeros(m)
+        gram[prob.finite] = prob.weights[prob.finite]
         root = np.sqrt(gram)
 
     if infinite:
@@ -471,12 +493,12 @@ def _minimal_l2_float(prob: _Problem) -> ProjectionResult:
     # weighted least squares: min over w of ||root (f + span w)||
     x, cond = f, 1.0
     if span.shape[1]:
-        w, _, _, sv = np.linalg.lstsq(root @ span, -(root @ f), rcond=None)
+        w, _, _, sv = np.linalg.lstsq(_weigh(root, span), -_weigh(root, f), rcond=None)
         x = f + span @ w
         cond = float((sv[0] / sv[-1]) ** 2)
-    r = root @ x
+    r = _weigh(root, x)
     value = float(np.vdot(r, r).real)
-    eta_vec = gram @ np.conj(x)
+    eta_vec = _weigh(gram, np.conj(x))
     xs = x.tolist()
     bound = max(J.level - 1, degree(idx[-1]))
     minimizer = Jet.unchecked(J.n, bound, {idx[i]: xs[i] for i in prob.finite})
@@ -501,7 +523,7 @@ def b_circle(domain, F: Jet, J: JetIdeal) -> KernelRatioResult:
     """Supremum of |(xi.F)(o)|^2 / K_xi over finitely supported xi
     annihilating the ideal, computed as a closed-form quadratic maximum
     over the annihilator basis."""
-    return _kernel_ratio(_Problem(domain, F, J))
+    return _kernel_ratio(_record(domain, F, J))
 
 
 def _kernel_ratio(prob: _Problem) -> KernelRatioResult:
@@ -586,8 +608,7 @@ def _b_circle_float(prob: _Problem) -> KernelRatioResult:
 def both_routes(domain, F: Jet, J: JetIdeal):
     """(minimal_l2, b_circle) of one (domain, F, J), from one problem record:
     the routes share its input assembly, and each does its own solve."""
-    prob = _Problem(domain, F, J)
-    return _project(prob), _kernel_ratio(prob)
+    return minimal_l2(domain, F, J), b_circle(domain, F, J)
 
 
 ROUTES_RTOL = 1e-9
@@ -710,11 +731,15 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
     if not all(map(domain.finite, F.coeffs)):
         raise NotInComplementError("F has infinite norm on the domain")
 
-    def norm(f):
-        # the integrable slots are the ones _inner_float sums
-        return math.sqrt(_inner_float(domain, f, f).real)
+    def norm(f, name=None):
+        # the integrable slots are the ones _inner_float sums; the norm of a
+        # named nonzero jet that comes out 0 has underflowed
+        val = math.sqrt(_inner_float(domain, f, f).real)
+        if name and not val:
+            raise QuadratureError(f"the norm of {name} underflows to 0")
+        return val
 
-    normF = norm(F)
+    normF = norm(F, "F")
     k_range = list(k_range)
     check_jet_space(gens.n, max(k_range, default=1))
     out = []
@@ -740,7 +765,7 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
             )
         # float entries: the representative is taken with float norms
         g = riesz_representative(domain, bc.maximizer.to_float())
-        norm_g = norm(g)
+        norm_g = norm(g, f"the level-{k} representative g")
         ip = _inner_float(domain, F, g)
         # <F, G_k> = e^{-i theta} (||F||/||g||) <F, g>; theta kills the phase.
         # The distance is taken from the coefficients of F - G_k: expanding

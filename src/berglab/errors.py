@@ -49,7 +49,8 @@ class SingularMatrixError(BerglabError):
 
 
 class QuadratureError(BerglabError):
-    """Numerical integration failed to reach the requested tolerance."""
+    """Numerical integration failed to reach the requested tolerance, or a
+    value's float left the float range."""
 
     def __init__(self, message, achieved=None):
         super().__init__(message)

@@ -15,6 +15,8 @@ import math
 from fractions import Fraction
 from numbers import Rational
 
+from .errors import QuadratureError
+
 __all__ = ["QQi", "PiValue", "abs2_s", "value_float", "encode"]
 
 
@@ -150,9 +152,18 @@ class PiValue:
         return self.coeff == math.inf
 
     def to_float(self) -> float:
+        """The float of the value; one that overflows raises QuadratureError."""
         if self.is_infinite():
             return math.inf
-        return float(self.coeff) * math.pi**self.pi_power
+        try:
+            val = float(self.coeff) * math.pi**self.pi_power
+        except OverflowError:  # the Fraction alone is past the float range
+            val = math.inf
+        if val == math.inf:
+            e = math.log10(self.coeff.numerator) - math.log10(self.coeff.denominator)
+            raise QuadratureError(f"the exact value {10 ** (e % 1):.6g}e{math.floor(e)}"
+                                  f" * pi^{self.pi_power} overflows a float")
+        return val
 
     def __repr__(self):
         if self.pi_power == 0:

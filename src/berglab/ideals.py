@@ -223,7 +223,7 @@ class JetIdeal:
             columns = [[pos[a] for a in b.indices] for b in blocks]
         self.n, self.level, self.indices, self.blocks = n, level, indices, blocks
         self.exact, self.columns = exact, columns
-        self._restrictions = {}  # the last restriction built, by its blocks
+        self._record = None  # the last problem record built on it: bergman's slot
 
     @property
     def span_dim(self) -> int:
@@ -248,21 +248,16 @@ class JetIdeal:
         ``self.blocks`` (ascending), by default on those that meet
         ``support``: its span and annihilator are the parts of this ideal's
         that live on those blocks, which it shares, so that it eliminates
-        only them.  The last restriction built is kept, so that the two
-        routes, called one after the other on the same F, share its
-        assembled vectors; an ideal holds at most one."""
+        only them.  Nothing is kept: the two routes share a restriction
+        through the problem record that holds it (``bergman._record``)."""
         kept = self._touched(support) if blocks is None else tuple(blocks)
-        J = self._restrictions.get(kept)
-        if J is None:
-            cols = sorted(c for k in kept for c in self.columns[k])
-            place = {c: i for i, c in enumerate(cols)}
-            J = JetIdeal(
-                self.n, self.level, tuple(self.indices[c] for c in cols),
-                [self.blocks[k] for k in kept], self.exact,
-                [[place[c] for c in self.columns[k]] for k in kept],
-            )
-            self._restrictions = {kept: J}
-        return J
+        cols = sorted(c for k in kept for c in self.columns[k])
+        place = {c: i for i, c in enumerate(cols)}
+        return JetIdeal(
+            self.n, self.level, tuple(self.indices[c] for c in cols),
+            [self.blocks[k] for k in kept], self.exact,
+            [[place[c] for c in self.columns[k]] for k in kept],
+        )
 
     def _dense(self, part):
         """The blocks' ``part`` vectors (rows or null, given as a function of

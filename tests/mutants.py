@@ -71,12 +71,23 @@ MUTANTS = [
     (
         "record-keeps-whole-ideal",
         "bergman.py",
-        "self.J = J if moment else J.restrict(blocks=outside)",
-        "self.J = J",
+        "self._J = weakref.ref(J) if moment else J.restrict(blocks=outside)",
+        "self._J = weakref.ref(J) if moment else J",
         [
             "tests/test_bergman.py::TestProblemRecord::test_record_built_from_domain_f_and_ideal_alone",
             "tests/test_blocks.py::TestUnsplitOracle::test_block_of_F_inside_the_span[exact]",
             "tests/test_blocks.py::TestUnsplitOracle::test_block_of_F_inside_the_span[float]",
+        ],
+    ),
+    (
+        "record-keyed-on-F-only",
+        "bergman.py",
+        "if slot is None or slot[0] is not domain or slot[1] is not F:",
+        "if slot is None or slot[1] is not F:",
+        [
+            "tests/test_bergman.py::TestProblemRecord::test_another_domain_or_F_builds_a_new_record[exact]",
+            "tests/test_bergman.py::TestProblemRecord::test_another_domain_or_F_builds_a_new_record[float]",
+            "tests/test_bergman.py::TestProblemRecord::test_another_domain_or_F_builds_a_new_record[moment]",
         ],
     ),
     (
@@ -204,6 +215,26 @@ MUTANTS = [
         ],
     ),
     # -- values and the command line (exactnum, cli) --
+    (
+        "qqi-rsub-sign-flipped",
+        "exactnum.py",
+        "return _qqi(o - self.real, -self.imag)",
+        "return _qqi(self.real - o, self.imag)",
+        [
+            "tests/test_jets.py::TestExactScalars::test_qqi_field_ops",
+            "tests/test_bergman.py::TestProjectionConditions::test_random_instances[weighted-gaussian]",
+        ],
+    ),
+    (
+        "int-floordiv-qqi-drops-imaginary-part",
+        "exactnum.py",
+        "return _qqi(o, 0) // self\n",
+        "return _qqi(o, 0) // self.real\n",
+        [
+            "tests/test_jets.py::TestExactScalars::test_qqi_field_ops",
+            "tests/test_jets.py::TestLinalg::test_mixed_ring_operations",
+        ],
+    ),
     (
         "pivalue-identity-equality",
         "exactnum.py",

@@ -4,9 +4,11 @@ Independent oracles: weighted least squares through numpy's lstsq on
 Cholesky-scaled coordinates, never the package's own solvers.
 """
 
+import gc
 import inspect
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -703,6 +705,64 @@ class TestProblemRecord:
             assert not hasattr(prob, "ideal")
             assert prob.sizes == sizes and not prob.contained
             assert (prob.J is J) == (domain is mom)
+
+    # the bidisc of radii (1, r) by backend
+    SLOT_DOMAINS = {
+        "exact": lambda r=2: DiagonalDomain.polydisc([1, r]),
+        "float": lambda r=2: DiagonalDomain.polydisc([1, r], exact=False),
+        "moment": lambda r=2: moment_matrix({"kind": "polydisc", "radii": [1.0, float(r)]}, 3),
+    }
+
+    @staticmethod
+    def _slot_problem():
+        gens = IdealPresentation(2, [Jet(2, 2, {(1, 0): 1, (0, 2): -2})])
+        return gens, jet_ideal(gens, 4), Jet(2, 3, {(0, 1): 1, (1, 1): 3})
+
+    @pytest.mark.parametrize("backend", SLOT_DOMAINS)
+    def test_routes_on_the_same_objects_build_one_record(self, backend, monkeypatch):
+        built = []
+
+        class Counted(bergman._Problem):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(bergman, "_Problem", Counted)
+        domain, (_, J, F) = self.SLOT_DOMAINS[backend](), self._slot_problem()
+        c, b = minimal_l2(domain, F, J), b_circle(domain, F, J)
+        assert built == [(domain, F, J)] and routes_agree(c.value, b.value)[0]
+        bergman.both_routes(domain, F, J)
+        assert len(built) == 1
+
+    @pytest.mark.parametrize("backend", SLOT_DOMAINS)
+    def test_another_domain_or_F_builds_a_new_record(self, backend):
+        # each pair of route calls on one J after another domain or F gives
+        # the values of a fresh J, not those of the record kept
+        gens, J, F = self._slot_problem()
+        first, other = self.SLOT_DOMAINS[backend](), self.SLOT_DOMAINS[backend](3)
+        G = Jet(2, 3, {(0, 1): 2, (1, 1): 3, (0, 3): 1})
+        for domain, f in ((first, F), (other, F), (other, G), (first, G)):
+            got = minimal_l2(domain, f, J).value, b_circle(domain, f, J).value
+            fresh = jet_ideal(gens, 4)
+            assert got == (minimal_l2(domain, f, fresh).value, b_circle(domain, f, fresh).value)
+            assert J._record[0] is domain and J._record[1] is f
+        assert minimal_l2(first, F, J).value != minimal_l2(other, F, J).value
+
+    @pytest.mark.parametrize("backend", SLOT_DOMAINS)
+    def test_ideal_and_record_freed_by_reference_counting(self, backend):
+        # the moment record reads J itself, which holds the record in its
+        # slot: no cycle, so both go with the last reference to J, with the
+        # cycle collector off
+        domain, (_, J, F) = self.SLOT_DOMAINS[backend](), self._slot_problem()
+        gc.disable()
+        try:
+            minimal_l2(domain, F, J), b_circle(domain, F, J)
+            ideal, record = weakref.ref(J), weakref.ref(J._record[2])
+            assert (record().J is J) == (backend == "moment")
+            del J
+            assert ideal() is None and record() is None
+        finally:
+            gc.enable()
 
     def test_integral_float_generator_gives_float_ideal(self):
         J = jet_ideal(IdealPresentation(1, [Jet(1, 2, {(2,): 2.0})]), 3)

@@ -473,8 +473,8 @@ class TestLazyElimination:
         # F is outside the span on the block of g; the block of z2 is its other
         assert not ideals.contains(J, self.CI_F)
         assert eliminations in ([2, 2], [2, 2, 1])
-        # membership assembles and keeps no restriction of the ideal
-        assert not J._restrictions
+        # membership assembles no problem record, and keeps nothing
+        assert J._record is None
         # z2 is a block of its own, with no rows: orthogonal to the span
         F = Jet(2, 1, {(0, 1): 1})
         eliminations.clear()
@@ -482,8 +482,9 @@ class TestLazyElimination:
         assert eliminations == [1] and (k, distance) == (31, 0.0)
 
     def test_only_the_last_restriction_is_held(self):
-        # 100 float F of 20 terms each on one ideal: it keeps one restriction,
-        # not one per F, which held about 52 MB over these calls
+        # 100 float F of 20 terms each on one ideal: it keeps one problem
+        # record, with its restriction, not one per F, which held about 52 MB
+        # over these calls
         J = jet_ideal(IdealPresentation(2, [CI_GENERATOR]), 31)
         domain = DiagonalDomain.polydisc([1, 2], exact=False)
         rng, idx = random.Random(0), indices_up_to(2, 30)
@@ -494,17 +495,18 @@ class TestLazyElimination:
                           for a in rng.sample(idx, 20)}
                 F = Jet(2, 30, coeffs)
                 minimal_l2(domain, F, J)
-                assert len(J._restrictions) == 1
+                assert J._record[0] is domain and J._record[1] is F
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
         assert held < 16e6
-        # the kernel-ratio route on the same F reads the restriction kept:
-        # the one on F's blocks outside the span
-        (kept,) = J._restrictions.values()
+        # the kernel-ratio route on the same F reads the record kept, whose
+        # restriction is the one on F's blocks outside the span
+        kept = J._record
         b_circle(domain, F, J)
         outside = ideals.outside_blocks(J, F, False)
-        assert list(J._restrictions.values()) == [kept] and J.restrict(blocks=outside) is kept
+        assert J._record is kept
+        assert kept[2].J.blocks == [J.blocks[k] for k in outside]
 
     @pytest.mark.parametrize("F, steps", [
         (CI_F, {2: Fraction(10), 3: Fraction(1950, 163)}),

@@ -1355,6 +1355,14 @@ def _equiv_spec(radius):
             "ideal": {"generators": [{"n": 1, "terms": [{"alpha": [2], "re": 1}]}], "level": 2}}
 
 
+def _two_radii(a, b):
+    return {"kind": "polydisc", "radii": [a, b]}
+
+
+_Z1 = {"n": 2, "terms": [{"alpha": [1, 0], "re": "1", "im": "0"}]}
+_Z1_SQUARED = {"n": 2, "terms": [{"alpha": [2, 0], "re": "1", "im": "0"}]}
+
+
 class TestNormsPastTheFloatRange:
     @pytest.mark.parametrize(
         "command, spec, message",
@@ -1364,11 +1372,31 @@ class TestNormsPastTheFloatRange:
             ("equiv", _equiv_spec("1e154"), "the norm of z^(0,) overflows a float"),
             ("kernel", _kernel_spec("1e-200", 0), "the norm of z^(0,) underflows to 0"),
             ("equiv", _equiv_spec("1e-200"), "the norm of z^(0,) underflows to 0"),
+            # an exact result whose float overflows, and a density norm that
+            # underflows to 0
+            ("equiv", {"domain": _two_radii("1e308", "1"), "F": _Z1,
+                       "ideal": {"generators": [_Z1_SQUARED], "level": 2}},
+             "the exact value 5e1231 * pi^2 overflows a float"),
+            ("ladder", {"domain": _two_radii("1e308", "1"), "F": _Z1, "generators": [_Z1_SQUARED]},
+             "the exact value 5e1231 * pi^2 overflows a float"),
+            ("sop", {"domain": _two_radii("1e308", "1"),
+                     "F": {"n": 2, "terms": [{"alpha": [1, 1], "re": "1", "im": "0"}]},
+                     "weight": {"a": ["1", "1"]}},
+             "the exact value 1e616 * pi^2 overflows a float"),
+            ("kernel", {"domain": _two_radii("1e-200", "2"),
+                        "xi": {"n": 2, "terms": [{"alpha": [1, 2], "re": "1", "im": "0"}]}},
+             "the exact value 9.375e798 * pi^-2 overflows a float"),
+            ("density", {"domain": {"kind": "polydisc", "radii": [1]},
+                         "F": {"n": 1, "terms": [{"alpha": [1], "re": "1e-200", "im": "0"}]},
+                         "generators": [{"n": 1, "terms": [{"alpha": [2], "re": "1", "im": "0"}]}]},
+             "the norm of F underflows to 0"),
         ],
-        ids=["kernel-1e308", "kernel-1e154", "equiv-1e154", "kernel-1e-200", "equiv-1e-200"],
+        ids=["kernel-1e308", "kernel-1e154", "equiv-1e154", "kernel-1e-200", "equiv-1e-200",
+             "equiv-C-1e308", "ladder-C-1e308", "sop-1e308", "kernel-K-1e-200", "density-F-1e-200"],
     )
     def test_exit_3(self, tmp_path, command, spec, message):
-        # not K = 0 or C = B' = inf, as if the slot were not square-integrable
+        # not K = 0 or C = B' = inf, as if the slot were not square-integrable,
+        # and not a traceback
         result = run_cli([command, "--spec", write_spec(tmp_path, spec)])
         assert result.exit_code == 3
         assert (result.stdout, result.stderr) == ("", f"numerical failure: {message}\n")

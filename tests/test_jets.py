@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from berglab.errors import (
     DimensionMismatchError,
+    QuadratureError,
     SingularMatrixError,
     SupportBoundError,
     ZeroFunctionalError,
@@ -216,6 +217,10 @@ class TestExactScalars:
         # a QQi with imaginary part 0 equals its real part, and hashes as it
         assert hash(QQi(Fraction(1, 2))) == hash(Fraction(1, 2))
         assert {QQi(3): 1}[3] == 1
+        # int - QQi, Fraction - QQi and int // QQi run QQi's reflected operators
+        assert 3 - QQi(1, 2) == QQi(2, -2)
+        assert Fraction(1, 2) - QQi(1, 1) == QQi(Fraction(-1, 2), -1)
+        assert 5 // QQi(1, 2) == QQi(1, -2) and 10 // QQi(3, 1) == QQi(3, -1)
 
     def test_pivalue(self):
         v = PiValue(Fraction(1, 2), 1)
@@ -225,6 +230,12 @@ class TestExactScalars:
         assert v.to_json() == {"pi_power": 1, "rational": "1/2"}
         w = PiValue(math.inf, 1)
         assert w.is_infinite() and w.to_float() == math.inf
+        # past the float range as a Fraction, or only once multiplied by pi
+        for v, name in ((PiValue(Fraction(3 * 10**400, 2)), "1.5e400 * pi^0"),
+                        (PiValue(Fraction(10**308), 1), "1e308 * pi^1")):
+            with pytest.raises(QuadratureError) as err:
+                v.to_float()
+            assert str(err.value) == f"the exact value {name} overflows a float"
 
     def test_pivalue_is_a_value(self):
         # equal fields: equal and one hash; a different field or another class: unequal

@@ -48,7 +48,6 @@ _EXPORTS = {
         "QuadratureError",
         "SingularMatrixError",
         "SupportBoundError",
-        "UnboundedFunctionalError",
         "ZeroFunctionalError",
     ),
     "exactnum": ("PiValue", "QQi", "value_float"),

@@ -71,12 +71,11 @@ from .domains import DiagonalDomain, ExhaustionSequence, MomentDomain
 from .errors import (
     DimensionMismatchError,
     NotInComplementError,
-    QuadratureError,
     SingularMatrixError,
     UnsupportedDomainError,
     ZeroFunctionalError,
 )
-from .exactnum import PiValue, encode, is_exact, value_float
+from .exactnum import PiValue, encode, finite, in_float_range, is_exact, value_float
 from .ideals import (
     FLOAT_RANK_TOL,
     IdealPresentation,
@@ -130,13 +129,16 @@ def kernel_at_origin(domain, xi: Functional):
     """K_xi = (xi . T)(o), T the Riesz representative of xi: the squared norm
     of T.  On a diagonal domain that is the sum of |xi_alpha|^2 / ||z^alpha||^2
     over the integrable slots, 0 when there are none.  A PiValue with pi
-    power -n in exact mode, a float otherwise."""
+    power -n in exact mode, a float otherwise; a float K of a nonzero T is
+    positive, and one past the float range raises QuadratureError
+    (:func:`berglab.exactnum.in_float_range`)."""
     T = riesz_representative(domain, xi)
     if domain.exact and is_exact(xi.entries.values()):
         k = pair(xi, T)
         return PiValue(Fraction(k.real), -domain.n)
     # float path: the representative was built from complex(xi)
-    return float(pair(xi.to_float(), T).real)
+    k = float(pair(xi.to_float(), T).real)
+    return in_float_range("the kernel of xi", lambda: finite(k)) if T.coeffs else k
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +500,7 @@ def _minimal_l2_float(prob: _Problem) -> ProjectionResult:
         cond = float((sv[0] / sv[-1]) ** 2)
     r = _weigh(root, x)
     value = float(np.vdot(r, r).real)
+    value = in_float_range("the minimal L2 integral C", lambda: finite(value)) if value else value
     eta_vec = _weigh(gram, np.conj(x))
     xs = x.tolist()
     bound = max(J.level - 1, degree(idx[-1]))
@@ -601,6 +604,7 @@ def _b_circle_float(prob: _Problem) -> KernelRatioResult:
     z = np.linalg.solve(R.conj().T, np.conj(p))
     x = np.linalg.solve(R, z)
     value = float(np.vdot(z, z).real)
+    value = in_float_range("the kernel ratio B", lambda: finite(value)) if value else value
     maximizer = Functional.unchecked(prob.J.n, dict(zip(idx, (V @ x).tolist())))
     return KernelRatioResult(value, maximizer, prob.diagnostics("solved", V.shape[1], None))
 
@@ -732,12 +736,10 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
         raise NotInComplementError("F has infinite norm on the domain")
 
     def norm(f, name=None):
-        # the integrable slots are the ones _inner_float sums; the norm of a
-        # named nonzero jet that comes out 0 has underflowed
+        # the integrable slots are the ones _inner_float sums; a named jet is
+        # nonzero, so its norm is positive
         val = math.sqrt(_inner_float(domain, f, f).real)
-        if name and not val:
-            raise QuadratureError(f"the norm of {name} underflows to 0")
-        return val
+        return in_float_range(f"the norm of {name}", lambda: finite(val)) if name else val
 
     normF = norm(F, "F")
     k_range = list(k_range)

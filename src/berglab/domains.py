@@ -31,7 +31,8 @@ from .errors import (
     SingularMatrixError,
     UnsupportedDomainError,
 )
-from .indices import degree, indices_up_to, validate_index
+from .exactnum import PiValue, abs2_s, finite, in_float_range, is_exact
+from .indices import MAX_JET_INDICES, degree, indices_up_to, validate_index
 from .jsonspec import integer, json_list, json_object, number
 
 # bound on a moment matrix's quadrature error estimate, relative to
@@ -329,7 +330,7 @@ class DiagonalDomain:
         ideal's: unchecked."""
         cached = self._norm_cache.get(alpha)
         if cached is None:
-            cached = _in_float_range(alpha, lambda: self._compute_norm(alpha))
+            cached = in_float_range("the norm of z^%s", lambda: self._compute_norm(alpha), alpha)
             self._norm_cache[alpha] = cached
         return cached
 
@@ -341,7 +342,7 @@ class DiagonalDomain:
         implicit pi**n, raising QuadratureError as :meth:`norm` does."""
         if not self.exact or v == math.inf:
             return v
-        return _in_float_range(alpha, lambda: _finite(float(v) * math.pi**self.n))
+        return in_float_range("the norm of z^%s", lambda: finite(float(v) * math.pi**self.n), alpha)
 
     def _compute_norm(self, alpha):
         if self.kind == "ball":
@@ -374,7 +375,7 @@ class DiagonalDomain:
             if t == math.inf:
                 return math.inf
             out *= t
-        return _finite(out)
+        return finite(out)
 
     def _polydisc_factor(self, j, k):
         """Coordinate j's float factor r^(2x) / x, math.inf when x <= 0.  On
@@ -406,7 +407,7 @@ class DiagonalDomain:
             t = 2 * (d + self.n)
             return Fraction(fact * self.radius.numerator**t, denom * self.radius.denominator**t)
         # int / int first: alpha! alone can pass the float range
-        return _finite(
+        return finite(
             math.pi**self.n * (fact / denom) * float(self.radius) ** (2 * (d + self.n))
         )
 
@@ -535,25 +536,6 @@ def _below_curve(p, q, log_r1, log_r2, log_k, s, log_c=0.0):
     return val
 
 
-def _in_float_range(alpha, compute):
-    """``compute()``, a norm of z^alpha, positive unless it underflowed to
-    0: an overflow (an OverflowError) or an underflow raises QuadratureError."""
-    try:
-        val = compute()
-    except OverflowError:
-        raise QuadratureError(f"the norm of z^{alpha} overflows a float") from None
-    if not val:
-        raise QuadratureError(f"the norm of z^{alpha} underflows to 0")
-    return val
-
-
-def _finite(val):
-    """``val``; a norm that came out inf or nan from finite data overflowed."""
-    if not math.isfinite(val):
-        raise OverflowError("the norm overflows a float")
-    return val
-
-
 def _sublevel_norm_2d(domain: DiagonalDomain, alpha):
     """Norm on {phi < -t} over a bidisc, phi two-variable: the integral over
     the Reinhardt shadow, the part of the bidisc below the curve
@@ -567,7 +549,7 @@ def _sublevel_norm_2d(domain: DiagonalDomain, alpha):
         return math.inf
     # 4 pi^2 times the integral of x1^p x2^q over the shadow
     val = _below_curve(p, q, math.log(r1), math.log(r2), -domain.cut.level / (2 * a1), a2 / a1)
-    return _finite(4 * math.pi**2 * val)
+    return finite(4 * math.pi**2 * val)
 
 
 def _truncated_norm_2d(domain: DiagonalDomain, alpha):
@@ -611,16 +593,15 @@ def _truncated_norm_2d(domain: DiagonalDomain, alpha):
             sign, log_ps1 = math.copysign(1.0, ps1), math.log(abs(ps1))
             val += sign * _int_pow(q_sing, u_star, u2, ps1 * log_r1 - log_ps1)
             val -= sign * _int_pow(q_sing - s * ps1, u_star, u2, ps1 * log_k - log_ps1)
-    return _finite(4 * math.pi**2 * val)
+    return finite(4 * math.pi**2 * val)
 
 
 def weighted_integral(domain: DiagonalDomain, F, phi: ToricWeight, c):
     """Integral of |F|^2 * exp(-c*phi) over the domain, for a polynomial jet
     F.  Returns a PiValue when the weighted domain is exact and so is every
     coefficient of F, a float otherwise; math.inf if any contributing
-    monomial diverges."""
-    from .exactnum import PiValue, abs2_s, is_exact
-
+    monomial diverges.  A nonzero float integral past the float range
+    raises QuadratureError (:func:`berglab.exactnum.in_float_range`)."""
     if c < 0:
         raise ValueError("weight scale c must be non-negative")
     dom = domain.with_weight(phi, c) if c != 0 else domain
@@ -632,7 +613,9 @@ def weighted_integral(domain: DiagonalDomain, F, phi: ToricWeight, c):
         if nrm == math.inf:
             return PiValue(math.inf, dom.pi_power) if exact else math.inf
         total = total + abs2_s(coeff) * nrm
-    return PiValue(total, dom.pi_power) if exact else total
+    if exact:
+        return PiValue(total, dom.pi_power)
+    return in_float_range("the weighted integral of F", lambda: finite(total)) if total else total
 
 
 class ExhaustionSequence:
@@ -817,7 +800,12 @@ def moment_matrix(descriptor, degree_bound, name="descriptor") -> MomentDomain:
             where = f"{name}.harmonics[{i}]"
             k, *ab = json_list(h, where, length=3)
             ab = [float(number(x, f"{where}[{j}]")) for j, x in enumerate(ab, 1)]
-            harmonics.append((integer(k, f"the harmonic order {where}[0]", 0), *ab))
+            k = integer(k, f"the harmonic order {where}[0]", 0)
+            if k > MAX_JET_INDICES:
+                # the trapezoid rule takes K(2d + 2) + d + 1 points for the top order K
+                raise ValueError(f"the harmonic order {where}[0] must be at most "
+                                 f"{MAX_JET_INDICES}, not {k}")
+            harmonics.append((k, *ab))
         # r must stay positive (NaN fails too): checked on a fine theta grid
         grid = np.arange(4096) * (2 * np.pi / 4096)
         if not _radius(base, harmonics, grid).min() > 0:
@@ -826,8 +814,7 @@ def moment_matrix(descriptor, degree_bound, name="descriptor") -> MomentDomain:
 
     if not quad_error <= QUAD_TOL * max(1.0, float(np.max(np.abs(M)))):
         raise QuadratureError(
-            f"quadrature error estimate {quad_error:.2e} exceeds tolerance {QUAD_TOL:.2e}",
-            achieved=quad_error,
+            f"quadrature error estimate {quad_error:.2e} exceeds tolerance {QUAD_TOL:.2e}"
         )
     return MomentDomain(n, degree_bound, M, descriptor=descriptor, quad_error=quad_error)
 

@@ -38,23 +38,14 @@ class ImproperIdealError(BerglabError, ValueError):
     proper; a spec error)."""
 
 
-class UnboundedFunctionalError(BerglabError):
-    """A kernel that is not finite and positive at a point of a t grid, where
-    the functional has an integrable slot: :func:`berglab.sop.xi_cse_limit`
-    raises it when a float kernel leaves the float range."""
-
-
 class SingularMatrixError(BerglabError):
     """A matrix that must be invertible (or positive definite) is not."""
 
 
 class QuadratureError(BerglabError):
-    """Numerical integration failed to reach the requested tolerance, or a
-    value's float left the float range."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
+    """Numerical integration failed to reach the requested tolerance, or the
+    float of a positive value left the float range
+    (:func:`berglab.exactnum.in_float_range`)."""
 
 
 class DivergentIntegralError(BerglabError):

@@ -17,7 +17,7 @@ from numbers import Rational
 
 from .errors import QuadratureError
 
-__all__ = ["QQi", "PiValue", "abs2_s", "value_float", "encode"]
+__all__ = ["QQi", "PiValue", "abs2_s", "value_float", "encode", "in_float_range", "finite"]
 
 
 class QQi:
@@ -55,10 +55,13 @@ class QQi:
         if type(o) not in _OPERANDS and not isinstance(o, Rational):
             return NotImplemented
         a, b, c, d = self.real, self.imag, o.real, o.imag
-        n = c * c + d * d
-        if not n:
+        if d:
+            n = c * c + d * d
+            return _qqi(Fraction(a * c + b * d, n), Fraction(b * c - a * d, n))
+        if not c:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return _qqi(Fraction(a * c + b * d, n), Fraction(b * c - a * d, n))
+        # a real divisor divides each part: c^2 would square a huge c
+        return _qqi(Fraction(a, c), Fraction(b, c))
 
     def __floordiv__(self, o):
         if type(o) not in _OPERANDS and not isinstance(o, Rational):
@@ -152,18 +155,16 @@ class PiValue:
         return self.coeff == math.inf
 
     def to_float(self) -> float:
-        """The float of the value; one that overflows raises QuadratureError."""
+        """The float of the value: 0.0 for a zero coefficient, and a positive
+        one past the float range raises QuadratureError naming its size
+        (:func:`in_float_range`)."""
         if self.is_infinite():
             return math.inf
-        try:
-            val = float(self.coeff) * math.pi**self.pi_power
-        except OverflowError:  # the Fraction alone is past the float range
-            val = math.inf
-        if val == math.inf:
-            e = math.log10(self.coeff.numerator) - math.log10(self.coeff.denominator)
-            raise QuadratureError(f"the exact value {10 ** (e % 1):.6g}e{math.floor(e)}"
-                                  f" * pi^{self.pi_power} overflows a float")
-        return val
+        if not self.coeff:
+            return 0.0
+        e = math.log10(self.coeff.numerator) - math.log10(self.coeff.denominator)
+        name = f"the exact value {10 ** (e % 1):.6g}e{math.floor(e)} * pi^{self.pi_power}"
+        return in_float_range(name, lambda: finite(float(self.coeff) * math.pi**self.pi_power))
 
     def __repr__(self):
         if self.pi_power == 0:
@@ -174,6 +175,27 @@ class PiValue:
         if self.is_infinite():
             return {"pi_power": self.pi_power, "rational": "inf"}
         return {"pi_power": self.pi_power, "rational": str(Fraction(self.coeff))}
+
+
+def in_float_range(name, compute, *args):
+    """``compute()``, the float of a quantity positive by the maths, named
+    ``name % args``: an overflow (an OverflowError, raised by :func:`finite`
+    too) or an underflow to 0 raises QuadratureError naming it.  The name is
+    formatted only then, as a norm's multi-index is on a hot path."""
+    try:
+        val = compute()
+    except OverflowError:
+        raise QuadratureError(f"{name % args} overflows a float") from None
+    if not val:
+        raise QuadratureError(f"{name % args} underflows to 0")
+    return val
+
+
+def finite(val):
+    """``val``; a float that came out inf or nan from finite data overflowed."""
+    if not math.isfinite(val):
+        raise OverflowError("a float overflowed")
+    return val
 
 
 def value_float(v) -> float:

@@ -99,6 +99,16 @@ MUTANTS = [
             "tests/test_cli.py::TestExhaustDensity::test_density_rejections_exit_2[infinite-norm]",
         ],
     ),
+    (
+        "float-kernel-unchecked",
+        "bergman.py",
+        'return in_float_range("the kernel of xi", lambda: finite(k)) if T.coeffs else k',
+        "return k",
+        [
+            "tests/test_cli.py::TestNormsPastTheFloatRange::test_exit_3[kernel-float-1e200]",
+            "tests/test_cli.py::TestNormsPastTheFloatRange::test_exit_3[cse-float-1e200]",
+        ],
+    ),
     # -- exact linear algebra (linalg) --
     (
         "gram-unconjugated",
@@ -207,14 +217,45 @@ MUTANTS = [
     (
         "as-float-unchecked",
         "domains.py",
-        "return _in_float_range(alpha, lambda: _finite(float(v) * math.pi**self.n))",
+        'return in_float_range("the norm of z^%s", lambda: finite(float(v) * math.pi**self.n), alpha)',
         "return float(v) * math.pi**self.n",
         [
             "tests/test_cli.py::TestNormsPastTheFloatRange::test_exit_3[kernel-1e308]",
             "tests/test_domains.py::TestOverflow::test_exact_norm_as_float[below-the-range]",
         ],
     ),
+    (
+        "harmonic-order-uncapped",
+        "domains.py",
+        "if k > MAX_JET_INDICES:",
+        "if False:",
+        [
+            "tests/test_cli.py::TestKernelBasis::test_basis_refuses_a_harmonic_order_past_the_cap",
+        ],
+    ),
     # -- values and the command line (exactnum, cli) --
+    (
+        "float-range-rule-passes-0",
+        "exactnum.py",
+        'if not val:\n        raise QuadratureError(f"{name % args} underflows to 0")',
+        'if False:\n        raise QuadratureError(f"{name % args} underflows to 0")',
+        [
+            "tests/test_jets.py::TestExactScalars::test_pivalue",
+            "tests/test_cli.py::TestNormsPastTheFloatRange::test_exit_3[equiv-C-5e-401]",
+            "tests/test_domains.py::TestOverflow::test_exact_norm_as_float[below-the-range]",
+        ],
+    ),
+    (
+        "qqi-real-divisor-swaps-parts",
+        "exactnum.py",
+        "return _qqi(Fraction(a, c), Fraction(b, c))",
+        "return _qqi(Fraction(b, c), Fraction(a, c))",
+        [
+            "tests/test_jets.py::TestExactScalars::test_qqi_field_ops",
+            "tests/test_bergman.py::TestKernel::test_matches_norm_sum[qqi-exact-bidisc]",
+            "tests/test_cli.py::TestKernelBasis::test_kernel_value",
+        ],
+    ),
     (
         "qqi-rsub-sign-flipped",
         "exactnum.py",

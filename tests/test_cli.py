@@ -4,6 +4,9 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
@@ -484,6 +487,21 @@ class TestKernelBasis:
         result = run_cli(["basis", "--spec", spec])
         assert result.exit_code == 0
         assert "alpha,coefficients" in result.stdout
+
+    def test_basis_refuses_a_harmonic_order_past_the_cap(self, tmp_path, monkeypatch):
+        # order 10^6 at degree 4 asks the trapezoid rule for a 9 x 20,000,010
+        # array: refused before any moment is integrated
+        def never(*args):
+            raise AssertionError("the moments were integrated")
+
+        monkeypatch.setattr(domains, "_radial_moments", never)
+        desc = {"kind": "radial", "base": 1.0, "harmonics": [[10**6, 0.01, 0]]}
+        spec = write_spec(tmp_path, {"domain": desc, "degree": 4})
+        result = run_cli(["basis", "--spec", spec])
+        assert result.exit_code == 2
+        assert result.stderr == (
+            "spec error: the harmonic order domain.harmonics[0][0] must be at most 500, not 1000000\n"
+        )
 
 
 class TestSopCse:
@@ -1361,6 +1379,12 @@ def _two_radii(a, b):
 
 _Z1 = {"n": 2, "terms": [{"alpha": [1, 0], "re": "1", "im": "0"}]}
 _Z1_SQUARED = {"n": 2, "terms": [{"alpha": [2, 0], "re": "1", "im": "0"}]}
+_DISC = {"kind": "polydisc", "radii": [1]}
+_Z_SQUARED = {"n": 1, "terms": [{"alpha": [2], "re": "1", "im": "0"}]}
+# 1e200 * z with a float coefficient: its squared norm is past the float range
+_FLOAT_1E200_Z = {"n": 1, "terms": [{"alpha": [1], "re": 1e200}]}
+_FLOAT_OVERFLOW_IDEAL = {"generators": [_Z_SQUARED], "level": 2}
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 class TestNormsPastTheFloatRange:
@@ -1390,16 +1414,59 @@ class TestNormsPastTheFloatRange:
                          "F": {"n": 1, "terms": [{"alpha": [1], "re": "1e-200", "im": "0"}]},
                          "generators": [{"n": 1, "terms": [{"alpha": [2], "re": "1", "im": "0"}]}]},
              "the norm of F underflows to 0"),
+            # an exact C whose float underflows, not C = 0
+            ("equiv", {"domain": _two_radii("1e-100", "1"), "F": _Z1,
+                       "ideal": {"generators": [_Z1_SQUARED], "level": 2}},
+             "the exact value 5e-401 * pi^2 underflows to 0"),
+            # float values past the float range: not a distance of nan, K = inf,
+            # C = B' = inf (the infeasible outcome) or a divergent integral
+            ("density", {"domain": _DISC, "generators": [_Z_SQUARED], "k_range": "3..3",
+                         "F": {"n": 1, "terms": [{"alpha": [1], "re": "1e200", "im": "0"}]}},
+             "the norm of F overflows a float"),
+            ("kernel", {"domain": _DISC, "xi": _FLOAT_1E200_Z}, "the kernel of xi overflows a float"),
+            ("cse", {"domain": _DISC, "xi": _FLOAT_1E200_Z, "weight": {"a": ["1"]}},
+             "the kernel of xi overflows a float"),
+            ("equiv", {"domain": _DISC, "F": _FLOAT_1E200_Z, "ideal": _FLOAT_OVERFLOW_IDEAL},
+             "the minimal L2 integral C overflows a float"),
+            ("ladder", {"domain": _DISC, "F": _FLOAT_1E200_Z, "generators": [_Z_SQUARED]},
+             "the minimal L2 integral C overflows a float"),
+            ("exhaust", {"domains": [_DISC, {"kind": "polydisc", "radii": [2]}],
+                         "F": _FLOAT_1E200_Z, "ideal": _FLOAT_OVERFLOW_IDEAL},
+             "the minimal L2 integral C overflows a float"),
+            ("sop", {"domain": _DISC, "F": _FLOAT_1E200_Z, "weight": {"a": ["1"]}},
+             "the weighted integral of F overflows a float"),
         ],
         ids=["kernel-1e308", "kernel-1e154", "equiv-1e154", "kernel-1e-200", "equiv-1e-200",
-             "equiv-C-1e308", "ladder-C-1e308", "sop-1e308", "kernel-K-1e-200", "density-F-1e-200"],
+             "equiv-C-1e308", "ladder-C-1e308", "sop-1e308", "kernel-K-1e-200", "density-F-1e-200",
+             "equiv-C-5e-401", "density-F-float-1e200", "kernel-float-1e200", "cse-float-1e200",
+             "equiv-float-1e200", "ladder-float-1e200", "exhaust-float-1e200", "sop-float-1e200"],
     )
     def test_exit_3(self, tmp_path, command, spec, message):
         # not K = 0 or C = B' = inf, as if the slot were not square-integrable,
-        # and not a traceback
-        result = run_cli([command, "--spec", write_spec(tmp_path, spec)])
+        # and not a traceback; and no --out file
+        out = tmp_path / "out"
+        result = run_cli([command, "--spec", write_spec(tmp_path, spec), "--out", str(out)])
         assert result.exit_code == 3
         assert (result.stdout, result.stderr) == ("", f"numerical failure: {message}\n")
+        assert not out.exists()
+
+    def test_huge_degree_kernel_ends_in_time(self, tmp_path):
+        # dividing by the real norm of z2^(10^8), a 2*10^8-bit int, once formed
+        # its square; in a child process, as that hang holds the interpreter
+        spec = {"domain": _two_radii("1", "2"),
+                "xi": {"n": 2, "terms": [{"alpha": [0, 10**8], "re": "1", "im": "0"}]}}
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "berglab.cli", "kernel", "--spec", write_spec(tmp_path, spec),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=5,
+        )
+        assert proc.returncode == 3
+        assert (proc.stdout, proc.stderr) == (
+            "", "numerical failure: the exact value 1.84138e-60205992 * pi^-2 underflows to 0\n"
+        )
+        assert not out.exists()
 
 
 class TestRangeShape:

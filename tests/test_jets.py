@@ -221,6 +221,14 @@ class TestExactScalars:
         assert 3 - QQi(1, 2) == QQi(2, -2)
         assert Fraction(1, 2) - QQi(1, 1) == QQi(Fraction(-1, 2), -1)
         assert 5 // QQi(1, 2) == QQi(1, -2) and 10 // QQi(3, 1) == QQi(3, -1)
+        # a real divisor, an int or a Fraction, gives the general formula
+        # (ac + bd, bc - ad) / (c^2 + d^2) at d = 0
+        for z in (x, y):
+            for c in (3, Fraction(-2, 5)):
+                n = c * c
+                assert z / c == z / QQi(c) == QQi(Fraction(z.real * c, n), Fraction(z.imag * c, n))
+        with pytest.raises(ZeroDivisionError):
+            x / 0
 
     def test_pivalue(self):
         v = PiValue(Fraction(1, 2), 1)
@@ -236,6 +244,12 @@ class TestExactScalars:
             with pytest.raises(QuadratureError) as err:
                 v.to_float()
             assert str(err.value) == f"the exact value {name} overflows a float"
+        # a positive value whose float underflows is past the range too, and
+        # a zero one is 0
+        with pytest.raises(QuadratureError) as err:
+            PiValue(Fraction(1, 10**400), 2).to_float()
+        assert str(err.value) == "the exact value 1e-400 * pi^2 underflows to 0"
+        assert PiValue(Fraction(0), 2).to_float() == 0.0
 
     def test_pivalue_is_a_value(self):
         # equal fields: equal and one hash; a different field or another class: unequal

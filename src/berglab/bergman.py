@@ -75,7 +75,7 @@ from .errors import (
     UnsupportedDomainError,
     ZeroFunctionalError,
 )
-from .exactnum import PiValue, encode, finite, in_float_range, is_exact, value_float
+from .exactnum import PiValue, encode, finite, in_float_range, is_exact, to_complex, value_float
 from .ideals import (
     FLOAT_RANK_TOL,
     IdealPresentation,
@@ -112,7 +112,7 @@ def riesz_representative(domain, xi: Functional) -> Jet:
             )
         import numpy as np
 
-        vec = np.array([complex(c) for c in xi.vector(domain.indices)], dtype=complex)
+        vec = np.array([to_complex(c) for c in xi.vector(domain.indices)], dtype=complex)
         t = np.conj(np.linalg.solve(domain.matrix, vec))
         terms = {a: v for a, v in zip(domain.indices, t) if abs(v) > 0}
         return Jet(domain.n, domain.degree_bound, terms)
@@ -121,7 +121,7 @@ def riesz_representative(domain, xi: Functional) -> Jet:
     for alpha, c in xi.entries.items():
         nrm = domain.norm(alpha) if exact else domain.norm_float(alpha)
         if nrm != math.inf:
-            coeffs[alpha] = (c if exact else complex(c)).conjugate() / nrm
+            coeffs[alpha] = (c if exact else to_complex(c)).conjugate() / nrm
     return Jet(domain.n, xi.order(), coeffs)
 
 
@@ -715,7 +715,7 @@ def _inner_float(domain: DiagonalDomain, f: Jet, g: Jet) -> complex:
             nrm = domain.norm_float(a)
             if nrm == math.inf:
                 continue
-            total += complex(cf) * complex(cg).conjugate() * nrm
+            total += to_complex(cf) * to_complex(cg).conjugate() * nrm
     return total
 
 

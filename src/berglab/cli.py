@@ -8,8 +8,8 @@ and picks the exit code: 0 success, 1 a failed cross-check or a
 ``ValueError`` (a spec error: a field missing or of the wrong type, a
 radius <= 0, objects of different dimensions, a zero xi or F, a density F
 outside the ideal's orthogonal complement, a problem the construction does
-not support) or a usage error, 3 a numerical failure or any other
-:class:`BerglabError`.
+not support) or a usage error, 3 a numerical failure (a numpy overflow too) or
+any other :class:`BerglabError`.
 
 A process runs one command, so each command imports what only it uses:
 :mod:`berglab.sop` loads for ``sop``, ``cse`` and a t grid, and
@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 from .bergman import (
     both_routes,
@@ -35,7 +36,7 @@ from .bergman import (
 )
 from .domains import MOMENT_KINDS, ExhaustionSequence, ToricWeight, domain_from_json
 from .errors import BerglabError, CrossCheckError, QuadratureError, SingularMatrixError
-from .exactnum import PiValue, encode, is_exact, value_float
+from .exactnum import PiValue, encode, is_exact, to_float, value_float
 from .ideals import IdealPresentation, jet_ideal
 from .jets import Functional, Jet
 from .jsonspec import integer, json_list, json_object
@@ -70,9 +71,7 @@ def _load_domain(desc, degree=None, mode=None, name="domain"):
     dom = domain_from_json(desc, degree, name)
     if mode == "exact" and not dom.exact:
         raise no_exact
-    if mode == "float":
-        dom.exact = False
-    return dom
+    return dom.as_float() if mode == "float" and dom.exact else dom
 
 
 def _load_diagonal(desc, command, name="domain"):
@@ -310,7 +309,7 @@ def cse(spec_path, t_grid):
     table = _csv("t,logK", ((f"{t:.17g}", f"{lk:.17g}") for t, lk in res.table))
     payload = res.to_json()
     payload["combinatorial"] = encode(gamma)
-    return (table + f"slope = {res.slope:.12g}  combinatorial = {float(gamma):.12g}",
+    return (table + f"slope = {res.slope:.12g}  combinatorial = {to_float(gamma):.12g}",
             payload, table,
             None if res.convex else "cross-check failed: log K not convex along the grid")
 
@@ -417,7 +416,9 @@ def main(argv=None, prog_name="berglab") -> int:
     if "name" in args:  # a suite writes suite_<name>.*
         stem = f"{stem}_{args['name']}"
     try:
-        text, payload, table, failure = command(**args)
+        with warnings.catch_warnings():  # a numpy overflow is a numerical failure, not an inf
+            warnings.simplefilter("error", RuntimeWarning)
+            text, payload, table, failure = command(**args)
         print(text)
         _write_outputs(out, stem, payload, table)
         if failure is not None:
@@ -427,7 +428,7 @@ def main(argv=None, prog_name="berglab") -> int:
         code, message = EXIT_CROSSCHECK, str(exc)
     except ValueError as exc:  # the berglab spec errors are ValueErrors too
         code, message = EXIT_SPEC, f"spec error: {exc}"
-    except (QuadratureError, SingularMatrixError) as exc:
+    except (QuadratureError, SingularMatrixError, RuntimeWarning) as exc:
         code, message = EXIT_NUMERICAL, f"numerical failure: {exc}"
     except BerglabError as exc:
         code, message = EXIT_NUMERICAL, f"error: {exc}"

@@ -16,7 +16,7 @@ Two families are supported:
   matrix of monomial inner products for general bounded domains, assembled
   from closed forms or an exact trapezoid rule.
 
-All values are immutable after construction.
+All values are fixed when a domain is built: no field is written after.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ from .errors import (
     SingularMatrixError,
     UnsupportedDomainError,
 )
-from .exactnum import PiValue, abs2_s, finite, in_float_range, is_exact
+from .exactnum import PiValue, abs2_s, finite, in_float_range, is_exact, to_float
 from .indices import MAX_JET_INDICES, degree, indices_up_to, validate_index
-from .jsonspec import integer, json_list, json_object, number
+from .jsonspec import integer, json_list, json_object, number, real
 
 # bound on a moment matrix's quadrature error estimate, relative to
 # max(1, its largest entry)
@@ -55,15 +55,11 @@ def _positive(r):
     return r
 
 
-def _fraction(x):
-    """``x`` as a Fraction: a Fraction is returned as it is."""
-    return x if type(x) is Fraction else Fraction(x)
-
-
 def _as_fraction(x):
+    """``x`` as a Fraction; a non-integer float raises ValueError."""
     if isinstance(x, float) and not x.is_integer():
         raise ValueError(f"{x!r} is not exactly representable; pass a Fraction")
-    return _fraction(x)
+    return x if type(x) is Fraction else Fraction(x)
 
 
 class ToricWeight:
@@ -127,10 +123,12 @@ class Cut:
     """A domain's one cut: the "truncated" weight exp(-scale*max(psi,
     -level)), its exponents folded into the domain's, or the "sublevel" set
     {psi < -level} of a two-variable psi.  Two are equal when all four
-    fields are."""
+    fields are.  ``a`` and ``c`` are psi's exponents and the scale as floats."""
 
     def __init__(self, kind: str, psi: ToricWeight, level, scale: Fraction = None):
         self.kind, self.psi, self.level, self.scale = kind, psi, level, scale
+        self.a = tuple(to_float(x, "the weight exponent %s") for x in psi.a)
+        self.c = None if scale is None else to_float(scale, "the weight scale %s")
 
     def _fields(self):
         return self.kind, self.psi, self.level, self.scale
@@ -144,54 +142,61 @@ class Cut:
         return hash(self._fields())
 
 
-class DiagonalDomain:
-    """Monomial-norm oracle for a complete Reinhardt domain.
+def _numbers(radii, exps, cut, exact):
+    """A diagonal domain's (exact, radii, exponents, coords), exact when
+    ``exact`` is, or when it is None if the norms are rational multiples of
+    pi**n: no cut, every radius and exponent rational, and a fractional
+    exponent only on a radius 1.  Exact: Fractions, and per coordinate the
+    ints (p, q, a, b) of r = p/q and e = a/b.  Float: float radii
+    (:func:`berglab.exactnum.to_float`) and the exponents as given, so
+    x = k - e + 1 stays exact until its one conversion.  ``exact`` True
+    with norms not rational multiples of pi**n raises ValueError."""
+    if exact or (exact is None and cut is None):
+        try:
+            rs, es = tuple(map(_as_fraction, radii)), tuple(map(_as_fraction, exps))
+        except (ValueError, TypeError):
+            if exact:
+                raise
+        else:
+            if cut is None and all(e.denominator == 1 or r == 1 for r, e in zip(rs, es)):
+                return True, rs, es, tuple((r.numerator, r.denominator, e.numerator, e.denominator)
+                                           for r, e in zip(rs, es))
+            if exact:
+                raise ValueError("this domain's norms are not rational multiples of pi**n")
+    return False, tuple(to_float(r, "the radius %s") for r in radii), exps, None
 
+
+class DiagonalDomain:
+    """Monomial-norm oracle for a complete Reinhardt domain, fixed when built.
+
+    ``radii`` holds a polydisc's radius per coordinate, a ball's one radius.
     ``weight_exponents`` holds the per-coordinate exponent e_j of the
     attached density prod_j |z_j|^(-2 e_j) (the toric weight with its scale
     already folded in).  ``cut`` is the domain's one :class:`Cut`, if any: a
     truncated weight or a two-variable sublevel set of a polydisc (a
-    one-variable sublevel set is a smaller radius, not a cut).  An exact
-    domain holds its radii and exponents as Fractions, and its norms are
-    built from ints, one Fraction each.  Float polydisc norms, truncated
-    ones with one active coordinate included, are products of per-coordinate
-    factors.  Each norm is computed once and cached by multi-index.  Every
-    derived domain is built by :meth:`_derived`.
+    one-variable sublevel set is a smaller radius, not a cut).
+    :func:`_numbers` decides the numbers.  Float polydisc norms, truncated
+    ones with one active coordinate included, are products of
+    per-coordinate factors.  Each norm is computed once and cached by
+    multi-index.  Every derived domain is built by :meth:`_derived`.
     """
 
-    def __init__(
-        self,
-        n,
-        kind,
-        radii=None,
-        radius=None,
-        weight_exponents=None,
-        cut=None,
-        exact=None,
-        descriptor=None,
-    ):
+    def __init__(self, n, kind, radii, weight_exponents=None, cut=None, exact=None,
+                 descriptor=None):
         self.n = int(n)
-        self.kind = kind
-        self.cut = cut
-        if kind == "polydisc":
-            if radii is None or len(radii) != self.n:
-                raise ValueError("polydisc needs one radius per coordinate")
-            self.radii = tuple(radii)
-            self.radius = None
-        elif kind == "ball":
-            if radius is None:
-                raise ValueError("ball needs a radius")
-            self.radius = radius
-            self.radii = None
-            if weight_exponents is not None and self.n > 1:
-                raise UnsupportedDomainError("toric weights are only supported on polydiscs")
-        else:
-            raise ValueError(f"unknown diagonal domain kind {kind!r}")
-        if weight_exponents is None:
-            weight_exponents = (0,) * self.n
-        self.weight_exponents = tuple(weight_exponents)
-        self.exact = self._make_exact(exact)
-        self.descriptor = descriptor or self._default_descriptor()
+        if len(radii) != {"polydisc": self.n, "ball": 1}.get(kind):
+            raise ValueError(f"no diagonal domain of kind {kind!r} has {len(radii)} radii in C^{n}")
+        exps = (0,) * self.n if weight_exponents is None else tuple(weight_exponents)
+        if kind == "ball" and any(exps):
+            raise UnsupportedDomainError("toric weights are only supported on polydiscs")
+        self.kind, self.cut = kind, cut
+        self.exact, self.radii, self.weight_exponents, self._coords = _numbers(
+            radii, exps, cut, exact)
+        if not descriptor:  # an exact domain's radii as strings ("1/2"), so it reloads exact
+            radii = [str(r) for r in self.radii] if self.exact else list(self.radii)
+            descriptor = ({"kind": kind, "radii": radii} if kind == "polydisc"
+                          else {"kind": kind, "radius": radii[0], "n": self.n})
+        self.descriptor = descriptor
         self._norm_cache = {}
 
     # -- constructors ---------------------------------------------------
@@ -199,8 +204,7 @@ class DiagonalDomain:
     @classmethod
     def polydisc(cls, radii, exact=None):
         """The polydisc of ``radii``; a radius <= 0 raises ValueError."""
-        radii = [_positive(r) for r in radii]
-        return cls(len(radii), "polydisc", radii=radii, exact=exact)
+        return cls(len(radii), "polydisc", [_positive(r) for r in radii], exact=exact)
 
     @classmethod
     def disc(cls, radius=1, exact=None):
@@ -211,34 +215,43 @@ class DiagonalDomain:
         """The ball of ``radius`` in C^n; a radius <= 0 raises ValueError."""
         if n == 1:
             return cls.polydisc([radius], exact=exact)
-        return cls(n, "ball", radius=_positive(radius), exact=exact)
+        return cls(n, "ball", [_positive(radius)], exact=exact)
+
+    def as_float(self) -> "DiagonalDomain":
+        """This domain in float arithmetic: a copy with the same numbers, cut
+        and descriptor, its radii converted once (:func:`_numbers`)."""
+        return DiagonalDomain(self.n, self.kind, self.radii, self.weight_exponents, self.cut,
+                              False, self.descriptor)
 
     def _derived(self, descriptor, **changes):
-        """The domain of ``descriptor`` built on this one: every constructor
-        field copied from ``self`` but ``changes``, and this domain's
-        descriptor as its ``"base"``.  A domain has at most one cut, so a
-        ``cut`` change on a domain that has one raises
-        UnsupportedDomainError."""
+        """The domain of ``descriptor`` built on this one: the radii,
+        exponents and cut copied from ``self`` but ``changes`` (which name
+        ``exact``), and this domain's descriptor as its ``"base"``.  A domain
+        has at most one cut, so a ``cut`` change on a domain that has one
+        raises UnsupportedDomainError."""
         if "cut" in changes and self.cut is not None:
             raise UnsupportedDomainError(f"a {changes['cut'].kind} cut on a {self.cut.kind} domain")
-        fields = {"radii": self.radii, "radius": self.radius, "cut": self.cut, "exact": self.exact}
-        fields["weight_exponents"] = self.weight_exponents
+        fields = {"radii": self.radii, "weight_exponents": self.weight_exponents, "cut": self.cut}
         fields.update(changes, descriptor=dict(descriptor, base=self.descriptor))
         return DiagonalDomain(self.n, self.kind, **fields)
 
     def with_weight(self, phi: ToricWeight, c=1) -> "DiagonalDomain":
         """Attach the density exp(-c*phi), folding into the exponents.  A
-        sublevel cut is kept; a truncated domain raises
+        sublevel cut is kept; a ball or a truncated domain raises
         UnsupportedDomainError."""
         if phi.n != self.n:
             raise DimensionMismatchError("weight dimension differs from domain")
+        if self.kind != "polydisc":
+            raise UnsupportedDomainError("toric weights are only supported on polydiscs")
         if self.cut is not None and self.cut.kind == "truncated":
             raise UnsupportedDomainError("cannot stack a plain weight on a truncated one")
         c = Fraction(c) if self.exact else c
         c_json = str(c) if isinstance(c, Fraction) else c
+        # a float among e, c and a makes e + c*a a float, which a huge a takes past the range
+        exps = lambda: tuple(e + c * a for e, a in zip(self.weight_exponents, phi.a))
         return self._derived(
             {"kind": "toric_weight", "a": [str(a) for a in phi.a], "c": c_json},
-            weight_exponents=tuple(e + c * a for e, a in zip(self.weight_exponents, phi.a)),
+            weight_exponents=in_float_range("a weight exponent", exps),
             # a float domain stays float; an exact one is exact again if it can be
             exact=None if self.exact else False,
         )
@@ -257,53 +270,15 @@ class DiagonalDomain:
                 "truncated weights support one active coordinate, or two in dimension 2"
             )
         c = Fraction(c)
+        exps = lambda: tuple(e + c * a for e, a in zip(self.weight_exponents, tw.psi.a))
         return self._derived(
             {"kind": "truncated_weight", "a": [str(a) for a in tw.psi.a], "j": tw.j, "c": str(c)},
-            weight_exponents=tuple(e + c * a for e, a in zip(self.weight_exponents, tw.psi.a)),
+            weight_exponents=in_float_range("a weight exponent", exps),
             cut=Cut("truncated", tw.psi, tw.j, c),
             exact=False,
         )
 
     # -- norms ----------------------------------------------------------
-
-    def _make_exact(self, exact) -> bool:
-        """Whether the domain is exact: ``exact``, or when it is None whether
-        its norms are rational multiples of pi**n (no cut, every radius and
-        exponent rational, a ball unweighted and a fractional exponent only
-        on a radius 1).  An exact domain's radii and exponents become
-        Fractions here, each converted once, and a polydisc keeps per
-        coordinate the ints (p, q, a, b) of r = p/q and e = a/b.  When
-        ``exact`` is True, a domain whose norms are not rational multiples
-        of pi**n, or whose radius is a non-integer float, raises
-        ValueError."""
-        if exact is False or (exact is None and self.cut is not None):
-            return False
-        sizes = self.radii if self.radii is not None else (self.radius,)
-        try:
-            sizes = tuple(map(_as_fraction, sizes))
-            exps = tuple(map(_fraction, self.weight_exponents))
-        except (ValueError, TypeError):
-            if exact:
-                raise
-            return False
-        if self.kind == "ball":
-            rational = not any(exps)
-        else:
-            rational = all(e.denominator == 1 or r == 1 for r, e in zip(sizes, exps))
-        if self.cut is not None or not rational:
-            if exact:
-                raise ValueError("this domain's norms are not rational multiples of pi**n")
-            return False
-        self.weight_exponents = exps
-        if self.kind == "ball":
-            self.radius = sizes[0]
-        else:
-            self.radii = sizes
-            self._coords = tuple(
-                (r.numerator, r.denominator, e.numerator, e.denominator)
-                for r, e in zip(sizes, exps)
-            )
-        return True
 
     @property
     def pi_power(self) -> int:
@@ -385,31 +360,27 @@ class DiagonalDomain:
         r, x = self.radii[j], k - self.weight_exponents[j] + 1
         cut = self.cut
         if cut is not None and cut.psi.a[j] > 0:
-            c, a, x = float(cut.scale), float(cut.psi.a[j]), float(x)
+            c, a, x = cut.c, cut.a[j], float(x)
             if x + c * a <= 0:
                 return math.inf
-            log_r, log_rho = math.log(float(r)), -cut.level / (2 * a)
+            log_r, log_rho = math.log(r), -cut.level / (2 * a)
             val = _int_pow(2 * (x + c * a) - 1, -math.inf, min(log_r, log_rho), c * cut.level)
             if log_rho < log_r:
                 val += _int_pow(2 * x - 1, log_rho, log_r)
             return 2 * val
         if x <= 0:
             return math.inf
-        return float(r) ** (2 * float(x)) / float(x)
+        return r ** (2 * float(x)) / float(x)
 
     def _ball_norm(self, alpha):
-        d = degree(alpha)
-        fact = 1
-        for k in alpha:
-            fact *= math.factorial(k)
+        d, r = degree(alpha), self.radii[0]
+        fact = math.prod(map(math.factorial, alpha))
         denom = math.factorial(d + self.n)
         if self.exact:
             t = 2 * (d + self.n)
-            return Fraction(fact * self.radius.numerator**t, denom * self.radius.denominator**t)
+            return Fraction(fact * r.numerator**t, denom * r.denominator**t)
         # int / int first: alpha! alone can pass the float range
-        return finite(
-            math.pi**self.n * (fact / denom) * float(self.radius) ** (2 * (d + self.n))
-        )
+        return finite(math.pi**self.n * (fact / denom) * r ** (2 * (d + self.n)))
 
     # -- structure ------------------------------------------------------
 
@@ -430,24 +401,13 @@ class DiagonalDomain:
         )
         if not nested:
             return False
-        if self.kind == "polydisc":
-            pairs = list(zip(self.radii, other.radii))
-        else:
-            pairs = [(self.radius, other.radius)]
+        pairs = zip(self.radii, other.radii)
         if self.exact and other.exact:
             return self.weight_exponents == other.weight_exponents and all(r <= s for r, s in pairs)
-        same_weight = [float(e) for e in self.weight_exponents] == [
-            float(e) for e in other.weight_exponents]
-        return same_weight and all(float(r) <= float(s) * (1 + NESTING_RTOL) for r, s in pairs)
-
-    def _default_descriptor(self):
-        """The JSON descriptor that :func:`domain_from_json` reads back: an
-        exact domain's radii as strings ("1/2"), so that it reloads exact,
-        a float domain's as floats."""
-        number = str if self.exact else float
-        if self.kind == "polydisc":
-            return {"kind": "polydisc", "radii": [number(r) for r in self.radii]}
-        return {"kind": "ball", "radius": number(self.radius), "n": self.n}
+        same_weight = [to_float(e) for e in self.weight_exponents] == [
+            to_float(e) for e in other.weight_exponents]
+        return same_weight and all(to_float(r) <= to_float(s) * (1 + NESTING_RTOL)
+                                   for r, s in pairs)
 
     def to_json(self):
         return self.descriptor
@@ -460,7 +420,7 @@ def sublevel_domain(domain: DiagonalDomain, phi: ToricWeight, t) -> DiagonalDoma
     """The intersection {phi < -t} with a polydisc, keeping its weight and
     its cut.  A one-variable phi shrinks a radius; a two-variable phi, in
     dimension 2 only, is the domain's cut, so a domain that has one raises
-    UnsupportedDomainError."""
+    UnsupportedDomainError.  The result is a float domain."""
     if t < 0:
         raise ValueError("sublevel parameter t must be non-negative")
     if domain.kind != "polydisc":
@@ -470,15 +430,14 @@ def sublevel_domain(domain: DiagonalDomain, phi: ToricWeight, t) -> DiagonalDoma
     if t == 0:
         return domain
     t, active = float(t), phi.active()
-    radii = [float(r) for r in domain.radii]
     desc = {"kind": "sublevel", "t": t, "weight": phi.to_json()}
     if len(active) == 1:
-        m = active[0]
-        radii[m] = min(radii[m], math.exp(-t / (2 * float(phi.a[m]))))
+        m, radii = active[0], list(domain.radii)
+        radii[m] = min(radii[m], math.exp(-t / (2 * to_float(phi.a[m], "the weight exponent %s"))))
         return domain._derived(desc, radii=radii, exact=False)
     if domain.n != 2:
         raise UnsupportedDomainError("multi-variable sublevel sets are supported in dimension 2")
-    return domain._derived(desc, radii=radii, cut=Cut("sublevel", phi, t), exact=False)
+    return domain._derived(desc, cut=Cut("sublevel", phi, t), exact=False)
 
 
 def _int_pow(e, u1, u2, log_c=0.0):
@@ -540,8 +499,7 @@ def _sublevel_norm_2d(domain: DiagonalDomain, alpha):
     """Norm on {phi < -t} over a bidisc, phi two-variable: the integral over
     the Reinhardt shadow, the part of the bidisc below the curve
     x1 = e^(-t/(2 a1)) x2^(-a2/a1) (:func:`_below_curve`)."""
-    a1, a2 = (float(x) for x in domain.cut.psi.a)
-    r1, r2 = (float(r) for r in domain.radii)
+    (a1, a2), (r1, r2) = domain.cut.a, domain.radii
     e1, e2 = (float(e) for e in domain.weight_exponents)
     p = 2 * alpha[0] + 1 - 2 * e1
     q = 2 * alpha[1] + 1 - 2 * e2
@@ -562,10 +520,8 @@ def _truncated_norm_2d(domain: DiagonalDomain, alpha):
     powers of x2, with a log x2 term when the singular exponent p_sing is
     -1.
     """
-    cut, c = domain.cut, float(domain.cut.scale)
-    a1, a2 = (float(x) for x in cut.psi.a)
-    j = cut.level
-    r1, r2 = (float(r) for r in domain.radii)
+    cut, c = domain.cut, domain.cut.c
+    (a1, a2), (r1, r2), j = cut.a, domain.radii, cut.level
     base_e1 = float(domain.weight_exponents[0]) - c * a1
     base_e2 = float(domain.weight_exponents[1]) - c * a2
     p_cap = 2 * alpha[0] + 1 - 2 * base_e1  # capped region: only base weight
@@ -612,7 +568,7 @@ def weighted_integral(domain: DiagonalDomain, F, phi: ToricWeight, c):
         nrm = norm(alpha)
         if nrm == math.inf:
             return PiValue(math.inf, dom.pi_power) if exact else math.inf
-        total = total + abs2_s(coeff) * nrm
+        total += (abs2_s(coeff) if exact else to_float(abs2_s(coeff), "|F_alpha|^2 = %s")) * nrm
     if exact:
         return PiValue(total, dom.pi_power)
     return in_float_range("the weighted integral of F", lambda: finite(total)) if total else total
@@ -749,8 +705,7 @@ def moment_matrix(descriptor, degree_bound, name="descriptor") -> MomentDomain:
     descriptor = _descriptor(descriptor, name)
     kind = descriptor["kind"]
     if kind in ("polydisc", "ball"):
-        dom = _diagonal_from_json(descriptor, name)
-        dom.exact = False  # the moment matrix holds float norms
+        dom = _diagonal_from_json(descriptor, name).as_float()
         n = dom.n
     elif kind in MOMENT_KINDS:
         n = 1
@@ -764,53 +719,52 @@ def moment_matrix(descriptor, degree_bound, name="descriptor") -> MomentDomain:
     M = np.zeros((m, m), dtype=complex)
     quad_error = 0.0
 
-    if kind in ("polydisc", "ball"):
-        for i, alpha in enumerate(idx):
-            M[i, i] = dom.norm_float(alpha)
-    elif kind in ("offcenter_disc", "two_point_disc"):
-        if kind == "two_point_disc":
-            # {|z|^2 + |z-c|^2 < r}  ==  disc of center c/2, squared radius
-            # (r - |c|^2/2)/2
-            c = _point(descriptor["c"], f"{name}.c")
-            r = float(number(descriptor["r"], f"{name}.r"))
-            rad2 = (r - abs(c) ** 2 / 2) / 2
-            if rad2 <= 0:
-                raise ValueError("two_point_disc descriptor is empty")
-            # the origin is in the domain iff 0 + |c|^2 < r
-            if not abs(c) ** 2 < r:
-                raise ValueError(
-                    f"{name}.r must exceed |c|^2 = {abs(c) ** 2!r}, or the domain misses the origin"
-                )
-            center, radius = c / 2, math.sqrt(rad2)
-        else:
-            center = _point(descriptor["center"], f"{name}.center")
-            radius = _positive(float(number(descriptor["radius"], f"{name}.radius")))
-            if not abs(center) < radius:
-                raise ValueError(
-                    f"{name}.center must lie within the radius {radius!r} of the origin, "
-                    "or the disc misses it"
-                )
-        for i in range(m):
-            for j in range(m):
-                M[i, j] = _offcenter_disc_entry(center, radius, i, j)
-    else:  # radial
-        base = float(number(descriptor["base"], f"{name}.base"))
-        harmonics = []
-        for i, h in enumerate(json_list(descriptor.get("harmonics", []), f"{name}.harmonics")):
-            where = f"{name}.harmonics[{i}]"
-            k, *ab = json_list(h, where, length=3)
-            ab = [float(number(x, f"{where}[{j}]")) for j, x in enumerate(ab, 1)]
-            k = integer(k, f"the harmonic order {where}[0]", 0)
-            if k > MAX_JET_INDICES:
+    try:  # an overflow, from the size of the inputs
+        if kind in ("polydisc", "ball"):
+            for i, alpha in enumerate(idx):
+                M[i, i] = dom.norm_float(alpha)
+        elif kind in ("offcenter_disc", "two_point_disc"):
+            if kind == "two_point_disc":
+                # {|z|^2 + |z-c|^2 < r}  ==  disc of center c/2, squared radius
+                # (r - |c|^2/2)/2
+                c = _point(descriptor["c"], f"{name}.c")
+                r = real(descriptor["r"], f"{name}.r")
+                rad2 = (r - abs(c) ** 2 / 2) / 2
+                if rad2 <= 0:
+                    raise ValueError("two_point_disc descriptor is empty")
+                # the origin is in the domain iff 0 + |c|^2 < r
+                if not abs(c) ** 2 < r:
+                    raise ValueError(f"{name}.r must exceed |c|^2 = {abs(c) ** 2!r}, "
+                                     "or the domain misses the origin")
+                center, radius = c / 2, math.sqrt(rad2)
+            else:
+                center = _point(descriptor["center"], f"{name}.center")
+                radius = _positive(real(descriptor["radius"], f"{name}.radius"))
+                if not abs(center) < radius:
+                    raise ValueError(
+                        f"{name}.center must lie within the radius {radius!r} of the origin, "
+                        "or the disc misses it"
+                    )
+            for i in range(m):
+                for j in range(m):
+                    M[i, j] = _offcenter_disc_entry(center, radius, i, j)
+        else:  # radial
+            base = real(descriptor["base"], f"{name}.base")
+            harmonics = []
+            for i, h in enumerate(json_list(descriptor.get("harmonics", []), f"{name}.harmonics")):
+                where = f"{name}.harmonics[{i}]"
+                k, *ab = json_list(h, where, length=3)
+                ab = [real(x, f"{where}[{j}]") for j, x in enumerate(ab, 1)]
                 # the trapezoid rule takes K(2d + 2) + d + 1 points for the top order K
-                raise ValueError(f"the harmonic order {where}[0] must be at most "
-                                 f"{MAX_JET_INDICES}, not {k}")
-            harmonics.append((k, *ab))
-        # r must stay positive (NaN fails too): checked on a fine theta grid
-        grid = np.arange(4096) * (2 * np.pi / 4096)
-        if not _radius(base, harmonics, grid).min() > 0:
-            raise ValueError("radial descriptor has r(theta) <= 0 somewhere")
-        M, quad_error = _radial_moments(base, harmonics, degree_bound)
+                k = integer(k, f"the harmonic order {where}[0]", 0, MAX_JET_INDICES)
+                harmonics.append((k, *ab))
+            # r must stay positive (NaN fails too): checked on a fine theta grid
+            grid = np.arange(4096) * (2 * np.pi / 4096)
+            if not _radius(base, harmonics, grid).min() > 0:
+                raise ValueError("radial descriptor has r(theta) <= 0 somewhere")
+            M, quad_error = _radial_moments(base, harmonics, degree_bound)
+    except OverflowError:
+        raise QuadratureError(f"the moment matrix of {name} overflows a float") from None
 
     if not quad_error <= QUAD_TOL * max(1.0, float(np.max(np.abs(M)))):
         raise QuadratureError(
@@ -838,7 +792,7 @@ def _descriptor(data, name):
 def _point(x, name):
     """A descriptor's point [re, im] of the plane, as a complex."""
     re, im = json_list(x, name, length=2)
-    return complex(float(number(re, f"{name}[0]")), float(number(im, f"{name}[1]")))
+    return complex(real(re, f"{name}[0]"), real(im, f"{name}[1]"))
 
 
 def domain_from_json(data, degree=None, name="domain"):
@@ -863,23 +817,26 @@ def domain_from_json(data, degree=None, name="domain"):
 
 def _diagonal_from_json(data, name):
     """The diagonal domain of a descriptor (the base of a weighted or
-    sublevel kind is diagonal too): ``radii`` is a nonempty list, ``n``
-    (1 if absent) and ``j`` integers >= 1."""
+    sublevel kind is diagonal too): ``radii`` is a nonempty list, ``n`` (1
+    if absent) and ``j`` integers >= 1, and a domain has at most
+    ``MAX_JET_INDICES`` variables."""
     data = _descriptor(data, name)
     kind = data["kind"]
     if kind == "polydisc":
         radii = json_list(data["radii"], f"{name}.radii", nonempty=True)
+        if len(radii) > MAX_JET_INDICES:
+            raise ValueError(f"{name}.radii must have at most {MAX_JET_INDICES} items")
         radii = [number(r, f"{name}.radii[{i}]") for i, r in enumerate(radii)]
         return DiagonalDomain.polydisc(radii)
     if kind == "ball":
-        n = integer(data.get("n", 1), f"{name}.n", 1)
+        n = integer(data.get("n", 1), f"{name}.n", 1, MAX_JET_INDICES)
         return DiagonalDomain.ball(n, number(data["radius"], f"{name}.radius"))
     if kind in MOMENT_KINDS:
         raise ValueError(f"{name} must be a diagonal domain, not {kind!r}")
     base = _diagonal_from_json(data["base"], f"{name}.base")
     if kind == "sublevel":
         phi = ToricWeight.from_json(data["weight"], f"{name}.weight")
-        return sublevel_domain(base, phi, float(number(data["t"], f"{name}.t")))
+        return sublevel_domain(base, phi, real(data["t"], f"{name}.t"))
     phi, c = ToricWeight.from_json(data, name), number(data.get("c", 1), f"{name}.c")
     if kind == "toric_weight":
         return base.with_weight(phi, c)

@@ -17,7 +17,8 @@ from numbers import Rational
 
 from .errors import QuadratureError
 
-__all__ = ["QQi", "PiValue", "abs2_s", "value_float", "encode", "in_float_range", "finite"]
+__all__ = ["QQi", "PiValue", "abs2_s", "value_float", "encode", "in_float_range", "finite",
+           "to_float", "to_complex"]
 
 
 class QQi:
@@ -106,7 +107,7 @@ class QQi:
         return _qqi(self.real, -self.imag)
 
     def __complex__(self):
-        return complex(float(self.real), float(self.imag))
+        return to_complex(self)
 
     def __repr__(self):
         return f"QQi({self.real}, {self.imag})"
@@ -162,9 +163,9 @@ class PiValue:
             return math.inf
         if not self.coeff:
             return 0.0
-        e = math.log10(self.coeff.numerator) - math.log10(self.coeff.denominator)
-        name = f"the exact value {10 ** (e % 1):.6g}e{math.floor(e)} * pi^{self.pi_power}"
-        return in_float_range(name, lambda: finite(float(self.coeff) * math.pi**self.pi_power))
+        return in_float_range("the exact value %s * pi^%d",
+                              lambda: finite(float(self.coeff) * math.pi**self.pi_power),
+                              _Size(self.coeff), self.pi_power)
 
     def __repr__(self):
         if self.pi_power == 0:
@@ -178,7 +179,7 @@ class PiValue:
 
 
 def in_float_range(name, compute, *args):
-    """``compute()``, the float of a quantity positive by the maths, named
+    """``compute()``, the float of a quantity nonzero by the maths, named
     ``name % args``: an overflow (an OverflowError, raised by :func:`finite`
     too) or an underflow to 0 raises QuadratureError naming it.  The name is
     formatted only then, as a norm's multi-index is on a hot path."""
@@ -189,6 +190,27 @@ def in_float_range(name, compute, *args):
     if not val:
         raise QuadratureError(f"{name % args} underflows to 0")
     return val
+
+
+def to_float(x, name="the exact number %s"):
+    """``float(x)`` of a float, an int or a Fraction; a nonzero rational past the
+    float range raises QuadratureError naming its size ("the exact number 1e400")."""
+    if type(x) is float or not x:
+        return float(x)
+    return in_float_range(name, lambda: float(x), _Size(x))
+
+
+def to_complex(c):
+    """``complex(c)``, the parts of an exact ``c`` each by :func:`to_float`."""
+    return c if type(c) is complex else complex(to_float(c.real), to_float(c.imag))
+
+
+class _Size(Fraction):
+    """A nonzero rational that prints as its size, such as "1.5e400"."""
+
+    def __str__(self):
+        e = math.log10(abs(self.numerator)) - math.log10(self.denominator)
+        return f"{'-' if self < 0 else ''}{10 ** (e % 1):.6g}e{math.floor(e)}"
 
 
 def finite(val):

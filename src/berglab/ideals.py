@@ -58,7 +58,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 
 from .errors import ImproperIdealError
-from .exactnum import is_exact
+from .exactnum import is_exact, to_complex
 # the jet-space cap lives with the layout; callers read it from here too
 from .indices import (
     MAX_JET_INDICES,
@@ -182,7 +182,8 @@ class Block:
         its unit-scaled kept rows at their exact rank."""
         if not self.exact:
             return self.rows, self.null
-        return _orthonormal_split(self.rows, len(self.indices), len(self.rows))
+        rows = [[to_complex(x) for x in row] for row in self.rows]  # the range rule on each
+        return _orthonormal_split(rows, len(self.indices), len(rows))
 
 
 class JetIdeal:

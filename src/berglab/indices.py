@@ -37,6 +37,9 @@ MultiIndex = tuple  # tuple[int, ...]
 # large block grows about as the cube of that block's size.
 MAX_JET_INDICES = 500
 
+# highest degree of a multi-index from outside: `kernel` at z2^(10^8) on radii [1, 2] takes 1.5 s
+MAX_DEGREE = 10**8
+
 
 def degree(alpha: MultiIndex) -> int:
     return sum(alpha)
@@ -50,6 +53,8 @@ def validate_index(alpha, n: int) -> MultiIndex:
         )
     if any(a < 0 for a in alpha):
         raise ValueError(f"multi-index {alpha} has a negative component")
+    if sum(alpha) > MAX_DEGREE:
+        raise ValueError(f"multi-index {alpha} has a degree above {MAX_DEGREE}")
     return alpha
 
 
@@ -58,24 +63,24 @@ def order_key(alpha: MultiIndex):
     return (sum(alpha), tuple(reversed(alpha)))
 
 
+def _by_degree(n: int, d: int) -> list:
+    """Per degree k <= d, the indices of degree k in order, one variable at a time."""
+    rows = [[(k,)] for k in range(d + 1)]
+    for _ in range(n - 1):
+        # smaller last coordinate first
+        rows = [[rest + (last,) for last in range(k + 1) for rest in rows[k - last]]
+                for k in range(d + 1)]
+    return rows
+
+
 def indices_of_degree(n: int, d: int) -> list:
     """All indices with |alpha| = d, in the graded order."""
-    if n == 1:
-        return [(d,)]
-    # smaller last coordinate first
-    return [
-        rest + (last,)
-        for last in range(d + 1)
-        for rest in indices_of_degree(n - 1, d - last)
-    ]
+    return _by_degree(n, d)[d]
 
 
 def indices_up_to(n: int, d: int) -> list:
     """All indices with |alpha| <= d, in the graded order."""
-    out = []
-    for k in range(d + 1):
-        out.extend(indices_of_degree(n, k))
-    return out
+    return [alpha for row in _by_degree(n, d) for alpha in row]
 
 
 def check_jet_space(n: int, k: int) -> None:

@@ -21,8 +21,8 @@ from .errors import (
     SupportBoundError,
     ZeroFunctionalError,
 )
-from .exactnum import QQi, is_exact
-from .indices import degree, order_key, validate_index
+from .exactnum import QQi, is_exact, to_complex, to_float
+from .indices import MAX_JET_INDICES, degree, order_key, validate_index
 from .jsonspec import integer, json_list, json_object, number
 
 
@@ -115,7 +115,7 @@ class Jet:
 
     def to_float(self) -> "Jet":
         return Jet.unchecked(
-            self.n, self.degree_bound, {a: complex(c) for a, c in self.coeffs.items()}
+            self.n, self.degree_bound, {a: to_complex(c) for a, c in self.coeffs.items()}
         )
 
     def __eq__(self, other):
@@ -197,7 +197,7 @@ class Functional:
         return Functional.unchecked(self.n, entries)
 
     def to_float(self) -> "Functional":
-        return Functional.unchecked(self.n, {a: complex(c) for a, c in self.entries.items()})
+        return Functional.unchecked(self.n, {a: to_complex(c) for a, c in self.entries.items()})
 
     def __eq__(self, other):
         return (
@@ -274,14 +274,14 @@ def _terms_to_json(terms):
 
 
 def _terms_from_json(data, name):
-    """``n`` (an integer >= 1) and the coefficients of a jet's or a
-    functional's object, whose ``terms`` are objects with ``alpha``, a list
-    of integers >= 0, and ``re`` and ``im``, numbers or rational strings (0
-    if absent; a string makes the coefficient an exact QQi, so a term may
-    not pair one with a JSON float).  Anything else raises ValueError naming
-    the field."""
+    """``n`` (an integer from 1 to ``MAX_JET_INDICES``) and the
+    coefficients of a jet's or a functional's object, whose ``terms`` are
+    objects with ``alpha``, a list of integers >= 0, and ``re`` and ``im``,
+    numbers or rational strings (0 if absent; a string makes the
+    coefficient an exact QQi, so a term may not pair one with a JSON
+    float).  Anything else raises ValueError naming the field."""
     data = json_object(data, name, ("n", "terms"))
-    n = integer(data["n"], f"{name}.n", 1)
+    n = integer(data["n"], f"{name}.n", 1, MAX_JET_INDICES)
     terms = {}
     for i, term in enumerate(json_list(data["terms"], f"{name}.terms")):
         where = f"{name}.terms[{i}]"
@@ -294,5 +294,5 @@ def _terms_from_json(data, name):
                 f"{where} mixes a JSON float with a rational string; "
                 "write both parts as strings or both as numbers"
             )
-        terms[alpha] = QQi(re, im) if exact else complex(re, im)
+        terms[alpha] = QQi(re, im) if exact else complex(to_float(re), to_float(im))
     return n, terms

@@ -22,7 +22,7 @@ from .errors import (
     ZeroFunctionalError,
     ZeroKernelError,
 )
-from .exactnum import PiValue, encode, value_float
+from .exactnum import PiValue, encode, to_float, value_float
 from .ideals import (
     MonomialIdeal,
     monomial_jet_ideal,
@@ -265,9 +265,8 @@ def effectiveness_report(D: DiagonalDomain, F: Jet, phi: ToricWeight) -> Effecti
     if isinstance(p_max, Fraction):
         sharp = p_max == p_star
     else:
-        sharp = math.isfinite(p_max) and abs(p_max - float(p_star)) <= 1e-9 * max(
-            1.0, float(p_star)
-        )
+        ps = to_float(p_star, "the threshold p* = %s")
+        sharp = math.isfinite(p_max) and abs(p_max - ps) <= 1e-9 * max(1.0, ps)
     diag = {
         "jet_level": J.level,
         "b_gap": gap,

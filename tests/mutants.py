@@ -186,8 +186,8 @@ MUTANTS = [
     (
         "float-polydisc-norm-r-2x-plus-1",
         "domains.py",
-        "return float(r) ** (2 * float(x)) / float(x)",
-        "return float(r) ** (2 * float(x) + 1) / float(x)",
+        "return r ** (2 * float(x)) / float(x)",
+        "return r ** (2 * float(x) + 1) / float(x)",
         [
             "tests/test_bergman.py::TestCrossBackend::test_float_routes_match_exact[polydisc-int]",
             "tests/test_acceptance.py::test_criterion_6_log_convexity",
@@ -207,8 +207,8 @@ MUTANTS = [
     (
         "derived-domain-drops-cut",
         "domains.py",
-        '"cut": self.cut, "exact": self.exact}',
-        '"cut": None, "exact": self.exact}',
+        '"weight_exponents": self.weight_exponents, "cut": self.cut}',
+        '"weight_exponents": self.weight_exponents, "cut": None}',
         [
             "tests/test_domains.py::TestCuts::test_one_variable_sublevel_keeps_the_cap",
             "tests/test_domains.py::TestCuts::test_weight_and_sublevel_commute[two-variable]",
@@ -227,10 +227,54 @@ MUTANTS = [
     (
         "harmonic-order-uncapped",
         "domains.py",
-        "if k > MAX_JET_INDICES:",
-        "if False:",
+        'k = integer(k, f"the harmonic order {where}[0]", 0, MAX_JET_INDICES)',
+        'k = integer(k, f"the harmonic order {where}[0]", 0)',
         [
             "tests/test_cli.py::TestKernelBasis::test_basis_refuses_a_harmonic_order_past_the_cap",
+        ],
+    ),
+    # -- the range rule on inputs, and the degree and dimension caps --
+    (
+        "exact-to-complex-without-the-range-rule",
+        "exactnum.py",
+        "return c if type(c) is complex else complex(to_float(c.real), to_float(c.imag))",
+        "return c if type(c) is complex else complex(float(c.real), float(c.imag))",
+        [
+            "tests/test_cli.py::TestInputsPastTheFloatRange::test_exit[kernel-xi]",
+            "tests/test_cli.py::TestInputsPastTheFloatRange::test_exit[equiv-float-mode-1e-400]",
+            "tests/test_domain_record.py::TestFloatRangeRule::test_qqi_complex",
+        ],
+    ),
+    (
+        "degree-uncapped",
+        "indices.py",
+        "if sum(alpha) > MAX_DEGREE:",
+        "if False:",
+        [
+            "tests/test_cli.py::TestDegreeAndDimensionCaps::test_degree_past_the_cap_exit_2_in_time",
+            "tests/test_domain_record.py::TestCaps::test_degree_cap",
+        ],
+    ),
+    (
+        "dimension-uncapped",
+        "jsonspec.py",
+        "if maximum is not None and x > maximum:",
+        "if False:",
+        [
+            "tests/test_cli.py::TestDegreeAndDimensionCaps::test_dimension_past_the_cap_exit_2[xi]",
+            "tests/test_cli.py::TestDegreeAndDimensionCaps::test_dimension_past_the_cap_exit_2[ball-1e308]",
+            "tests/test_domain_record.py::TestCaps::test_integer_maximum",
+        ],
+    ),
+    (
+        "float-only-field-unchecked",
+        "jsonspec.py",
+        "return to_float(number(x, name))",
+        "return float(number(x, name))",
+        [
+            "tests/test_cli.py::TestInputsPastTheFloatRange::test_exit[radial-base]",
+            "tests/test_cli.py::TestInputsPastTheFloatRange::test_exit[two-point-c-1e-400]",
+            "tests/test_domain_record.py::TestFloatRangeRule::test_float_only_field",
         ],
     ),
     # -- values and the command line (exactnum, cli) --

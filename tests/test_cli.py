@@ -1491,3 +1491,175 @@ class TestRangeShape:
         result = run_cli(args)
         assert result.exit_code == 2
         assert result.stderr == f"spec error: {message}\n"
+
+
+# a spec's numbers past the float range, and the degree and dimension caps
+def _z(re, im="0"):
+    return {"n": 1, "terms": [{"alpha": [1], "re": re, "im": im}]}
+
+
+_HALF_DISC = {"kind": "polydisc", "radii": [0.5]}
+_N2000 = {"kind": "polydisc", "radii": ["1"] * 2000}
+_Z1_N2000 = {"n": 2000, "terms": [{"alpha": [1] + [0] * 1999, "re": "1", "im": "0"}]}
+_LEVEL_1_N2000 = {"generators": [_Z1_N2000], "level": 1}
+_SUBLEVEL_2D = {"kind": "sublevel", "t": 1.0, "weight": {"a": ["1", "2"]},
+                "base": {"kind": "polydisc", "radii": ["1", "3/2"]}}
+
+
+def _equiv_z_squared(domain, F):
+    return {"domain": domain, "F": F, "ideal": {"generators": [_Z_SQUARED], "level": 2}}
+
+
+class TestInputsPastTheFloatRange:
+    """A number of the spec that float code reads goes through the one range
+    rule: a float-only field past the range is a spec error (exit 2) naming
+    it, and an exact number made a float is a numerical failure (exit 3)
+    naming its size.  Nothing goes to stdout and no --out file is written."""
+
+    @pytest.mark.parametrize(
+        "command, spec, options, code, message",
+        [
+            ("basis", {"domain": {"kind": "radial", "base": "1e400"}, "degree": 2}, [], 2,
+             "spec error: domain.base '1e400' is outside the float range"),
+            ("basis", {"domain": {"kind": "offcenter_disc", "center": [0, 0], "radius": "1e400"},
+                       "degree": 2}, [], 2,
+             "spec error: domain.radius '1e400' is outside the float range"),
+            ("equiv", _equiv_z_squared({"kind": "sublevel", "t": "1e400", "weight": {"a": ["1"]},
+                                        "base": _DISC}, _z("1")), [], 2,
+             "spec error: domain.t '1e400' is outside the float range"),
+            ("basis", {"domain": {"kind": "two_point_disc", "c": ["1e-400", 0], "r": 2},
+                       "degree": 2}, [], 2,
+             "spec error: domain.c[0] '1e-400' is outside the float range"),
+            # the sublevel set keeps the radius 1e400 of the coordinate it does not cut
+            ("cse", {"domain": {"kind": "polydisc", "radii": ["1e400", "1"]},
+                     "xi": {"n": 2, "terms": [{"alpha": [1, 0], "re": "1", "im": "0"}]},
+                     "weight": {"a": ["0", "1"]}}, [], 3,
+             "numerical failure: the radius 1e400 overflows a float"),
+            ("cse", {"domain": _DISC, "xi": _z("1"), "weight": {"a": ["1e400"]}}, [], 3,
+             "numerical failure: the weight exponent 1e400 overflows a float"),
+            ("cse", {"domain": _DISC, "xi": _z("1e400"), "weight": {"a": ["1"]}}, [], 3,
+             "numerical failure: the exact number 1e400 overflows a float"),
+            ("kernel", {"domain": _HALF_DISC, "xi": _z("1e400")}, [], 3,
+             "numerical failure: the exact number 1e400 overflows a float"),
+            ("equiv", _equiv_z_squared(_HALF_DISC, _z("1e400")), [], 3,
+             "numerical failure: the exact number 1e400 overflows a float"),
+            ("density", {"domain": _DISC, "F": _z("1e400"), "generators": [_Z_SQUARED]}, [], 3,
+             "numerical failure: the exact number 1e400 overflows a float"),
+            # not K = 0 or C = 0: the true values are positive
+            ("kernel", {"domain": _HALF_DISC, "xi": _z("1e-400")}, [], 3,
+             "numerical failure: the exact number 1e-400 underflows to 0"),
+            ("equiv", _equiv_z_squared(_HALF_DISC, _z("1e-400")), [], 3,
+             "numerical failure: the exact number 1e-400 underflows to 0"),
+            ("equiv", _equiv_z_squared(_DISC, _z("1e-400")), ["--mode", "float"], 3,
+             "numerical failure: the exact number 1e-400 underflows to 0"),
+            ("sop", {"domain": _SUBLEVEL_2D, "weight": {"a": ["1/2", "1/2"]},
+                     "F": {"n": 2, "terms": [{"alpha": [0, 1], "re": "1/2", "im": "1e400"}]}}, [], 3,
+             "numerical failure: |F_alpha|^2 = 1e800 overflows a float"),
+            # found by tests/test_fuzz.py: a float weight scale meets a weight
+            # exponent, exact generators in a float view, p*, a JSON integer
+            ("equiv", _equiv_z_squared({"kind": "toric_weight", "a": ["1e400"], "c": 0.5,
+                                        "base": _HALF_DISC}, _z("1")), [], 3,
+             "numerical failure: a weight exponent overflows a float"),
+            ("sop", {"domain": {"kind": "toric_weight", "a": ["1/2"], "c": 0.5, "base": _HALF_DISC},
+                     "F": _z("1"), "weight": {"a": ["1e400"]}}, [], 3,
+             "numerical failure: a weight exponent overflows a float"),
+            ("ladder", {"domain": _SUBLEVEL_2D, "F": _Z1, "k_range": "1..3",
+                        "generators": [{"n": 2, "terms": [{"alpha": [1, 0], "re": "1", "im": "0"},
+                                                          {"alpha": [0, 2], "re": "1e-400"}]}]},
+             [], 3, "numerical failure: the exact number 1e400 overflows a float"),
+            ("density", {"domain": {"kind": "ball", "n": 2, "radius": "1"}, "F": _Z1,
+                         "generators": [{"n": 2, "terms": [{"alpha": [1, 0], "re": "1e400"},
+                                                           {"alpha": [0, 2], "re": "-2"}]}]},
+             [], 3, "numerical failure: the exact number 1e400 overflows a float"),
+            ("sop", {"domain": _HALF_DISC, "F": _z("1"), "weight": {"a": ["1e-400"]}}, [], 3,
+             "numerical failure: the threshold p* = 2e400 overflows a float"),
+            ("equiv", _equiv_z_squared(_HALF_DISC, {"n": 1, "terms": [{"alpha": [1], "re": 10**400}]}),
+             [], 3, "numerical failure: the exact number 1e400 overflows a float"),
+            # moment matrices past the float range
+            ("equiv", _equiv_z_squared({"kind": "two_point_disc", "c": [1e308, 0], "r": 2.0},
+                                       _z("1")), [], 3,
+             "numerical failure: the moment matrix of domain overflows a float"),
+            ("basis", {"domain": {"kind": "offcenter_disc", "center": [0.1, 0], "radius": 1e308},
+                       "degree": 3}, [], 3,
+             "numerical failure: the moment matrix of domain overflows a float"),
+            ("basis", {"domain": {"kind": "radial", "base": 1e308}, "degree": 3}, [], 3,
+             "numerical failure: overflow encountered in power"),
+            ("kernel", {"domain": {"kind": "two_point_disc", "c": [0.3, -0.2], "r": 2.0},
+                        "xi": _z(0, 1e308)}, [], 3,
+             "numerical failure: overflow encountered in scalar multiply"),
+        ],
+        ids=["radial-base", "offcenter-radius", "sublevel-t", "two-point-c-1e-400",
+             "cse-radius", "cse-weight", "cse-xi", "kernel-xi", "equiv-F", "density-F",
+             "kernel-xi-1e-400", "equiv-F-1e-400", "equiv-float-mode-1e-400", "sop-F-sublevel",
+             "weight-float-c", "sop-float-weighted", "ladder-exact-rows", "density-exact-rows", "sop-p-star",
+             "equiv-json-int", "two-point-c-1e308", "offcenter-radius-1e308", "radial-base-1e308",
+             "kernel-moment-1e308"],
+    )
+    def test_exit(self, tmp_path, command, spec, options, code, message):
+        out = tmp_path / "out"
+        result = run_cli([command, "--spec", write_spec(tmp_path, spec), "--out", str(out),
+                          *options])
+        assert (result.exit_code, result.stdout, result.stderr) == (code, "", message + "\n")
+        assert not out.exists()
+
+    def test_one_variable_sublevel_replaces_a_radius_past_the_range(self, tmp_path):
+        # {|z|^2 < e^-t} within the disc of radius 1e400 is the disc of radius
+        # e^(-t/2), whose growth rate is the unit disc's
+        spec = {"domain": _DISC, "xi": _z("1"), "weight": {"a": ["1"]}}
+        unit = run_cli(["cse", "--spec", write_spec(tmp_path, spec, "unit.json")])
+        spec["domain"] = {"kind": "polydisc", "radii": ["1e400"]}
+        wide = run_cli(["cse", "--spec", write_spec(tmp_path, spec, "wide.json")])
+        assert (wide.exit_code, wide.stdout, wide.stderr) == (0, unit.stdout, "")
+
+
+class TestDegreeAndDimensionCaps:
+    @pytest.mark.parametrize(
+        "command, spec, options, message",
+        [
+            ("equiv", {"domain": _N2000, "F": _Z1_N2000, "ideal": _LEVEL_1_N2000}, [],
+             "domain.radii must have at most 500 items"),
+            ("exhaust", {"domains": [_N2000], "F": _Z1_N2000, "ideal": _LEVEL_1_N2000}, [],
+             "domains[0].radii must have at most 500 items"),
+            ("ladder", {"domain": _N2000, "F": _Z1_N2000, "generators": [_Z1_N2000]},
+             ["--k", "1..1"], "domain.radii must have at most 500 items"),
+            ("basis", {"domain": _N2000, "degree": 0}, [], "domain.radii must have at most 500 items"),
+            ("basis", {"domain": {"kind": "ball", "radius": "1", "n": 1e308}, "degree": 0}, [],
+             f"domain.n must be at most 500, not {int(1e308)}"),
+            ("basis", {"domain": {"kind": "ball", "radius": "1", "n": 100000000}, "degree": 0},
+             [], "domain.n must be at most 500, not 100000000"),
+            ("kernel", {"domain": _DISC, "xi": {"n": 2000, "terms": []}}, [],
+             "xi.n must be at most 500, not 2000"),
+        ],
+        ids=["equiv", "exhaust", "ladder", "basis", "ball-1e308", "ball-1e8", "xi"],
+    )
+    def test_dimension_past_the_cap_exit_2(self, tmp_path, command, spec, options, message):
+        out = tmp_path / "out"
+        result = run_cli([command, "--spec", write_spec(tmp_path, spec), "--out", str(out),
+                          *options])
+        assert (result.exit_code, result.stdout, result.stderr) == (2, "", f"spec error: {message}\n")
+        assert not out.exists()
+
+    def test_dimension_at_the_cap_runs(self, tmp_path):
+        # 500 variables at level 1 build their one index without a deep recursion
+        dom = {"kind": "polydisc", "radii": ["1"] * 500}
+        z1 = {"n": 500, "terms": [{"alpha": [1] + [0] * 499, "re": "1", "im": "0"}]}
+        spec = {"domain": dom, "F": z1, "ideal": {"generators": [z1], "level": 1}}
+        result = run_cli(["equiv", "--spec", write_spec(tmp_path, spec)])
+        assert (result.exit_code, result.stdout, result.stderr) == (
+            0, "C  = 0\nB' = 0\ngap = 0.000e+00\n", "")
+
+    def test_degree_past_the_cap_exit_2_in_time(self, tmp_path):
+        # 1e308 reads as the integer 10^308, and its exact norm would have
+        # 2*10^308 bits: in a child process, as that hang holds the interpreter
+        spec = {"domain": _two_radii("1", "2"),
+                "xi": {"n": 2, "terms": [{"alpha": [3, 1e308], "re": "1", "im": "0"}]}}
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "berglab.cli", "kernel", "--spec", write_spec(tmp_path, spec),
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=5,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            2, "", f"spec error: multi-index (3, {int(1e308)}) has a degree above 100000000\n")
+        assert not out.exists()

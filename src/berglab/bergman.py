@@ -85,7 +85,7 @@ from .ideals import (
     outside_blocks,
     rank_split,
 )
-from .indices import degree, indices_up_to
+from .indices import check_length, degree, indices_up_to
 from .jets import Functional, Jet, pair
 from .linalg import combine, from_ring, hermitian_gram, solve, to_ring
 
@@ -117,12 +117,14 @@ def riesz_representative(domain, xi: Functional) -> Jet:
         terms = {a: v for a, v in zip(domain.indices, t) if abs(v) > 0}
         return Jet(domain.n, domain.degree_bound, terms)
     exact = domain.exact and is_exact(xi.entries.values())
+    norm = domain._norm if exact else domain._norm_float
     coeffs = {}
     for alpha, c in xi.entries.items():
-        nrm = domain.norm(alpha) if exact else domain.norm_float(alpha)
+        check_length(alpha, domain.n)  # checked when xi was built, but not against the domain
+        nrm = norm(alpha)
         if nrm != math.inf:
             coeffs[alpha] = (c if exact else to_complex(c)).conjugate() / nrm
-    return Jet(domain.n, xi.order(), coeffs)
+    return Jet.unchecked(domain.n, xi.order(), coeffs)
 
 
 def kernel_at_origin(domain, xi: Functional):
@@ -281,9 +283,8 @@ class _Problem:
         else:
             self.backend = "exact" if domain.exact and exact else "float"
             # idx comes from the jet ideal's layout: its norms need no index check
-            weights = [domain._norm(a) for a in idx]
-            if self.backend != "exact":
-                weights = [domain._as_float(w, a) for w, a in zip(weights, idx)]
+            norm = domain._norm if self.backend == "exact" else domain._norm_float
+            weights = [norm(a) for a in idx]
             self.finite, self.infinite = [], []
             for i, w in enumerate(weights):
                 # an exact norm is a Fraction: only a non-integrable slot holds a float
@@ -393,7 +394,7 @@ def minimal_l2(domain, F: Jet, J: JetIdeal) -> ProjectionResult:
 def _project(prob: _Problem) -> ProjectionResult:
     if prob.contained:
         J = prob.J
-        zero = Jet.zero(J.n, J.level - 1), Functional.delta(J.n, (0,) * J.n), prob.pi_power
+        zero = Jet.zero(J.n, J.level - 1), Functional.unchecked(J.n, {(0,) * J.n: 1}), prob.pi_power
         diag = prob.diagnostics("contained", None, None)
         return ProjectionResult(prob.value(Fraction(0)), *zero, diag)
     if prob.backend == "exact":
@@ -680,7 +681,7 @@ def krull_ladder(domain, F: Jet, gens: IdealPresentation, k_range) -> LadderResu
     for k in k_range:
         J = jet_ideal(gens, k)
         # F is a full polynomial here; widen its declared bound as k grows
-        Fk = Jet(F.n, max(F.degree_bound, k - 1), F.coeffs)
+        Fk = Jet.unchecked(F.n, max(F.degree_bound, k - 1), F.coeffs)
         c, b = both_routes(domain, Fk, J)
         rows.append(LadderRow(k, c.value, b.value))
     stabilized = False
@@ -712,7 +713,7 @@ def _inner_float(domain: DiagonalDomain, f: Jet, g: Jet) -> complex:
     for a, cf in f.coeffs.items():
         cg = g.coeffs.get(a)
         if cg is not None:
-            nrm = domain.norm_float(a)
+            nrm = domain._norm_float(a)
             if nrm == math.inf:
                 continue
             total += to_complex(cf) * to_complex(cg).conjugate() * nrm
@@ -732,8 +733,10 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
     """
     if F.is_zero():
         raise ZeroFunctionalError("density sequence needs a nonzero F")
-    if not all(map(domain.finite, F.coeffs)):
-        raise NotInComplementError("F has infinite norm on the domain")
+    for alpha in F.coeffs:
+        check_length(alpha, domain.n)  # checked when F was built, but not against the domain
+        if domain._norm(alpha) == math.inf:
+            raise NotInComplementError("F has infinite norm on the domain")
 
     def norm(f, name=None):
         # the integrable slots are the ones _inner_float sums; a named jet is
@@ -747,7 +750,7 @@ def density_sequence(domain: DiagonalDomain, F: Jet, gens: IdealPresentation, k_
     out = []
     for k in k_range:
         J = jet_ideal(gens, k)
-        Fk = Jet(F.n, max(F.degree_bound, k - 1), F.coeffs)
+        Fk = Jet.unchecked(F.n, max(F.degree_bound, k - 1), F.coeffs)
         # validate F against the complement: it must be orthogonal to the
         # span, up to 1e-9 of the Cauchy-Schwarz bound ||F|| ||s||, with ||s||
         # over the integrable slots that the pairing sums.  A span vector on

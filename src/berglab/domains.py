@@ -178,7 +178,8 @@ class DiagonalDomain:
     :func:`_numbers` decides the numbers.  Float polydisc norms, truncated
     ones with one active coordinate included, are products of
     per-coordinate factors.  Each norm is computed once and cached by
-    multi-index.  Every derived domain is built by :meth:`_derived`.
+    multi-index, and so is an exact norm's float.  Every derived domain is
+    built by :meth:`_derived`.
     """
 
     def __init__(self, n, kind, radii, weight_exponents=None, cut=None, exact=None,
@@ -197,7 +198,7 @@ class DiagonalDomain:
             descriptor = ({"kind": kind, "radii": radii} if kind == "polydisc"
                           else {"kind": kind, "radius": radii[0], "n": self.n})
         self.descriptor = descriptor
-        self._norm_cache = {}
+        self._norm_cache, self._float_cache = {}, {}
 
     # -- constructors ---------------------------------------------------
 
@@ -294,11 +295,18 @@ class DiagonalDomain:
         not square-integrable against the weight.  A monomial's norm is
         positive, so a float norm of 0.0 is an underflow, and one past the
         float range an overflow: both raise QuadratureError."""
-        if type(alpha) is tuple:
-            cached = self._norm_cache.get(alpha)
-            if cached is not None:
-                return cached
-        return self._norm(validate_index(alpha, self.n))
+        return self._norm(self._checked(alpha))
+
+    def norm_float(self, alpha):
+        """:meth:`norm` as a float: in exact mode times the implicit pi**n."""
+        return self._norm_float(self._checked(alpha))
+
+    def _checked(self, alpha):
+        """``alpha`` checked (:func:`validate_index`), unless it is a tuple
+        already cached, which was checked when it was."""
+        if type(alpha) is tuple and alpha in self._norm_cache:
+            return alpha
+        return validate_index(alpha, self.n)
 
     def _norm(self, alpha):
         """:meth:`norm` of a multi-index the package built, such as a jet
@@ -309,15 +317,20 @@ class DiagonalDomain:
             self._norm_cache[alpha] = cached
         return cached
 
-    def norm_float(self, alpha):
-        return self._as_float(self.norm(alpha), alpha)
-
-    def _as_float(self, v, alpha):
-        """The norm ``v`` of z^alpha as a float: in exact mode, times the
-        implicit pi**n, raising QuadratureError as :meth:`norm` does."""
-        if not self.exact or v == math.inf:
-            return v
-        return in_float_range("the norm of z^%s", lambda: finite(float(v) * math.pi**self.n), alpha)
+    def _norm_float(self, alpha):
+        """:meth:`norm_float` of a multi-index the package built: unchecked.
+        An exact norm's float, times the implicit pi**n, raises
+        QuadratureError as :meth:`norm` does."""
+        if not self.exact:
+            return self._norm(alpha)
+        cached = self._float_cache.get(alpha)
+        if cached is None:
+            v = cached = self._norm(alpha)
+            if v != math.inf:
+                scaled = lambda: finite(float(v) * math.pi**self.n)
+                cached = in_float_range("the norm of z^%s", scaled, alpha)
+            self._float_cache[alpha] = cached
+        return cached
 
     def _compute_norm(self, alpha):
         if self.kind == "ball":
@@ -373,14 +386,19 @@ class DiagonalDomain:
         return r ** (2 * float(x)) / float(x)
 
     def _ball_norm(self, alpha):
+        # alpha! / (|alpha| + n)! is 1 / denom, denom the multinomial
+        # coefficient (|alpha|; alpha) times (|alpha| + 1) ... (|alpha| + n):
+        # no factorial of a large coordinate or of |alpha| is formed
         d, r = degree(alpha), self.radii[0]
-        fact = math.prod(map(math.factorial, alpha))
-        denom = math.factorial(d + self.n)
+        denom, top = math.prod(range(d + 1, d + self.n + 1)), 0
+        for a in alpha:
+            top += a
+            denom *= math.comb(top, a)
         if self.exact:
             t = 2 * (d + self.n)
-            return Fraction(fact * r.numerator**t, denom * r.denominator**t)
-        # int / int first: alpha! alone can pass the float range
-        return finite(math.pi**self.n * (fact / denom) * r ** (2 * (d + self.n)))
+            return Fraction(r.numerator**t, denom * r.denominator**t)
+        # int / int, correctly rounded: the float of alpha! / (|alpha| + n)!
+        return finite(math.pi**self.n * (1 / denom) * r ** (2 * (d + self.n)))
 
     # -- structure ------------------------------------------------------
 
@@ -722,7 +740,7 @@ def moment_matrix(descriptor, degree_bound, name="descriptor") -> MomentDomain:
     try:  # an overflow, from the size of the inputs
         if kind in ("polydisc", "ball"):
             for i, alpha in enumerate(idx):
-                M[i, i] = dom.norm_float(alpha)
+                M[i, i] = dom._norm_float(alpha)
         elif kind in ("offcenter_disc", "two_point_disc"):
             if kind == "two_point_disc":
                 # {|z|^2 + |z-c|^2 < r}  ==  disc of center c/2, squared radius
@@ -758,13 +776,18 @@ def moment_matrix(descriptor, degree_bound, name="descriptor") -> MomentDomain:
                 # the trapezoid rule takes K(2d + 2) + d + 1 points for the top order K
                 k = integer(k, f"the harmonic order {where}[0]", 0, MAX_JET_INDICES)
                 harmonics.append((k, *ab))
-            # r must stay positive (NaN fails too): checked on a fine theta grid
-            grid = np.arange(4096) * (2 * np.pi / 4096)
-            if not _radius(base, harmonics, grid).min() > 0:
-                raise ValueError("radial descriptor has r(theta) <= 0 somewhere")
-            M, quad_error = _radial_moments(base, harmonics, degree_bound)
+            # numpy raises where r or r^(2d+2) leaves the float range,
+            # rather than warning and going on with inf and nan
+            with np.errstate(over="raise", invalid="raise"):
+                # r must stay positive (NaN fails too): checked on a fine theta grid
+                grid = np.arange(4096) * (2 * np.pi / 4096)
+                if not _radius(base, harmonics, grid).min() > 0:
+                    raise ValueError("radial descriptor has r(theta) <= 0 somewhere")
+                M, quad_error = _radial_moments(base, harmonics, degree_bound)
     except OverflowError:
         raise QuadratureError(f"the moment matrix of {name} overflows a float") from None
+    except FloatingPointError as exc:  # numpy's message, as a numpy warning gives it
+        raise QuadratureError(str(exc)) from None
 
     if not quad_error <= QUAD_TOL * max(1.0, float(np.max(np.abs(M)))):
         raise QuadratureError(

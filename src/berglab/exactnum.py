@@ -163,9 +163,16 @@ class PiValue:
             return math.inf
         if not self.coeff:
             return 0.0
-        return in_float_range("the exact value %s * pi^%d",
-                              lambda: finite(float(self.coeff) * math.pi**self.pi_power),
-                              _Size(self.coeff), self.pi_power)
+        compute = lambda: finite(float(self.coeff) * math.pi**self.pi_power)
+        try:
+            val = compute()
+        except OverflowError:
+            val = None
+        if val:
+            return val
+        # the rule fires: only now is the size named
+        return in_float_range("the exact value %s * pi^%d", compute, _Size(self.coeff),
+                              self.pi_power)
 
     def __repr__(self):
         if self.pi_power == 0:
@@ -194,9 +201,16 @@ def in_float_range(name, compute, *args):
 
 def to_float(x, name="the exact number %s"):
     """``float(x)`` of a float, an int or a Fraction; a nonzero rational past the
-    float range raises QuadratureError naming its size ("the exact number 1e400")."""
+    float range raises QuadratureError naming its size ("the exact number 1e400").
+    The size is found only then: a number in the range costs one ``float``."""
     if type(x) is float or not x:
         return float(x)
+    try:
+        val = float(x)
+    except OverflowError:
+        val = None
+    if val:
+        return val
     return in_float_range(name, lambda: float(x), _Size(x))
 
 
@@ -205,12 +219,18 @@ def to_complex(c):
     return c if type(c) is complex else complex(to_float(c.real), to_float(c.imag))
 
 
-class _Size(Fraction):
+class _Size:
     """A nonzero rational that prints as its size, such as "1.5e400"."""
 
+    __slots__ = ("x",)
+
+    def __init__(self, x):
+        self.x = x
+
     def __str__(self):
-        e = math.log10(abs(self.numerator)) - math.log10(self.denominator)
-        return f"{'-' if self < 0 else ''}{10 ** (e % 1):.6g}e{math.floor(e)}"
+        q = Fraction(self.x)
+        e = math.log10(abs(q.numerator)) - math.log10(q.denominator)
+        return f"{'-' if q < 0 else ''}{10 ** (e % 1):.6g}e{math.floor(e)}"
 
 
 def finite(val):

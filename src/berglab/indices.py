@@ -7,8 +7,14 @@ package follow this order so that coefficient vectors and Gram matrices
 are reproducible.
 
 A multi-index is checked once, by :func:`validate_index`, where it enters
-from outside the package (a jet's or a functional's constructor, its JSON
-reader); the package builds every other index from checked ones.
+from outside the package.  The boundary is the constructors (``Jet(...)``,
+``Functional(...)``, :meth:`~berglab.jets.Jet.monomial`,
+:meth:`~berglab.jets.Functional.delta`, a monomial ideal's), the JSON
+readers, and :meth:`DiagonalDomain.norm <berglab.domains.DiagonalDomain.norm>`
+with ``norm_float`` and ``finite``.  The package builds every other index
+from checked ones and reads it unchecked; where a checked jet or functional
+meets a domain of another dimension, :func:`check_length` raises the error
+that :func:`validate_index` would.
 
 Every jet ideal in n variables reads one :class:`Layout` of that dimension
 (:func:`layout`): the multi-indices in the graded order, with, for each
@@ -45,12 +51,17 @@ def degree(alpha: MultiIndex) -> int:
     return sum(alpha)
 
 
-def validate_index(alpha, n: int) -> MultiIndex:
-    alpha = tuple(int(a) for a in alpha)
+def check_length(alpha: MultiIndex, n: int) -> None:
+    """Raise DimensionMismatchError, naming alpha, unless it has length n."""
     if len(alpha) != n:
         raise DimensionMismatchError(
             f"multi-index {alpha} has length {len(alpha)}, expected {n}"
         )
+
+
+def validate_index(alpha, n: int) -> MultiIndex:
+    alpha = tuple(int(a) for a in alpha)
+    check_length(alpha, n)
     if any(a < 0 for a in alpha):
         raise ValueError(f"multi-index {alpha} has a negative component")
     if sum(alpha) > MAX_DEGREE:

@@ -4,12 +4,15 @@ Coefficients may be Python complex numbers (float mode) or exact scalars
 (int, Fraction, :class:`~berglab.exactnum.QQi`).  All operations are pure;
 jets and functionals are treated as immutable after construction.
 
-Multi-indices are checked where they enter from outside the package: by
-the constructors ``Jet(...)`` and ``Functional(...)``, by
-:meth:`Jet.monomial` and :meth:`Functional.delta`, and by the JSON readers.
+Multi-indices are checked once, where they enter from outside the
+package.  The boundary is the constructors ``Jet(...)`` and
+``Functional(...)``, :meth:`Jet.monomial` and :meth:`Functional.delta`, the
+JSON readers, and :meth:`DiagonalDomain.norm
+<berglab.domains.DiagonalDomain.norm>` for an index handed to a domain.
 Everything built from indices already held (truncation, scaling, sums,
-products, the routes' minimizers and maximizers, an ideal's basis and
-annihilator) goes through ``unchecked``, which checks nothing again.
+products, a widened degree bound, the routes' minimizers and maximizers,
+Riesz representatives, an ideal's basis and annihilator, the suites'
+random instances) goes through ``unchecked``, which checks nothing again.
 """
 
 from __future__ import annotations

@@ -30,7 +30,7 @@ from .ideals import (
     multiplier_ideal_plus,
     next_jump,
 )
-from .indices import degree
+from .indices import check_length, degree
 from .jets import Functional, Jet, pair
 
 
@@ -107,7 +107,9 @@ def xi_cse_limit(xi: Functional, phi: ToricWeight, D: DiagonalDomain, t_grid) ->
     """
     from .bergman import kernel_at_origin
 
-    if not any(D.finite(alpha) for alpha in xi.entries):
+    for alpha in xi.entries:
+        check_length(alpha, D.n)  # checked when xi was built, but not against D
+    if all(D._norm(alpha) == math.inf for alpha in xi.entries):
         raise ZeroKernelError("xi has no square-integrable slot on the domain, so K = 0")
     table = []
     for t in t_grid_points(t_grid):
@@ -150,11 +152,11 @@ def verify_corollary_min(F: Jet, phi: ToricWeight, degree_bound: int) -> Minimiz
     for beta in sorted(F.coeffs, key=degree):
         if degree(beta) > degree_bound:
             continue
-        candidates.append((f"delta_{beta}", Functional.delta(F.n, beta)))
+        candidates.append((f"delta_{beta}", Functional.unchecked(F.n, {beta: 1})))
     iplus = multiplier_ideal_plus(phi, c0)
     J = _plus_jet_ideal(iplus, F)
     domain = DiagonalDomain.polydisc([1] * F.n)
-    Fw = Jet(F.n, J.level - 1, F.coeffs)
+    Fw = Jet.unchecked(F.n, J.level - 1, F.coeffs)
     eta = minimal_l2(domain, Fw, J).eta
     if not eta.is_zero():
         candidates.append(("extremal_eta", eta))
@@ -162,7 +164,7 @@ def verify_corollary_min(F: Jet, phi: ToricWeight, degree_bound: int) -> Minimiz
     all_above = True
     for label, xi in candidates:
         gamma = xi_cse_combinatorial(xi, phi)
-        pairs = bool(pair(xi, Jet(F.n, max(F.degree_bound, xi.order()), F.coeffs)))
+        pairs = bool(pair(xi, Jet.unchecked(F.n, max(F.degree_bound, xi.order()), F.coeffs)))
         family.append((label, gamma, pairs))
         if pairs:
             if gamma < c0:
@@ -247,7 +249,8 @@ def effectiveness_report(D: DiagonalDomain, F: Jet, phi: ToricWeight) -> Effecti
     c0 = jumping_number(F, phi)
     iplus = multiplier_ideal_plus(phi, c0)
     J = _plus_jet_ideal(iplus, F)
-    Fw = Jet(F.n, J.level - 1, F.coeffs)
+    # J's level is above every degree of F (_plus_jet_ideal)
+    Fw = Jet.unchecked(F.n, J.level - 1, F.coeffs)
     proj, bc = both_routes(D, Fw, J)
     cv, bv = proj.value, bc.value
     agree, gap = routes_agree(cv, bv)

@@ -24,7 +24,7 @@ from .domains import (
 from .errors import BerglabError, DivergentIntegralError
 from .exactnum import PiValue, value_float
 from .ideals import IdealPresentation, jet_ideal
-from .indices import indices_up_to
+from .indices import layout
 from .jets import Functional, Jet
 from .sop import effectiveness_report, jumping_number, xi_cse_combinatorial, xi_cse_limit
 
@@ -86,7 +86,8 @@ def _run_instances(name, instances, runner) -> SuiteResult:
 
 
 def _random_polynomial(rng, n, max_degree, exact, count=3):
-    idx = indices_up_to(n, max_degree)
+    lay = layout(n, max_degree)
+    idx = lay.indices[: lay.ends[max_degree]]  # the indices of degree <= max_degree
     terms = {}
     for _ in range(count):
         alpha = rng.choice(idx)
@@ -95,7 +96,7 @@ def _random_polynomial(rng, n, max_degree, exact, count=3):
         )
         if bool(c):
             terms[alpha] = terms.get(alpha, 0) + c
-    return Jet(n, max_degree, terms)
+    return Jet.unchecked(n, max_degree, terms)
 
 
 def _random_generators(rng, n, level, exact):
@@ -104,7 +105,7 @@ def _random_generators(rng, n, level, exact):
         gens = []
         for _ in range(rng.randint(1, 2)):
             g = _random_polynomial(rng, n, level - 1, exact, count=rng.randint(1, 3))
-            g = Jet(n, g.degree_bound, {a: c for a, c in g.coeffs.items() if sum(a) > 0})
+            g = Jet.unchecked(n, g.degree_bound, {a: c for a, c in g.coeffs.items() if sum(a) > 0})
             if not g.is_zero():
                 gens.append(g)
         if not gens:
@@ -182,7 +183,7 @@ def equivalence_instances(seed=0, count=50, weighted=False) -> list:
             level = rng.randint(2, d + 1)
             _, J = _random_generators(rng, n, level, exact=False)
             F = _random_polynomial(rng, n, max(level - 1, 1), exact=False)
-            F = Jet(n, max(F.degree_bound, level - 1), F.coeffs)
+            F = Jet.unchecked(n, max(F.degree_bound, level - 1), F.coeffs)
             instances.append((i, "moment", (domain, F, J)))
         else:
             n = rng.randint(1, 3)
@@ -190,7 +191,7 @@ def equivalence_instances(seed=0, count=50, weighted=False) -> list:
             domain = _random_diagonal_domain(rng, n, weighted)
             _, J = _random_generators(rng, n, level, exact=True)
             F = _random_polynomial(rng, n, level - 1, exact=True)
-            F = Jet(n, max(F.degree_bound, level - 1), F.coeffs)
+            F = Jet.unchecked(n, max(F.degree_bound, level - 1), F.coeffs)
             instances.append((i, "diagonal", (domain, F, J)))
     return instances
 
@@ -254,13 +255,13 @@ def suite_convexity(seed=0, count=12) -> SuiteResult:
         if n == 1:
             k = rng.randint(0, 4)
             a = rng.choice([Fraction(1), Fraction(2), Fraction(1, 2)])
-            xi = Functional.delta(1, (k,))
+            xi = Functional.unchecked(1, {(k,): 1})
             if rng.random() < 0.5 and k > 0:
-                xi = xi.add(Functional.delta(1, (rng.randint(0, k - 1),)))
+                xi = xi.add(Functional.unchecked(1, {(rng.randint(0, k - 1),): 1}))
             phi = ToricWeight((a,))
             dom = DiagonalDomain.disc(1, exact=False)
         else:
-            xi = Functional.delta(2, (rng.randint(0, 1), rng.randint(0, 1)))
+            xi = Functional.unchecked(2, {(rng.randint(0, 1), rng.randint(0, 1)): 1})
             phi = ToricWeight((1, 1))
             dom = DiagonalDomain.polydisc([1, 1], exact=False)
         expected = float(xi_cse_combinatorial(xi, phi))
@@ -284,14 +285,14 @@ def suite_density(seed=0, count=10) -> SuiteResult:
             m = rng.randint(2, 4)
             l = rng.randint(0, m - 1)
             dom = DiagonalDomain.disc(1)
-            gens = IdealPresentation(1, [Jet.monomial(1, (m,))])
-            F = Jet(1, m, {(l,): 1})
+            gens = IdealPresentation(1, [Jet.unchecked(1, m, {(m,): 1})])
+            F = Jet.unchecked(1, m, {(l,): 1})
             ks = list(range(max(2, l + 1), m + 2))
         else:
             dom = DiagonalDomain.polydisc([1, 1])
-            gens = IdealPresentation(2, [Jet.monomial(2, (1, 0))])
+            gens = IdealPresentation(2, [Jet.unchecked(2, 1, {(1, 0): 1})])
             l = rng.randint(0, 2)
-            F = Jet(2, max(2, l), {(0, l): 1})
+            F = Jet.unchecked(2, max(2, l), {(0, l): 1})
             ks = list(range(max(2, l + 1), l + 4))
         instances.append((dom, F, gens, ks))
 

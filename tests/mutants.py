@@ -93,10 +93,20 @@ MUTANTS = [
     (
         "density-infinite-norm-accepted",
         "bergman.py",
-        "if not all(map(domain.finite, F.coeffs)):",
+        "if domain._norm(alpha) == math.inf:",
         "if False:",
         [
             "tests/test_cli.py::TestExhaustDensity::test_density_rejections_exit_2[infinite-norm]",
+        ],
+    ),
+    (
+        "riesz-dimension-unchecked",
+        "bergman.py",
+        "        check_length(alpha, domain.n)  # checked when xi was built, but not against the domain\n",
+        "",
+        [
+            "tests/test_cli.py::TestMalformedSpec::test_malformed_spec_exit_2[kernel-xi-dimension]",
+            "tests/test_checked_once.py::TestCheckedOnce::test_a_domain_of_another_dimension[riesz]",
         ],
     ),
     (
@@ -196,10 +206,11 @@ MUTANTS = [
     (
         "ball-norm-factorial",
         "domains.py",
-        "denom = math.factorial(d + self.n)",
-        "denom = math.factorial(d + self.n - 1)",
+        "denom, top = math.prod(range(d + 1, d + self.n + 1)), 0",
+        "denom, top = math.prod(range(d + 1, d + self.n)), 0",
         [
             "tests/test_domains.py::TestBallNorms::test_closed_form",
+            "tests/test_domains.py::TestBallNorms::test_factorial_form[2]",
             "tests/test_domains.py::TestBallNorms::test_ball_3d_oracle[2]",
             "tests/test_jets.py::TestLinalg::test_pinned_ball_3d_level_8",
         ],
@@ -217,8 +228,8 @@ MUTANTS = [
     (
         "as-float-unchecked",
         "domains.py",
-        'return in_float_range("the norm of z^%s", lambda: finite(float(v) * math.pi**self.n), alpha)',
-        "return float(v) * math.pi**self.n",
+        'cached = in_float_range("the norm of z^%s", scaled, alpha)',
+        "cached = float(v) * math.pi**self.n",
         [
             "tests/test_cli.py::TestNormsPastTheFloatRange::test_exit_3[kernel-1e308]",
             "tests/test_domains.py::TestOverflow::test_exact_norm_as_float[below-the-range]",
@@ -287,6 +298,17 @@ MUTANTS = [
             "tests/test_jets.py::TestExactScalars::test_pivalue",
             "tests/test_cli.py::TestNormsPastTheFloatRange::test_exit_3[equiv-C-5e-401]",
             "tests/test_domains.py::TestOverflow::test_exact_norm_as_float[below-the-range]",
+        ],
+    ),
+    (
+        "to-float-fast-path-passes-0",
+        "exactnum.py",
+        "    if val:\n        return val\n    return in_float_range(name,",
+        "    if val is not None:\n        return val\n    return in_float_range(name,",
+        [
+            "tests/test_domain_record.py::TestFloatRangeRule::test_to_float",
+            "tests/test_cli.py::TestInputsPastTheFloatRange::test_exit[kernel-xi-1e-400]",
+            "tests/test_checked_once.py::TestRangeRuleMessages::test_message[to_complex-imag-1e-400]",
         ],
     ),
     (

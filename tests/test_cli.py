@@ -1663,3 +1663,15 @@ class TestDegreeAndDimensionCaps:
         assert (proc.returncode, proc.stdout, proc.stderr) == (
             2, "", f"spec error: multi-index (3, {int(1e308)}) has a degree above 100000000\n")
         assert not out.exists()
+
+    def test_ball_norm_of_a_high_degree_in_time(self, tmp_path):
+        # the ball norm of z2^(10^6) forms no factorial of 10^6: it took 15 s
+        # when it did.  In a child process, as a hang holds the interpreter
+        spec = {"domain": {"kind": "ball", "n": 2, "radius": "1"},
+                "xi": {"n": 2, "terms": [{"alpha": [0, 10**6], "re": "1", "im": "0"}]}}
+        env = dict(os.environ, PYTHONPATH=SRC)
+        proc = subprocess.run(
+            [sys.executable, "-m", "berglab.cli", "kernel", "--spec", write_spec(tmp_path, spec)],
+            env=env, capture_output=True, text=True, timeout=5,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "K = 101321487606.09134\n", "")

@@ -5,6 +5,7 @@ quadrature coded directly in the tests, never the package's own formulas.
 """
 
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -220,6 +221,20 @@ class TestBallNorms:
         # alpha! / (|alpha|+n)! with pi^n
         assert ball.norm((1, 1)) == Fraction(1, 24)
         assert ball.norm_float((1, 1)) == pytest.approx(math.pi**2 / 24)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_factorial_form(self, n):
+        # the norm takes alpha! / (|alpha|+n)! as one over a multinomial
+        # coefficient times (|alpha|+1)...(|alpha|+n): the same Fraction, and
+        # the same float bits, as the factorials give
+        r = Fraction(3, 2)
+        exact, flt = DiagonalDomain.ball(n, r), DiagonalDomain.ball(n, r, exact=False)
+        for alpha in indices_up_to(n, 6):
+            d, t = sum(alpha), 2 * (sum(alpha) + n)
+            fact = math.prod(map(math.factorial, alpha))
+            assert exact.norm(alpha) == fact * r**t / math.factorial(d + n)
+            want = math.pi**n * (fact / math.factorial(d + n)) * 1.5**t
+            assert flt.norm(alpha) == want
 
 
 class TestWeightedNorms:
@@ -657,6 +672,17 @@ class TestOverflow:
         with pytest.raises(QuadratureError) as err:
             dom.norm_float(alpha)
         assert str(err.value) == f"the norm of z^{alpha} {message}"
+
+    @pytest.mark.parametrize("filter", ["error", "always"])
+    def test_radial_moments(self, filter):
+        # r^(2d+2) of a radial domain past the float range raises where numpy
+        # overflows, with numpy's message and no warning, rather than warning
+        # and going on to a nan quadrature error
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter(filter)
+            with pytest.raises(QuadratureError) as err:
+                moment_matrix({"kind": "radial", "base": 1e308}, 3)
+        assert str(err.value) == "overflow encountered in power" and not caught
 
 
 class TestBallFactorials:
